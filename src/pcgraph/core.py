@@ -68,24 +68,11 @@ class ColoredCompleteGraph:
             raise SelfLoop(f"no edge ({u},{v})")
         return self._palette[self._m[u][v]]
 
-    def color_index(self, u: int, v: int) -> int:
-        """Dense color index of edge uv (internal id space)."""
-        if u == v:
-            raise SelfLoop(f"no edge ({u},{v})")
-        return self._m[u][v]
-
-    def row(self, u: int) -> tuple:
-        """Dense color row for vertex u (entry u is -1)."""
-        return self._m[u]
-
     def dense_matrix(self) -> tuple:
         return self._m
 
     def original_color(self, dense: int) -> int:
         return self._palette[dense]
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def edges(self) -> Iterator[tuple]:
         """Yield (u, v, original color) for u < v in lexicographic order."""
@@ -239,6 +226,12 @@ def _normalized_upper(order: Sequence[int], m: tuple, pairs: Sequence[tuple]) ->
     return tuple(out)
 
 
+def _encode_key(n: int, best: tuple) -> bytes:
+    """n and the normalized triangle as big-endian ints of one width, width first."""
+    width = (max((n, *best)).bit_length() + 7) // 8
+    return bytes([width]) + b"".join(x.to_bytes(width, "big") for x in (n, *best))
+
+
 def canonical_key(g: ColoredCompleteGraph) -> bytes:
     """Canonical byte key: equal iff graphs are isomorphic.
 
@@ -246,21 +239,19 @@ def canonical_key(g: ColoredCompleteGraph) -> bytes:
     bijection.  The key is the minimum color-normalized upper triangle
     over all vertex orders that sort vertices by an invariant profile;
     profile classes prune the permutation set without losing exactness.
+    The width prefix lets the key hold any n and any number of colors.
     """
     if g._key is not None:
         return g._key
     n = g.n
-    if n == 1:
-        g._key = b"\x01"
-        return g._key
     m = g._m
     k = g.num_colors
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     if k == 1 or k == len(pairs):
-        # monochromatic and rainbow matrices normalize identically under
-        # every permutation; skip the search
+        # monochromatic and rainbow matrices (and K1, with no edges)
+        # normalize identically under every permutation; skip the search
         best = _normalized_upper(range(n), m, pairs)
-        g._key = bytes([n]) + bytes(best)
+        g._key = _encode_key(n, best)
         return g._key
     profiles = _vertex_profiles(g)
     classes = {}
@@ -273,7 +264,7 @@ def canonical_key(g: ColoredCompleteGraph) -> bytes:
         cand = _normalized_upper(order, m, pairs)
         if best is None or cand < best:
             best = cand
-    g._key = bytes([n]) + bytes(best)
+    g._key = _encode_key(n, best)
     return g._key
 
 

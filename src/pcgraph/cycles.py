@@ -64,22 +64,6 @@ class Cycle:
     def pred(self, v: int) -> int:
         return self.vertices[self._pos[v] - 1]
 
-    def succ2(self, v: int) -> int:
-        return self.succ(self.succ(v))
-
-    def pred2(self, v: int) -> int:
-        return self.pred(self.pred(v))
-
-    def segment(self, u: int, v: int) -> tuple:
-        """Vertices from u to v inclusive, along the orientation."""
-        i, j = self._pos[u], self._pos[v]
-        n = len(self.vertices)
-        return tuple(self.vertices[(i + k) % n] for k in range(((j - i) % n) + 1))
-
-    def segment_reversed(self, u: int, v: int) -> tuple:
-        """Vertices from u to v inclusive, against the orientation."""
-        return tuple(reversed(self.segment(v, u)))
-
     def canonical(self) -> "Cycle":
         """Rotate the smallest vertex first and orient toward its smaller neighbor."""
         vs = self.vertices

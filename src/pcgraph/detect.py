@@ -9,8 +9,10 @@ first step of the trichotomy classifier.
 Search strategy: in a complete graph a vertex of a proper degenerate set has
 its f-value forced to its unique outward color, so propagating from every
 (vertex, incident color) seed finds a proper set whenever one exists.  The
-remaining full-set case reduces to 2-SAT over (vertex, incident color)
-choices.
+same seeds also find a full compatible map whenever one exists: some vertex
+v of it has f(v) incident to v, and the closure from (v, f(v)) only forces
+values that agree with f, so it ends without conflict (see
+degeneracy_status).
 """
 
 from __future__ import annotations
@@ -155,115 +157,22 @@ def closure_from_seed(g: ColoredCompleteGraph, u: int, c: int) -> Optional[Degen
     )
 
 
-class _TwoSat:
-    """Implication-graph 2-SAT; literal 2i is var i true, 2i+1 is false."""
-
-    def __init__(self, nvars: int):
-        self.n = nvars
-        self.adj = [[] for _ in range(2 * nvars)]
-
-    def add_or(self, a: int, b: int) -> None:
-        # clause (a or b): ~a -> b, ~b -> a
-        self.adj[a ^ 1].append(b)
-        self.adj[b ^ 1].append(a)
-
-    def solve(self) -> Optional[list]:
-        order = []
-        comp = [-1] * (2 * self.n)
-        visited = [False] * (2 * self.n)
-        for start in range(2 * self.n):
-            if visited[start]:
-                continue
-            stack = [(start, 0)]
-            visited[start] = True
-            while stack:
-                node, idx = stack[-1]
-                if idx < len(self.adj[node]):
-                    stack[-1] = (node, idx + 1)
-                    nxt = self.adj[node][idx]
-                    if not visited[nxt]:
-                        visited[nxt] = True
-                        stack.append((nxt, 0))
-                else:
-                    order.append(node)
-                    stack.pop()
-        radj = [[] for _ in range(2 * self.n)]
-        for a in range(2 * self.n):
-            for b in self.adj[a]:
-                radj[b].append(a)
-        label = 0
-        for start in reversed(order):
-            if comp[start] != -1:
-                continue
-            stack = [start]
-            comp[start] = label
-            while stack:
-                node = stack.pop()
-                for nxt in radj[node]:
-                    if comp[nxt] == -1:
-                        comp[nxt] = label
-                        stack.append(nxt)
-            label += 1
-        out = []
-        for v in range(self.n):
-            if comp[2 * v] == comp[2 * v + 1]:
-                return None
-            # components are labeled in source-first topological order, so a
-            # literal is satisfiable as true when its component comes later
-            out.append(comp[2 * v] > comp[2 * v + 1])
-        return out
-
-
-def _full_assignment_via_twosat(g: ColoredCompleteGraph) -> Optional[dict]:
-    """Full compatible f (dense colors) via 2-SAT, or None.
-
-    Variables are (vertex, incident color) picks with pairwise at-most-one
-    per vertex; each edge contributes the clause "one endpoint picked the
-    edge color".  Vertices the solution leaves unassigned get an arbitrary
-    incident color: every edge at such a vertex is already satisfied from
-    the other side.
-    """
-    n, m = g.n, g._m
-    incident = []
-    for u in range(n):
-        row = m[u]
-        incident.append(sorted({row[v] for v in range(n) if v != u}))
-    var_of = {}
-    for u in range(n):
-        for c in incident[u]:
-            var_of[(u, c)] = len(var_of)
-    sat = _TwoSat(len(var_of))
-    for u in range(n):
-        cs = incident[u]
-        for i in range(len(cs)):
-            vi = var_of[(u, cs[i])]
-            for j in range(i + 1, len(cs)):
-                vj = var_of[(u, cs[j])]
-                sat.add_or(2 * vi + 1, 2 * vj + 1)
-    for u in range(n):
-        row = m[u]
-        for v in range(u + 1, n):
-            c = row[v]
-            sat.add_or(2 * var_of[(u, c)], 2 * var_of[(v, c)])
-    model = sat.solve()
-    if model is None:
-        return None
-    f = {}
-    for (u, c), idx in var_of.items():
-        if model[idx]:
-            f[u] = c
-    for u in range(n):
-        if u not in f:
-            f[u] = incident[u][0]
-    return f
-
-
 def degeneracy_status(g: ColoredCompleteGraph) -> DegeneracyStatus:
     """Classify g as proper-degenerate, degenerate-full-only, or non-degenerate.
 
     Seeds are tried in (vertex, color) lexicographic order and the first
-    proper closure wins, so results are deterministic.  When no proper set
-    exists, a 2-SAT pass decides whether some f covers the whole vertex set.
+    proper closure wins, so results are deterministic.  The first seed whose
+    closure covers every vertex supplies the full-only certificate.
+
+    The seeds alone decide whether a full compatible map exists.  Let F be
+    one.  Every edge uv takes F(u) or F(v), so some vertex v has F(v)
+    incident to it, and (v, F(v)) is among the seeds tried.  Its closure
+    forces f(x) = color(w, x) only when color(w, x) != f(w) = F(w), which
+    means color(w, x) = F(x): every forced value agrees with F, so the
+    closure never conflicts.  It ends as a proper set (returned as
+    PROPER_SET) or as all of V (kept as the full map).  Hence a finished
+    seed loop with no full closure means no full map exists, and the answer
+    is NON_DEGENERATE.
     """
     n = g.n
     if n < 2:
@@ -284,8 +193,6 @@ def degeneracy_status(g: ColoredCompleteGraph) -> DegeneracyStatus:
                 return DegeneracyStatus(DegeneracyTag.PROPER_SET, cert)
             if full_dense is None:
                 full_dense = f
-    if full_dense is None:
-        full_dense = _full_assignment_via_twosat(g)
     if full_dense is not None:
         cert = DegeneracyCertificate(
             frozenset(range(n)), {v: pal[d] for v, d in full_dense.items()}

@@ -9,8 +9,10 @@ so a fixed seed reproduces a report byte for byte.  Wall-clock timing goes
 to stderr in the CLI instead.
 
 Any InternalError raised during classification is a potential
-counterexample; the offending instance is dumped as JSON named by its
-canonical key when a dump directory is configured.
+counterexample; the offending instance is dumped as JSON named by the
+sha256 of its instance JSON when a dump directory is configured.  The name
+costs one hash, unlike a canonical key, whose search is factorial on
+symmetric colorings.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import os
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterator, List, Optional
 
-from .core import ColoredCompleteGraph, canonical_key, dumps_instance
+from .core import ColoredCompleteGraph, dumps_instance
 from .cycles import is_pc_path, pc_hamilton_path
 from .detect import find_monochromatic_triangle
 from .errors import InternalError
@@ -110,7 +112,6 @@ def examine_instance(g: ColoredCompleteGraph, oracle: str) -> dict:
     except InternalError as exc:
         rec["internal_error"] = str(exc)
         rec["instance"] = dumps_instance(g)
-        rec["key"] = canonical_key(g).hex()
         return rec
     rec["fallbacks"] = counters.get("exhaustive_fallback", 0)
     rec["growth_oracle_uses"] = counters.get("growth_oracle_uses", 0)
@@ -174,8 +175,13 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                 report.internal_errors += 1
                 report.flagged.append({"index": index, "reason": rec["internal_error"]})
                 if config.dump_dir:
+                    # hashlib loads OpenSSL (about 4 MB resident), so only
+                    # a sweep that writes a dump pays for it
+                    import hashlib
+
                     os.makedirs(config.dump_dir, exist_ok=True)
-                    path = os.path.join(config.dump_dir, f"{rec['key']}.json")
+                    name = hashlib.sha256(rec["instance"].encode()).hexdigest()
+                    path = os.path.join(config.dump_dir, f"{name}.json")
                     with open(path, "w") as fh:
                         fh.write(
                             json.dumps(

@@ -81,68 +81,44 @@ class TrichotomyResult:
 def is_double_pentagon_k5(g: ColoredCompleteGraph) -> Optional[Dict[int, int]]:
     """Vertex relabeling onto the canonical double-pentagon K5, if g is one.
 
-    Present exactly when n = 5, two colors are in use, and both color
-    classes are 2-regular (hence each a pentagon).
+    Present exactly when n = 5, two colors are in use, and dense color
+    class 0 is 2-regular; class 1 is then 2-regular too, since every vertex
+    of K5 has degree 4.  A 2-regular graph on 5 vertices is a single
+    pentagon, so walking class 0 from vertex 0 visits every vertex, and
+    relabeling the walk's i-th vertex to i sends class 0 onto the canonical
+    ring 0-1-2-3-4 and its complement, class 1, onto the canonical chords.
     """
     if g.n != 5 or g.num_colors != 2:
         return None
     m = g._m
-    for color in (0, 1):
-        for u in range(5):
-            if sum(1 for v in range(5) if v != u and m[u][v] == color) != 2:
-                return None
-    canon = double_pentagon_matrix()
-    # walk one color class as a cycle; only its 10 cyclic relabelings plus a
-    # color swap can map g onto the canonical instance
-    for cls in (0, 1):
-        start = 0
-        ring = [start]
-        prev = None
-        while len(ring) < 5:
-            cur = ring[-1]
-            nxt = next(
-                w for w in range(5) if w != cur and w != prev and m[cur][w] == cls
-            )
-            ring.append(nxt)
-            prev = cur
-        for shift in range(5):
-            for flip in (False, True):
-                order = ring[shift:] + ring[:shift]
-                if flip:
-                    order = [order[0]] + list(reversed(order[1:]))
-                relabel = {order[i]: i for i in range(5)}
-                ok = True
-                for u in range(5):
-                    for v in range(u + 1, 5):
-                        # mapping this class onto canonical color index 0
-                        want = 0 if m[u][v] == cls else 1
-                        if canon[relabel[u]][relabel[v]] != want:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    return relabel
-    raise InternalError(
-        "two edge-disjoint pentagon classes admit no relabeling onto the "
-        "canonical instance",
-        instance=g,
-    )
+    for u in range(5):
+        if sum(1 for v in range(5) if v != u and m[u][v] == 0) != 2:
+            return None
+    ring = [0]
+    prev = None
+    while len(ring) < 5:
+        cur = ring[-1]
+        nxt = next(w for w in range(5) if w != cur and w != prev and m[cur][w] == 0)
+        ring.append(nxt)
+        prev = cur
+    return {v: i for i, v in enumerate(ring)}
 
 
 def _pancyclic_via_orientation(
     g: ColoredCompleteGraph, cert: DegeneracyCertificate, stats_out: Optional[dict]
 ) -> Dict:
+    """Pancyclic table from the orientation of a full compatible map.
+
+    The orientation always has disjoint out-neighborhoods inside each
+    2-part: a fiber {x, y} has f(x) = f(y) = c, so edge xy has color c, and
+    arcs x -> z and y -> z would give xz and yz color c as well, a
+    monochromatic triangle that classify has already rejected.  Strong
+    connectivity has no such short argument and stays checked here.
+    """
     t = reduce_degenerate(g, cert.f)
     if not is_strongly_connected(t):
         raise InternalError(
             "orientation of a full-only degenerate graph must be strongly connected",
-            instance=g,
-        )
-    if t.disjointness_violation() is not None:
-        raise InternalError(
-            "mono-triangle-free input produced a 2-fiber with overlapping "
-            "out-neighborhoods",
             instance=g,
         )
     cycles: Dict = {}

@@ -99,6 +99,16 @@ def test_canonical_key_separates(rainbow_k4):
     assert canonical_key(rainbow_k4) != canonical_key(mono)
 
 
+def test_canonical_key_rainbow_k24():
+    # 276 colors and n = 24: entries above 255 must still encode
+    pairs = list(itertools.combinations(range(24), 2))
+    g = build(24, [(u, v, c) for c, (u, v) in enumerate(pairs)])
+    h = build(24, [(u, v, -c) for c, (u, v) in enumerate(reversed(pairs))])
+    mono = build(24, [(u, v, 7) for u, v in pairs])
+    assert canonical_key(g) == canonical_key(h)
+    assert canonical_key(g) != canonical_key(mono)
+
+
 def test_canonical_key_invariance_random_triples():
     # 1000 random (graph, permutation, color bijection) triples with n <= 7
     rng = random.Random(20240811)

@@ -43,9 +43,6 @@ def test_cycle_and_path_json():
 def test_cycle_navigation():
     c = Cycle((3, 1, 4, 0))
     assert c.succ(3) == 1 and c.pred(3) == 0
-    assert c.succ2(3) == 4 and c.pred2(3) == 4
-    assert c.segment(1, 0) == (1, 4, 0)
-    assert c.segment_reversed(0, 1) == (0, 4, 1)
     assert c.canonical().vertices == (0, 3, 1, 4)
 
 

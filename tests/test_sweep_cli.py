@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -169,7 +171,10 @@ def test_sweep_dumps_falsification_instances(tmp_path, monkeypatch):
     assert len(report.dumps) == 1
     doc = json.loads(open(report.dumps[0]).read())
     assert doc["error"] == "synthetic failure"
-    assert loads_instance(json.dumps(doc["instance"])).n == 6
+    dumped = loads_instance(json.dumps(doc["instance"]))
+    assert dumped.n == 6
+    name = hashlib.sha256(dumps_instance(dumped).encode()).hexdigest()
+    assert os.path.basename(report.dumps[0]) == f"{name}.json"
 
 
 def test_console_script_runs():

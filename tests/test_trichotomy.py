@@ -26,14 +26,17 @@ def test_double_pentagon_detector(double_pentagon, rainbow_k4):
 
 
 def test_double_pentagon_detector_relabeled(double_pentagon):
-    perm = [3, 0, 4, 2, 1]
-    renamed = {1: 9, 2: 4}
-    h = build(5, [(perm[u], perm[v], renamed[c]) for u, v, c in double_pentagon.edges()])
-    relabel = is_double_pentagon_k5(h)
-    assert relabel is not None
-    result = classify(h)
-    assert result.tag is TrichotomyTag.EXCEPTIONAL_K5
-    assert validate_result(h, result)
+    # all 120 vertex permutations, with the original color ids in both
+    # orders, so either pentagon can be dense color class 0
+    for perm in itertools.permutations(range(5)):
+        for renamed in ({1: 4, 2: 9}, {1: 9, 2: 4}):
+            h = build(
+                5, [(perm[u], perm[v], renamed[c]) for u, v, c in double_pentagon.edges()]
+            )
+            assert is_double_pentagon_k5(h) is not None
+            result = classify(h)
+            assert result.tag is TrichotomyTag.EXCEPTIONAL_K5
+            assert validate_result(h, result), (perm, renamed)
 
 
 def test_classify_examples(double_pentagon, directed_example, rainbow_k4):
