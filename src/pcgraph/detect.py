@@ -12,7 +12,10 @@ its f-value forced to its unique outward color, so propagating from every
 same seeds also find a full compatible map whenever one exists: some vertex
 v of it has f(v) incident to v, and the closure from (v, f(v)) only forces
 values that agree with f, so it ends without conflict (see
-degeneracy_status).
+degeneracy_status).  A seed loop that reaches vertex u has seen every seed
+of the vertices below u end without a proper set, and a closure that pulls
+one of those vertices in contains such a dead seed's closure, so it cannot
+be proper either: the loop abandons it at that point.
 """
 
 from __future__ import annotations
@@ -108,12 +111,14 @@ class DegeneracyStatus:
     certificate: Optional[DegeneracyCertificate]
 
 
-def _closure_dense(m: tuple, n: int, u: int, c: int):
+def _closure_dense(m: tuple, n: int, u: int, c: int, low: int = 0):
     """Minimal compatible set containing u with value c, or None on conflict.
 
     Forcing rule: any edge wx with x outside the set and color != f(w)
     pulls x in with f(x) = color(w, x); an already-fixed conflicting value
-    kills the closure.  Colors are dense indices here.
+    kills the closure.  Colors are dense indices here.  With low > 0 (and
+    u >= low) the closure is also abandoned, returning None, as soon as it
+    would pull in a vertex below low.
     """
     f = {u: c}
     stack = [u]
@@ -121,7 +126,11 @@ def _closure_dense(m: tuple, n: int, u: int, c: int):
         w = stack.pop()
         fw = f[w]
         row = m[w]
-        for x in range(n):
+        # vertices below low never join f, so any other color towards them
+        # would pull one in
+        if low and row[:low].count(fw) != low:
+            return None
+        for x in range(low, n):
             if x == w:
                 continue
             col = row[x]
@@ -173,6 +182,20 @@ def degeneracy_status(g: ColoredCompleteGraph) -> DegeneracyStatus:
     PROPER_SET) or as all of V (kept as the full map).  Hence a finished
     seed loop with no full closure means no full map exists, and the answer
     is NON_DEGENERATE.
+
+    Seeds of lower vertices are dead by the time a vertex u is seeded, so
+    each closure from u is abandoned once it would pull in a vertex x < u.
+    When the loop reaches (u, c), every earlier seed's closure conflicts or
+    covers all of V, since a proper one would have returned (for abandoned
+    seeds this is the same argument, by induction).  A closure from
+    (u, c) forces x in with f(x) = color(w, x), a color incident to x, so
+    (x, f(x)) was an earlier seed; the closure from (u, c) contains that
+    seed's closure, hence also conflicts or covers all of V, and is not
+    proper.  No returned certificate is lost.  The first proper closure
+    never pulls in such an x.  The first full closure cannot either: it
+    would contain an earlier seed's closure, which then could not conflict
+    and would be an earlier full map.  So the full map comes from a seed at
+    vertex 0, where no vertex lies below the bound.
     """
     n = g.n
     if n < 2:
@@ -183,7 +206,7 @@ def degeneracy_status(g: ColoredCompleteGraph) -> DegeneracyStatus:
     for u in range(n):
         row = m[u]
         for c in sorted({row[v] for v in range(n) if v != u}):
-            f = _closure_dense(m, n, u, c)
+            f = _closure_dense(m, n, u, c, u)
             if f is None:
                 continue
             if len(f) < n:

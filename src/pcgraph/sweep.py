@@ -8,8 +8,9 @@ pure functions of the configuration: no timestamps or timings are embedded,
 so a fixed seed reproduces a report byte for byte.  Wall-clock timing goes
 to stderr in the CLI instead.
 
-Any InternalError raised during classification is a potential
-counterexample; the offending instance is dumped as JSON named by the
+Any exception raised during classification is a potential counterexample
+(an InternalError is the classifier's own alarm; anything else is a defect
+on valid input); the offending instance is dumped as JSON named by the
 sha256 of its instance JSON when a dump directory is configured.  The name
 costs one hash, unlike a canonical key, whose search is factorial on
 symmetric colorings.
@@ -109,8 +110,14 @@ def examine_instance(g: ColoredCompleteGraph, oracle: str) -> dict:
     counters: dict = {}
     try:
         result = classify(g, counters)
-    except InternalError as exc:
-        rec["internal_error"] = str(exc)
+    except Exception as exc:
+        # besides the classifier's own alarm, any exception on valid input is
+        # a defect, so it is counted, flagged and dumped instead of ending
+        # the sweep
+        if isinstance(exc, InternalError):
+            rec["internal_error"] = str(exc)
+        else:
+            rec["internal_error"] = f"{type(exc).__name__}: {exc}"
         rec["instance"] = dumps_instance(g)
         return rec
     rec["fallbacks"] = counters.get("exhaustive_fallback", 0)

@@ -37,11 +37,19 @@ log = logging.getLogger(__name__)
 
 FALLBACK_KEY = "exhaustive_fallback"
 
+# disjointness_violation's "not computed yet"; None means "no violation"
+_UNKNOWN = object()
+
 
 class MultipartiteTournament:
-    """Loopless digraph on 0..n-1 with parts of size <= 2 and one arc per cross pair."""
+    """Loopless digraph on 0..n-1 with parts of size <= 2 and one arc per cross pair.
 
-    __slots__ = ("n", "parts", "part_of", "_adj", "_out")
+    Instances are immutable, so the strong-connectivity and disjointness
+    checks are computed at most once each and remembered, negative results
+    included.
+    """
+
+    __slots__ = ("n", "parts", "part_of", "_adj", "_out", "_strong", "_violation")
 
     def __init__(self, parts: Sequence[Iterable[int]], arcs: Iterable[Sequence[int]]):
         parts = tuple(tuple(sorted(p)) for p in parts)
@@ -76,6 +84,8 @@ class MultipartiteTournament:
         self._out = tuple(
             tuple(v for v in range(n) if adj[u][v]) for u in range(n)
         )
+        self._strong = None
+        self._violation = _UNKNOWN
 
     @classmethod
     def tournament(cls, n: int, arcs: Iterable[Sequence[int]]) -> "MultipartiteTournament":
@@ -101,6 +111,11 @@ class MultipartiteTournament:
 
     def disjointness_violation(self) -> Optional[tuple]:
         """A triple (x, y, z) with {x,y} a 2-part both dominating z, if any."""
+        if self._violation is _UNKNOWN:
+            self._violation = self._find_violation()
+        return self._violation
+
+    def _find_violation(self) -> Optional[tuple]:
         for p in self.parts:
             if len(p) != 2:
                 continue
@@ -123,6 +138,13 @@ class MultipartiteTournament:
 
 def is_strongly_connected(t: MultipartiteTournament) -> bool:
     """True iff every ordered vertex pair is joined by a directed path."""
+    if t._strong is None:
+        t._strong = _strongly_connected(t)
+    return t._strong
+
+
+def _strongly_connected(t: MultipartiteTournament) -> bool:
+    """Forward and backward search from vertex 0, uncached."""
     n = t.n
     if n == 1:
         return True
@@ -470,8 +492,9 @@ def lift_cycle(g: ColoredCompleteGraph, f, cycle: Sequence[int]) -> Cycle:
     seq = tuple(cycle)
     if len(seq) < 3 or len(set(seq)) != len(seq):
         raise CycleNotInDigraph(f"{list(seq)} is not a directed cycle")
-    for i, u in enumerate(seq):
-        v = seq[(i + 1) % len(seq)]
-        if not (g.color(u, v) == f[u] != f[v]):
+    m = g._m
+    pal = g._palette
+    for u, v in zip(seq, seq[1:] + seq[:1]):
+        if not (pal[m[u][v]] == f[u] != f[v]):
             raise CycleNotInDigraph(f"({u},{v}) is not an arc of the orientation")
     return Cycle(seq)

@@ -113,7 +113,9 @@ def _pancyclic_via_orientation(
     2-part: a fiber {x, y} has f(x) = f(y) = c, so edge xy has color c, and
     arcs x -> z and y -> z would give xz and yz color c as well, a
     monochromatic triangle that classify has already rejected.  Strong
-    connectivity has no such short argument and stays checked here.
+    connectivity has no such short argument and stays checked here; t
+    remembers the answer, so the n calls to mpt_cycles_through that follow
+    do not search again.
     """
     t = reduce_degenerate(g, cert.f)
     if not is_strongly_connected(t):

@@ -17,6 +17,7 @@ from pcgraph.families import (
     exhaustive_colorings,
     gallai_coloring,
     random_degenerate,
+    random_fibers,
     random_no_mono_triangle,
 )
 from pcgraph.oracles import brute_degeneracy_tag, pc_cycle_exists_with_edge, proper_degenerate_sets
@@ -90,6 +91,53 @@ def test_degeneracy_matches_bruteforce_random_n6():
     for i in range(100):
         g = random_no_mono_triangle(6, rng.choice((3, 4, 5)), seed=2000 + i)
         assert degeneracy_status(g).tag is brute_degeneracy_tag(g)
+
+
+def _plain_degeneracy(g):
+    """Reference seed loop: every seed closed in full by the public closure."""
+    full = None
+    for u in range(g.n):
+        for c in sorted({g.color(u, v) for v in range(g.n) if v != u}):
+            cert = closure_from_seed(g, u, c)
+            if cert is None:
+                continue
+            if len(cert.S) < g.n:
+                return DegeneracyTag.PROPER_SET, cert
+            if full is None:
+                full = cert
+    if full is not None:
+        return DegeneracyTag.FULL_ONLY, full
+    return DegeneracyTag.NON_DEGENERATE, None
+
+
+def _assert_matches_plain_loop(g):
+    st = degeneracy_status(g)
+    tag, cert = _plain_degeneracy(g)
+    assert st.tag is tag
+    if cert is None:
+        assert st.certificate is None
+    else:
+        assert st.certificate.S == cert.S and st.certificate.f == cert.f
+
+
+def test_pruned_seed_loop_matches_plain_loop_k4():
+    for g in exhaustive_colorings(4):
+        _assert_matches_plain_loop(g)
+
+
+def test_pruned_seed_loop_matches_plain_loop_random():
+    tags = set()
+    for n in range(6, 13):
+        for seed in range(8):
+            pool = [
+                random_degenerate(n, random_fibers(n, seed), seed)[0],
+                gallai_coloring(n, seed)[0],
+                random_no_mono_triangle(n, 4 + seed % 2, seed),
+            ]
+            for g in pool:
+                _assert_matches_plain_loop(g)
+                tags.add(degeneracy_status(g).tag)
+    assert tags == set(DegeneracyTag)
 
 
 def test_closure_minimality_small():

@@ -177,6 +177,36 @@ def test_sweep_dumps_falsification_instances(tmp_path, monkeypatch):
     assert os.path.basename(report.dumps[0]) == f"{name}.json"
 
 
+def test_sweep_survives_unexpected_exceptions(tmp_path, monkeypatch):
+    # a non-InternalError from classify is counted and dumped, not raised
+    import pcgraph.sweep as sweep_mod
+
+    real = sweep_mod.classify
+    state = {"calls": 0}
+
+    def broken(g, counters=None):
+        state["calls"] += 1
+        if state["calls"] == 2:
+            raise ValueError("synthetic defect")
+        return real(g, counters)
+
+    monkeypatch.setattr(sweep_mod, "classify", broken)
+    report = run_sweep(
+        SweepConfig(
+            family="randomNoMono", n=6, k=3, count=3, seed=5,
+            oracle="off", dump_dir=str(tmp_path),
+        )
+    )
+    assert state["calls"] == 3
+    assert report.internal_errors == 1
+    assert not report.clean
+    assert report.flagged == [{"index": 1, "reason": "ValueError: synthetic defect"}]
+    assert len(report.dumps) == 1
+    doc = json.loads(open(report.dumps[0]).read())
+    assert doc["error"] == "ValueError: synthetic defect"
+    assert loads_instance(json.dumps(doc["instance"])).n == 6
+
+
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "pcgraph.cli", "gen", "--family", "doublePentagon"],

@@ -2,7 +2,9 @@ import pytest
 
 from helpers import random_multipartite_tournament, random_tournament
 
+import pcgraph.tournaments as tournaments_mod
 from pcgraph.cycles import is_pc_cycle
+from pcgraph.detect import DegeneracyTag, degeneracy_status
 from pcgraph.errors import (
     CycleNotInDigraph,
     IncompatibleFunction,
@@ -10,7 +12,7 @@ from pcgraph.errors import (
     NotStronglyConnected,
     PreconditionViolated,
 )
-from pcgraph.families import example_directed, random_degenerate
+from pcgraph.families import example_directed, random_degenerate, random_fibers
 from pcgraph.oracles import directed_cycle_lengths
 from pcgraph.tournaments import (
     FALLBACK_KEY,
@@ -22,6 +24,7 @@ from pcgraph.tournaments import (
     mpt_cycles_through,
     reduce_degenerate,
 )
+from pcgraph.trichotomy import TrichotomyTag, classify
 
 
 def directed_triangle():
@@ -108,6 +111,56 @@ def test_mpt_rejects_violations():
         mpt_cycles_through(small, 0)
     with pytest.raises(PreconditionViolated, match="connectivity"):
         mpt_cycles_through(transitive(5), 0)
+
+
+def test_orientation_checked_once_per_classification(monkeypatch):
+    g, _f = random_degenerate(16, random_fibers(16, 0), 0)
+    assert degeneracy_status(g).tag is DegeneracyTag.FULL_ONLY
+    real = tournaments_mod._strongly_connected
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(tournaments_mod, "_strongly_connected", counted)
+    assert classify(g).tag is TrichotomyTag.PANCYCLIC
+    assert len(calls) == 1
+
+
+def test_mpt_precondition_failures_are_remembered(monkeypatch):
+    searches = []
+
+    def counted(label, fn):
+        def wrapped(t):
+            searches.append(label)
+            return fn(t)
+
+        return wrapped
+
+    monkeypatch.setattr(
+        tournaments_mod,
+        "_strongly_connected",
+        counted("strong", tournaments_mod._strongly_connected),
+    )
+    monkeypatch.setattr(
+        MultipartiteTournament,
+        "_find_violation",
+        counted("disjoint", MultipartiteTournament._find_violation),
+    )
+    not_strong = transitive(5)
+    for _ in range(2):
+        with pytest.raises(PreconditionViolated, match="connectivity"):
+            mpt_cycles_through(not_strong, 0)
+    assert searches == ["strong"]
+    searches.clear()
+    violating = MultipartiteTournament(
+        [(0, 1), (2,), (3,)], [(0, 2), (1, 2), (2, 3), (3, 0), (3, 1)]
+    )
+    for _ in range(2):
+        with pytest.raises(PreconditionViolated, match="disjointness"):
+            mpt_cycles_through(violating, 0)
+    assert searches == ["strong", "disjoint"]
 
 
 def test_mpt_quadrangle_long_return_path():
