@@ -2,8 +2,9 @@
 
 Exit codes: `classify` maps the trichotomy to 0 (pancyclic), 10 (proper
 degenerate set), 11 (the exceptional K5), and 2 for precondition or input
-violations.  `gen` and `sweep` exit 1 on parameter errors or failed sweep
-invariants.  The environment variable PCG_SEED, when set, overrides --seed.
+violations.  `gen` and `sweep` exit 1 on parameter errors, unwritable
+output paths or failed sweep invariants.  The environment variable PCG_SEED,
+when set, overrides --seed and must then be an integer.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import time
 
 from . import families
 from .core import dumps_instance, loads_instance
-from .errors import InternalError, PCGraphError
+from .errors import InternalError, PCGraphError, PreconditionViolated
 from .sweep import ORACLE_LEVELS, SweepConfig, run_sweep
 from .trichotomy import TrichotomyTag, classify
 
@@ -29,9 +30,18 @@ CLASSIFY_EXIT = {
 
 def _effective_seed(seed: int) -> int:
     env = os.environ.get("PCG_SEED")
-    if env is not None:
+    if env is None:
+        return seed
+    try:
         return int(env)
-    return seed
+    except ValueError:
+        raise PreconditionViolated("PCG_SEED", f"not an integer: {env!r}") from None
+
+
+def _fail(exc: Exception) -> int:
+    """Report an input, parameter or output error on stderr; exit code 1."""
+    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 1
 
 
 def _add_family_arguments(parser: argparse.ArgumentParser) -> None:
@@ -49,10 +59,12 @@ def _add_family_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    seed = _effective_seed(args.seed)
-    spec = families.GenSpec(args.family, args.n, args.k, seed, args.count)
-    sink = open(args.out, "w") if args.out else sys.stdout
+    sink = sys.stdout
     try:
+        seed = _effective_seed(args.seed)
+        spec = families.GenSpec(args.family, args.n, args.k, seed, args.count)
+        if args.out:
+            sink = open(args.out, "w")
         wrote = 0
         extras = {}
         if args.family == "randomDegenerate" and args.cert_out:
@@ -75,9 +87,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
                 json.dump(payload, fh, sort_keys=True)
         print(f"wrote {wrote} instance(s)", file=sys.stderr)
         return 0
-    except PCGraphError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    except (OSError, PCGraphError) as exc:
+        return _fail(exc)
     finally:
         if sink is not sys.stdout:
             sink.close()
@@ -102,29 +113,31 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    seed = _effective_seed(args.seed)
-    config = SweepConfig(
-        family=args.family,
-        n=args.n,
-        k=args.k,
-        count=args.count,
-        seed=seed,
-        oracle=args.oracle,
-        workers=args.workers,
-        dump_dir=args.dump_dir,
-    )
     start = time.monotonic()
     try:
+        config = SweepConfig(
+            family=args.family,
+            n=args.n,
+            k=args.k,
+            count=args.count,
+            seed=_effective_seed(args.seed),
+            oracle=args.oracle,
+            workers=args.workers,
+            dump_dir=args.dump_dir,
+        )
         report = run_sweep(config)
-    except PCGraphError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    except (OSError, PCGraphError) as exc:
+        return _fail(exc)
     elapsed = time.monotonic() - start
     text = report.to_json()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+    # printed before --out is written, so an unwritable path loses no report
     print(text)
+    if args.out:
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            return _fail(exc)
     print(
         f"processed {report.processed} in {elapsed:.2f}s "
         f"({'clean' if report.clean else 'VIOLATIONS FOUND'})",

@@ -203,37 +203,26 @@ def has_pc_cycle(g: ColoredCompleteGraph, v: int, length: int) -> Optional[Cycle
 
 # -- Hamilton path ------------------------------------------------------
 
-def _pc_path_moves(g: ColoredCompleteGraph, path: tuple) -> list:
-    """Same-length variants of a PC path reachable by one endpoint rotation."""
-    m = g._m
-    out = []
-    for seq in (path, tuple(reversed(path))):
-        ln = len(seq)
-        end = seq[-1]
-        row = m[end]
-        for i in range(ln - 2):
-            # reattach the tail end to seq[i] and flip the tail, making
-            # seq[i+1] the new endpoint; interior segment colors survive
-            if row[seq[i]] == row[seq[ln - 2]]:
-                continue
-            if i > 0 and row[seq[i]] == m[seq[i - 1]][seq[i]]:
-                continue
-            out.append(seq[: i + 1] + (end,) + tuple(reversed(seq[i + 1 : ln - 1])))
-    return out
+def _try_lengthen(g: ColoredCompleteGraph, path: tuple) -> tuple:
+    """Path with one more vertex: extend at an endpoint, else insert one.
 
-
-def _try_lengthen(g: ColoredCompleteGraph, path: tuple) -> Optional[tuple]:
-    """Extend at an endpoint or insert an unused vertex; None when stuck."""
+    Some step always works while a vertex lies outside the path, so the
+    closing InternalError is an alarm.  For k = 1 appending works.
+    Otherwise let P = p_1..p_k, take an outside w, and write
+    x_i = c(w, p_i) and e_i = c(p_i p_{i+1}).  Prepending w fails only if
+    x_1 = e_1.  Suppose x_i = e_i and inserting w between p_i and p_{i+1}
+    fails.  x_{i+1} = x_i would make w p_i p_{i+1} monochromatic, and
+    x_i = e_{i-1} is impossible as e_i != e_{i-1}; so x_{i+1} = e_{i+1},
+    which needs i + 1 < k.  Hence some insertion at i <= k - 1 works.
+    """
     m = g._m
-    n = g.n
-    unused = [w for w in range(n) if w not in set(path)]
-    if not unused:
-        return None
+    inside = set(path)
+    unused = [w for w in range(g.n) if w not in inside]
     head, tail = path[0], path[-1]
     for w in unused:
         if len(path) == 1 or m[tail][w] != m[path[-2]][tail]:
             return path + (w,)
-        if len(path) == 1 or m[w][head] != m[head][path[1]]:
+        if m[w][head] != m[head][path[1]]:
             return (w,) + path
     for w in unused:
         roww = m[w]
@@ -246,42 +235,20 @@ def _try_lengthen(g: ColoredCompleteGraph, path: tuple) -> Optional[tuple]:
             if i + 2 < len(path) and roww[b] == m[b][path[i + 2]]:
                 continue
             return path[: i + 1] + (w,) + path[i + 1 :]
-    return None
-
-
-def _pc_hamilton_path_exhaustive(g: ColoredCompleteGraph) -> Optional[tuple]:
-    m = g._m
-    n = g.n
-    used = [False] * n
-    path: list = []
-
-    def dfs() -> Optional[tuple]:
-        if len(path) == n:
-            return tuple(path)
-        for w in range(n):
-            if used[w]:
-                continue
-            if len(path) >= 2 and m[path[-1]][w] == m[path[-2]][path[-1]]:
-                continue
-            used[w] = True
-            path.append(w)
-            got = dfs()
-            path.pop()
-            used[w] = False
-            if got is not None:
-                return got
-        return None
-
-    return dfs()
+    raise InternalError(
+        "PC path absorbs no outside vertex in a mono-triangle-free complete graph",
+        instance=g,
+        context={"path": list(path)},
+    )
 
 
 def pc_hamilton_path(g: ColoredCompleteGraph) -> tuple:
     """A PC path through every vertex of a mono-triangle-free complete graph.
 
-    Greedy growth with endpoint extension and single-vertex insertion,
-    endpoint rotations when stuck, exhaustive search as a last resort.  The
-    contract says this never fails on valid input; a failure raises
-    InternalError and is worth publishing.
+    Greedy absorption from vertex 0: extend at an endpoint or insert one
+    outside vertex, n - 1 times.  _try_lengthen proves a step always
+    exists, so there is no search; a failed step raises InternalError with
+    the instance attached.
     """
     if g.n < 2:
         raise TooSmall(f"need n >= 2, got {g.n}")
@@ -290,42 +257,8 @@ def pc_hamilton_path(g: ColoredCompleteGraph) -> tuple:
         if tri is not None:
             raise MonochromaticTrianglePresent(f"triangle {tri}")
     path = (0,)
-    seen_rotations = set()
     while len(path) < g.n:
-        longer = _try_lengthen(g, path)
-        if longer is not None:
-            path = longer
-            seen_rotations.clear()
-            continue
-        progressed = False
-        frontier = [path]
-        seen_rotations.add(path)
-        while frontier and not progressed:
-            nxt = []
-            for cand in frontier:
-                for rot in _pc_path_moves(g, cand):
-                    if rot in seen_rotations:
-                        continue
-                    seen_rotations.add(rot)
-                    longer = _try_lengthen(g, rot)
-                    if longer is not None:
-                        path = longer
-                        seen_rotations.clear()
-                        progressed = True
-                        break
-                    nxt.append(rot)
-                if progressed:
-                    break
-            frontier = nxt
-        if progressed:
-            continue
-        full = _pc_hamilton_path_exhaustive(g)
-        if full is None:
-            raise InternalError(
-                "no PC Hamilton path in a mono-triangle-free complete graph",
-                instance=g,
-            )
-        return full
+        path = _try_lengthen(g, path)
     return path
 
 

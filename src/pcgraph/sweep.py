@@ -71,7 +71,6 @@ class SweepReport:
     exclusivity_violations: int = 0
     exception_agreement_failures: int = 0
     hamilton_path_failures: int = 0
-    construction_fallbacks: int = 0
     growth_oracle_uses: int = 0
     flagged: List[dict] = field(default_factory=list)
     dumps: List[str] = field(default_factory=list)
@@ -120,7 +119,6 @@ def examine_instance(g: ColoredCompleteGraph, oracle: str) -> dict:
             rec["internal_error"] = f"{type(exc).__name__}: {exc}"
         rec["instance"] = dumps_instance(g)
         return rec
-    rec["fallbacks"] = counters.get("exhaustive_fallback", 0)
     rec["growth_oracle_uses"] = counters.get("growth_oracle_uses", 0)
     rec["tag"] = result.tag.value
     side = side_conditions(g, result)
@@ -199,7 +197,6 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                     report.dumps.append(path)
                 continue
             report.tags[rec["tag"]] += 1
-            report.construction_fallbacks += rec.get("fallbacks", 0)
             report.growth_oracle_uses += rec.get("growth_oracle_uses", 0)
             for key, counter in (
                 ("side_ok", "side_condition_failures"),

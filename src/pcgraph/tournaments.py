@@ -6,9 +6,8 @@ strongly connected tournament lies on directed cycles of all lengths from 3
 up to the order, and the same holds from length 4 up when 2-parts have
 disjoint out-neighborhoods.  Both constructions share one extension engine:
 grow a cycle by inserting an outside vertex at a dominance switch, or swap
-one cycle vertex for a dominated 2-path; an exhaustive search backstops the
-rare configurations the constructive rules might miss (it is logged and
-counted, and the test suite asserts it stays cold on small instances).
+one cycle vertex for a dominated 2-path.  The two rules are complete (see
+_extend_cycle, after Moon's theorem), so no search backs them up.
 
 The bridge to edge-colored graphs: a full compatible vertex-to-color map f
 orients each cross-fiber edge toward the endpoint whose f-value it misses,
@@ -18,7 +17,6 @@ properly colored cycles because consecutive arcs carry distinct f-values.
 
 from __future__ import annotations
 
-import logging
 from typing import Dict, Iterable, Optional, Sequence
 
 from .core import ColoredCompleteGraph
@@ -32,10 +30,6 @@ from .errors import (
     NotStronglyConnected,
     PreconditionViolated,
 )
-
-log = logging.getLogger(__name__)
-
-FALLBACK_KEY = "exhaustive_fallback"
 
 # disjointness_violation's "not computed yet"; None means "no violation"
 _UNKNOWN = object()
@@ -175,11 +169,26 @@ def _rotate_to(cycle: tuple, v: int) -> tuple:
     return cycle[i:] + cycle[:i]
 
 
-def _extend_cycle(t: MultipartiteTournament, cyc: tuple, v: int) -> Optional[tuple]:
-    """One-longer directed cycle through v, or None.
+def _extend_cycle(t: MultipartiteTournament, cyc: tuple, v: int) -> tuple:
+    """One-longer directed cycle through v.
 
     Tries single-vertex insertion at a dominance switch first, then the
     swap of one non-anchor cycle vertex for a 2-path of outside vertices.
+    One of them works on a cycle C = c_0..c_{k-1} through v with k < n
+    when t meets mpt_cycles_through's preconditions and k >= 4, or is a
+    strong tournament and k >= 3, so the closing InternalError is an alarm:
+
+    * If some outside w has an in- and an out-neighbor on C, walk C from
+      the one to the other.  Only w's partner p lacks an arc to w, so some
+      c_i -> w -> c_{i+1} exists (insertion), or c_i -> w, p = c_{i+1} and
+      w -> c_{i+2}, where w and p both dominate c_{i+2}: not disjoint.
+    * Otherwise each outside vertex, apart from its partner, is dominated
+      by all of C (class D) or dominates all of C (class A).  Strong
+      connectivity needs arcs into and out of C, so A and D are nonempty,
+      and D reaches C only through an arc b -> a from D to A.  Swapping
+      c_i for b, a gives c_{i-1} -> b -> a -> c_{i+1} unless c_i = v,
+      c_{i-1} = partner(b) or c_{i+1} = partner(a): at most 3 of k >= 4
+      positions, and only c_i = v in a tournament.
     """
     adj = t._adj
     n = t.n
@@ -206,68 +215,35 @@ def _extend_cycle(t: MultipartiteTournament, cyc: tuple, v: int) -> Optional[tup
             for z in outside:
                 if z != x and adjx[z] and adj[z][b]:
                     return cyc[:i] + (x, z) + cyc[i + 1 :]
-    return None
+    raise InternalError(
+        f"no directed {ln + 1}-cycle through {v} grown from {list(cyc)}",
+        context={"digraph": t.to_json_dict(), "vertex": v, "cycle": list(cyc)},
+    )
 
 
-def _cycle_by_search(t: MultipartiteTournament, v: int, length: int) -> Optional[tuple]:
-    """Exhaustive DFS for a directed cycle of exactly `length` through v."""
-    adj = t._adj
-    n = t.n
-    path = [v]
-    used = [False] * n
-    used[v] = True
-
-    def dfs() -> Optional[tuple]:
-        if len(path) == length:
-            return tuple(path) if adj[path[-1]][v] else None
-        last = path[-1]
-        row = adj[last]
-        for w in range(n):
-            if not used[w] and row[w]:
-                used[w] = True
-                path.append(w)
-                got = dfs()
-                path.pop()
-                used[w] = False
-                if got:
-                    return got
-        return None
-
-    return dfs()
-
-
-def _grow_all_lengths(
-    t: MultipartiteTournament,
-    v: int,
-    start_cycle: tuple,
-    stats: Optional[dict],
-) -> Dict[int, tuple]:
-    out = {len(start_cycle): start_cycle}
-    cur = start_cycle
-    for target in range(len(start_cycle) + 1, t.n + 1):
-        nxt = _extend_cycle(t, cur, v)
-        if nxt is None:
-            if stats is not None:
-                stats[FALLBACK_KEY] = stats.get(FALLBACK_KEY, 0) + 1
-            log.warning("extension rules missed length %d through %d; searching", target, v)
-            nxt = _cycle_by_search(t, v, target)
-            if nxt is None:
-                raise InternalError(
-                    f"no directed {target}-cycle through {v} in a digraph that must have one",
-                    context={"digraph": t.to_json_dict(), "vertex": v},
-                )
-        out[target] = nxt
-        cur = nxt
+def _grow_all_lengths(t: MultipartiteTournament, v: int, cur: tuple) -> Dict[int, tuple]:
+    out = {len(cur): cur}
+    while len(cur) < t.n:
+        cur = _extend_cycle(t, cur, v)
+        out[len(cur)] = cur
     return out
 
 
-def _triangle_through(t: MultipartiteTournament, v: int) -> Optional[tuple]:
+def _triangle_through(t: MultipartiteTournament, v: int) -> tuple:
+    """Directed triangle through v in a strong tournament.
+
+    Some arc runs from N+(v) to N-(v), since otherwise N+(v) could not reach
+    v; any such arc a -> b closes v -> a -> b -> v.
+    """
     adj = t._adj
     for a in t.out_neighbors(v):
         for b in t.out_neighbors(a):
             if b != v and adj[b][v]:
                 return (v, a, b)
-    return None
+    raise InternalError(
+        f"no triangle through {v} in a strong tournament",
+        context={"digraph": t.to_json_dict(), "vertex": v},
+    )
 
 
 def cycles_through(t: MultipartiteTournament, v: int) -> Dict[int, tuple]:
@@ -278,13 +254,7 @@ def cycles_through(t: MultipartiteTournament, v: int) -> Dict[int, tuple]:
         raise PreconditionViolated("size", f"need order >= 3, got {t.n}")
     if not is_strongly_connected(t):
         raise NotStronglyConnected("tournament is not strongly connected")
-    tri = _triangle_through(t, v)
-    if tri is None:
-        raise InternalError(
-            f"no triangle through {v} in a strong tournament",
-            context={"digraph": t.to_json_dict(), "vertex": v},
-        )
-    return _grow_all_lengths(t, v, tri, None)
+    return _grow_all_lengths(t, v, _triangle_through(t, v))
 
 
 def _pair_quadrangle(t: MultipartiteTournament, x: int, y: int) -> tuple:
@@ -295,7 +265,24 @@ def _pair_quadrangle(t: MultipartiteTournament, x: int, y: int) -> tuple:
     return (x, vi, y, vj)
 
 
-def _quadrangle_through(t: MultipartiteTournament, v: int, stats: Optional[dict]) -> tuple:
+def _quadrangle_through(t: MultipartiteTournament, v: int) -> tuple:
+    """Directed quadrangle through v under mpt_cycles_through's preconditions.
+
+    Every branch is constructive, so the closing InternalError is an alarm:
+
+    * v in a 2-part: _pair_quadrangle, by disjointness.
+    * No 2-part: t is a strong tournament, so _triangle_through finds a
+      triangle through v and _extend_cycle lengthens it.
+    * Otherwise v either closes a quadrangle with some 2-part's quadrangle
+      or dominates all of them.  Then v dominates the hub, their union,
+      which holds both members of every 2-part.  A shortest path from the
+      hub to v (t is strong) leaves it at some z0 -> w with w != v outside
+      the hub, at distance d >= 1 from v, so `entries` is nonempty and the
+      d = 2, d = 1 and d >= 3 cases cover it.  For d >= 3 the ring
+      z0 -> w -> ... -> v -> z0 spans a tournament (its vertices besides z0
+      are singletons, and z0's partner lies in the hub), strong by the ring
+      itself, so cycles_through applies.
+    """
     adj = t._adj
     part = t.parts[t.part_of[v]]
     if len(part) == 2:
@@ -307,21 +294,7 @@ def _quadrangle_through(t: MultipartiteTournament, v: int, stats: Optional[dict]
     twos = t.two_parts()
     if not twos:
         # ordinary tournament: triangle plus one extension step
-        tri = _triangle_through(t, v)
-        if tri is not None:
-            quad = _extend_cycle(t, tri, v)
-            if quad is not None:
-                return quad
-        if stats is not None:
-            stats[FALLBACK_KEY] = stats.get(FALLBACK_KEY, 0) + 1
-        log.warning("quadrangle construction fell back to search for vertex %d", v)
-        quad = _cycle_by_search(t, v, 4)
-        if quad is None:
-            raise InternalError(
-                f"no quadrangle through {v}",
-                context={"digraph": t.to_json_dict(), "vertex": v},
-            )
-        return quad
+        return _extend_cycle(t, _triangle_through(t, v), v)
 
     pred_in_quad: Dict[int, int] = {}
     for x, y in twos:
@@ -406,21 +379,13 @@ def _quadrangle_through(t: MultipartiteTournament, v: int, stats: Optional[dict]
             quad = cycles_through(sub_t, index[v])[4]
             return tuple(sub[i] for i in quad)
 
-    if stats is not None:
-        stats[FALLBACK_KEY] = stats.get(FALLBACK_KEY, 0) + 1
-    log.warning("quadrangle construction fell back to search for vertex %d", v)
-    quad = _cycle_by_search(t, v, 4)
-    if quad is None:
-        raise InternalError(
-            f"no quadrangle through {v}",
-            context={"digraph": t.to_json_dict(), "vertex": v},
-        )
-    return quad
+    raise InternalError(
+        f"no return path from the hub to {v}",
+        context={"digraph": t.to_json_dict(), "vertex": v},
+    )
 
 
-def mpt_cycles_through(
-    t: MultipartiteTournament, v: int, stats: Optional[dict] = None
-) -> Dict[int, tuple]:
+def mpt_cycles_through(t: MultipartiteTournament, v: int) -> Dict[int, tuple]:
     """Directed cycles of every length 4..|V| through v.
 
     Preconditions (each reported via PreconditionViolated): at least four
@@ -437,13 +402,13 @@ def mpt_cycles_through(
         raise PreconditionViolated(
             "disjointness", f"{z} is dominated by both {x} and {y} of one part"
         )
-    quad = _quadrangle_through(t, v, stats)
+    quad = _quadrangle_through(t, v)
     if not is_directed_cycle(t, quad) or v not in quad:
         raise InternalError(
             "quadrangle construction produced an invalid cycle",
             context={"digraph": t.to_json_dict(), "vertex": v, "cycle": list(quad)},
         )
-    return _grow_all_lengths(t, v, _rotate_to(quad, v), stats)
+    return _grow_all_lengths(t, v, _rotate_to(quad, v))
 
 
 # -- correspondence with edge-colored graphs ---------------------------

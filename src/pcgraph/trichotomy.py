@@ -104,9 +104,7 @@ def is_double_pentagon_k5(g: ColoredCompleteGraph) -> Optional[Dict[int, int]]:
     return {v: i for i, v in enumerate(ring)}
 
 
-def _pancyclic_via_orientation(
-    g: ColoredCompleteGraph, cert: DegeneracyCertificate, stats_out: Optional[dict]
-) -> Dict:
+def _pancyclic_via_orientation(g: ColoredCompleteGraph, cert: DegeneracyCertificate) -> Dict:
     """Pancyclic table from the orientation of a full compatible map.
 
     The orientation always has disjoint out-neighborhoods inside each
@@ -125,7 +123,7 @@ def _pancyclic_via_orientation(
         )
     cycles: Dict = {}
     for v in range(g.n):
-        for ln, dc in mpt_cycles_through(t, v, stats_out).items():
+        for ln, dc in mpt_cycles_through(t, v).items():
             cycles[(v, ln)] = lift_cycle(g, cert.f, dc)
     return cycles
 
@@ -169,7 +167,10 @@ def classify(g: ColoredCompleteGraph, stats_out: Optional[dict] = None) -> Trich
     Pipeline: degeneracy first (a proper set settles (b)); a full-only
     compatible coloring routes through the orientation argument; otherwise
     the double-pentagon check settles (c) and quadrangle-plus-growth builds
-    the pancyclic table for (a).
+    the pancyclic table for (a).  A given stats_out dict counts, under
+    "growth_oracle_uses" (absent while zero), the lengths that growth
+    reached only through the has_pc_cycle search because no single-vertex
+    insertion fit.
     """
     if g.n < 4:
         raise TooSmall(f"classification needs n >= 4, got {g.n}")
@@ -182,7 +183,7 @@ def classify(g: ColoredCompleteGraph, stats_out: Optional[dict] = None) -> Trich
             TrichotomyTag.PROPER_DEGENERATE, g, certificate=status.certificate
         )
     if status.tag is DegeneracyTag.FULL_ONLY:
-        cycles = _pancyclic_via_orientation(g, status.certificate, stats_out)
+        cycles = _pancyclic_via_orientation(g, status.certificate)
         return TrichotomyResult(TrichotomyTag.PANCYCLIC, g, cycles=cycles)
     relabel = is_double_pentagon_k5(g)
     if relabel is not None:

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from helpers import random_instance_pool
 
 from pcgraph import build
+from pcgraph.core import ColoredCompleteGraph
 from pcgraph.cycles import (
     AttachmentKind,
     Cycle,
+    _try_lengthen,
     classify_attachment,
     enumerate_pc_cycles,
     find_pc_quadrangle,
@@ -21,6 +23,7 @@ from pcgraph.cycles import (
     pc_hamilton_path,
     pc_quadrangle_search,
 )
+from pcgraph.detect import find_monochromatic_triangle
 from pcgraph.errors import (
     BadLength,
     MonochromaticTrianglePresent,
@@ -30,6 +33,7 @@ from pcgraph.errors import (
     UnknownVertex,
     VertexOnCycle,
 )
+from pcgraph.families import exhaustive_colorings
 from pcgraph.oracles import pc_cycles_by_permutation
 
 
@@ -123,6 +127,59 @@ def test_hamilton_path_random_instances():
         path = pc_hamilton_path(g)
         assert len(path) == g.n and len(set(path)) == g.n
         assert is_pc_path(g, path)
+
+
+def _random_pc_path(g, rng):
+    """PC path of 2..n-1 vertices grown by a random walk."""
+    m = g._m
+    target = rng.randint(2, g.n - 1)
+    path = [rng.randrange(g.n)]
+    while len(path) < target:
+        steps = [
+            w
+            for w in range(g.n)
+            if w not in path and (len(path) < 2 or m[path[-1]][w] != m[path[-2]][path[-1]])
+        ]
+        if not steps:
+            break
+        path.append(rng.choice(steps))
+    return tuple(path)
+
+
+def _absorbs_every_outside_vertex(g, path):
+    """Count of outside vertices _try_lengthen took by insertion, not at an end.
+
+    Each outside vertex w is offered alone: on the subgraph induced by the
+    path plus w, relabeled so the path reads 0..k-1 and w is k.
+    """
+    m = g._m
+    k = len(path)
+    inserted = 0
+    for w in range(g.n):
+        if w in path:
+            continue
+        order = path + (w,)
+        sub = ColoredCompleteGraph._from_dense(
+            k + 1, [[m[a][b] for b in order] for a in order], g._palette
+        )
+        longer = _try_lengthen(sub, tuple(range(k)))
+        assert sorted(longer) == list(range(k + 1)) and is_pc_path(sub, longer)
+        inserted += longer[0] != k and longer[-1] != k
+    return inserted
+
+
+def test_pc_path_absorbs_every_vertex():
+    # greedy absorption takes any outside vertex into any PC path of a
+    # mono-triangle-free graph, not only the paths pc_hamilton_path builds
+    rng = random.Random(7)
+    inserted = 0
+    for g in exhaustive_colorings(5):
+        if find_monochromatic_triangle(g) is None:
+            inserted += _absorbs_every_outside_vertex(g, _random_pc_path(g, rng))
+    for g in random_instance_pool(300, sizes=(6, 8, 10, 12), seed=17, k_choices=(4, 5, 6)):
+        for _ in range(5):
+            inserted += _absorbs_every_outside_vertex(g, _random_pc_path(g, rng))
+    assert inserted > 0
 
 
 def test_insert_into_pc_cycle(rainbow_k4):

@@ -116,6 +116,17 @@ def test_cli_sweep_report_and_exit(tmp_path, capsys):
     assert "clean" in captured.err
 
 
+def test_cli_sweep_report_matches_golden(tmp_path, capsys):
+    # the report schema and its serialization are part of the contract:
+    # byte for byte, not only stable from run to run
+    golden = os.path.join(os.path.dirname(__file__), "data", "sweep_exhaustive_n4_full.json")
+    out = tmp_path / "report.json"
+    argv = ["sweep", "--family", "exhaustive", "--n", "4", "--oracle", "full", "--out", str(out)]
+    assert main(argv) == 0
+    with open(golden, "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
 def test_cli_seed_env_override(tmp_path, monkeypatch):
     out1 = tmp_path / "a.jsonl"
     out2 = tmp_path / "b.jsonl"
@@ -123,6 +134,50 @@ def test_cli_seed_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("PCG_SEED", "4")
     main(["gen", "--family", "randomNoMono", "--n", "6", "--k", "3", "--seed", "999", "--out", str(out2)])
     assert out1.read_text() == out2.read_text()
+
+
+def test_cli_rejects_non_integer_seed_env(monkeypatch, capsys):
+    monkeypatch.setenv("PCG_SEED", "abc")
+    for argv in (
+        ["gen", "--family", "doublePentagon"],
+        ["sweep", "--family", "exhaustive", "--n", "4"],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "PCG_SEED" in captured.err
+
+
+def test_cli_gen_unwritable_out(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert main(["gen", "--family", "doublePentagon", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: FileNotFoundError: ")
+    assert not out.exists()
+
+
+def test_cli_sweep_unwritable_out(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    code = main(["sweep", "--family", "exhaustive", "--n", "4", "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: FileNotFoundError: ")
+    # the report still reaches stdout
+    assert json.loads(captured.out)["processed"] == 203
+
+
+def test_cli_sweep_unwritable_dump_dir(tmp_path, monkeypatch, capsys):
+    import pcgraph.sweep as sweep_mod
+    from pcgraph.errors import InternalError
+
+    def failing(g, counters=None):
+        raise InternalError("synthetic failure", instance=g)
+
+    monkeypatch.setattr(sweep_mod, "classify", failing)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = ["sweep", "--family", "randomNoMono", "--n", "6", "--k", "3"]
+    assert main(argv + ["--dump-dir", str(blocker / "dumps")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_cert_sidecar(tmp_path):

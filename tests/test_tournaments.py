@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from helpers import random_multipartite_tournament, random_tournament
@@ -15,7 +17,6 @@ from pcgraph.errors import (
 from pcgraph.families import example_directed, random_degenerate, random_fibers
 from pcgraph.oracles import directed_cycle_lengths
 from pcgraph.tournaments import (
-    FALLBACK_KEY,
     MultipartiteTournament,
     cycles_through,
     is_directed_cycle,
@@ -184,19 +185,58 @@ def test_mpt_quadrangle_long_return_path():
 
 
 def test_mpt_cycles_random_instances():
-    stats = {}
     for seed in range(30):
         total = 4 + seed % 5  # 4..8
         t = random_multipartite_tournament(total, seed)
         for v in range(total):
-            got = mpt_cycles_through(t, v, stats)
+            got = mpt_cycles_through(t, v)
             assert set(got) == set(range(4, total + 1))
             for ln, cyc in got.items():
                 assert len(cyc) == ln and v in cyc and is_directed_cycle(t, cyc)
             oracle = {ln for ln in directed_cycle_lengths(t, v) if ln >= 4}
             assert oracle == set(got)
-    # constructive rules must handle small instances without the fallback
-    assert stats.get(FALLBACK_KEY, 0) == 0
+
+
+def _random_cycles_through(t, v, min_len, rng, walks=6):
+    """Directed cycles through v read off random walks from v."""
+    out = []
+    for _ in range(walks):
+        path = [v]
+        while True:
+            steps = [w for w in t.out_neighbors(path[-1]) if w not in path]
+            if not steps:
+                break
+            path.append(rng.choice(steps))
+            if len(path) >= min_len and t.has_arc(path[-1], v):
+                out.append(tuple(path))
+    return out
+
+
+def test_extend_cycle_is_complete():
+    # insertion-or-swap extends any directed cycle through v, not only the
+    # cycles the classifier grows: length >= 4 under mpt_cycles_through's
+    # preconditions, length >= 3 in strong tournaments
+    rng = random.Random(4)
+    cases = []
+    for seed in range(40):
+        cases.append((random_multipartite_tournament(5 + seed % 6, seed), 4))
+        cases.append((random_tournament(4 + seed % 7, seed), 3))
+        n = 6 + seed % 11
+        g, f = random_degenerate(n, random_fibers(n, seed), seed)
+        t = reduce_degenerate(g, f)
+        if is_strongly_connected(t) and t.disjointness_violation() is None:
+            cases.append((t, 4))
+    cycles = swaps = 0
+    for t, min_len in cases:
+        for v in range(t.n):
+            for cyc in _random_cycles_through(t, v, min_len, rng):
+                if len(cyc) == t.n:
+                    continue
+                got = tournaments_mod._extend_cycle(t, cyc, v)
+                assert len(got) == len(cyc) + 1 and v in got and is_directed_cycle(t, got)
+                cycles += 1
+                swaps += not set(cyc) <= set(got)
+    assert cycles > 5000 and swaps > 0
 
 
 def test_reduce_degenerate_arcs():
