@@ -16,8 +16,8 @@ import sys
 import time
 
 from . import families
-from .core import dumps_instance, loads_instance
-from .errors import InternalError, PCGraphError, PreconditionViolated
+from .core import ColoredCompleteGraph, dumps_instance, loads_instance
+from .errors import InternalError, InvalidInstance, PCGraphError, PreconditionViolated
 from .sweep import ORACLE_LEVELS, SweepConfig, run_sweep
 from .trichotomy import TrichotomyTag, classify
 
@@ -61,19 +61,25 @@ def _add_family_arguments(parser: argparse.ArgumentParser) -> None:
 def _cmd_gen(args: argparse.Namespace) -> int:
     sink = sys.stdout
     try:
+        for flag, path, family in (
+            ("--cert-out", args.cert_out, "randomDegenerate"),
+            ("--parts-out", args.parts_out, "gallai"),
+        ):
+            if path is not None and (args.family != family or args.count != 1):
+                raise PreconditionViolated(flag, f"needs --family {family} --count 1")
         seed = _effective_seed(args.seed)
         spec = families.GenSpec(args.family, args.n, args.k, seed, args.count)
         if args.out:
             sink = open(args.out, "w")
         wrote = 0
         extras = {}
-        if args.family == "randomDegenerate" and args.cert_out:
+        if args.cert_out is not None:
             g, f = families.random_degenerate(
                 spec.n, families.random_fibers(spec.n, seed), seed
             )
             stream = [g]
             extras[args.cert_out] = {"S": list(range(g.n)), "f": {str(v): c for v, c in sorted(f.items())}}
-        elif args.family == "gallai" and args.parts_out:
+        elif args.parts_out is not None:
             g, parts = families.gallai_coloring(spec.n, seed)
             stream = [g]
             extras[args.parts_out] = {"parts": parts}
@@ -94,11 +100,18 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             sink.close()
 
 
+def _read_instance(path: str) -> ColoredCompleteGraph:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return loads_instance(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InvalidInstance(f"not UTF-8: {exc.reason} at byte {exc.start}") from None
+
+
 def _cmd_classify(args: argparse.Namespace) -> int:
     try:
-        with open(args.instance) as fh:
-            g = loads_instance(fh.read())
-        result = classify(g)
+        result = classify(_read_instance(args.instance))
     except InternalError as exc:
         # falsification alarm: echo the offending instance for inspection
         print(f"error: InternalError: {exc}", file=sys.stderr)

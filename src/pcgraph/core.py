@@ -303,4 +303,6 @@ def loads_instance(text: str) -> ColoredCompleteGraph:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInstance(f"not JSON: {exc}") from exc
+    except RecursionError:
+        raise InvalidInstance("JSON nested too deeply") from None
     return from_instance_dict(data)

@@ -4,10 +4,11 @@ A multipartite tournament here has parts of size 1 or 2 and exactly one arc
 per cross-part vertex pair.  Two facts drive everything: every vertex of a
 strongly connected tournament lies on directed cycles of all lengths from 3
 up to the order, and the same holds from length 4 up when 2-parts have
-disjoint out-neighborhoods.  Both constructions share one extension engine:
-grow a cycle by inserting an outside vertex at a dominance switch, or swap
-one cycle vertex for a dominated 2-path.  The two rules are complete (see
-_extend_cycle, after Moon's theorem), so no search backs them up.
+disjoint out-neighborhoods.  Both constructions scan out-neighbors for a
+triangle or quadrangle through the vertex, then grow it by inserting an
+outside vertex at a dominance switch or swapping one cycle vertex for a
+dominated 2-path.  Both rules are complete (see _extend_cycle, after Moon's
+theorem), so no search backs them up.
 
 The bridge to edge-colored graphs: a full compatible vertex-to-color map f
 orients each cross-fiber edge toward the endpoint whose f-value it misses,
@@ -100,9 +101,6 @@ class MultipartiteTournament:
     def is_tournament(self) -> bool:
         return all(len(p) == 1 for p in self.parts)
 
-    def two_parts(self) -> list:
-        return [p for p in self.parts if len(p) == 2]
-
     def disjointness_violation(self) -> Optional[tuple]:
         """A triple (x, y, z) with {x,y} a 2-part both dominating z, if any."""
         if self._violation is _UNKNOWN:
@@ -162,11 +160,6 @@ def is_directed_cycle(t: MultipartiteTournament, seq: Sequence[int]) -> bool:
     if len(seq) < 3 or len(set(seq)) != len(seq):
         return False
     return all(t.has_arc(seq[i], seq[(i + 1) % len(seq)]) for i in range(len(seq)))
-
-
-def _rotate_to(cycle: tuple, v: int) -> tuple:
-    i = cycle.index(v)
-    return cycle[i:] + cycle[:i]
 
 
 def _extend_cycle(t: MultipartiteTournament, cyc: tuple, v: int) -> tuple:
@@ -257,130 +250,37 @@ def cycles_through(t: MultipartiteTournament, v: int) -> Dict[int, tuple]:
     return _grow_all_lengths(t, v, _triangle_through(t, v))
 
 
-def _pair_quadrangle(t: MultipartiteTournament, x: int, y: int) -> tuple:
-    """Quadrangle through the 2-part {x, y} using out-neighbor disjointness."""
-    vi = t.out_neighbors(x)[0]
-    vj = t.out_neighbors(y)[0]
-    # disjointness turns both returns around: vi -> y and vj -> x, vi != vj
-    return (x, vi, y, vj)
-
-
 def _quadrangle_through(t: MultipartiteTournament, v: int) -> tuple:
-    """Directed quadrangle through v under mpt_cycles_through's preconditions.
+    """Directed quadrangle (v, a, b, c) under mpt_cycles_through's preconditions.
 
-    Every branch is constructive, so the closing InternalError is an alarm:
+    The scan follows arcs only, so every hit is a 4-cycle starting at v, and
+    it tries every such cycle.  One always exists, so the closing
+    InternalError is an alarm:
 
-    * v in a 2-part: _pair_quadrangle, by disjointness.
-    * No 2-part: t is a strong tournament, so _triangle_through finds a
-      triangle through v and _extend_cycle lengthens it.
-    * Otherwise v either closes a quadrangle with some 2-part's quadrangle
-      or dominates all of them.  Then v dominates the hub, their union,
-      which holds both members of every 2-part.  A shortest path from the
-      hub to v (t is strong) leaves it at some z0 -> w with w != v outside
-      the hub, at distance d >= 1 from v, so `entries` is nonempty and the
-      d = 2, d = 1 and d >= 3 cases cover it.  For d >= 3 the ring
-      z0 -> w -> ... -> v -> z0 spans a tournament (its vertices besides z0
-      are singletons, and z0's partner lies in the hub), strong by the ring
-      itself, so cycles_through applies.
+    * v in a 2-part {v, y}: take a in N+(v) and b in N+(y) (t is strong).
+      Disjointness turns both returns around, a -> y and b -> v with a != b.
+    * No 2-part: t is a strong tournament of order >= 4, and a triangle
+      through v extends to a quadrangle (see _extend_cycle).
+    * Otherwise every 2-part {x, y} spans a quadrangle Q as above.  At most
+      one of x, y dominates v, and comparing v with Q's other two vertices
+      (which lie in different parts when both dominate v) either closes a
+      quadrangle through v or shows that v dominates all of Q.  If v
+      dominates the union H of all such Q, a shortest path from H to v
+      leaves H by an arc z -> w and reaches v in d >= 1 steps through
+      singletons.  d = 1 gives v -> x -> z -> w -> v for the x -> z of Q,
+      d = 2 gives v -> z -> w -> u -> v, and for d >= 3 the ring
+      z -> w -> ... -> v -> z spans a strong tournament (z's partner lies
+      in H) of order >= 5, where the previous case applies.
     """
     adj = t._adj
-    part = t.parts[t.part_of[v]]
-    if len(part) == 2:
-        x, y = part
-        if x != v:
-            x, y = y, x
-        return _pair_quadrangle(t, x, y)
-
-    twos = t.two_parts()
-    if not twos:
-        # ordinary tournament: triangle plus one extension step
-        return _extend_cycle(t, _triangle_through(t, v), v)
-
-    pred_in_quad: Dict[int, int] = {}
-    for x, y in twos:
-        quad = _pair_quadrangle(t, x, y)
-        for i, w in enumerate(quad):
-            pred_in_quad.setdefault(w, quad[i - 1])
-        if v in quad:
-            return _rotate_to(quad, v)
-        # orient the quadrangle so that v dominates its leading 2-part vertex
-        if adj[v][quad[0]]:
-            x1, a, y1, b = quad
-        else:
-            # disjointness forbids both part vertices dominating v, so
-            # v -> quad[2] here; rotate the cycle to that vertex
-            x1, a, y1, b = quad[2], quad[3], quad[0], quad[1]
-        if adj[y1][v]:
-            return (v, x1, a, y1)
-        if adj[v][b] and adj[a][v]:
-            return (v, b, x1, a)
-        if adj[v][a] and adj[b][v]:
-            return (v, a, y1, b)
-        if adj[a][v] and adj[b][v]:
-            # a and b sit in different parts (sharing one would break
-            # disjointness against v), so the pair carries an arc
-            if adj[a][b]:
-                return (v, x1, a, b)
-            return (v, y1, b, a)
-        # v dominates this part and both quadrangle companions; try the next
-
-    # stuck: v dominates every vertex recorded above; ride a return path
-    hub = set(pred_in_quad)
-    outside = [w for w in range(t.n) if w not in hub and w != v]
-    dist = {v: 0}
-    frontier = [v]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in outside:
-                if w not in dist and adj[w][u]:
-                    dist[w] = dist[u] + 1
-                    nxt.append(w)
-        frontier = nxt
-
-    entries = []
-    for z0 in sorted(hub):
-        for w in t.out_neighbors(z0):
-            if w in dist and w != v:
-                entries.append((dist[w], z0, w))
-    entries.sort()
-
-    def path_to_v(w: int) -> list:
-        path = [w]
-        while path[-1] != v:
-            cur = path[-1]
-            step = next(
-                u for u in ([v] + outside) if dist.get(u) == dist[cur] - 1 and adj[cur][u]
-            )
-            path.append(step)
-        return path
-
-    for d, z0, w in entries:
-        if d == 2:
-            return tuple([z0] + path_to_v(w))
-    for d, z0, w in entries:
-        if d == 1:
-            x = pred_in_quad[z0]
-            return (x, z0, w, v)
-    for d, z0, w in entries:
-        if d >= 3:
-            ring = tuple([z0] + path_to_v(w))
-            sub = sorted(ring)
-            index = {u: i for i, u in enumerate(sub)}
-            sub_t = MultipartiteTournament.tournament(
-                len(sub),
-                [
-                    (index[p], index[q])
-                    for p in sub
-                    for q in sub
-                    if p != q and adj[p][q]
-                ],
-            )
-            quad = cycles_through(sub_t, index[v])[4]
-            return tuple(sub[i] for i in quad)
-
+    out = t._out
+    for a in out[v]:
+        for b in out[a]:
+            for c in out[b]:
+                if adj[c][v]:
+                    return (v, a, b, c)
     raise InternalError(
-        f"no return path from the hub to {v}",
+        f"no directed quadrangle through {v}",
         context={"digraph": t.to_json_dict(), "vertex": v},
     )
 
@@ -402,13 +302,7 @@ def mpt_cycles_through(t: MultipartiteTournament, v: int) -> Dict[int, tuple]:
         raise PreconditionViolated(
             "disjointness", f"{z} is dominated by both {x} and {y} of one part"
         )
-    quad = _quadrangle_through(t, v)
-    if not is_directed_cycle(t, quad) or v not in quad:
-        raise InternalError(
-            "quadrangle construction produced an invalid cycle",
-            context={"digraph": t.to_json_dict(), "vertex": v, "cycle": list(quad)},
-        )
-    return _grow_all_lengths(t, v, _rotate_to(quad, v))
+    return _grow_all_lengths(t, v, _quadrangle_through(t, v))
 
 
 # -- correspondence with edge-colored graphs ---------------------------

@@ -183,6 +183,7 @@ def test_instance_json_roundtrip(directed_example):
         '{"n": 3, "edges": [[0,1,1],[0,2,1],[1,2,"x"]]}',
         '{"n": true, "edges": []}',
         "not json",
+        pytest.param("[" * 100000, id="deeply-nested"),
     ],
 )
 def test_loader_rejects(payload):

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from pcgraph.cli import main
 from pcgraph.core import dumps_instance, loads_instance
 from pcgraph.sweep import SweepConfig, run_sweep
@@ -67,6 +69,25 @@ def test_cli_gen_error_exit():
     assert main(["gen", "--family", "randomNoMono", "--n", "6", "--k", "2"]) == 1
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--family", "randomDegenerate", "--n", "8", "--count", "5", "--cert-out"],
+        ["--family", "gallai", "--n", "8", "--count", "5", "--parts-out"],
+        ["--family", "randomNoMono", "--n", "8", "--k", "3", "--cert-out"],
+        ["--family", "randomDegenerate", "--n", "8", "--parts-out"],
+    ],
+)
+def test_cli_gen_rejects_unusable_witness_flags(tmp_path, capsys, flags):
+    # a witness describes one instance of its own family; anything else used
+    # to drop instances or the witness without a word
+    witness = tmp_path / "witness.json"
+    out = tmp_path / "out.jsonl"
+    assert main(["gen", "--out", str(out)] + flags + [str(witness)]) == 1
+    assert capsys.readouterr().err.startswith("error: PreconditionViolated: ")
+    assert not witness.exists() and not out.exists()
+
+
 def test_cli_classify_exit_codes(tmp_path, capsys):
     dp = tmp_path / "dp.json"
     main(["gen", "--family", "doublePentagon", "--out", str(dp)])
@@ -100,6 +121,12 @@ def test_cli_classify_exit_codes(tmp_path, capsys):
     bad.write_text("{}")
     assert main(["classify", str(bad)]) == 2
     assert main(["classify", str(tmp_path / "missing.json")]) == 2
+
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"n": 4, "edges": "\u00e9"}'.encode("latin-1"))
+    capsys.readouterr()
+    assert main(["classify", str(latin1)]) == 2
+    assert capsys.readouterr().err.startswith("error: InvalidInstance: ")
 
 
 def test_cli_sweep_report_and_exit(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -166,7 +167,8 @@ def test_mpt_precondition_failures_are_remembered(monkeypatch):
 
 def test_mpt_quadrangle_long_return_path():
     # anchor 4 dominates the whole hub {0,1,2,3} and the only arc leaving the
-    # hub starts a 3-step path back, forcing the sub-tournament extraction
+    # hub starts a 3-step path back: the d >= 3 case of the existence proof
+    # in _quadrangle_through
     arcs = [
         (0, 2), (3, 0), (4, 0), (0, 5), (6, 0), (7, 0),
         (2, 1), (1, 3), (4, 1), (5, 1), (6, 1), (7, 1),
@@ -195,6 +197,44 @@ def test_mpt_cycles_random_instances():
                 assert len(cyc) == ln and v in cyc and is_directed_cycle(t, cyc)
             oracle = {ln for ln in directed_cycle_lengths(t, v) if ln >= 4}
             assert oracle == set(got)
+
+
+def _size_one_or_two_partitions(vertices):
+    if not vertices:
+        yield []
+        return
+    first, rest = vertices[0], vertices[1:]
+    for tail in _size_one_or_two_partitions(rest):
+        yield [(first,)] + tail
+    for i, partner in enumerate(rest):
+        for tail in _size_one_or_two_partitions(rest[:i] + rest[i + 1 :]):
+            yield [(first, partner)] + tail
+
+
+def test_mpt_cycles_exhaustive_small_orders():
+    # every labeled multipartite tournament of order 4 and 5 that meets the
+    # preconditions, over all part structures and all arc orientations
+    checked = 0
+    for n in (4, 5):
+        for parts in _size_one_or_two_partitions(tuple(range(n))):
+            part_of = {v: i for i, p in enumerate(parts) for v in p}
+            pairs = [
+                (u, w)
+                for u, w in itertools.combinations(range(n), 2)
+                if part_of[u] != part_of[w]
+            ]
+            for flips in itertools.product((False, True), repeat=len(pairs)):
+                arcs = [(w, u) if flip else (u, w) for (u, w), flip in zip(pairs, flips)]
+                t = MultipartiteTournament(parts, arcs)
+                if not is_strongly_connected(t) or t.disjointness_violation() is not None:
+                    continue
+                checked += 1
+                for v in range(n):
+                    got = mpt_cycles_through(t, v)
+                    assert set(got) == set(range(4, n + 1))
+                    for ln, cyc in got.items():
+                        assert len(cyc) == ln and v in cyc and is_directed_cycle(t, cyc)
+    assert checked == 1678
 
 
 def _random_cycles_through(t, v, min_len, rng, walks=6):
