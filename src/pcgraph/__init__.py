@@ -5,7 +5,6 @@ from .core import (
     ColoredCompleteGraph,
     ColorStats,
     build,
-    canonical_key,
     colors_between,
     dumps_instance,
     loads_instance,
@@ -66,7 +65,6 @@ __all__ = [
     "TrichotomyResult",
     "TrichotomyTag",
     "build",
-    "canonical_key",
     "classify",
     "classify_attachment",
     "closure_from_seed",

@@ -3,8 +3,9 @@
 Exit codes: `classify` maps the trichotomy to 0 (pancyclic), 10 (proper
 degenerate set), 11 (the exceptional K5), and 2 for precondition or input
 violations.  `gen` and `sweep` exit 1 on parameter errors, unwritable
-output paths or failed sweep invariants.  The environment variable PCG_SEED,
-when set, overrides --seed and must then be an integer.
+output paths or failed sweep invariants; a failed `gen` leaves an existing
+--out file as it was.  The environment variable PCG_SEED, when set,
+overrides --seed and must then be an integer.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ def _add_family_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     sink = sys.stdout
+    tmp = None
     try:
         for flag, path, family in (
             ("--cert-out", args.cert_out, "randomDegenerate"),
@@ -70,7 +72,17 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         seed = _effective_seed(args.seed)
         spec = families.GenSpec(args.family, args.n, args.k, seed, args.count)
         if args.out:
-            sink = open(args.out, "w")
+            if os.path.exists(args.out) and not os.path.isfile(args.out):
+                # a device or pipe (/dev/null, /dev/stdout) is written in
+                # place; replacing it would destroy it
+                sink = open(args.out, "w")
+            else:
+                # written beside the file --out names and renamed onto it
+                # only on success, so a failed run leaves it as it was
+                target = os.path.realpath(args.out)
+                head, tail = os.path.split(target)
+                sink = open(os.path.join(head, f".{tail}.{os.getpid()}.tmp"), "x")
+                tmp = sink.name
         wrote = 0
         extras = {}
         if args.cert_out is not None:
@@ -91,6 +103,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         for path, payload in extras.items():
             with open(path, "w") as fh:
                 json.dump(payload, fh, sort_keys=True)
+        if tmp is not None:
+            sink.close()
+            os.replace(tmp, target)
+            tmp = None
         print(f"wrote {wrote} instance(s)", file=sys.stderr)
         return 0
     except (OSError, PCGraphError) as exc:
@@ -98,6 +114,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     finally:
         if sink is not sys.stdout:
             sink.close()
+        if tmp is not None:
+            os.remove(tmp)
 
 
 def _read_instance(path: str) -> ColoredCompleteGraph:

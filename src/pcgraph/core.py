@@ -1,4 +1,4 @@
-"""Edge-colored complete graphs: representation, statistics, canonical keys.
+"""Edge-colored complete graphs: representation, statistics, instance JSON.
 
 A graph is a complete graph on vertices 0..n-1 with one color per edge.
 Input colors may be arbitrary integers; internally they are remapped to
@@ -35,14 +35,12 @@ class ColoredCompleteGraph:
     ``_palette[d]`` maps a dense index back to the original color id.
     """
 
-    __slots__ = ("n", "_m", "_palette", "_rank", "_key")
+    __slots__ = ("n", "_m", "_palette")
 
     def __init__(self, n: int, matrix: tuple, palette: tuple):
         self.n = n
         self._m = matrix
         self._palette = palette
-        self._rank = {c: d for d, c in enumerate(palette)}
-        self._key = None
 
     # -- construction -------------------------------------------------
 
@@ -177,95 +175,6 @@ def colors_between(g: ColoredCompleteGraph, a: Iterable[int], b: Iterable[int]) 
     m = g._m
     pal = g._palette
     return {pal[m[u][v]] for u in sa for v in sb}
-
-
-# -- canonical form ---------------------------------------------------
-
-def _vertex_profiles(g: ColoredCompleteGraph) -> list:
-    """Isomorphism-invariant vertex signatures, refined to a fixpoint.
-
-    Signatures use color-class *sizes*, never color names, so they are
-    invariant under color relabeling as well as vertex permutation.
-    """
-    n, k, m = g.n, g.num_colors, g._m
-    counts = []
-    for u in range(n):
-        c = [0] * k
-        for v in range(n):
-            if v != u:
-                c[m[u][v]] += 1
-        counts.append(c)
-    prof = [tuple(sorted(counts[u], reverse=True)) for u in range(n)]
-    while True:
-        sig = [
-            (
-                prof[u],
-                tuple(sorted((counts[u][m[u][v]], counts[v][m[u][v]], prof[v]) for v in range(n) if v != u)),
-            )
-            for u in range(n)
-        ]
-        new = sig
-        if len(set(new)) == len(set(prof)) and all(
-            (prof[u] == prof[v]) == (new[u] == new[v]) for u in range(n) for v in range(u + 1, n)
-        ):
-            return new
-        prof = new
-
-
-def _normalized_upper(order: Sequence[int], m: tuple, pairs: Sequence[tuple]) -> tuple:
-    """Upper triangle under a vertex order, colors renamed by first appearance."""
-    relabel = {}
-    out = []
-    for i, j in pairs:
-        c = m[order[i]][order[j]]
-        d = relabel.get(c)
-        if d is None:
-            d = len(relabel)
-            relabel[c] = d
-        out.append(d)
-    return tuple(out)
-
-
-def _encode_key(n: int, best: tuple) -> bytes:
-    """n and the normalized triangle as big-endian ints of one width, width first."""
-    width = (max((n, *best)).bit_length() + 7) // 8
-    return bytes([width]) + b"".join(x.to_bytes(width, "big") for x in (n, *best))
-
-
-def canonical_key(g: ColoredCompleteGraph) -> bytes:
-    """Canonical byte key: equal iff graphs are isomorphic.
-
-    Isomorphism here means a simultaneous vertex permutation and color
-    bijection.  The key is the minimum color-normalized upper triangle
-    over all vertex orders that sort vertices by an invariant profile;
-    profile classes prune the permutation set without losing exactness.
-    The width prefix lets the key hold any n and any number of colors.
-    """
-    if g._key is not None:
-        return g._key
-    n = g.n
-    m = g._m
-    k = g.num_colors
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if k == 1 or k == len(pairs):
-        # monochromatic and rainbow matrices (and K1, with no edges)
-        # normalize identically under every permutation; skip the search
-        best = _normalized_upper(range(n), m, pairs)
-        g._key = _encode_key(n, best)
-        return g._key
-    profiles = _vertex_profiles(g)
-    classes = {}
-    for v in range(n):
-        classes.setdefault(profiles[v], []).append(v)
-    ordered_classes = [classes[p] for p in sorted(classes)]
-    best = None
-    for arrangement in itertools.product(*(itertools.permutations(c) for c in ordered_classes)):
-        order = [v for group in arrangement for v in group]
-        cand = _normalized_upper(order, m, pairs)
-        if best is None or cand < best:
-            best = cand
-    g._key = _encode_key(n, best)
-    return g._key
 
 
 # -- JSON instance format ---------------------------------------------

@@ -149,17 +149,18 @@ def closure_from_seed(g: ColoredCompleteGraph, u: int, c: int) -> Optional[Degen
     """Propagate the forcing rule from f(u)=c; None when it conflicts.
 
     The result, when present, is the unique minimal degenerate set
-    containing u with that seed value.  c is an original color id (a color
-    absent from the palette simply forces every other vertex in).
+    containing u with that seed value.  c is an original color id; a color
+    absent from the palette maps to dense index -1, which no edge carries,
+    so it simply forces every other vertex in.
     """
     if g.n < 2:
         raise TooSmall(f"closure needs n >= 2, got {g.n}")
     g.check_vertex(u)
-    dense = g._rank.get(c, -1)
+    pal = g._palette
+    dense = pal.index(c) if c in pal else -1
     f = _closure_dense(g._m, g.n, u, dense)
     if f is None:
         return None
-    pal = g._palette
     return DegeneracyCertificate(
         frozenset(f),
         {v: (c if v == u else pal[d]) for v, d in f.items()},

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .core import ColoredCompleteGraph, build, canonical_key
+from .core import ColoredCompleteGraph, build
 from .detect import find_monochromatic_triangle, find_pc_triangle, verify_gallai_partition
 from .errors import (
     BadPartition,
@@ -296,14 +296,12 @@ def exhaustive_colorings(
     n: int,
     sample: Optional[int] = None,
     seed: int = 0,
-    dedup: bool = False,
 ) -> Iterator[ColoredCompleteGraph]:
     """One coloring per color-relabeling class of K_n.
 
     Full enumeration (Bell(C(n,2)) instances) is supported for n <= 5;
     larger n requires `sample`, drawing random growth strings instead
-    (not uniform over partitions, but seed-reproducible).  With `dedup`,
-    canonical keys additionally collapse vertex permutations.
+    (not uniform over partitions, but seed-reproducible).
     """
     if n < 3:
         raise TooSmall(f"need n >= 3, got {n}")
@@ -328,21 +326,16 @@ def exhaustive_colorings(
                 yield tuple(a)
 
         stream = sampled()
-    seen = set()
     for rgs in stream:
-        g = _graph_from_rgs(n, pairs, rgs)
-        if dedup:
-            key = canonical_key(g)
-            if key in seen:
-                continue
-            seen.add(key)
-        yield g
+        yield _graph_from_rgs(n, pairs, rgs)
 
 
 # -- uniform dispatch ---------------------------------------------------
 
 def random_fibers(n: int, seed: int) -> List[tuple]:
     """Random partition of 0..n-1 into parts of size 1 and 2."""
+    if n < 1:
+        raise TooSmall(f"need n >= 1, got {n}")
     rng = random.Random(seed)
     vs = list(range(n))
     rng.shuffle(vs)

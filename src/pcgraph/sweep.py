@@ -11,18 +11,17 @@ to stderr in the CLI instead.
 Any exception raised during classification is a potential counterexample
 (an InternalError is the classifier's own alarm; anything else is a defect
 on valid input); the offending instance is dumped as JSON named by the
-sha256 of its instance JSON when a dump directory is configured.  The name
-costs one hash, unlike a canonical key, whose search is factorial on
-symmetric colorings.
+sha256 of its instance JSON when a dump directory is configured.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import multiprocessing
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from .core import ColoredCompleteGraph, dumps_instance
 from .cycles import is_pc_path, pc_hamilton_path
@@ -144,17 +143,6 @@ def examine_instance(g: ColoredCompleteGraph, oracle: str) -> dict:
     return rec
 
 
-def _payload_examine(args) -> dict:
-    n, rows, palette, oracle = args
-    g = ColoredCompleteGraph._from_dense(n, rows, palette)
-    return examine_instance(g, oracle)
-
-
-def _payloads(instances: Iterator[ColoredCompleteGraph], oracle: str):
-    for g in instances:
-        yield (g.n, g.dense_matrix(), tuple(sorted(g.palette)), oracle)
-
-
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Run a sweep; flagged indices and dump paths land in the report."""
     if config.oracle not in ORACLE_LEVELS:
@@ -163,7 +151,8 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     instances = generate(config.gen_spec())
     if config.workers > 1:
         pool = multiprocessing.Pool(config.workers)
-        records = pool.imap(_payload_examine, _payloads(instances, config.oracle), 64)
+        examine = functools.partial(examine_instance, oracle=config.oracle)
+        records = pool.imap(examine, instances, 64)
     else:
         pool = None
         records = (examine_instance(g, config.oracle) for g in instances)

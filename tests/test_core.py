@@ -1,13 +1,12 @@
 import itertools
 import json
-import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcgraph import build, canonical_key, colors_between, loads_instance, stats
-from pcgraph.core import _normalized_upper, dumps_instance, from_instance_dict
+from pcgraph import build, colors_between, loads_instance, stats
+from pcgraph.core import dumps_instance, from_instance_dict
 from pcgraph.errors import (
     DuplicateEdge,
     EmptyVertexSet,
@@ -17,6 +16,15 @@ from pcgraph.errors import (
     SelfLoop,
     TooSmall,
 )
+
+
+def test_public_exports_resolve():
+    import pcgraph
+
+    namespace = {}
+    exec("from pcgraph import *", namespace)
+    assert len(set(pcgraph.__all__)) == len(pcgraph.__all__)
+    assert all(name in namespace for name in pcgraph.__all__)
 
 
 def test_build_double_pentagon_palette(double_pentagon):
@@ -81,68 +89,6 @@ def test_colors_between_errors(double_pentagon):
         colors_between(double_pentagon, {0, 1}, {1, 2})
     with pytest.raises(EmptyVertexSet):
         colors_between(double_pentagon, set(), {1})
-
-
-def test_canonical_key_color_swap(double_pentagon):
-    swapped = build(5, [(u, v, 3 - c) for u, v, c in double_pentagon.edges()])
-    assert canonical_key(swapped) == canonical_key(double_pentagon)
-
-
-def test_canonical_key_vertex_relabel(double_pentagon):
-    perm = [2, 4, 0, 3, 1]
-    h = build(5, [(perm[u], perm[v], c) for u, v, c in double_pentagon.edges()])
-    assert canonical_key(h) == canonical_key(double_pentagon)
-
-
-def test_canonical_key_separates(rainbow_k4):
-    mono = build(4, [(u, v, 9) for u, v in itertools.combinations(range(4), 2)])
-    assert canonical_key(rainbow_k4) != canonical_key(mono)
-
-
-def test_canonical_key_rainbow_k24():
-    # 276 colors and n = 24: entries above 255 must still encode
-    pairs = list(itertools.combinations(range(24), 2))
-    g = build(24, [(u, v, c) for c, (u, v) in enumerate(pairs)])
-    h = build(24, [(u, v, -c) for c, (u, v) in enumerate(reversed(pairs))])
-    mono = build(24, [(u, v, 7) for u, v in pairs])
-    assert canonical_key(g) == canonical_key(h)
-    assert canonical_key(g) != canonical_key(mono)
-
-
-def test_canonical_key_invariance_random_triples():
-    # 1000 random (graph, permutation, color bijection) triples with n <= 7
-    rng = random.Random(20240811)
-    for trial in range(1000):
-        n = rng.randint(2, 7)
-        k = rng.randint(1, 5)
-        pairs = list(itertools.combinations(range(n), 2))
-        g = build(n, [(u, v, rng.randrange(k)) for u, v in pairs])
-        perm = list(range(n))
-        rng.shuffle(perm)
-        pal = sorted(g.palette)
-        shuffled = pal[:]
-        rng.shuffle(shuffled)
-        cmap = {c: 100 + s for c, s in zip(pal, shuffled)}
-        h = build(n, [(perm[u], perm[v], cmap[c]) for u, v, c in g.edges()])
-        assert canonical_key(g) == canonical_key(h), f"trial {trial}"
-
-
-def _naive_key(g):
-    pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
-    m = g.dense_matrix()
-    return min(_normalized_upper(p, m, pairs) for p in itertools.permutations(range(g.n)))
-
-
-def test_canonical_key_matches_isomorphism_oracle():
-    # key equality must coincide with unrestricted-minimization isomorphism
-    rng = random.Random(5)
-    for _ in range(200):
-        n = rng.randint(2, 5)
-        k = rng.randint(1, 4)
-        pairs = list(itertools.combinations(range(n), 2))
-        g = build(n, [(u, v, rng.randrange(k)) for u, v in pairs])
-        h = build(n, [(u, v, rng.randrange(k)) for u, v in pairs])
-        assert (_naive_key(g) == _naive_key(h)) == (canonical_key(g) == canonical_key(h))
 
 
 @settings(max_examples=60, deadline=None)

@@ -53,6 +53,10 @@ def test_closure_double_pentagon_conflict(double_pentagon):
 def test_closure_mono_k3(mono_k3):
     cert = closure_from_seed(mono_k3, 0, 7)
     assert cert is not None and cert.S == frozenset({0}) and cert.f == {0: 7}
+    # a color absent from the palette matches no edge, so it forces every
+    # other vertex in
+    cert = closure_from_seed(mono_k3, 0, 99)
+    assert cert is not None and cert.f == {0: 99, 1: 7, 2: 7}
 
 
 def test_degeneracy_status_examples(directed_example, double_pentagon):

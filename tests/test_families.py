@@ -100,13 +100,6 @@ def test_exhaustive_too_large_and_sampling():
     assert all(g.n == 6 for g in sampled)
 
 
-def test_exhaustive_dedup_drops_vertex_relabelings():
-    full = sum(1 for _ in exhaustive_colorings(3))
-    deduped = sum(1 for _ in exhaustive_colorings(3, dedup=True))
-    # partitions of 3 edges: only the 1-vs-2-edges classes collapse
-    assert deduped < full
-
-
 def test_generate_determinism():
     spec = GenSpec("randomNoMono", n=6, k=3, seed=11, count=5)
     a = [dumps_instance(g) for g in generate(spec)]

@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -67,6 +69,48 @@ def test_cli_gen_exhaustive_count(tmp_path):
 
 def test_cli_gen_error_exit():
     assert main(["gen", "--family", "randomNoMono", "--n", "6", "--k", "2"]) == 1
+
+
+def test_cli_gen_failure_keeps_existing_out(tmp_path, capsys):
+    out = tmp_path / "e.jsonl"
+    out.write_text("keep\n")
+    argv = ["gen", "--family", "randomNoMono", "--n", "6", "--k", "2", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: BudgetExhausted: ")
+    assert out.read_text() == "keep\n"
+    assert os.listdir(tmp_path) == ["e.jsonl"]
+    # a successful run replaces the file and leaves nothing beside it
+    assert main(["gen", "--family", "doublePentagon", "--out", str(out)]) == 0
+    assert loads_instance(out.read_text()).n == 5
+    assert os.listdir(tmp_path) == ["e.jsonl"]
+
+
+def test_cli_gen_writes_through_links_and_pipes(tmp_path):
+    # only a regular file is replaced: a symlink keeps pointing at its file,
+    # and a pipe (as /dev/stdout may be) is written in place
+    real = tmp_path / "real.json"
+    real.write_text("old\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(real)
+    assert main(["gen", "--family", "doublePentagon", "--out", str(link)]) == 0
+    assert link.is_symlink() and loads_instance(real.read_text()).n == 5
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert main(["gen", "--family", "doublePentagon", "--out", str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive() and loads_instance(got[0]).n == 5
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["link.json", "pipe", "real.json"]
+
+
+@pytest.mark.parametrize("command, n", [("gen", "-3"), ("sweep", "-2")])
+def test_cli_negative_n_is_too_small(capsys, command, n):
+    assert main([command, "--family", "randomDegenerate", "--n", n]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: TooSmall: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
