@@ -36,9 +36,10 @@ class Cycle:
         self.vertices = tuple(vertices)
         if len(self.vertices) < 3:
             raise BadLength(f"cycles need >= 3 vertices, got {len(self.vertices)}")
-        if len(set(self.vertices)) != len(self.vertices):
+        # one dict gives positions and, by its size, distinctness
+        self._pos = dict(zip(self.vertices, range(len(self.vertices))))
+        if len(self._pos) != len(self.vertices):
             raise RepeatedVertex(f"repeated vertex in {list(vertices)}")
-        self._pos = {v: i for i, v in enumerate(self.vertices)}
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -78,11 +79,19 @@ class Cycle:
 
 
 def _check_sequence(g: ColoredCompleteGraph, seq: Sequence[int]) -> tuple:
+    """seq as a tuple of distinct vertices of g, checked in one pass.
+
+    An unknown vertex is reported before a repeat, wherever each occurs.
+    """
     out = tuple(seq)
+    n = g.n
+    seen = set()
+    add = seen.add
     for v in out:
-        if not (isinstance(v, int) and 0 <= v < g.n):
-            raise UnknownVertex(f"vertex {v!r} not in 0..{g.n - 1}")
-    if len(set(out)) != len(out):
+        if not (isinstance(v, int) and 0 <= v < n):
+            raise UnknownVertex(f"vertex {v!r} not in 0..{n - 1}")
+        add(v)
+    if len(seen) != len(out):
         raise RepeatedVertex(f"repeated vertex in {list(out)}")
     return out
 
@@ -90,16 +99,17 @@ def _check_sequence(g: ColoredCompleteGraph, seq: Sequence[int]) -> tuple:
 def is_pc_cycle(g: ColoredCompleteGraph, seq) -> bool:
     """True iff seq (cyclically) has no two consecutive edges of one color."""
     vs = _check_sequence(g, seq.vertices if isinstance(seq, Cycle) else seq)
-    n = len(vs)
-    if n < 3:
+    if len(vs) < 3:
         return False
     m = g._m
-    prev = m[vs[-1]][vs[0]]
-    for i in range(n):
-        cur = m[vs[i]][vs[(i + 1) % n]]
+    a = vs[-1]
+    prev = m[vs[-2]][a]
+    for b in vs:
+        cur = m[a][b]
         if cur == prev:
             return False
         prev = cur
+        a = b
     return True
 
 
@@ -109,9 +119,14 @@ def is_pc_path(g: ColoredCompleteGraph, seq) -> bool:
     if len(vs) < 3:
         return True
     m = g._m
-    for i in range(len(vs) - 2):
-        if m[vs[i]][vs[i + 1]] == m[vs[i + 1]][vs[i + 2]]:
+    a = vs[1]
+    prev = m[vs[0]][a]
+    for b in vs[2:]:
+        cur = m[a][b]
+        if cur == prev:
             return False
+        prev = cur
+        a = b
     return True
 
 

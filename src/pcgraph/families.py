@@ -43,6 +43,10 @@ class GenSpec:
     seed: int = 0
     count: int = 1
 
+    def __post_init__(self) -> None:
+        if self.count < 0:
+            raise PreconditionViolated("count", f"must be >= 0, got {self.count}")
+
 
 def double_pentagon_matrix() -> tuple:
     """Dense color matrix of the canonical two-pentagon K5.

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional
 from .core import ColoredCompleteGraph, dumps_instance
 from .cycles import is_pc_path, pc_hamilton_path
 from .detect import find_monochromatic_triangle
-from .errors import InternalError
+from .errors import InternalError, PreconditionViolated
 from .families import GenSpec, generate
 from .oracles import is_pancyclic_from, proper_degenerate_sets
 from .trichotomy import (
@@ -147,6 +147,8 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     """Run a sweep; flagged indices and dump paths land in the report."""
     if config.oracle not in ORACLE_LEVELS:
         raise ValueError(f"oracle must be one of {ORACLE_LEVELS}")
+    if config.workers < 1:
+        raise PreconditionViolated("workers", f"must be >= 1, got {config.workers}")
     report = SweepReport(config=asdict(config))
     instances = generate(config.gen_spec())
     if config.workers > 1:

@@ -8,7 +8,9 @@ disjoint out-neighborhoods.  Both constructions scan out-neighbors for a
 triangle or quadrangle through the vertex, then grow it by inserting an
 outside vertex at a dominance switch or swapping one cycle vertex for a
 dominated 2-path.  Both rules are complete (see _extend_cycle, after Moon's
-theorem), so no search backs them up.
+theorem), so no search backs them up.  A directed L-cycle serves every vertex
+on it, so mpt_cycles_through keeps one table per digraph and builds a cycle
+only for a vertex that no earlier cycle of that length covers.
 
 The bridge to edge-colored graphs: a full compatible vertex-to-color map f
 orients each cross-fiber edge toward the endpoint whose f-value it misses,
@@ -39,12 +41,17 @@ _UNKNOWN = object()
 class MultipartiteTournament:
     """Loopless digraph on 0..n-1 with parts of size <= 2 and one arc per cross pair.
 
-    Instances are immutable, so the strong-connectivity and disjointness
-    checks are computed at most once each and remembered, negative results
-    included.
+    Instances are immutable, so derived facts are computed at most once and
+    remembered: the strong-connectivity and disjointness checks (negative
+    results included), and mpt_cycles_through's cycle table, a per-length
+    map vertex -> directed cycle filled in vertex order, in which one cycle
+    is filed under every vertex it covers.
     """
 
-    __slots__ = ("n", "parts", "part_of", "_adj", "_out", "_strong", "_violation")
+    __slots__ = (
+        "n", "parts", "part_of", "_adj", "_out", "_strong", "_violation",
+        "_cycles", "_cycles_done",
+    )
 
     def __init__(self, parts: Sequence[Iterable[int]], arcs: Iterable[Sequence[int]]):
         parts = tuple(tuple(sorted(p)) for p in parts)
@@ -81,6 +88,8 @@ class MultipartiteTournament:
         )
         self._strong = None
         self._violation = _UNKNOWN
+        self._cycles = {ln: {} for ln in range(4, n + 1)}
+        self._cycles_done = 0  # vertices 0.._cycles_done-1 hold every length
 
     @classmethod
     def tournament(cls, n: int, arcs: Iterable[Sequence[int]]) -> "MultipartiteTournament":
@@ -291,9 +300,21 @@ def mpt_cycles_through(t: MultipartiteTournament, v: int) -> Dict[int, tuple]:
     Preconditions (each reported via PreconditionViolated): at least four
     vertices, strong connectivity, and disjoint out-neighborhoods inside
     every 2-part.
+
+    An L-cycle is a certificate for each of its L vertices, so the cycles
+    come from a table that t remembers, shared by all vertices: the first
+    call for v fills it for vertices 0..v, in that order.  A vertex u takes,
+    at each length L, an L-cycle already filed under it when there is one,
+    and otherwise builds one (_quadrangle_through at L = 4, _extend_cycle of
+    u's (L-1)-cycle above) and files it under every vertex on it that has no
+    L-cycle yet.  A reused cycle goes through u and has length >= 4, so
+    _extend_cycle's completeness argument covers it.  Because the fill order
+    never changes, the result depends on (t, v) only, not on which vertices
+    were asked for earlier.
     """
-    if t.n < 4:
-        raise PreconditionViolated("size", f"need at least 4 vertices, got {t.n}")
+    n = t.n
+    if n < 4:
+        raise PreconditionViolated("size", f"need at least 4 vertices, got {n}")
     if not is_strongly_connected(t):
         raise PreconditionViolated("connectivity", "digraph is not strongly connected")
     bad = t.disjointness_violation()
@@ -302,7 +323,21 @@ def mpt_cycles_through(t: MultipartiteTournament, v: int) -> Dict[int, tuple]:
         raise PreconditionViolated(
             "disjointness", f"{z} is dominated by both {x} and {y} of one part"
         )
-    return _grow_all_lengths(t, v, _quadrangle_through(t, v))
+    if not 0 <= v < n:
+        raise PreconditionViolated("vertex", f"vertex {v!r} not in 0..{n - 1}")
+    table = t._cycles
+    for u in range(t._cycles_done, v + 1):
+        cur = None
+        for ln in range(4, n + 1):
+            row = table[ln]
+            cyc = row.get(u)
+            if cyc is None:
+                cyc = _quadrangle_through(t, u) if cur is None else _extend_cycle(t, cur, u)
+                for w in cyc:
+                    row.setdefault(w, cyc)
+            cur = cyc
+        t._cycles_done = u + 1
+    return {ln: row[v] for ln, row in table.items()}
 
 
 # -- correspondence with edge-colored graphs ---------------------------

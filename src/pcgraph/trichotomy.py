@@ -114,6 +114,10 @@ def _pancyclic_via_orientation(g: ColoredCompleteGraph, cert: DegeneracyCertific
     connectivity has no such short argument and stays checked here; t
     remembers the answer, so the n calls to mpt_cycles_through that follow
     do not search again.
+
+    mpt_cycles_through files one directed cycle under every vertex it
+    covers, so each distinct cycle is lifted once and the same Cycle object
+    fills every (vertex, length) entry it certifies.
     """
     t = reduce_degenerate(g, cert.f)
     if not is_strongly_connected(t):
@@ -122,9 +126,13 @@ def _pancyclic_via_orientation(g: ColoredCompleteGraph, cert: DegeneracyCertific
             instance=g,
         )
     cycles: Dict = {}
+    lifted: Dict = {}  # directed cycle -> its lift
     for v in range(g.n):
         for ln, dc in mpt_cycles_through(t, v).items():
-            cycles[(v, ln)] = lift_cycle(g, cert.f, dc)
+            cyc = lifted.get(dc)
+            if cyc is None:
+                cyc = lifted[dc] = lift_cycle(g, cert.f, dc)
+            cycles[(v, ln)] = cyc
     return cycles
 
 
@@ -220,16 +228,26 @@ def side_conditions(g: ColoredCompleteGraph, result: TrichotomyResult) -> SideCo
 
 
 def validate_result(g: ColoredCompleteGraph, result: TrichotomyResult) -> bool:
-    """Independently re-check whichever certificate the result carries."""
+    """Independently re-check whichever certificate the result carries.
+
+    A pancyclic table is checked entry by entry for its key set, length and
+    membership; one cycle object filed under several entries is checked for
+    being properly colored once.
+    """
     from .cycles import is_pc_cycle
 
     if result.tag is TrichotomyTag.PANCYCLIC:
         need = {(v, ln) for v in range(g.n) for ln in range(4, g.n + 1)}
         if set(result.cycles) != need:
             return False
+        proper = set()  # ids of checked cycles, kept alive by result.cycles
         for (v, ln), cyc in result.cycles.items():
-            if len(cyc) != ln or v not in cyc or not is_pc_cycle(g, cyc):
+            if len(cyc) != ln or v not in cyc:
                 return False
+            if id(cyc) not in proper:
+                if not is_pc_cycle(g, cyc):
+                    return False
+                proper.add(id(cyc))
         return True
     if result.tag is TrichotomyTag.PROPER_DEGENERATE:
         cert = result.certificate

@@ -64,6 +64,33 @@ def test_pc_predicates_validate_input(double_pentagon):
         is_pc_path(double_pentagon, (0, 1, 0))
 
 
+@pytest.mark.parametrize(
+    "seq, error, message",
+    [
+        ((0, 1, 9), UnknownVertex, "vertex 9 not in 0..4"),
+        ((0, -1, 2), UnknownVertex, "vertex -1 not in 0..4"),
+        ((0, "1", 2), UnknownVertex, "vertex '1' not in 0..4"),
+        ((0, 1.0, 2), UnknownVertex, "vertex 1.0 not in 0..4"),
+        ((0, [1], 2), UnknownVertex, "vertex [1] not in 0..4"),
+        # an unknown vertex is reported before an earlier repeat
+        ((0, 0, 99), UnknownVertex, "vertex 99 not in 0..4"),
+        ((0, 1, 0), RepeatedVertex, "repeated vertex in [0, 1, 0]"),
+        # bool is an int, so True is vertex 1
+        ((True, 1, 2), RepeatedVertex, "repeated vertex in [True, 1, 2]"),
+        ((True, 2, 3), None, None),
+    ],
+)
+def test_sequence_checks_pin_errors(double_pentagon, seq, error, message):
+    for predicate in (is_pc_cycle, is_pc_path):
+        if error is None:
+            plain = tuple(int(v) for v in seq)
+            assert predicate(double_pentagon, seq) == predicate(double_pentagon, plain)
+            continue
+        with pytest.raises(error) as err:
+            predicate(double_pentagon, seq)
+        assert str(err.value) == message
+
+
 def test_is_pc_path(double_pentagon):
     assert is_pc_path(double_pentagon, (0, 1))  # single edge
     assert is_pc_path(double_pentagon, (2, 0, 1))  # colors 2 then 1

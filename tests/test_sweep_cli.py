@@ -10,6 +10,7 @@ import pytest
 
 from pcgraph.cli import main
 from pcgraph.core import dumps_instance, loads_instance
+from pcgraph.errors import PreconditionViolated
 from pcgraph.sweep import SweepConfig, run_sweep
 
 
@@ -111,6 +112,30 @@ def test_cli_negative_n_is_too_small(capsys, command, n):
     assert main([command, "--family", "randomDegenerate", "--n", n]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: TooSmall: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, which",
+    [
+        (["gen", "--family", "exhaustive", "--n", "6", "--count", "-1"], "count"),
+        (["sweep", "--family", "exhaustive", "--n", "6", "--count", "-1"], "count"),
+        (["sweep", "--family", "exhaustive", "--n", "6", "--count", "3", "--workers", "0"], "workers"),
+    ],
+)
+def test_cli_rejects_negative_count_and_no_workers(tmp_path, capsys, argv, which):
+    # these used to write nothing or run single-process and exit 0
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: PreconditionViolated: {which}: ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_run_sweep_rejects_workers_below_one():
+    with pytest.raises(PreconditionViolated, match="workers"):
+        run_sweep(SweepConfig(family="exhaustive", n=4, workers=0))
 
 
 @pytest.mark.parametrize(

@@ -199,6 +199,57 @@ def test_mpt_cycles_random_instances():
             assert oracle == set(got)
 
 
+def _copy(t):
+    return MultipartiteTournament.from_json_dict(t.to_json_dict())
+
+
+def test_mpt_cycles_do_not_depend_on_call_order():
+    # the cycle table t remembers is always filled in vertex order, so a
+    # vertex's cycles on a fresh t match those read after every other vertex
+    # was asked for, in shuffled order
+    rng = random.Random(11)
+    cases = []
+    for seed in range(12):
+        n = 6 + seed % 11  # 6..16
+        cases.append(random_multipartite_tournament(n, seed))
+        g, f = random_degenerate(n, random_fibers(n, seed), seed)
+        t = reduce_degenerate(g, f)
+        if is_strongly_connected(t) and t.disjointness_violation() is None:
+            cases.append(t)
+    assert len(cases) > 18
+    for t in cases:
+        order = list(range(t.n))
+        rng.shuffle(order)
+        warm = _copy(t)
+        after = {v: mpt_cycles_through(warm, v) for v in order}
+        for v in range(t.n):
+            fresh = mpt_cycles_through(_copy(t), v)
+            assert fresh == after[v]
+            assert list(fresh) == list(range(4, t.n + 1))
+            for ln, cyc in fresh.items():
+                assert len(cyc) == ln and v in cyc and is_directed_cycle(t, cyc)
+
+
+def test_mpt_cycles_share_one_cycle_per_covered_vertex():
+    g, f = random_degenerate(12, random_fibers(12, 3), 3)
+    t = reduce_degenerate(g, f)
+    assert is_strongly_connected(t) and t.disjointness_violation() is None
+    tables = [mpt_cycles_through(t, v) for v in range(t.n)]
+    # vertex 0 is served first, so each of its cycles is built for it and
+    # filed under every vertex on it; in particular one Hamilton cycle
+    # serves every vertex
+    for ln, cyc in tables[0].items():
+        assert all(tables[w][ln] is cyc for w in cyc)
+    assert len({id(table[t.n]) for table in tables}) == 1
+
+
+def test_mpt_cycles_reject_unknown_vertex():
+    t = random_multipartite_tournament(6, 1)
+    for v in (-1, 6):
+        with pytest.raises(PreconditionViolated, match="vertex"):
+            mpt_cycles_through(t, v)
+
+
 def _size_one_or_two_partitions(vertices):
     if not vertices:
         yield []

@@ -1,14 +1,16 @@
+import dataclasses
 import itertools
+import random
 
 import pytest
 
 from helpers import random_instance_pool
 
 from pcgraph import build
-from pcgraph.cycles import is_pc_cycle
+from pcgraph.cycles import Cycle, is_pc_cycle
 from pcgraph.detect import DegeneracyTag, degeneracy_status
 from pcgraph.errors import MonochromaticTrianglePresent, ResultMismatch, TooSmall
-from pcgraph.families import exhaustive_colorings, random_degenerate
+from pcgraph.families import exhaustive_colorings, random_degenerate, random_fibers
 from pcgraph.oracles import is_pancyclic_from
 from pcgraph.trichotomy import (
     TrichotomyTag,
@@ -68,6 +70,62 @@ def test_classify_full_only_route():
     result = classify(g)
     assert result.tag is TrichotomyTag.PANCYCLIC
     assert validate_result(g, result)
+
+
+def _full_only(n, seed):
+    g, _f = random_degenerate(n, random_fibers(n, seed), seed)
+    assert degeneracy_status(g).tag is DegeneracyTag.FULL_ONLY
+    return g
+
+
+def test_orientation_route_lifts_each_shared_cycle_once(monkeypatch):
+    import pcgraph.trichotomy as trichotomy_mod
+
+    g = _full_only(64, 0)
+    real = trichotomy_mod.lift_cycle
+    lifts = []
+
+    def counted(g, f, cycle):
+        lifts.append(tuple(cycle))
+        return real(g, f, cycle)
+
+    monkeypatch.setattr(trichotomy_mod, "lift_cycle", counted)
+    result = classify(g)
+    assert result.tag is TrichotomyTag.PANCYCLIC
+    distinct = {id(cyc) for cyc in result.cycles.values()}
+    assert len(result.cycles) == 64 * 61
+    assert len(distinct) < 64 * 61
+    assert len(lifts) == len(distinct) == len(set(lifts))
+    assert validate_result(g, result)
+
+
+def _refiled(result, changes):
+    return dataclasses.replace(result, cycles={**result.cycles, **changes})
+
+
+def test_validate_result_checks_every_entry_of_a_shared_cycle():
+    g = _full_only(12, 1)
+    result = classify(g)
+    assert validate_result(g, result)
+    table = result.cycles
+    ln = 6
+    shared = table[(0, ln)]
+    assert sum(1 for cyc in table.values() if cyc is shared) > 1
+    on = sorted(shared)
+    off = next(v for v in range(g.n) if v not in shared)
+    # one shared cycle also filed under a wrong length
+    assert not validate_result(g, _refiled(result, {(on[-1], ln + 1): shared}))
+    # filed under a vertex not on it
+    assert not validate_result(g, _refiled(result, {(off, ln): shared}))
+    # a non-PC cycle on the same vertices, shared by all of them
+    rng = random.Random(0)
+    while True:
+        order = list(shared)
+        rng.shuffle(order)
+        if not is_pc_cycle(g, order):
+            break
+    bad = Cycle(order)
+    assert not validate_result(g, _refiled(result, {(v, ln): bad for v in bad}))
 
 
 def test_classify_certificates_validate_random():
