@@ -313,36 +313,15 @@ def insert_into_pc_cycle(g: ColoredCompleteGraph, cycle: Cycle, v: int) -> Optio
     return None
 
 
-def _pc_cycle_on_exact_set(g: ColoredCompleteGraph, vertices: tuple) -> Optional[Cycle]:
-    """Any PC cycle visiting exactly the given vertices, by ordered search."""
+def _induced(g: ColoredCompleteGraph, vertices: Sequence[int]) -> ColoredCompleteGraph:
+    """G[vertices] with vertices[i] relabeled i, palette cut to its edge colors."""
     m = g._m
-    first = vertices[0]
-    rest = vertices[1:]
-
-    def dfs(path: list, remaining: set, prev_color: int) -> Optional[Cycle]:
-        if not remaining:
-            closing = m[path[-1]][first]
-            if closing != prev_color and closing != m[first][path[1]]:
-                return Cycle(path)
-            return None
-        row = m[path[-1]]
-        for w in sorted(remaining):
-            if row[w] != prev_color:
-                remaining.discard(w)
-                path.append(w)
-                got = dfs(path, remaining, row[w])
-                path.pop()
-                remaining.add(w)
-                if got is not None:
-                    return got
-        return None
-
-    for second in rest:
-        remaining = set(rest) - {second}
-        got = dfs([first, second], remaining, m[first][second])
-        if got is not None:
-            return got
-    return None
+    used = sorted({m[u][v] for u in vertices for v in vertices if u != v})
+    dense = {d: i for i, d in enumerate(used)}
+    rows = [[-1 if u == v else dense[m[u][v]] for v in vertices] for u in vertices]
+    return ColoredCompleteGraph._from_dense(
+        len(vertices), rows, [g._palette[d] for d in used]
+    )
 
 
 def classify_attachment(g: ColoredCompleteGraph, cycle: Cycle, v: int) -> AttachmentClass:
@@ -352,14 +331,18 @@ def classify_attachment(g: ColoredCompleteGraph, cycle: Cycle, v: int) -> Attach
     witness), or exactly one of three patterns holds: v sees one color on
     the cycle, v copies every vertex's predecessor edge color, or v copies
     every vertex's successor edge color.  Any other outcome on
-    mono-triangle-free input is a falsified guarantee.
+    mono-triangle-free input is a falsified guarantee.  When no insertion
+    fits, has_pc_cycle on G[V(cycle)+{v}] decides extendability.
     """
     if v in cycle:
         raise VertexOnCycle(f"{v} lies on the cycle")
     g.check_vertex(v)
     witness = insert_into_pc_cycle(g, cycle, v)
     if witness is None:
-        witness = _pc_cycle_on_exact_set(g, cycle.vertices + (v,))
+        vs = cycle.vertices + (v,)
+        sub = has_pc_cycle(_induced(g, vs), 0, len(vs))
+        if sub is not None:
+            witness = Cycle([vs[i] for i in sub])
     if witness is not None:
         return AttachmentClass(AttachmentKind.EXTENDABLE, cycle=witness)
     m = g._m

@@ -72,8 +72,13 @@ class DegeneracyCertificate:
     f: Mapping
 
     def check(self, g: ColoredCompleteGraph) -> bool:
-        """Edge-by-edge validation of both compatibility clauses."""
+        """Edge-by-edge validation of both compatibility clauses.
+
+        S must be a nonempty set of vertices of g, the keys of f.
+        """
         if not self.S or not set(self.f) == set(self.S):
+            return False
+        if not all(isinstance(v, int) and 0 <= v < g.n for v in self.S):
             return False
         inside = self.S
         for u in inside:

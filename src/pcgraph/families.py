@@ -101,13 +101,15 @@ def _triangles(n: int) -> List[tuple]:
     return list(itertools.combinations(range(n), 3))
 
 
-def random_no_mono_triangle(
-    n: int, k: int, seed: int, budget: int = 3000
-) -> ColoredCompleteGraph:
+_REPAIR_BUDGET = 3000  # recolorings random_no_mono_triangle tries
+
+
+def random_no_mono_triangle(n: int, k: int, seed: int) -> ColoredCompleteGraph:
     """Random k-coloring repaired until no monochromatic triangle remains.
 
-    Raises BudgetExhausted (reporting the seed) when `budget` recolorings
-    cannot fix it; with two colors and n >= 6 that is unavoidable.
+    Raises BudgetExhausted (reporting the seed) when _REPAIR_BUDGET
+    recolorings cannot fix it; with two colors and n >= 6 that is
+    unavoidable.
     """
     if n < 3:
         raise TooSmall(f"need n >= 3, got {n}")
@@ -120,7 +122,7 @@ def random_no_mono_triangle(
         (index[(a, b)], index[(a, c)], index[(b, c)]) for a, b, c in _triangles(n)
     ]
     colors = [rng.randrange(k) for _ in pairs]
-    for _ in range(budget):
+    for _ in range(_REPAIR_BUDGET):
         bad = None
         for t in tri_edges:
             if colors[t[0]] == colors[t[1]] == colors[t[2]]:
@@ -134,7 +136,7 @@ def random_no_mono_triangle(
         colors[edge] = (colors[edge] + 1 + rng.randrange(k - 1)) % k
     raise BudgetExhausted(
         f"could not reach a mono-triangle-free {k}-coloring of K{n} "
-        f"within {budget} recolorings (seed={seed})"
+        f"within {_REPAIR_BUDGET} recolorings (seed={seed})"
     )
 
 
@@ -153,55 +155,47 @@ def random_degenerate(
 ) -> Tuple[ColoredCompleteGraph, Dict[int, int]]:
     """Random fully degenerate instance with its compatible coloring witness.
 
-    Each vertex takes its fiber index as f-value; cross-fiber pairs are
-    oriented at random subject to every outside vertex dominating at least
-    one member of each 2-fiber, and each edge takes the f-value of its
-    tail.  The construction rules out monochromatic triangles outright.
+    Each vertex takes its fiber index as f-value, and each edge inside a
+    fiber takes that value.  For every pair of fibers, in order, the
+    orientations of the cross edges are shuffled and the first that fits
+    is kept; a cross edge u -> v takes f(u), the value of its tail.
+
+    An orientation fits when no 2-fiber {x, y} has both members beating one
+    vertex z: otherwise xy, xz and yz all carry f(x), a monochromatic
+    triangle.  Nothing else can make one: a triangle across three fibers
+    has three distinct values at its corners, and no corner is the tail of
+    all three of its edges.
+
+    Some orientation always fits, so the search ends at one: any does
+    between two singletons; z -> x does for a singleton z against a
+    2-fiber {x, y}; and the ring x -> z -> y -> w -> x does for two
+    2-fibers {x, y} and {z, w}.  The closing triangle scan is an alarm.
     """
     parts = _check_fibers(n, fibers)
     rng = random.Random(seed)
-    f = {}
-    for idx, p in enumerate(parts):
-        for v in p:
-            f[v] = idx
+    f = {v: idx for idx, p in enumerate(parts) for v in p}
     color = {}
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            cross = [(u, v) for u in parts[i] for v in parts[j]]
-            combos = list(itertools.product((0, 1), repeat=len(cross)))
-            rng.shuffle(combos)
-            for combo in combos:
-                heads = {}
-                for (u, v), bit in zip(cross, combo):
-                    heads[(u, v)] = (u, v) if bit else (v, u)
-                ok = True
-                for part in (parts[i], parts[j]):
-                    if len(part) != 2 or not ok:
-                        continue
-                    x, y = part
-                    other = parts[j] if part is parts[i] else parts[i]
-                    for z in other:
-                        key = (x, z) if (x, z) in heads else (z, x)
-                        kx = heads[key][0] == x
-                        key = (y, z) if (y, z) in heads else (z, y)
-                        ky = heads[key][0] == y
-                        if kx and ky:
-                            ok = False
-                            break
-                if ok:
-                    for pair, (tail, _head) in heads.items():
-                        color[(min(pair), max(pair))] = f[tail]
-                    break
-            else:
-                raise BudgetExhausted(f"no orientation for fibers {i},{j}")
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if f[u] == f[v]:
-                edges.append((u, v, f[u]))
-            else:
-                edges.append((u, v, color[(u, v)]))
-    g = build(n, edges)
+    for a, b in itertools.combinations(parts, 2):
+        cross = [(u, v) for u in a for v in b]
+        combos = list(itertools.product((0, 1), repeat=len(cross)))
+        rng.shuffle(combos)
+        for combo in combos:  # one always fits; see above
+            fwd = dict(zip(cross, combo))  # (u, v) -> 1 for u -> v
+            if len(a) == 2 and any(fwd[a[0], z] and fwd[a[1], z] for z in b):
+                continue
+            if len(b) == 2 and any(not (fwd[z, b[0]] or fwd[z, b[1]]) for z in a):
+                continue
+            break
+        for (u, v), bit in fwd.items():
+            color[min(u, v), max(u, v)] = f[u] if bit else f[v]
+    g = build(
+        n,
+        [
+            (u, v, f[u] if f[u] == f[v] else color[u, v])
+            for u in range(n)
+            for v in range(u + 1, n)
+        ],
+    )
     if n >= 3:
         assert find_monochromatic_triangle(g) is None
     return g, f

@@ -25,7 +25,12 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .core import ColoredCompleteGraph, stats
-from .cycles import has_pc_cycle, insert_into_pc_cycle, pc_quadrangle_search
+from .cycles import (
+    has_pc_cycle,
+    insert_into_pc_cycle,
+    is_pc_cycle,
+    pc_quadrangle_search,
+)
 from .detect import (
     DegeneracyCertificate,
     DegeneracyTag,
@@ -232,10 +237,8 @@ def validate_result(g: ColoredCompleteGraph, result: TrichotomyResult) -> bool:
 
     A pancyclic table is checked entry by entry for its key set, length and
     membership; one cycle object filed under several entries is checked for
-    being properly colored once.
+    being properly colored once.  A relabel must be a bijection of 0..4.
     """
-    from .cycles import is_pc_cycle
-
     if result.tag is TrichotomyTag.PANCYCLIC:
         need = {(v, ln) for v in range(g.n) for ln in range(4, g.n + 1)}
         if set(result.cycles) != need:
@@ -253,7 +256,12 @@ def validate_result(g: ColoredCompleteGraph, result: TrichotomyResult) -> bool:
         cert = result.certificate
         return cert is not None and len(cert.S) < g.n and cert.check(g)
     relabel = result.relabel
-    if relabel is None or sorted(relabel) != list(range(5)) or g.n != 5:
+    if (
+        relabel is None
+        or g.n != 5
+        or sorted(relabel) != list(range(5))
+        or sorted(relabel.values()) != list(range(5))
+    ):
         return False
     canon = double_pentagon_matrix()
     m = g.dense_matrix()

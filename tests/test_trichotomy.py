@@ -8,11 +8,17 @@ from helpers import random_instance_pool
 
 from pcgraph import build
 from pcgraph.cycles import Cycle, is_pc_cycle
-from pcgraph.detect import DegeneracyTag, degeneracy_status
+from pcgraph.detect import DegeneracyCertificate, DegeneracyTag, degeneracy_status
 from pcgraph.errors import MonochromaticTrianglePresent, ResultMismatch, TooSmall
-from pcgraph.families import exhaustive_colorings, random_degenerate, random_fibers
+from pcgraph.families import (
+    double_pentagon_matrix,
+    exhaustive_colorings,
+    random_degenerate,
+    random_fibers,
+)
 from pcgraph.oracles import is_pancyclic_from
 from pcgraph.trichotomy import (
+    TrichotomyResult,
     TrichotomyTag,
     classify,
     is_double_pentagon_k5,
@@ -126,6 +132,36 @@ def test_validate_result_checks_every_entry_of_a_shared_cycle():
             break
     bad = Cycle(order)
     assert not validate_result(g, _refiled(result, {(v, ln): bad for v in bad}))
+
+
+def test_validate_result_rejects_non_bijective_relabel():
+    # the canonical matrix pulled back along a relabel that merges 0 and 1;
+    # edge 01 then has no canonical color and gets a third one
+    relabel = {0: 0, 1: 0, 2: 1, 3: 2, 4: 3}
+    canon = double_pentagon_matrix()
+    g = build(
+        5,
+        [
+            (u, v, 7 if (u, v) == (0, 1) else canon[relabel[u]][relabel[v]])
+            for u, v in itertools.combinations(range(5), 2)
+        ],
+    )
+    assert classify(g).tag is TrichotomyTag.PANCYCLIC
+    forged = TrichotomyResult(TrichotomyTag.EXCEPTIONAL_K5, g, relabel=relabel)
+    assert not validate_result(g, forged)
+
+
+def test_degeneracy_certificate_rejects_vertices_outside_graph():
+    # vertex 4 is a monochromatic star of the top color, so index -1 would
+    # read its row
+    k4 = {(0, 1): 1, (2, 3): 1, (0, 2): 2, (1, 3): 2, (0, 3): 3, (1, 2): 3}
+    g = build(5, [(u, v, c) for (u, v), c in k4.items()] + [(u, 4, 9) for u in range(4)])
+    assert DegeneracyCertificate(frozenset({4}), {4: 9}).check(g)
+    for vertex in (-1, 7):
+        cert = DegeneracyCertificate(frozenset({vertex}), {vertex: 9})
+        assert not cert.check(g)
+        forged = TrichotomyResult(TrichotomyTag.PROPER_DEGENERATE, g, certificate=cert)
+        assert not validate_result(g, forged)
 
 
 def test_classify_certificates_validate_random():
