@@ -66,12 +66,6 @@ class ColoredCompleteGraph:
             raise SelfLoop(f"no edge ({u},{v})")
         return self._palette[self._m[u][v]]
 
-    def dense_matrix(self) -> tuple:
-        return self._m
-
-    def original_color(self, dense: int) -> int:
-        return self._palette[dense]
-
     def edges(self) -> Iterator[tuple]:
         """Yield (u, v, original color) for u < v in lexicographic order."""
         for u in range(self.n):

@@ -1,9 +1,12 @@
-"""Independent brute-force oracles.
+"""Brute-force oracles.
 
-Nothing here shares logic with the implementations it cross-checks: the
-degeneracy oracle enumerates vertex subsets directly, the PC-cycle oracle
-walks raw permutations, and the directed-cycle oracle enumerates paths.
-They exist to catch bugs in the clever code, so they stay dumb on purpose.
+The degeneracy oracle enumerates vertex subsets directly, the PC-cycle
+oracle walks raw permutations, and the directed-cycle oracle enumerates
+paths; none of them shares logic with the code it cross-checks.  The
+exception is is_pancyclic_from, which runs cycles.has_pc_cycle: that is the
+depth-first walk enumerate_pc_cycles exposes, which the tests check against
+pc_cycles_by_permutation.  The oracles exist to catch bugs in the clever
+code, so they stay dumb on purpose.
 """
 
 from __future__ import annotations

@@ -4,13 +4,15 @@ A multipartite tournament here has parts of size 1 or 2 and exactly one arc
 per cross-part vertex pair.  Two facts drive everything: every vertex of a
 strongly connected tournament lies on directed cycles of all lengths from 3
 up to the order, and the same holds from length 4 up when 2-parts have
-disjoint out-neighborhoods.  Both constructions scan out-neighbors for a
-triangle or quadrangle through the vertex, then grow it by inserting an
-outside vertex at a dominance switch or swapping one cycle vertex for a
-dominated 2-path.  Both rules are complete (see _extend_cycle, after Moon's
-theorem), so no search backs them up.  A directed L-cycle serves every vertex
-on it, so mpt_cycles_through keeps one table per digraph and builds a cycle
-only for a vertex that no earlier cycle of that length covers.
+disjoint out-neighborhoods.  The construction scans out-neighbors for a
+quadrangle through the vertex, then grows it by inserting an outside vertex
+at a dominance switch or swapping one cycle vertex for a dominated 2-path.
+Both rules are complete (see _extend_cycle, after Moon's theorem), so no
+search backs them up.  A directed L-cycle serves every vertex on it, so
+mpt_cycles_through keeps one table per digraph and builds a cycle only for a
+vertex that no earlier cycle of that length covers.  A strong tournament is
+the special case without 2-parts: cycles_through adds a triangle to the same
+table's lengths 4..n.
 
 The bridge to edge-colored graphs: a full compatible vertex-to-color map f
 orients each cross-fiber edge toward the endpoint whose f-value it misses,
@@ -223,14 +225,6 @@ def _extend_cycle(t: MultipartiteTournament, cyc: tuple, v: int) -> tuple:
     )
 
 
-def _grow_all_lengths(t: MultipartiteTournament, v: int, cur: tuple) -> Dict[int, tuple]:
-    out = {len(cur): cur}
-    while len(cur) < t.n:
-        cur = _extend_cycle(t, cur, v)
-        out[len(cur)] = cur
-    return out
-
-
 def _triangle_through(t: MultipartiteTournament, v: int) -> tuple:
     """Directed triangle through v in a strong tournament.
 
@@ -248,15 +242,29 @@ def _triangle_through(t: MultipartiteTournament, v: int) -> tuple:
     )
 
 
+def _check_vertex(t: MultipartiteTournament, v: int) -> None:
+    if not (isinstance(v, int) and 0 <= v < t.n):
+        raise PreconditionViolated("vertex", f"vertex {v!r} not in 0..{t.n - 1}")
+
+
 def cycles_through(t: MultipartiteTournament, v: int) -> Dict[int, tuple]:
-    """Directed cycles of every length 3..n through v in a strong tournament."""
+    """Directed cycles of every length 3..n through v in a strong tournament.
+
+    The triangle comes from _triangle_through and lengths 4..n from
+    mpt_cycles_through's shared table: a strong tournament of order >= 4
+    meets its preconditions, as it has no 2-part to violate disjointness.
+    """
     if not t.is_tournament():
         raise NotATournament("input has a part of size 2")
     if t.n < 3:
         raise PreconditionViolated("size", f"need order >= 3, got {t.n}")
     if not is_strongly_connected(t):
         raise NotStronglyConnected("tournament is not strongly connected")
-    return _grow_all_lengths(t, v, _triangle_through(t, v))
+    _check_vertex(t, v)
+    out = {3: _triangle_through(t, v)}
+    if t.n >= 4:
+        out.update(mpt_cycles_through(t, v))
+    return out
 
 
 def _quadrangle_through(t: MultipartiteTournament, v: int) -> tuple:
@@ -323,8 +331,7 @@ def mpt_cycles_through(t: MultipartiteTournament, v: int) -> Dict[int, tuple]:
         raise PreconditionViolated(
             "disjointness", f"{z} is dominated by both {x} and {y} of one part"
         )
-    if not 0 <= v < n:
-        raise PreconditionViolated("vertex", f"vertex {v!r} not in 0..{n - 1}")
+    _check_vertex(t, v)
     table = t._cycles
     for u in range(t._cycles_done, v + 1):
         cur = None

@@ -45,7 +45,7 @@ from .errors import (
 )
 from .families import double_pentagon_matrix
 from .tournaments import (
-    is_strongly_connected,
+    is_strongly_connected,  # unused here; perfbench/tracing.py wraps this site
     lift_cycle,
     mpt_cycles_through,
     reduce_degenerate,
@@ -112,24 +112,25 @@ def is_double_pentagon_k5(g: ColoredCompleteGraph) -> Optional[Dict[int, int]]:
 def _pancyclic_via_orientation(g: ColoredCompleteGraph, cert: DegeneracyCertificate) -> Dict:
     """Pancyclic table from the orientation of a full compatible map.
 
-    The orientation always has disjoint out-neighborhoods inside each
-    2-part: a fiber {x, y} has f(x) = f(y) = c, so edge xy has color c, and
-    arcs x -> z and y -> z would give xz and yz color c as well, a
-    monochromatic triangle that classify has already rejected.  Strong
-    connectivity has no such short argument and stays checked here; t
-    remembers the answer, so the n calls to mpt_cycles_through that follow
-    do not search again.
+    The orientation t meets both preconditions of mpt_cycles_through, which
+    still checks them (once: t remembers the answers):
+
+    * Disjoint out-neighborhoods inside each 2-part: a fiber {x, y} has
+      f(x) = f(y) = c, so edge xy has color c, and arcs x -> z and y -> z
+      would give xz and yz color c as well, a monochromatic triangle that
+      classify has already rejected.
+    * Strong connectivity: otherwise some strong component S != V has no
+      arc entering it.  An edge from u in S to x outside S then has color
+      f(u): either f(u) = f(x), or the edge is the arc u -> x, which carries
+      its tail's value.  Edges inside S take an endpoint's value because f
+      is compatible.  So (S, f|S) is a proper degenerate set, and
+      degeneracy_status would have returned PROPER_SET, not FULL_ONLY.
 
     mpt_cycles_through files one directed cycle under every vertex it
     covers, so each distinct cycle is lifted once and the same Cycle object
     fills every (vertex, length) entry it certifies.
     """
     t = reduce_degenerate(g, cert.f)
-    if not is_strongly_connected(t):
-        raise InternalError(
-            "orientation of a full-only degenerate graph must be strongly connected",
-            instance=g,
-        )
     cycles: Dict = {}
     lifted: Dict = {}  # directed cycle -> its lift
     for v in range(g.n):
@@ -264,7 +265,7 @@ def validate_result(g: ColoredCompleteGraph, result: TrichotomyResult) -> bool:
     ):
         return False
     canon = double_pentagon_matrix()
-    m = g.dense_matrix()
+    m = g._m
     mapping = {}
     for u, v in itertools.combinations(range(5), 2):
         want = canon[relabel[u]][relabel[v]]

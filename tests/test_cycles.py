@@ -33,15 +33,8 @@ from pcgraph.errors import (
     UnknownVertex,
     VertexOnCycle,
 )
-from pcgraph.families import exhaustive_colorings
+from pcgraph.families import exhaustive_colorings, gallai_coloring, random_no_mono_triangle
 from pcgraph.oracles import pc_cycles_by_permutation
-
-
-def test_cycle_and_path_json():
-    from pcgraph.cycles import path_to_json_dict
-
-    assert Cycle((2, 0, 1)).to_json_dict() == {"vertices": [2, 0, 1], "closed": True}
-    assert path_to_json_dict((3, 1)) == {"vertices": [3, 1], "closed": False}
 
 
 def test_cycle_navigation():
@@ -129,13 +122,39 @@ def test_enumerate_matches_naive_oracle():
 
 
 def test_has_pc_cycle_agrees_with_enumeration(double_pentagon):
-    for v in range(5):
-        for ln in (3, 4, 5):
-            found = has_pc_cycle(double_pentagon, v, ln)
-            listed = enumerate_pc_cycles(double_pentagon, v, ln)
-            assert (found is not None) == bool(listed)
-            if found is not None:
-                assert is_pc_cycle(double_pentagon, found)
+    graphs = [double_pentagon] + random_instance_pool(30, sizes=(4, 5, 6, 7), seed=23)
+    hits = misses = 0
+    for g in graphs:
+        for v in range(g.n):
+            for ln in range(3, g.n + 1):
+                found = has_pc_cycle(g, v, ln)
+                listed = enumerate_pc_cycles(g, v, ln)
+                if found is None:
+                    assert listed == []
+                    misses += 1
+                else:
+                    assert v in found and len(found) == ln and is_pc_cycle(g, found)
+                    assert found.canonical() in listed
+                    hits += 1
+    assert hits > 0 and misses > 0
+
+
+def test_quadrangle_search_is_the_unrolled_walk():
+    # pc_quadrangle_search must return exactly the walk's first 4-cycle
+    graphs = [g for g in exhaustive_colorings(4) if find_monochromatic_triangle(g) is None]
+    mono_free_k5 = (g for g in exhaustive_colorings(5) if find_monochromatic_triangle(g) is None)
+    graphs += itertools.islice(mono_free_k5, 0, None, 7)
+    for n in range(6, 17):
+        for seed in range(20):
+            graphs.append(gallai_coloring(n, seed)[0])
+            graphs.append(random_no_mono_triangle(n, 4 + seed % 3, seed))
+    misses = 0
+    for g in graphs:
+        for v in range(g.n):
+            quad = pc_quadrangle_search(g, v)
+            assert quad == has_pc_cycle(g, v, 4)
+            misses += quad is None
+    assert len(graphs) > 11000 and misses > 0
 
 
 def test_hamilton_path_examples(double_pentagon, mono_k3):
@@ -244,6 +263,13 @@ def test_classify_attachment_extendable_beyond_insertion():
     assert res.kind is AttachmentKind.EXTENDABLE
     assert set(res.cycle.vertices) == {0, 1, 2, 3, 4}
     assert is_pc_cycle(g, res.cycle)
+
+
+def test_classify_attachment_rejects_cycle_vertices_outside_graph():
+    g = random_no_mono_triangle(6, 3, 0)
+    for cycle in (Cycle((0, 1, 2, 9)), Cycle((0, 1, 2, -1))):
+        with pytest.raises(UnknownVertex):
+            classify_attachment(g, cycle, 4)
 
 
 def test_classify_attachment_double_pentagon(double_pentagon):

@@ -99,6 +99,8 @@ def test_mpt_all_singletons_matches_tournament_route():
     mpt = mpt_cycles_through(t, 2)
     assert set(mpt) == {4, 5}
     assert set(full) - set(mpt) == {3}
+    # lengths 4..n come from the one shared table
+    assert all(full[ln] is mpt[ln] for ln in mpt)
 
 
 def test_mpt_rejects_violations():
@@ -245,9 +247,13 @@ def test_mpt_cycles_share_one_cycle_per_covered_vertex():
 
 def test_mpt_cycles_reject_unknown_vertex():
     t = random_multipartite_tournament(6, 1)
-    for v in (-1, 6):
+    for v in (-1, 6, 1.5, "0", None):
         with pytest.raises(PreconditionViolated, match="vertex"):
             mpt_cycles_through(t, v)
+    strong4 = random_tournament(4, 0)
+    for v in (-1, 4, 1.5, "0", None):
+        with pytest.raises(PreconditionViolated, match="vertex"):
+            cycles_through(strong4, v)
 
 
 def _size_one_or_two_partitions(vertices):

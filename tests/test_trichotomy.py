@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import os
 import random
 
 import pytest
@@ -11,8 +12,10 @@ from pcgraph.cycles import Cycle, is_pc_cycle
 from pcgraph.detect import DegeneracyCertificate, DegeneracyTag, degeneracy_status
 from pcgraph.errors import MonochromaticTrianglePresent, ResultMismatch, TooSmall
 from pcgraph.families import (
+    GenSpec,
     double_pentagon_matrix,
     exhaustive_colorings,
+    generate,
     random_degenerate,
     random_fibers,
 )
@@ -82,6 +85,22 @@ def _full_only(n, seed):
     g, _f = random_degenerate(n, random_fibers(n, seed), seed)
     assert degeneracy_status(g).tag is DegeneracyTag.FULL_ONLY
     return g
+
+
+def test_classify_gallai_n10_is_pinned():
+    # the stream of `pcg gen --family gallai --n 10 --seed 0 --count 16`;
+    # seeds 1, 3, 13, 14 and 15 reach the has_pc_cycle walk, so the golden
+    # pins the order in which it tries vertices
+    golden = os.path.join(os.path.dirname(__file__), "data", "classify_gallai_n10.jsonl")
+    lines = []
+    walks = 0
+    for g in generate(GenSpec("gallai", n=10, seed=0, count=16)):
+        st: dict = {}
+        lines.append(classify(g, stats_out=st).to_json() + "\n")
+        walks += st.get("growth_oracle_uses", 0)
+    with open(golden, "rb") as fh:
+        assert "".join(lines).encode() == fh.read()
+    assert walks == 18
 
 
 def test_orientation_route_lifts_each_shared_cycle_once(monkeypatch):
