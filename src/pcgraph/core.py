@@ -6,7 +6,10 @@ dense indices 0..k-1 (sorted by original id) so hot loops compare small
 ints.  Every public surface speaks original color ids.
 
 Instances are immutable after construction and safe to share between
-worker processes.
+worker processes.  The one derived fact a graph remembers is the answer of
+detect.find_monochromatic_triangle, so the generator, the sweep, classify
+and pc_hamilton_path share a single scan; it travels with the graph through
+pickling and takes no part in equality or hashing.
 """
 
 from __future__ import annotations
@@ -33,14 +36,17 @@ class ColoredCompleteGraph:
 
     ``_m[u][v]`` holds the dense color index of edge uv (diagonal is -1);
     ``_palette[d]`` maps a dense index back to the original color id.
+    ``_mono`` is find_monochromatic_triangle's remembered answer, a triple
+    or None, and False until that first scan.
     """
 
-    __slots__ = ("n", "_m", "_palette")
+    __slots__ = ("n", "_m", "_palette", "_mono")
 
     def __init__(self, n: int, matrix: tuple, palette: tuple):
         self.n = n
         self._m = matrix
         self._palette = palette
+        self._mono = False
 
     # -- construction -------------------------------------------------
 

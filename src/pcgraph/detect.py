@@ -16,6 +16,11 @@ degeneracy_status).  A seed loop that reaches vertex u has seen every seed
 of the vertices below u end without a proper set, and a closure that pulls
 one of those vertices in contains such a dead seed's closure, so it cannot
 be proper either: the loop abandons it at that point.
+
+The monochromatic-triangle scan runs over per-vertex, per-color neighbor
+bitmasks, and the graph remembers its answer, so every caller after the
+first (the generator's check, the sweep, classify, pc_hamilton_path) reads
+it without scanning again.
 """
 
 from __future__ import annotations
@@ -30,19 +35,39 @@ from .errors import NotAPartition, TooSmall
 
 
 def find_monochromatic_triangle(g: ColoredCompleteGraph) -> Optional[tuple]:
-    """Lexicographically first (u, v, w) whose three edges share a color."""
+    """Lexicographically first (u, v, w) whose three edges share a color.
+
+    The graph remembers the answer, so only its first call scans.  The scan
+    keeps one bitmask per vertex u and color c, N_c(u), of the vertices that
+    u meets in color c.  For u < v with c = color(u, v), the triangles uvw
+    with w > v of color c are the set bits of (N_c(u) & N_c(v)) >> (v + 1),
+    and its lowest bit is the first such w.  The diagonal's -1 indexes each
+    vertex's spare last slot, so it lands in no color's mask.
+    """
     n = g.n
     if n < 3:
         raise TooSmall(f"triangles need n >= 3, got {n}")
-    m = g._m
+    tri = g._mono
+    if tri is False:
+        tri = g._mono = _first_monochromatic_triangle(g._m, n, len(g._palette))
+    return tri
+
+
+def _first_monochromatic_triangle(m: tuple, n: int, k: int) -> Optional[tuple]:
+    nbr = []
+    for row in m:
+        masks = [0] * (k + 1)
+        for v, c in enumerate(row):
+            masks[c] |= 1 << v
+        nbr.append(masks)
     for u in range(n - 2):
         row_u = m[u]
+        nu = nbr[u]
         for v in range(u + 1, n - 1):
             c = row_u[v]
-            row_v = m[v]
-            for w in range(v + 1, n):
-                if row_u[w] == c and row_v[w] == c:
-                    return (u, v, w)
+            common = (nu[c] & nbr[v][c]) >> (v + 1)
+            if common:
+                return (u, v, v + (common & -common).bit_length())
     return None
 
 
@@ -233,12 +258,14 @@ def degeneracy_status(g: ColoredCompleteGraph) -> DegeneracyStatus:
 def verify_gallai_partition(g: ColoredCompleteGraph, parts: Sequence) -> bool:
     """True iff every cross-part pair is monochromatic and at most two colors cross.
 
-    Raises NotAPartition unless parts are >= 2 nonempty disjoint sets
-    covering the vertices exactly.
+    Raises NotAPartition unless parts are >= 2 nonempty disjoint sets of
+    int vertices covering the vertices exactly.
     """
     sets = [set(p) for p in parts]
     if len(sets) < 2 or any(not s for s in sets):
         raise NotAPartition("need at least two nonempty parts")
+    if not all(isinstance(v, int) for s in sets for v in s):
+        raise NotAPartition("part members must be int vertices")
     union = set()
     total = 0
     for s in sets:

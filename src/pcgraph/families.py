@@ -150,6 +150,31 @@ def _check_fibers(n: int, fibers: Sequence[Sequence[int]]) -> List[tuple]:
     return out
 
 
+# Orientations of the cross edges between two fibers a and b, indexed as
+# random_degenerate shuffles them: entry i of a combo is 1 when the i-th pair
+# (u, v) of `for u in a for v in b` is the arc u -> v.
+_ORIENTATIONS = {size: tuple(itertools.product((0, 1), repeat=size)) for size in (1, 2, 4)}
+
+
+def _fitting_orientations(la: int, lb: int) -> frozenset:
+    """Indices of the orientations of an la-fiber against an lb-fiber that fit.
+
+    An orientation fits unless both members of a 2-fiber beat one vertex of
+    the other fiber (see random_degenerate).
+    """
+    fits = set()
+    for index, combo in enumerate(_ORIENTATIONS[la * lb]):
+        if la == 2 and any(combo[z] and combo[lb + z] for z in range(lb)):
+            continue
+        if lb == 2 and any(not (combo[2 * z] or combo[2 * z + 1]) for z in range(la)):
+            continue
+        fits.add(index)
+    return frozenset(fits)
+
+
+_FITTING = {(la, lb): _fitting_orientations(la, lb) for la in (1, 2) for lb in (1, 2)}
+
+
 def random_degenerate(
     n: int, fibers: Sequence[Sequence[int]], seed: int
 ) -> Tuple[ColoredCompleteGraph, Dict[int, int]]:
@@ -170,32 +195,41 @@ def random_degenerate(
     between two singletons; z -> x does for a singleton z against a
     2-fiber {x, y}; and the ring x -> z -> y -> w -> x does for two
     2-fibers {x, y} and {z, w}.  The closing triangle scan is an alarm.
+
+    The shuffle runs over orientation indices, so the random stream is the
+    one that shuffling the orientations themselves draws.  The values are
+    written straight into the color matrix; the palette is the values that
+    land on some edge (a singleton that is the head of all its cross edges
+    has none), renumbered densely in order, which is what build() makes of
+    the same edge list.
     """
     parts = _check_fibers(n, fibers)
     rng = random.Random(seed)
     f = {v: idx for idx, p in enumerate(parts) for v in p}
-    color = {}
-    for a, b in itertools.combinations(parts, 2):
+    rows = [[-1] * n for _ in range(n)]
+    for idx, p in enumerate(parts):
+        if len(p) == 2:
+            x, y = p
+            rows[x][y] = rows[y][x] = idx
+    for (i, a), (j, b) in itertools.combinations(enumerate(parts), 2):
+        combos = _ORIENTATIONS[len(a) * len(b)]
+        order = list(range(len(combos)))
+        rng.shuffle(order)
+        fits = _FITTING[len(a), len(b)]
+        for k in order:  # one always fits; see above
+            if k in fits:
+                break
         cross = [(u, v) for u in a for v in b]
-        combos = list(itertools.product((0, 1), repeat=len(cross)))
-        rng.shuffle(combos)
-        for combo in combos:  # one always fits; see above
-            fwd = dict(zip(cross, combo))  # (u, v) -> 1 for u -> v
-            if len(a) == 2 and any(fwd[a[0], z] and fwd[a[1], z] for z in b):
-                continue
-            if len(b) == 2 and any(not (fwd[z, b[0]] or fwd[z, b[1]]) for z in a):
-                continue
-            break
-        for (u, v), bit in fwd.items():
-            color[min(u, v), max(u, v)] = f[u] if bit else f[v]
-    g = build(
-        n,
-        [
-            (u, v, f[u] if f[u] == f[v] else color[u, v])
-            for u in range(n)
-            for v in range(u + 1, n)
-        ],
-    )
+        for (u, v), forward in zip(cross, combos[k]):
+            rows[u][v] = rows[v][u] = i if forward else j
+    values = set(itertools.chain.from_iterable(rows))
+    values.discard(-1)
+    palette = tuple(sorted(values))
+    if len(palette) < len(parts):
+        rank = {c: d for d, c in enumerate(palette)}
+        rank[-1] = -1
+        rows = [[rank[c] for c in row] for row in rows]
+    g = ColoredCompleteGraph(n, tuple(map(tuple, rows)), palette)
     if n >= 3:
         assert find_monochromatic_triangle(g) is None
     return g, f

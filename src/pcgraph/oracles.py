@@ -139,15 +139,15 @@ def pc_cycle_exists_with_edge(g: ColoredCompleteGraph, u: int, v: int) -> bool:
 def directed_cycle_lengths(t: MultipartiteTournament, v: int) -> Set[int]:
     """Lengths of all directed cycles through v, by path enumeration."""
     n = t.n
-    adj = t._adj
+    has_arc = t.has_arc
     lengths: Set[int] = set()
 
     def dfs(path: List[int], used: List[bool]) -> None:
         last = path[-1]
-        if adj[last][v] and len(path) >= 3:
+        if has_arc(last, v) and len(path) >= 3:
             lengths.add(len(path))
         for w in range(n):
-            if not used[w] and adj[last][w]:
+            if not used[w] and has_arc(last, w):
                 used[w] = True
                 path.append(w)
                 dfs(path, used)

@@ -12,7 +12,10 @@ search backs them up.  A directed L-cycle serves every vertex on it, so
 mpt_cycles_through keeps one table per digraph and builds a cycle only for a
 vertex that no earlier cycle of that length covers.  A strong tournament is
 the special case without 2-parts: cycles_through adds a triangle to the same
-table's lengths 4..n.
+table's lengths 4..n.  Every search over vertices (insertion and swap
+candidates, the triangle and quadrangle closers, disjointness, strong
+connectivity) is an AND of out- and in-neighbor bitmasks whose lowest set
+bit is the smallest fitting vertex, the order a plain scan would take.
 
 The bridge to edge-colored graphs: a full compatible vertex-to-color map f
 orients each cross-fiber edge toward the endpoint whose f-value it misses,
@@ -40,8 +43,21 @@ from .errors import (
 _UNKNOWN = object()
 
 
+_BIT = (1).__lshift__  # _BIT(v) == 1 << v
+
+
+def _lowest(mask: int) -> int:
+    """Index of the lowest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
+
+
 class MultipartiteTournament:
     """Loopless digraph on 0..n-1 with parts of size <= 2 and one arc per cross pair.
+
+    Each vertex u keeps its out-neighbors as a sorted tuple and, like its
+    in-neighbors, as a bitmask: bit w of ``_outmask[u]`` (``_inmask[u]``) is
+    set for an arc u -> w (w -> u).  A search for a vertex with given arcs
+    is then one AND whose lowest set bit is the smallest such vertex.
 
     Instances are immutable, so derived facts are computed at most once and
     remembered: the strong-connectivity and disjointness checks (negative
@@ -51,11 +67,14 @@ class MultipartiteTournament:
     """
 
     __slots__ = (
-        "n", "parts", "part_of", "_adj", "_out", "_strong", "_violation",
-        "_cycles", "_cycles_done",
+        "n", "parts", "part_of", "_out", "_outmask", "_inmask",
+        "_strong", "_violation", "_cycles", "_cycles_done",
     )
 
     def __init__(self, parts: Sequence[Iterable[int]], arcs: Iterable[Sequence[int]]):
+        parts = tuple(tuple(p) for p in parts)
+        if not all(isinstance(v, int) for p in parts for v in p):
+            raise PreconditionViolated("parts", "part members must be ints")
         parts = tuple(tuple(sorted(p)) for p in parts)
         n = sum(len(p) for p in parts)
         covered = sorted(v for p in parts for v in p)
@@ -67,27 +86,38 @@ class MultipartiteTournament:
         for i, p in enumerate(parts):
             for v in p:
                 part_of[v] = i
-        adj = [[False] * n for _ in range(n)]
-        for a in arcs:
-            u, v = a
-            if not (0 <= u < n and 0 <= v < n) or u == v:
-                raise PreconditionViolated("arcs", f"bad arc ({u},{v})")
-            if part_of[u] == part_of[v]:
-                raise PreconditionViolated("arcs", f"arc inside a part: ({u},{v})")
-            if adj[u][v] or adj[v][u]:
-                raise PreconditionViolated("arcs", f"two arcs for pair ({u},{v})")
-            adj[u][v] = True
+        out = [[] for _ in range(n)]
+        outmask = [0] * n
+        inmask = [0] * n
+        a = None
+        try:
+            for a in arcs:
+                u, v = a
+                if not (0 <= u < n and 0 <= v < n) or u == v:
+                    raise PreconditionViolated("arcs", f"bad arc ({u},{v})")
+                if part_of[u] == part_of[v]:
+                    raise PreconditionViolated("arcs", f"arc inside a part: ({u},{v})")
+                if (outmask[u] | inmask[u]) >> v & 1:
+                    raise PreconditionViolated("arcs", f"two arcs for pair ({u},{v})")
+                out[u].append(v)
+                outmask[u] |= 1 << v
+                inmask[v] |= 1 << u
+        except TypeError:
+            # indexing part_of with a non-int endpoint lands here, at no
+            # cost per arc
+            raise PreconditionViolated("arcs", f"bad arc {a!r}") from None
+        full = (1 << n) - 1
         for u in range(n):
-            for v in range(u + 1, n):
-                if part_of[u] != part_of[v] and not adj[u][v] and not adj[v][u]:
-                    raise PreconditionViolated("arcs", f"no arc for pair ({u},{v})")
+            own = sum(1 << w for w in parts[part_of[u]])
+            missing = full & ~own & ~(outmask[u] | inmask[u])
+            if missing:
+                raise PreconditionViolated("arcs", f"no arc for pair ({u},{_lowest(missing)})")
         self.n = n
         self.parts = parts
         self.part_of = tuple(part_of)
-        self._adj = tuple(tuple(r) for r in adj)
-        self._out = tuple(
-            tuple(v for v in range(n) if adj[u][v]) for u in range(n)
-        )
+        self._out = tuple(tuple(sorted(o)) for o in out)
+        self._outmask = tuple(outmask)
+        self._inmask = tuple(inmask)
         self._strong = None
         self._violation = _UNKNOWN
         self._cycles = {ln: {} for ln in range(4, n + 1)}
@@ -99,7 +129,7 @@ class MultipartiteTournament:
         return cls([(v,) for v in range(n)], arcs)
 
     def has_arc(self, u: int, v: int) -> bool:
-        return self._adj[u][v]
+        return bool(self._outmask[u] >> v & 1)
 
     def out_neighbors(self, u: int) -> tuple:
         return self._out[u]
@@ -123,9 +153,9 @@ class MultipartiteTournament:
             if len(p) != 2:
                 continue
             x, y = p
-            for z in self._out[x]:
-                if self._adj[y][z]:
-                    return (x, y, z)
+            both = self._outmask[x] & self._outmask[y]
+            if both:
+                return (x, y, _lowest(both))
         return None
 
     def to_json_dict(self) -> dict:
@@ -147,22 +177,15 @@ def is_strongly_connected(t: MultipartiteTournament) -> bool:
 
 
 def _strongly_connected(t: MultipartiteTournament) -> bool:
-    """Forward and backward search from vertex 0, uncached."""
-    n = t.n
-    if n == 1:
-        return True
-    adj = t._adj
-    for backward in (False, True):
-        seen = [False] * n
-        seen[0] = True
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in range(n):
-                if not seen[v] and (adj[v][u] if backward else adj[u][v]):
-                    seen[v] = True
-                    stack.append(v)
-        if not all(seen):
+    """Forward and backward search from vertex 0 over the bitmasks, uncached."""
+    full = (1 << t.n) - 1
+    for nbr in (t._outmask, t._inmask):
+        seen = todo = 1
+        while todo:
+            new = nbr[_lowest(todo)] & ~seen
+            todo = (todo & (todo - 1)) | new
+            seen |= new
+        if seen != full:
             return False
     return True
 
@@ -194,31 +217,26 @@ def _extend_cycle(t: MultipartiteTournament, cyc: tuple, v: int) -> tuple:
       c_{i-1} = partner(b) or c_{i+1} = partner(a): at most 3 of k >= 4
       positions, and only c_i = v in a tournament.
     """
-    adj = t._adj
-    n = t.n
-    inside = set(cyc)
-    outside = [w for w in range(n) if w not in inside]
+    outm = t._outmask
+    inm = t._inmask
+    # the vertices are distinct, so the sum of their bits is their mask
+    outside = ((1 << t.n) - 1) ^ sum(map(_BIT, cyc))
     ln = len(cyc)
     for i in range(ln):
-        a = cyc[i]
-        b = cyc[(i + 1) % ln]
-        row = adj[a]
-        for w in outside:
-            if row[w] and adj[w][b]:
-                return cyc[: i + 1] + (w,) + cyc[i + 1 :]
+        hits = outm[cyc[i]] & inm[cyc[(i + 1) % ln]] & outside
+        if hits:
+            return cyc[: i + 1] + (_lowest(hits),) + cyc[i + 1 :]
     for i in range(ln):
         if cyc[i] == v:
             continue
-        a = cyc[i - 1]
-        b = cyc[(i + 1) % ln]
-        row = adj[a]
-        for x in outside:
-            if not row[x]:
-                continue
-            adjx = adj[x]
-            for z in outside:
-                if z != x and adjx[z] and adj[z][b]:
-                    return cyc[:i] + (x, z) + cyc[i + 1 :]
+        into_b = inm[cyc[(i + 1) % ln]] & outside
+        xs = outm[cyc[i - 1]] & outside
+        while xs:
+            x = _lowest(xs)
+            zs = outm[x] & into_b
+            if zs:
+                return cyc[:i] + (x, _lowest(zs)) + cyc[i + 1 :]
+            xs &= xs - 1
     raise InternalError(
         f"no directed {ln + 1}-cycle through {v} grown from {list(cyc)}",
         context={"digraph": t.to_json_dict(), "vertex": v, "cycle": list(cyc)},
@@ -231,11 +249,11 @@ def _triangle_through(t: MultipartiteTournament, v: int) -> tuple:
     Some arc runs from N+(v) to N-(v), since otherwise N+(v) could not reach
     v; any such arc a -> b closes v -> a -> b -> v.
     """
-    adj = t._adj
+    into_v = t._inmask[v]
     for a in t.out_neighbors(v):
-        for b in t.out_neighbors(a):
-            if b != v and adj[b][v]:
-                return (v, a, b)
+        hits = t._outmask[a] & into_v
+        if hits:
+            return (v, a, _lowest(hits))
     raise InternalError(
         f"no triangle through {v} in a strong tournament",
         context={"digraph": t.to_json_dict(), "vertex": v},
@@ -289,13 +307,14 @@ def _quadrangle_through(t: MultipartiteTournament, v: int) -> tuple:
       z -> w -> ... -> v -> z spans a strong tournament (z's partner lies
       in H) of order >= 5, where the previous case applies.
     """
-    adj = t._adj
     out = t._out
+    outm = t._outmask
+    into_v = t._inmask[v]
     for a in out[v]:
         for b in out[a]:
-            for c in out[b]:
-                if adj[c][v]:
-                    return (v, a, b, c)
+            hits = outm[b] & into_v
+            if hits:
+                return (v, a, b, _lowest(hits))
     raise InternalError(
         f"no directed quadrangle through {v}",
         context={"digraph": t.to_json_dict(), "vertex": v},
@@ -388,14 +407,24 @@ def lift_cycle(g: ColoredCompleteGraph, f, cycle: Sequence[int]) -> Cycle:
 
     Consecutive arcs u -> v -> w carry colors f(u) != f(v), so the vertex
     sequence is properly colored as-is.  Raises CycleNotInDigraph when any
-    consecutive pair is not an arc of the orientation.
+    consecutive pair is not an arc of the orientation, and when a vertex is
+    not an int in 0..n-1.
     """
     seq = tuple(cycle)
-    if len(seq) < 3 or len(set(seq)) != len(seq):
-        raise CycleNotInDigraph(f"{list(seq)} is not a directed cycle")
     m = g._m
     pal = g._palette
-    for u, v in zip(seq, seq[1:] + seq[:1]):
-        if not (pal[m[u][v]] == f[u] != f[v]):
-            raise CycleNotInDigraph(f"({u},{v}) is not an arc of the orientation")
+    try:
+        if len(seq) < 3 or len(set(seq)) != len(seq):
+            raise CycleNotInDigraph(f"{list(seq)} is not a directed cycle")
+        if min(seq) < 0:
+            raise IndexError  # m[-1] would read the last row instead
+        for u, v in zip(seq, seq[1:] + seq[:1]):
+            if not (pal[m[u][v]] == f[u] != f[v]):
+                raise CycleNotInDigraph(f"({u},{v}) is not an arc of the orientation")
+    except (IndexError, TypeError):
+        # a vertex >= n or a non-int one fails an index into m (or min()),
+        # so the range check costs nothing per vertex
+        raise CycleNotInDigraph(
+            f"{list(seq)} has a vertex outside 0..{g.n - 1}"
+        ) from None
     return Cycle(seq)

@@ -128,16 +128,18 @@ def _pancyclic_via_orientation(g: ColoredCompleteGraph, cert: DegeneracyCertific
 
     mpt_cycles_through files one directed cycle under every vertex it
     covers, so each distinct cycle is lifted once and the same Cycle object
-    fills every (vertex, length) entry it certifies.
+    fills every (vertex, length) entry it certifies.  The memo is keyed by
+    the identity of the table's tuple, which t keeps alive, so a lookup
+    does not hash a cycle of up to n vertices.
     """
     t = reduce_degenerate(g, cert.f)
     cycles: Dict = {}
-    lifted: Dict = {}  # directed cycle -> its lift
+    lifted: Dict = {}  # id of a directed cycle in t's table -> its lift
     for v in range(g.n):
         for ln, dc in mpt_cycles_through(t, v).items():
-            cyc = lifted.get(dc)
+            cyc = lifted.get(id(dc))
             if cyc is None:
-                cyc = lifted[dc] = lift_cycle(g, cert.f, dc)
+                cyc = lifted[id(dc)] = lift_cycle(g, cert.f, dc)
             cycles[(v, ln)] = cyc
     return cycles
 

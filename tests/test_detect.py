@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -205,6 +206,16 @@ def test_gallai_partition_checker_rejects(double_pentagon):
         verify_gallai_partition(double_pentagon, [[0, 1], [2, 3]])
 
 
+def test_gallai_partition_checker_rejects_non_int_vertices():
+    # float copies equal the ints and hash alike, so they pass the cover check
+    g, parts = gallai_coloring(6, 0)
+    assert verify_gallai_partition(g, parts)
+    with pytest.raises(NotAPartition):
+        verify_gallai_partition(g, [[float(v) for v in p] for p in parts])
+    with pytest.raises(NotAPartition):
+        verify_gallai_partition(g, [parts[0], [str(v) for v in parts[1]]] + parts[2:])
+
+
 def test_two_colored_graphs_have_no_pc_triangle():
     rng = random.Random(8)
     for _ in range(20):
@@ -214,3 +225,76 @@ def test_two_colored_graphs_have_no_pc_triangle():
             [(u, v, rng.choice((4, 9))) for u, v in itertools.combinations(range(n), 2)],
         )
         assert find_pc_triangle(g) is None
+
+
+def _plain_first_mono_triangle(g):
+    for u, v, w in itertools.combinations(range(g.n), 3):
+        c = g.color(u, v)
+        if g.color(u, w) == c and g.color(v, w) == c:
+            return (u, v, w)
+    return None
+
+
+def test_bitset_mono_scan_matches_plain_scan():
+    rng = random.Random(29)
+    hits = misses = 0
+    for n in range(3, 71):
+        pairs = list(itertools.combinations(range(n), 2))
+        graphs = [
+            build(n, [(u, v, rng.randrange(k)) for u, v in pairs])
+            for k in (1, 2, 3, n * n)
+        ]
+        # many colors with one planted triangle, and mono-free instances
+        planted = set(rng.sample(range(n), 3))
+        graphs.append(
+            build(
+                n,
+                [
+                    (u, v, -1 if {u, v} <= planted else rng.randrange(n * n))
+                    for u, v in pairs
+                ],
+            )
+        )
+        graphs.append(random_degenerate(n, random_fibers(n, n), n)[0])
+        graphs.append(build(n, list(graphs[-1].edges())))  # not yet scanned
+        if n <= 12:
+            graphs.append(gallai_coloring(n, n)[0])
+        for g in graphs:
+            want = _plain_first_mono_triangle(g)
+            assert find_monochromatic_triangle(g) == want
+            hits += want is not None
+            misses += want is None
+    assert hits > 200 and misses > 150
+
+
+def test_mono_scan_is_remembered_and_pickled_but_not_compared():
+    g = random_degenerate(12, random_fibers(12, 2), 2)[0]  # the generator scans
+    fresh = build(g.n, list(g.edges()))
+    assert g._mono is None and fresh._mono is False
+    assert g == fresh and hash(g) == hash(fresh)
+    again = pickle.loads(pickle.dumps(g))
+    assert again._mono is None and again == fresh
+    mono = build(4, [(u, v, 1 if u else 2) for u, v in itertools.combinations(range(4), 2)])
+    assert find_monochromatic_triangle(mono) == (1, 2, 3)
+    assert mono == build(4, mono.edges()) and hash(mono) == hash(build(4, mono.edges()))
+    again = pickle.loads(pickle.dumps(mono))
+    assert again._mono == (1, 2, 3) and find_monochromatic_triangle(again) == (1, 2, 3)
+
+
+def test_generator_sweep_and_classify_share_one_scan(monkeypatch):
+    import pcgraph.detect as detect_mod
+    from pcgraph.families import GenSpec, generate
+    from pcgraph.sweep import examine_instance
+
+    real = detect_mod._first_monochromatic_triangle
+    scans = []
+
+    def counted(*args):
+        scans.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(detect_mod, "_first_monochromatic_triangle", counted)
+    for g in generate(GenSpec("randomDegenerate", 9, 0, 0, 3)):
+        rec = examine_instance(g, "full")
+        assert rec["tag"] == "a" and rec["hamilton_path_ok"]
+    assert scans == [9, 9, 9]

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from pcgraph.core import dumps_instance
+from pcgraph.core import build, dumps_instance
 from pcgraph.detect import (
     DegeneracyTag,
     degeneracy_status,
@@ -72,6 +72,22 @@ def test_random_degenerate_contract():
         random_degenerate(5, [(0, 1, 2), (3, 4)], seed=0)
     with pytest.raises(BadPartition):
         random_degenerate(5, [(0, 1), (3, 4)], seed=0)
+
+
+def test_random_degenerate_matrix_matches_build():
+    # the matrix and palette are written directly; build() over the same
+    # edges must give the same graph, also when some fiber value lands on no
+    # edge and the dense color indices skip it
+    skipped = 0
+    for n in range(1, 21):
+        for seed in range(10):
+            g, f = random_degenerate(n, random_fibers(n, seed), seed)
+            rebuilt = build(n, list(g.edges()))
+            assert (g.n, g._m, g._palette) == (rebuilt.n, rebuilt._m, rebuilt._palette)
+            assert all(g.color(u, v) in (f[u], f[v]) for u, v, _c in g.edges())
+            if n >= 3:
+                skipped += len(set(f.values()) - g.palette)
+    assert skipped > 0
 
 
 def test_gallai_contract():

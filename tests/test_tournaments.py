@@ -56,6 +56,29 @@ def test_construction_validation():
         MultipartiteTournament([(0,), (1,)], [(0, 1), (1, 0)])  # both directions
 
 
+def test_construction_rejects_non_int_vertices():
+    ok = [(0, 1), (1, 2), (2, 0)]
+    assert MultipartiteTournament([(0,), (1,), (2,)], ok).n == 3
+    for parts, arcs in (
+        ([(0,), (1,), (2,)], [(0, 1), (1, 2.5), (2, 0)]),
+        ([(0,), (1,), (2,)], [(0, 1), (1.0, 2), (2, 0)]),
+        ([(0,), (1,), (2,)], [(0, 1), (1, "2"), (2, 0)]),
+        ([(0,), (1,), (2,)], [(0, 1), (1, None), (2, 0)]),
+        ([(0,), (1.0,), (2,)], ok),
+        ([(0,), ("1",), (2,)], ok),
+        ([(0, 1.0), (2,)], [(0, 2), (2, 1)]),
+    ):
+        with pytest.raises(PreconditionViolated):
+            MultipartiteTournament(parts, arcs)
+
+
+def test_missing_arc_is_named():
+    with pytest.raises(PreconditionViolated, match=r"no arc for pair \(1,3\)"):
+        MultipartiteTournament([(0,), (1,), (2,), (3,)], [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)])
+    with pytest.raises(PreconditionViolated, match=r"no arc for pair \(0,2\)"):
+        MultipartiteTournament([(0, 1), (2,), (3,)], [(1, 2), (0, 3), (1, 3), (2, 3)])
+
+
 def test_cycles_through_triangle():
     got = cycles_through(directed_triangle(), 0)
     assert set(got) == {3}
@@ -309,10 +332,30 @@ def _random_cycles_through(t, v, min_len, rng, walks=6):
     return out
 
 
+def _first_extension(t, cyc, v):
+    """Plain scan in _extend_cycle's rule order: first position, smallest vertices."""
+    ln = len(cyc)
+    outside = [w for w in range(t.n) if w not in cyc]
+    for i in range(ln):
+        for w in outside:
+            if t.has_arc(cyc[i], w) and t.has_arc(w, cyc[(i + 1) % ln]):
+                return cyc[: i + 1] + (w,) + cyc[i + 1 :]
+    for i in range(ln):
+        if cyc[i] == v:
+            continue
+        for x in outside:
+            if t.has_arc(cyc[i - 1], x):
+                for z in outside:
+                    if t.has_arc(x, z) and t.has_arc(z, cyc[(i + 1) % ln]):
+                        return cyc[:i] + (x, z) + cyc[i + 1 :]
+    return None
+
+
 def test_extend_cycle_is_complete():
     # insertion-or-swap extends any directed cycle through v, not only the
     # cycles the classifier grows: length >= 4 under mpt_cycles_through's
-    # preconditions, length >= 3 in strong tournaments
+    # preconditions, length >= 3 in strong tournaments.  The bitmask scan
+    # must pick what a plain scan in vertex order picks.
     rng = random.Random(4)
     cases = []
     for seed in range(40):
@@ -331,9 +374,46 @@ def test_extend_cycle_is_complete():
                     continue
                 got = tournaments_mod._extend_cycle(t, cyc, v)
                 assert len(got) == len(cyc) + 1 and v in got and is_directed_cycle(t, got)
+                assert got == _first_extension(t, cyc, v)
                 cycles += 1
                 swaps += not set(cyc) <= set(got)
     assert cycles > 5000 and swaps > 0
+
+
+def test_extend_cycle_swap_tries_every_dominated_vertex():
+    # C = 0 -> 1 -> 2 -> 0 dominates 3 and 4, and 5 dominates C, so nothing
+    # inserts.  The swap out of vertex 1 tries 3 first, which reaches no
+    # vertex dominating 2, and then 4 -> 5
+    arcs = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
+    arcs += [(c, d) for c in range(3) for d in (3, 4)] + [(5, c) for c in range(3)]
+    t = MultipartiteTournament.tournament(6, arcs)
+    assert is_strongly_connected(t)
+    got = tournaments_mod._extend_cycle(t, (0, 1, 2), 0)
+    assert got == (0, 4, 5, 2) == _first_extension(t, (0, 1, 2), 0)
+
+
+def test_direct_searches_pick_the_smallest_vertices():
+    for seed in range(30):
+        t = random_tournament(4 + seed % 6, seed)
+        out = t.out_neighbors
+        for v in range(t.n):
+            want = next((v, a, b) for a in out(v) for b in out(a) if t.has_arc(b, v))
+            assert tournaments_mod._triangle_through(t, v) == want
+        t = random_multipartite_tournament(5 + seed % 6, seed)
+        out = t.out_neighbors
+        for v in range(t.n):
+            want = next(
+                (v, a, b, c)
+                for a in out(v)
+                for b in out(a)
+                for c in out(b)
+                if t.has_arc(c, v)
+            )
+            assert tournaments_mod._quadrangle_through(t, v) == want
+    t = MultipartiteTournament(
+        [(0, 1), (2,), (3,)], [(0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
+    )
+    assert t.disjointness_violation() == (0, 1, 2)
 
 
 def test_reduce_degenerate_arcs():
@@ -391,6 +471,20 @@ def test_lift_cycle_rejects_non_cycles():
     with pytest.raises(CycleNotInDigraph):
         # (v, u) traverses the arc backwards, so it cannot be an arc itself
         lift_cycle(g, f, (v, u, w))
+
+
+def test_lift_cycle_rejects_vertices_outside_the_graph():
+    g, f = random_degenerate(6, [(0,), (1,), (2,), (3,), (4,), (5,)], seed=6)
+    t = reduce_degenerate(g, f)
+    cyc = mpt_cycles_through(t, 0)[4]
+    assert lift_cycle(g, f, cyc).vertices == cyc
+    for bad in (6, -1, 2.0, "1", None):
+        for at in range(4):
+            seq = cyc[:at] + (bad,) + cyc[at + 1 :]
+            with pytest.raises(CycleNotInDigraph):
+                lift_cycle(g, f, seq)
+    with pytest.raises(CycleNotInDigraph):
+        lift_cycle(g, f, cyc + (6,))
 
 
 def test_json_roundtrip():

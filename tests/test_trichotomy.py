@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import os
 import random
@@ -101,6 +102,23 @@ def test_classify_gallai_n10_is_pinned():
     with open(golden, "rb") as fh:
         assert "".join(lines).encode() == fh.read()
     assert walks == 18
+
+
+def test_classify_random_degenerate_n64_is_pinned():
+    # sha256 of classify(g).to_json() for the benchmark's degenerate stream;
+    # the cycle tables depend on the order in which directed cycles grow
+    want = [
+        "702d234f40f8799dcb251e2855522fd7bdeca02193447ad48f736e146283dcfe",
+        "4cda194b39179c7d2a8da759b70509f0f695906f6e59e319472a88dbf515969c",
+        "0a08f7237dd992cfe255577c4ee9ddf03238fd953ae1f7bb4bac1abc2fc1e85e",
+        "53fffe2ecc63569506b771837e4724f5c158b8a6523c793299d98c0b1068e15c",
+        "8ef438d341fd38c614125bc3e531937167dc0f596a037995b4d08e6cdf62ccbc",
+    ]
+    got = [
+        hashlib.sha256(classify(g).to_json().encode()).hexdigest()
+        for g in generate(GenSpec("randomDegenerate", n=64, seed=0, count=5))
+    ]
+    assert got == want
 
 
 def test_orientation_route_lifts_each_shared_cycle_once(monkeypatch):
