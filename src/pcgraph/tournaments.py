@@ -10,7 +10,8 @@ at a dominance switch or swapping one cycle vertex for a dominated 2-path.
 Both rules are complete (see _extend_cycle, after Moon's theorem), so no
 search backs them up.  A directed L-cycle serves every vertex on it, so
 mpt_cycles_through keeps one table per digraph and builds a cycle only for a
-vertex that no earlier cycle of that length covers.  A strong tournament is
+vertex that no earlier cycle of that length covers, first trying to make it
+of other such vertices, so few cycles cover the table.  A strong tournament is
 the special case without 2-parts: cycles_through adds a triangle to the same
 table's lengths 4..n.  Every search over vertices (insertion and swap
 candidates, the triangle and quadrangle closers, disjointness, strong
@@ -30,6 +31,7 @@ from typing import Dict, Iterable, Optional, Sequence
 from .core import ColoredCompleteGraph
 from .cycles import Cycle
 from .errors import (
+    BadLength,
     CycleNotInDigraph,
     FiberTooLarge,
     IncompatibleFunction,
@@ -37,6 +39,7 @@ from .errors import (
     NotATournament,
     NotStronglyConnected,
     PreconditionViolated,
+    RepeatedVertex,
 )
 
 # disjointness_violation's "not computed yet"; None means "no violation"
@@ -63,12 +66,13 @@ class MultipartiteTournament:
     remembered: the strong-connectivity and disjointness checks (negative
     results included), and mpt_cycles_through's cycle table, a per-length
     map vertex -> directed cycle filled in vertex order, in which one cycle
-    is filed under every vertex it covers.
+    is filed under every vertex it covers, with a per-length bitmask of the
+    vertices filed so far.
     """
 
     __slots__ = (
         "n", "parts", "part_of", "_out", "_outmask", "_inmask",
-        "_strong", "_violation", "_cycles", "_cycles_done",
+        "_strong", "_violation", "_cycles", "_filed", "_cycles_done",
     )
 
     def __init__(self, parts: Sequence[Iterable[int]], arcs: Iterable[Sequence[int]]):
@@ -121,6 +125,7 @@ class MultipartiteTournament:
         self._strong = None
         self._violation = _UNKNOWN
         self._cycles = {ln: {} for ln in range(4, n + 1)}
+        self._filed = dict.fromkeys(range(4, n + 1), 0)
         self._cycles_done = 0  # vertices 0.._cycles_done-1 hold every length
 
     @classmethod
@@ -196,12 +201,15 @@ def is_directed_cycle(t: MultipartiteTournament, seq: Sequence[int]) -> bool:
     return all(t.has_arc(seq[i], seq[(i + 1) % len(seq)]) for i in range(len(seq)))
 
 
-def _extend_cycle(t: MultipartiteTournament, cyc: tuple, v: int) -> tuple:
-    """One-longer directed cycle through v.
+def _extend_cycle(t: MultipartiteTournament, cyc: tuple, v: int, prefer: int) -> tuple:
+    """One-longer directed cycle through v, preferring a vertex of mask prefer.
 
-    Tries single-vertex insertion at a dominance switch first, then the
-    swap of one non-anchor cycle vertex for a 2-path of outside vertices.
-    One of them works on a cycle C = c_0..c_{k-1} through v with k < n
+    First tries single-vertex insertion at a dominance switch with the
+    inserted vertex in prefer (first position, smallest vertex), then the
+    same insertion with any outside vertex, then the swap of one non-anchor
+    cycle vertex for a 2-path of outside vertices.  The preferred pass only
+    adds a first try, so completeness rests on the last two rules.  One of
+    them works on a cycle C = c_0..c_{k-1} through v with k < n
     when t meets mpt_cycles_through's preconditions and k >= 4, or is a
     strong tournament and k >= 3, so the closing InternalError is an alarm:
 
@@ -222,10 +230,12 @@ def _extend_cycle(t: MultipartiteTournament, cyc: tuple, v: int) -> tuple:
     # the vertices are distinct, so the sum of their bits is their mask
     outside = ((1 << t.n) - 1) ^ sum(map(_BIT, cyc))
     ln = len(cyc)
-    for i in range(ln):
-        hits = outm[cyc[i]] & inm[cyc[(i + 1) % ln]] & outside
-        if hits:
-            return cyc[: i + 1] + (_lowest(hits),) + cyc[i + 1 :]
+    for among in (outside & prefer, outside):
+        if among:
+            for i in range(ln):
+                hits = outm[cyc[i]] & inm[cyc[(i + 1) % ln]] & among
+                if hits:
+                    return cyc[: i + 1] + (_lowest(hits),) + cyc[i + 1 :]
     for i in range(ln):
         if cyc[i] == v:
             continue
@@ -285,11 +295,13 @@ def cycles_through(t: MultipartiteTournament, v: int) -> Dict[int, tuple]:
     return out
 
 
-def _quadrangle_through(t: MultipartiteTournament, v: int) -> tuple:
+def _quadrangle_through(t: MultipartiteTournament, v: int, prefer: int) -> tuple:
     """Directed quadrangle (v, a, b, c) under mpt_cycles_through's preconditions.
 
     The scan follows arcs only, so every hit is a 4-cycle starting at v, and
-    it tries every such cycle.  One always exists, so the closing
+    it tries every such cycle in (a, b, c) order.  A first pass returns the
+    first one with a, b and c all in mask prefer; failing that, the second
+    pass returns the first one of all.  One always exists, so the closing
     InternalError is an alarm:
 
     * v in a 2-part {v, y}: take a in N+(v) and b in N+(y) (t is strong).
@@ -307,14 +319,20 @@ def _quadrangle_through(t: MultipartiteTournament, v: int) -> tuple:
       z -> w -> ... -> v -> z spans a strong tournament (z's partner lies
       in H) of order >= 5, where the previous case applies.
     """
-    out = t._out
     outm = t._outmask
     into_v = t._inmask[v]
-    for a in out[v]:
-        for b in out[a]:
-            hits = outm[b] & into_v
-            if hits:
-                return (v, a, b, _lowest(hits))
+    for among in (prefer, -1):
+        from_v = outm[v] & among
+        while from_v:
+            a = _lowest(from_v)
+            from_a = outm[a] & among
+            while from_a:
+                b = _lowest(from_a)
+                hits = outm[b] & into_v & among
+                if hits:
+                    return (v, a, b, _lowest(hits))
+                from_a &= from_a - 1
+            from_v &= from_v - 1
     raise InternalError(
         f"no directed quadrangle through {v}",
         context={"digraph": t.to_json_dict(), "vertex": v},
@@ -334,10 +352,14 @@ def mpt_cycles_through(t: MultipartiteTournament, v: int) -> Dict[int, tuple]:
     at each length L, an L-cycle already filed under it when there is one,
     and otherwise builds one (_quadrangle_through at L = 4, _extend_cycle of
     u's (L-1)-cycle above) and files it under every vertex on it that has no
-    L-cycle yet.  A reused cycle goes through u and has length >= 4, so
-    _extend_cycle's completeness argument covers it.  Because the fill order
-    never changes, the result depends on (t, v) only, not on which vertices
-    were asked for earlier.
+    L-cycle yet.  A build prefers the vertices with no L-cycle yet: the
+    quadrangle scan first looks for one made of them, and growth first
+    tries to insert one of them.  So a new cycle covers as many unserved
+    vertices as these first tries find, and at n = 64 about 300 distinct
+    cycles fill the table, not the 1,000 of a plain fill.  A reused cycle
+    goes through u and has length >= 4, so _extend_cycle's completeness
+    argument covers it.  Because the fill order never changes, the result
+    depends on (t, v) only, not on which vertices were asked for earlier.
     """
     n = t.n
     if n < 4:
@@ -352,15 +374,21 @@ def mpt_cycles_through(t: MultipartiteTournament, v: int) -> Dict[int, tuple]:
         )
     _check_vertex(t, v)
     table = t._cycles
+    filed = t._filed
     for u in range(t._cycles_done, v + 1):
         cur = None
         for ln in range(4, n + 1):
             row = table[ln]
             cyc = row.get(u)
             if cyc is None:
-                cyc = _quadrangle_through(t, u) if cur is None else _extend_cycle(t, cur, u)
+                unc = ~filed[ln]
+                if cur is None:
+                    cyc = _quadrangle_through(t, u, unc)
+                else:
+                    cyc = _extend_cycle(t, cur, u, unc)
                 for w in cyc:
                     row.setdefault(w, cyc)
+                filed[ln] |= sum(map(_BIT, cyc))
             cur = cyc
         t._cycles_done = u + 1
     return {ln: row[v] for ln, row in table.items()}
@@ -406,25 +434,31 @@ def lift_cycle(g: ColoredCompleteGraph, f, cycle: Sequence[int]) -> Cycle:
     """Read a directed cycle of the f-orientation as a properly colored cycle.
 
     Consecutive arcs u -> v -> w carry colors f(u) != f(v), so the vertex
-    sequence is properly colored as-is.  Raises CycleNotInDigraph when any
-    consecutive pair is not an arc of the orientation, and when a vertex is
-    not an int in 0..n-1.
+    sequence is properly colored as-is.  Raises CycleNotInDigraph when the
+    sequence is shorter than 3 or repeats a vertex (Cycle checks both),
+    when any consecutive pair is not an arc of the orientation, and when a
+    vertex is not an int in 0..n-1; IncompatibleFunction when f has no value
+    for a vertex of g on the cycle.
     """
     seq = tuple(cycle)
     m = g._m
     pal = g._palette
     try:
-        if len(seq) < 3 or len(set(seq)) != len(seq):
-            raise CycleNotInDigraph(f"{list(seq)} is not a directed cycle")
+        cyc = Cycle(seq)
         if min(seq) < 0:
             raise IndexError  # m[-1] would read the last row instead
         for u, v in zip(seq, seq[1:] + seq[:1]):
+            # m is indexed first, so a vertex outside g never reads f
             if not (pal[m[u][v]] == f[u] != f[v]):
                 raise CycleNotInDigraph(f"({u},{v}) is not an arc of the orientation")
+    except (BadLength, RepeatedVertex):
+        raise CycleNotInDigraph(f"{list(seq)} is not a directed cycle") from None
     except (IndexError, TypeError):
         # a vertex >= n or a non-int one fails an index into m (or min()),
         # so the range check costs nothing per vertex
         raise CycleNotInDigraph(
             f"{list(seq)} has a vertex outside 0..{g.n - 1}"
         ) from None
-    return Cycle(seq)
+    except KeyError as err:
+        raise IncompatibleFunction(f"f is missing vertex {err.args[0]}") from None
+    return cyc

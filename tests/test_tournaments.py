@@ -15,7 +15,13 @@ from pcgraph.errors import (
     NotStronglyConnected,
     PreconditionViolated,
 )
-from pcgraph.families import example_directed, random_degenerate, random_fibers
+from pcgraph.families import (
+    GenSpec,
+    example_directed,
+    generate,
+    random_degenerate,
+    random_fibers,
+)
 from pcgraph.oracles import directed_cycle_lengths
 from pcgraph.tournaments import (
     MultipartiteTournament,
@@ -268,6 +274,24 @@ def test_mpt_cycles_share_one_cycle_per_covered_vertex():
     assert len({id(table[t.n]) for table in tables}) == 1
 
 
+def test_mpt_table_covers_each_length_with_few_cycles():
+    # 64 * 61 = 3,904 (vertex, length) entries and at least 3,904 vertex
+    # slots; a fill that ignores coverage builds about 1,000 cycles with
+    # about 17,600 slots, while preferring unserved vertices needs about 300
+    for g in generate(GenSpec("randomDegenerate", n=64, seed=0, count=5)):
+        st = degeneracy_status(g)
+        assert st.tag is DegeneracyTag.FULL_ONLY
+        t = reduce_degenerate(g, st.certificate.f)
+        distinct = {}
+        for v in range(t.n):
+            for ln, cyc in mpt_cycles_through(t, v).items():
+                assert len(cyc) == ln and v in cyc
+                distinct[id(cyc)] = cyc
+        assert len(distinct) <= 400
+        assert sum(map(len, distinct.values())) <= 8000
+        assert all(is_directed_cycle(t, cyc) for cyc in distinct.values())
+
+
 def test_mpt_cycles_reject_unknown_vertex():
     t = random_multipartite_tournament(6, 1)
     for v in (-1, 6, 1.5, "0", None):
@@ -332,14 +356,19 @@ def _random_cycles_through(t, v, min_len, rng, walks=6):
     return out
 
 
-def _first_extension(t, cyc, v):
-    """Plain scan in _extend_cycle's rule order: first position, smallest vertices."""
+def _first_extension(t, cyc, v, prefer=0):
+    """Plain scan in _extend_cycle's rule order: first position, smallest vertices.
+
+    Insertion of a vertex of mask prefer comes first, then any insertion,
+    then the swap.
+    """
     ln = len(cyc)
     outside = [w for w in range(t.n) if w not in cyc]
-    for i in range(ln):
-        for w in outside:
-            if t.has_arc(cyc[i], w) and t.has_arc(w, cyc[(i + 1) % ln]):
-                return cyc[: i + 1] + (w,) + cyc[i + 1 :]
+    for among in ([w for w in outside if prefer >> w & 1], outside):
+        for i in range(ln):
+            for w in among:
+                if t.has_arc(cyc[i], w) and t.has_arc(w, cyc[(i + 1) % ln]):
+                    return cyc[: i + 1] + (w,) + cyc[i + 1 :]
     for i in range(ln):
         if cyc[i] == v:
             continue
@@ -355,7 +384,8 @@ def test_extend_cycle_is_complete():
     # insertion-or-swap extends any directed cycle through v, not only the
     # cycles the classifier grows: length >= 4 under mpt_cycles_through's
     # preconditions, length >= 3 in strong tournaments.  The bitmask scan
-    # must pick what a plain scan in vertex order picks.
+    # must pick what a plain scan in vertex order picks, with no preferred
+    # vertex, all of them, or a random set.
     rng = random.Random(4)
     cases = []
     for seed in range(40):
@@ -366,18 +396,22 @@ def test_extend_cycle_is_complete():
         t = reduce_degenerate(g, f)
         if is_strongly_connected(t) and t.disjointness_violation() is None:
             cases.append((t, 4))
-    cycles = swaps = 0
+    cycles = swaps = preferred = 0
     for t, min_len in cases:
         for v in range(t.n):
             for cyc in _random_cycles_through(t, v, min_len, rng):
                 if len(cyc) == t.n:
                     continue
-                got = tournaments_mod._extend_cycle(t, cyc, v)
-                assert len(got) == len(cyc) + 1 and v in got and is_directed_cycle(t, got)
-                assert got == _first_extension(t, cyc, v)
+                for prefer in (0, (1 << t.n) - 1, rng.getrandbits(t.n)):
+                    got = tournaments_mod._extend_cycle(t, cyc, v, prefer)
+                    assert len(got) == len(cyc) + 1 and v in got and is_directed_cycle(t, got)
+                    assert got == _first_extension(t, cyc, v, prefer)
+                    if not prefer:
+                        plain = got
+                    preferred += got != plain
                 cycles += 1
-                swaps += not set(cyc) <= set(got)
-    assert cycles > 5000 and swaps > 0
+                swaps += not set(cyc) <= set(plain)
+    assert cycles > 5000 and swaps > 0 and preferred > 0
 
 
 def test_extend_cycle_swap_tries_every_dominated_vertex():
@@ -388,28 +422,46 @@ def test_extend_cycle_swap_tries_every_dominated_vertex():
     arcs += [(c, d) for c in range(3) for d in (3, 4)] + [(5, c) for c in range(3)]
     t = MultipartiteTournament.tournament(6, arcs)
     assert is_strongly_connected(t)
-    got = tournaments_mod._extend_cycle(t, (0, 1, 2), 0)
+    got = tournaments_mod._extend_cycle(t, (0, 1, 2), 0, 0)
     assert got == (0, 4, 5, 2) == _first_extension(t, (0, 1, 2), 0)
 
 
+def _first_quadrangle(t, v, prefer=0):
+    """Plain scan v -> a -> b -> c -> v in vertex order.
+
+    The first quadrangle with a, b and c all in mask prefer wins, if any.
+    """
+    out = t.out_neighbors
+    found = [
+        (v, a, b, c)
+        for a in out(v)
+        for b in out(a)
+        for c in out(b)
+        if t.has_arc(c, v)
+    ]
+    preferred = [q for q in found if all(prefer >> w & 1 for w in q[1:])]
+    return (preferred or found)[0]
+
+
 def test_direct_searches_pick_the_smallest_vertices():
+    rng = random.Random(5)
+    preferred = 0
     for seed in range(30):
         t = random_tournament(4 + seed % 6, seed)
         out = t.out_neighbors
         for v in range(t.n):
             want = next((v, a, b) for a in out(v) for b in out(a) if t.has_arc(b, v))
             assert tournaments_mod._triangle_through(t, v) == want
-        t = random_multipartite_tournament(5 + seed % 6, seed)
-        out = t.out_neighbors
-        for v in range(t.n):
-            want = next(
-                (v, a, b, c)
-                for a in out(v)
-                for b in out(a)
-                for c in out(b)
-                if t.has_arc(c, v)
-            )
-            assert tournaments_mod._quadrangle_through(t, v) == want
+        for t in (t, random_multipartite_tournament(5 + seed % 6, seed)):
+            for v in range(t.n):
+                for prefer in (0, (1 << t.n) - 1, rng.getrandbits(t.n)):
+                    got = tournaments_mod._quadrangle_through(t, v, prefer)
+                    assert got == _first_quadrangle(t, v, prefer)
+                    assert is_directed_cycle(t, got)
+                    if not prefer:
+                        plain = got
+                    preferred += got != plain
+    assert preferred > 0
     t = MultipartiteTournament(
         [(0, 1), (2,), (3,)], [(0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
     )
@@ -485,6 +537,19 @@ def test_lift_cycle_rejects_vertices_outside_the_graph():
                 lift_cycle(g, f, seq)
     with pytest.raises(CycleNotInDigraph):
         lift_cycle(g, f, cyc + (6,))
+
+
+def test_lift_cycle_names_a_vertex_missing_from_f():
+    g, f = random_degenerate(8, random_fibers(8, 1), 1)
+    t = reduce_degenerate(g, f)
+    cyc = mpt_cycles_through(t, 0)[4]
+    partial = dict(f)
+    del partial[cyc[1]]
+    with pytest.raises(IncompatibleFunction, match=f"f is missing vertex {cyc[1]}$"):
+        lift_cycle(g, partial, cyc)
+    # a vertex outside g is reported as such, though f lacks it too
+    with pytest.raises(CycleNotInDigraph, match="outside"):
+        lift_cycle(g, partial, cyc[:1] + (8,) + cyc[2:])
 
 
 def test_json_roundtrip():

@@ -104,20 +104,40 @@ def test_classify_gallai_n10_is_pinned():
     assert walks == 18
 
 
+def test_classify_random_degenerate_n12_is_pinned():
+    # `pcg classify` of `pcg gen --family randomDegenerate --n 12 --seed S`
+    # for S = 0..3, one line each: full-only instances whose cycle tables
+    # are small enough to read
+    golden = os.path.join(
+        os.path.dirname(__file__), "data", "classify_random_degenerate_n12.jsonl"
+    )
+    lines = []
+    for g in generate(GenSpec("randomDegenerate", n=12, seed=0, count=4)):
+        assert degeneracy_status(g).tag is DegeneracyTag.FULL_ONLY
+        result = classify(g)
+        assert result.tag is TrichotomyTag.PANCYCLIC
+        assert validate_result(g, result)
+        lines.append(result.to_json() + "\n")
+    with open(golden, "rb") as fh:
+        assert "".join(lines).encode() == fh.read()
+
+
 def test_classify_random_degenerate_n64_is_pinned():
     # sha256 of classify(g).to_json() for the benchmark's degenerate stream;
     # the cycle tables depend on the order in which directed cycles grow
     want = [
-        "702d234f40f8799dcb251e2855522fd7bdeca02193447ad48f736e146283dcfe",
-        "4cda194b39179c7d2a8da759b70509f0f695906f6e59e319472a88dbf515969c",
-        "0a08f7237dd992cfe255577c4ee9ddf03238fd953ae1f7bb4bac1abc2fc1e85e",
-        "53fffe2ecc63569506b771837e4724f5c158b8a6523c793299d98c0b1068e15c",
-        "8ef438d341fd38c614125bc3e531937167dc0f596a037995b4d08e6cdf62ccbc",
+        "20ffd01e2b76cafa0d8b3ab20c595795c8bb9f0b013f7042e6338819fc77fed7",
+        "ac2505884c62005a3da789993615ef1ee9c4e9e894ba75e5cc5c0a7611663d3c",
+        "3c2926f8e51a1b226f73feed9de3d26a5a7ca6ee085472783f9b4fc468bd9929",
+        "e5cb84138fdc055db77a4bab227d2adcb24dd69e783a18d1128c3152dacc9dd9",
+        "d4c443e797ad2831a3863d591ee51dcce93e1285b82e29ad190ffb54bd344fa1",
     ]
-    got = [
-        hashlib.sha256(classify(g).to_json().encode()).hexdigest()
-        for g in generate(GenSpec("randomDegenerate", n=64, seed=0, count=5))
-    ]
+    got = []
+    for g in generate(GenSpec("randomDegenerate", n=64, seed=0, count=5)):
+        result = classify(g)
+        assert result.tag is TrichotomyTag.PANCYCLIC
+        assert validate_result(g, result)
+        got.append(hashlib.sha256(result.to_json().encode()).hexdigest())
     assert got == want
 
 
