@@ -3,18 +3,21 @@
 "Properly colored" (PC) means consecutive edges carry distinct colors,
 including the wrap-around pair of a cycle.  Every PC-cycle search is one
 depth-first walk, _pc_cycle_search, pruning only on the previous edge color.
-has_pc_cycle returns its first cycle; it is the growth fallback of
-trichotomy.classify and the engine of classify_attachment and
-oracles.is_pancyclic_from.  enumerate_pc_cycles lists all of them, once up
-to rotation and reflection, and is how the tests check the walk against the
-permutation oracle.  pc_quadrangle_search is the length-4 walk unrolled.
+has_pc_cycle returns its first cycle; it is the engine of
+classify_attachment and oracles.is_pancyclic_from, and the counted last
+resort of trichotomy.classify's growth route, which first tries
+insert_into_pc_cycle and the constructive rules at the end of this module
+(_swap_in_pair, _insert_with_reversal, _regrow_quadrangle).
+enumerate_pc_cycles lists all of them, once up to rotation and reflection,
+and is how the tests check the walk against the permutation oracle.
+pc_quadrangle_search is the length-4 walk unrolled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from .core import ColoredCompleteGraph
 from .detect import DegeneracyTag, degeneracy_status, find_monochromatic_triangle
@@ -131,15 +134,19 @@ def is_pc_path(g: ColoredCompleteGraph, seq) -> bool:
 
 
 def _pc_cycle_search(
-    g: ColoredCompleteGraph, v: int, length: int, found: Optional[list] = None
+    g: ColoredCompleteGraph,
+    v: int,
+    length: int,
+    visit: Optional[Callable[[tuple], object]] = None,
 ) -> Optional[Cycle]:
     """Depth-first walk for PC cycles of the given length through v.
 
     Paths grow from v in vertex order, skipping a vertex whose edge repeats
     the previous color, and close when the closing edge differs from both
     edges it meets.  The start color -1 sits only on the diagonal.  With no
-    found list it returns the first cycle it closes, or None; with one it
-    appends every closed walk as a tuple (each cycle once per direction).
+    visit callback it returns the first cycle it closes, or None; with one
+    it passes every closed walk to visit as a tuple (each cycle once per
+    direction) and returns the first walk for which visit returns true.
     """
     g.check_vertex(v)
     if not 3 <= length <= g.n:
@@ -154,9 +161,8 @@ def _pc_cycle_search(
         if len(path) == length:
             closing = m[path[-1]][v]
             if closing != prev_color and closing != m[v][path[1]]:
-                if found is None:
+                if visit is None or visit(tuple(path)):
                     return Cycle(path)
-                found.append(tuple(path))
             return None
         row = m[path[-1]]
         for w in range(n):
@@ -181,7 +187,7 @@ def enumerate_pc_cycles(g: ColoredCompleteGraph, v: int, length: int) -> List[Cy
     kept, so each cycle appears once.
     """
     walks: list = []
-    _pc_cycle_search(g, v, length, walks)
+    _pc_cycle_search(g, v, length, walks.append)
     return sorted(
         (Cycle(w).canonical() for w in walks if w[1] < w[-1]), key=lambda c: c.vertices
     )
@@ -349,8 +355,9 @@ def pc_quadrangle_search(g: ColoredCompleteGraph, v: int) -> Optional[Cycle]:
     4): no mismatch over 414,993 (graph, vertex) pairs, from every mono-free
     K4 and K5 coloring and gallai/randomNoMono n = 6..16, seeds 0..19.  It
     stays separate because it is about twice as fast (1.5-1.6 s against
-    3.0-3.3 s over all 409,545 mono-free K5 pairs), and growth calls it once
-    per vertex: 79,379 of the 81,909 mono-free K5 colorings take that route.
+    3.0-3.3 s over all 409,545 mono-free K5 pairs).  Growth calls it only
+    for a vertex that lies on no quadrangle of its shared table yet: 158,758
+    times over the 79,379 mono-free K5 colorings that take that route.
     """
     m = g._m
     n = g.n
@@ -389,3 +396,118 @@ def find_pc_quadrangle(g: ColoredCompleteGraph, v: int) -> Cycle:
         )
     return got
 
+
+# -- growth rules beyond single-vertex insertion ---------------------------
+#
+# trichotomy's growth route lengthens a PC cycle through v by insertion
+# first, then by these rules in turn; each returns a PC cycle one vertex
+# longer that still contains v, or None.
+
+
+def _outside(g: ColoredCompleteGraph, cycle: Cycle) -> list:
+    """The vertices of g off the cycle, in vertex order."""
+    pos = cycle._pos
+    return [w for w in range(g.n) if w not in pos]
+
+
+def _from(cycle: Cycle, v: int) -> tuple:
+    """The cycle's vertices rotated to start at v."""
+    i = cycle._pos[v]
+    return cycle.vertices[i:] + cycle.vertices[:i]
+
+
+def _swap_in_pair(g: ColoredCompleteGraph, cycle: Cycle, v: int) -> Optional[Cycle]:
+    """R1: replace one cycle vertex other than v by a PC 2-path x, y.
+
+    With the cycle written c_0..c_(k-1) from v = c_0, vertex c_i (i >= 1)
+    gives way to two outside vertices, c_(i-1) x y c_(i+1), when no two
+    consecutive edges of c_(i-2) c_(i-1) x y c_(i+1) c_(i+2) share a color.
+    Tries i, then x, then y in order; needs at least two outside vertices.
+    """
+    m = g._m
+    vs = _from(cycle, v)
+    k = len(vs)
+    outside = _outside(g, cycle)
+    if len(outside) < 2:
+        return None
+    for i in range(1, k):
+        p, q = vs[i - 1], vs[(i + 1) % k]
+        into_p = m[vs[i - 2]][p]
+        from_q = m[q][vs[(i + 2) % k]]
+        rowp, rowq = m[p], m[q]
+        for x in outside:
+            cx = rowp[x]
+            if cx == into_p:
+                continue
+            rowx = m[x]
+            for y in outside:
+                if y == x:
+                    continue
+                cxy = rowx[y]
+                cy = rowq[y]
+                if cxy != cx and cy != cxy and cy != from_q:
+                    return Cycle(vs[:i] + (x, y) + vs[i + 1 :])
+    return None
+
+
+def _insert_with_reversal(g: ColoredCompleteGraph, cycle: Cycle, v: int) -> Optional[Cycle]:
+    """R3: insert an outside w and reverse one segment of the cycle.
+
+    With the cycle written c_0..c_(k-1) from v = c_0, the result is
+    c_0..c_i, w, c_j, c_(j-1), ..., c_(i+1), c_(j+1), ..., c_(k-1): edges
+    c_i c_(i+1) and c_j c_(j+1) give way to c_i w, w c_j and
+    c_(i+1) c_(j+1).  Two removed edges that meet would make this a plain
+    insertion, so j >= i + 2 and (i, j) != (0, k - 1).  Tries w, then i,
+    then j in order.
+    """
+    m = g._m
+    vs = _from(cycle, v)
+    k = len(vs)
+    for w in _outside(g, cycle):
+        roww = m[w]
+        for i in range(k - 2):
+            a, b = vs[i], vs[i + 1]
+            ca = roww[a]
+            if ca == m[vs[i - 1]][a]:
+                continue
+            into_b = m[vs[i + 2]][b]  # b's edge into the reversed segment
+            rowb = m[b]
+            for j in range(i + 2, k if i else k - 1):
+                c = vs[j]
+                cw = roww[c]
+                if cw == ca or cw == m[c][vs[j - 1]]:
+                    continue
+                d = vs[(j + 1) % k]
+                cbd = rowb[d]
+                if cbd != into_b and cbd != m[d][vs[(j + 2) % k]]:
+                    return Cycle(vs[: i + 1] + (w,) + vs[j:i:-1] + vs[j + 1 :])
+    return None
+
+
+def _regrow_quadrangle(
+    g: ColoredCompleteGraph,
+    v: int,
+    length: int,
+    grow: Callable[[Cycle], Optional[Cycle]],
+) -> Optional[Cycle]:
+    """R5: the first PC quadrangle through v that grow lengthens to length.
+
+    The quadrangles are the length-4 walks of _pc_cycle_search in walk
+    order, each cycle once per direction; the first is
+    pc_quadrangle_search's.  grow returns its cycle one vertex longer
+    through v, or None, and is applied until the length is reached or it
+    fails.
+    """
+    grown: list = []
+
+    def visit(walk: tuple) -> bool:
+        cyc: Optional[Cycle] = Cycle(walk)
+        while cyc is not None and len(cyc) < length:
+            cyc = grow(cyc)
+        if cyc is None:
+            return False
+        grown.append(cyc)
+        return True
+
+    _pc_cycle_search(g, v, 4, visit)
+    return grown[0] if grown else None

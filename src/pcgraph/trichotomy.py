@@ -26,6 +26,11 @@ from typing import Dict, Optional
 
 from .core import ColoredCompleteGraph, stats
 from .cycles import (
+    Cycle,
+    _insert_with_reversal,
+    _outside,
+    _regrow_quadrangle,
+    _swap_in_pair,
     has_pc_cycle,
     insert_into_pc_cycle,
     is_pc_cycle,
@@ -40,8 +45,10 @@ from .detect import (
 from .errors import (
     InternalError,
     MonochromaticTrianglePresent,
+    RepeatedVertex,
     ResultMismatch,
     TooSmall,
+    UnknownVertex,
 )
 from .families import double_pentagon_matrix
 from .tournaments import (
@@ -144,37 +151,76 @@ def _pancyclic_via_orientation(g: ColoredCompleteGraph, cert: DegeneracyCertific
     return cycles
 
 
+def _grow_step(g: ColoredCompleteGraph, cur: Cycle, v: int):
+    """(PC cycle one vertex longer than cur through v, its rule key) or (None, None).
+
+    Single-vertex insertion in vertex order, then R1 (_swap_in_pair), then
+    R3 (_insert_with_reversal).
+    """
+    for w in _outside(g, cur):
+        grown = insert_into_pc_cycle(g, cur, w)
+        if grown is not None:
+            return grown, "growth_inserted"
+    grown = _swap_in_pair(g, cur, v)
+    if grown is not None:
+        return grown, "growth_swapped"
+    grown = _insert_with_reversal(g, cur, v)
+    if grown is not None:
+        return grown, "growth_reversed"
+    return None, None
+
+
 def _pancyclic_by_growth(g: ColoredCompleteGraph, stats_out: Optional[dict]) -> Dict:
+    """Pancyclic table grown from PC quadrangles, each cycle shared by its vertices.
+
+    A PC L-cycle certifies each of its L vertices, so the table is filled
+    in vertex order and every cycle built is filed under each vertex on it
+    that has no L-cycle yet.  Vertex v takes, at each length L, the L-cycle
+    already filed under it when there is one (reuse) and otherwise builds
+    one: pc_quadrangle_search at L = 4, and above that the first of
+    _grow_step on v's (L-1)-cycle, R5 (_regrow_quadrangle: every PC
+    quadrangle through v in walk order, regrown by _grow_step), and the
+    has_pc_cycle search as the last resort.  stats_out gains, under
+    growth_reused, growth_quadrangles, growth_inserted, growth_swapped
+    (R1), growth_reversed (R3), growth_restarted (R5) and
+    growth_oracle_uses (the search), how many (vertex, length) steps each
+    rule settled, every key absent while zero.
+    """
     n = g.n
-    cycles: Dict = {}
+    rows: Dict[int, Dict[int, Cycle]] = {ln: {} for ln in range(4, n + 1)}
+    counts: Dict[str, int] = {}
     for v in range(n):
-        cur = pc_quadrangle_search(g, v)
-        if cur is None:
-            raise InternalError(
-                f"no PC quadrangle through {v} on non-degenerate input", instance=g
-            )
-        cycles[(v, 4)] = cur
-        for target in range(5, n + 1):
-            grown = None
-            for w in range(n):
-                if w in cur:
-                    continue
-                grown = insert_into_pc_cycle(g, cur, w)
-                if grown is not None:
-                    break
-            if grown is None:
-                if stats_out is not None:
-                    stats_out["growth_oracle_uses"] = stats_out.get("growth_oracle_uses", 0) + 1
-                grown = has_pc_cycle(g, v, target)
-            if grown is None:
+        cur = None
+        for ln, row in rows.items():
+            cyc = row.get(v)
+            if cyc is not None:
+                cur = cyc
+                continue
+            if cur is None:
+                cyc, rule = pc_quadrangle_search(g, v), "growth_quadrangles"
+            else:
+                cyc, rule = _grow_step(g, cur, v)
+                if cyc is None:
+                    cyc = _regrow_quadrangle(g, v, ln, lambda c: _grow_step(g, c, v)[0])
+                    rule = "growth_restarted"
+                if cyc is None:
+                    cyc, rule = has_pc_cycle(g, v, ln), "growth_oracle_uses"
+            if cyc is None:
                 raise InternalError(
-                    f"no PC {target}-cycle through {v} on eligible input",
+                    f"no PC {ln}-cycle through {v} on eligible input",
                     instance=g,
-                    context={"vertex": v, "length": target},
+                    context={"vertex": v, "length": ln},
                 )
-            cycles[(v, target)] = grown
-            cur = grown
-    return cycles
+            counts[rule] = counts.get(rule, 0) + 1
+            for w in cyc.vertices:
+                row.setdefault(w, cyc)
+            cur = cyc
+    if stats_out is not None:
+        counts["growth_reused"] = n * (n - 3) - sum(counts.values())
+        for key, count in counts.items():
+            if count:
+                stats_out[key] = stats_out.get(key, 0) + count
+    return {(v, ln): cyc for ln, row in rows.items() for v, cyc in row.items()}
 
 
 def classify(g: ColoredCompleteGraph, stats_out: Optional[dict] = None) -> TrichotomyResult:
@@ -183,10 +229,12 @@ def classify(g: ColoredCompleteGraph, stats_out: Optional[dict] = None) -> Trich
     Pipeline: degeneracy first (a proper set settles (b)); a full-only
     compatible coloring routes through the orientation argument; otherwise
     the double-pentagon check settles (c) and quadrangle-plus-growth builds
-    the pancyclic table for (a).  A given stats_out dict counts, under
-    "growth_oracle_uses" (absent while zero), the lengths that growth
-    reached only through the has_pc_cycle search because no single-vertex
-    insertion fit.
+    the pancyclic table for (a) (see _pancyclic_by_growth).  Growth runs
+    the has_pc_cycle depth-first search only as its counted last resort,
+    when reuse, insertion and the R1, R3 and R5 rules all fail.  A given
+    stats_out dict gains the growth route's count per rule, each absent
+    while zero; "growth_oracle_uses" counts the has_pc_cycle searches, and
+    it is the only one that sweep records keep.
     """
     if g.n < 4:
         raise TooSmall(f"classification needs n >= 4, got {g.n}")
@@ -238,22 +286,29 @@ def side_conditions(g: ColoredCompleteGraph, result: TrichotomyResult) -> SideCo
 def validate_result(g: ColoredCompleteGraph, result: TrichotomyResult) -> bool:
     """Independently re-check whichever certificate the result carries.
 
-    A pancyclic table is checked entry by entry for its key set, length and
-    membership; one cycle object filed under several entries is checked for
-    being properly colored once.  A relabel must be a bijection of 0..4.
+    A pancyclic table needs n(n-3) entries, each (v, L) with L >= 4 filed
+    with a properly colored L-cycle through v.  A cycle's vertices are
+    distinct vertices of g, so these distinct keys are then exactly the
+    (v, L) with 4 <= L <= n.  One cycle object filed under several entries
+    is checked for being properly colored once.  A table that is no dict,
+    or a key or entry of another shape, fails the check.  A relabel must be
+    a bijection of 0..4.
     """
     if result.tag is TrichotomyTag.PANCYCLIC:
-        need = {(v, ln) for v in range(g.n) for ln in range(4, g.n + 1)}
-        if set(result.cycles) != need:
+        table = result.cycles
+        if not isinstance(table, dict) or len(table) != g.n * (g.n - 3):
             return False
         proper = set()  # ids of checked cycles, kept alive by result.cycles
-        for (v, ln), cyc in result.cycles.items():
-            if len(cyc) != ln or v not in cyc:
-                return False
-            if id(cyc) not in proper:
-                if not is_pc_cycle(g, cyc):
+        try:
+            for (v, ln), cyc in table.items():
+                if ln < 4 or len(cyc) != ln or v not in cyc:
                     return False
-                proper.add(id(cyc))
+                if id(cyc) not in proper:
+                    if not is_pc_cycle(g, cyc):
+                        return False
+                    proper.add(id(cyc))
+        except (TypeError, ValueError, UnknownVertex, RepeatedVertex):
+            return False
         return True
     if result.tag is TrichotomyTag.PROPER_DEGENERATE:
         cert = result.certificate

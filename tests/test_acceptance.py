@@ -15,6 +15,7 @@ from helpers import (
     random_tournament,
 )
 
+from pcgraph import oracles
 from pcgraph.cycles import enumerate_pc_cycles, is_pc_path, pc_hamilton_path
 from pcgraph.detect import closure_from_seed, degeneracy_status
 from pcgraph.families import (
@@ -203,8 +204,8 @@ def test_criterion_7_side_conditions(k4_sweep, k5_sweep, random_pool_4_to_9):
     )
 
 
-def _degeneracy_cross_check(g) -> bool:
-    proper = list(proper_degenerate_sets(g))
+def _degeneracy_cross_check(g, proper_sets) -> bool:
+    proper = list(proper_sets(g))
     status = degeneracy_status(g)
     if status.tag is not brute_degeneracy_tag(g):
         return False
@@ -224,12 +225,23 @@ def _degeneracy_cross_check(g) -> bool:
     return True
 
 
-def test_criterion_8_degeneracy_oracle():
+def test_criterion_8_degeneracy_oracle(monkeypatch):
+    # brute_degeneracy_tag reads proper_degenerate_sets through the oracles
+    # module; a one-graph memo there lets it and the cross-check share one
+    # enumeration of each coloring's proper sets
+    memo = [None, []]
+
+    def listed_once(g):
+        if memo[0] is not g:
+            memo[:] = [g, list(proper_degenerate_sets(g))]
+        return iter(memo[1])
+
+    monkeypatch.setattr(oracles, "proper_degenerate_sets", listed_once)
     start = time.monotonic()
-    ok = all(_degeneracy_cross_check(g) for g in exhaustive_colorings(4))
+    ok = all(_degeneracy_cross_check(g, listed_once) for g in exhaustive_colorings(4))
     count5 = 0
     for g in exhaustive_colorings(5):
-        if not _degeneracy_cross_check(g):
+        if not _degeneracy_cross_check(g, listed_once):
             ok = False
             break
         count5 += 1
@@ -237,7 +249,7 @@ def test_criterion_8_degeneracy_oracle():
     rng = random.Random(88)
     for i in range(500):
         g = random_no_mono_triangle(6, rng.choice((3, 4, 5)), seed=8000 + i)
-        if not _degeneracy_cross_check(g):
+        if not _degeneracy_cross_check(g, listed_once):
             ok = False
             break
     elapsed = time.monotonic() - start

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -9,8 +10,13 @@ import pytest
 from helpers import random_instance_pool
 
 from pcgraph import build
-from pcgraph.cycles import Cycle, is_pc_cycle
-from pcgraph.detect import DegeneracyCertificate, DegeneracyTag, degeneracy_status
+from pcgraph.cycles import Cycle, has_pc_cycle, is_pc_cycle
+from pcgraph.detect import (
+    DegeneracyCertificate,
+    DegeneracyTag,
+    degeneracy_status,
+    find_monochromatic_triangle,
+)
 from pcgraph.errors import MonochromaticTrianglePresent, ResultMismatch, TooSmall
 from pcgraph.families import (
     GenSpec,
@@ -19,6 +25,7 @@ from pcgraph.families import (
     generate,
     random_degenerate,
     random_fibers,
+    random_no_mono_triangle,
 )
 from pcgraph.oracles import is_pancyclic_from
 from pcgraph.trichotomy import (
@@ -90,18 +97,93 @@ def _full_only(n, seed):
 
 def test_classify_gallai_n10_is_pinned():
     # the stream of `pcg gen --family gallai --n 10 --seed 0 --count 16`;
-    # seeds 1, 3, 13, 14 and 15 reach the has_pc_cycle walk, so the golden
-    # pins the order in which it tries vertices
+    # the tables pin the growth route's fill order and rule order
     golden = os.path.join(os.path.dirname(__file__), "data", "classify_gallai_n10.jsonl")
     lines = []
-    walks = 0
     for g in generate(GenSpec("gallai", n=10, seed=0, count=16)):
         st: dict = {}
-        lines.append(classify(g, stats_out=st).to_json() + "\n")
-        walks += st.get("growth_oracle_uses", 0)
+        result = classify(g, stats_out=st)
+        assert validate_result(g, result)
+        assert "growth_oracle_uses" not in st
+        lines.append(result.to_json() + "\n")
     with open(golden, "rb") as fh:
         assert "".join(lines).encode() == fh.read()
-    assert walks == 18
+
+
+def test_pc_cycle_walk_order_is_pinned():
+    # has_pc_cycle(g, v, L) for every v and L on the same 16 instances: the
+    # first cycle the depth-first walk closes, so this pins the order in
+    # which it tries vertices
+    digest = hashlib.sha256()
+    for g in generate(GenSpec("gallai", n=10, seed=0, count=16)):
+        for v in range(g.n):
+            for ln in range(3, g.n + 1):
+                cyc = has_pc_cycle(g, v, ln)
+                found = "none" if cyc is None else " ".join(map(str, cyc.vertices))
+                digest.update(f"{v} {ln} {found}\n".encode())
+    want = "83e1a1af830dd74362dfb7e3b237f34939baf6b2f0f44fc9fcee7f950a4f1b36"
+    assert digest.hexdigest() == want
+
+
+def test_growth_rule_counts_exhaustive_k5():
+    # over every mono-free K5 coloring that takes the growth route, the
+    # (vertex, length) steps each rule settled; reversal (R3) and restart
+    # (R5) both fire, and the has_pc_cycle search never runs
+    counts = collections.Counter()
+    for g in exhaustive_colorings(5):
+        if find_monochromatic_triangle(g) is None:
+            classify(g, stats_out=counts)
+    assert counts == {
+        "growth_reused": 555653,
+        "growth_quadrangles": 158758,
+        "growth_inserted": 79021,
+        "growth_reversed": 157,
+        "growth_restarted": 201,
+    }
+
+
+def test_growth_never_searches_on_gallai_n64():
+    # the former worst case, seed 2, spent over 100 s in has_pc_cycle
+    searched = []
+    for seed, g in enumerate(generate(GenSpec("gallai", n=64, seed=0, count=200))):
+        st: dict = {}
+        result = classify(g, stats_out=st)
+        assert validate_result(g, result), seed
+        if st.get("growth_oracle_uses"):
+            searched.append(seed)
+    assert searched == []
+
+
+def test_growth_falls_back_to_the_counted_search(monkeypatch):
+    # with every constructive rule failing, each cycle above length 4 that
+    # is not reused comes from has_pc_cycle, and each call is counted
+    import pcgraph.trichotomy as trichotomy_mod
+
+    for name in (
+        "insert_into_pc_cycle",
+        "_swap_in_pair",
+        "_insert_with_reversal",
+        "_regrow_quadrangle",
+    ):
+        monkeypatch.setattr(trichotomy_mod, name, lambda *args: None)
+    calls = []
+    real = trichotomy_mod.has_pc_cycle
+
+    def counted(g, v, ln):
+        calls.append((v, ln))
+        return real(g, v, ln)
+
+    monkeypatch.setattr(trichotomy_mod, "has_pc_cycle", counted)
+    g = next(
+        g
+        for g in generate(GenSpec("gallai", n=10, seed=0, count=16))
+        if degeneracy_status(g).tag is DegeneracyTag.NON_DEGENERATE
+    )
+    st: dict = {}
+    result = classify(g, stats_out=st)
+    assert result.tag is TrichotomyTag.PANCYCLIC and validate_result(g, result)
+    assert calls and st["growth_oracle_uses"] == len(calls)
+    assert "growth_inserted" not in st and "growth_restarted" not in st
 
 
 def test_classify_random_degenerate_n12_is_pinned():
@@ -189,6 +271,24 @@ def test_validate_result_checks_every_entry_of_a_shared_cycle():
             break
     bad = Cycle(order)
     assert not validate_result(g, _refiled(result, {(v, ln): bad for v in bad}))
+
+
+def test_validate_result_rejects_malformed_tables():
+    # a checker answers False on a malformed table instead of raising
+    g = random_no_mono_triangle(6, 4, 3)
+    result = classify(g)
+    assert result.tag is TrichotomyTag.PANCYCLIC and validate_result(g, result)
+    assert not validate_result(g, dataclasses.replace(result, cycles=None))
+    assert not validate_result(g, dataclasses.replace(result, cycles=[]))
+    for bad in (7, None, "0123", Cycle((0, 1, 2, 9)), (0, 1, 1, 2)):
+        assert not validate_result(g, _refiled(result, {(0, 4): bad})), bad
+    # one key swapped for one of another shape, the entry count kept
+    quad = result.cycles[(0, 4)]
+    for key, cyc in [((0, 3), Cycle((0, 1, 2))), ((0, 4, 0), quad), ("04", quad)]:
+        table = dict(result.cycles)
+        del table[(0, 4)]
+        table[key] = cyc
+        assert not validate_result(g, dataclasses.replace(result, cycles=table)), key
 
 
 def test_validate_result_rejects_non_bijective_relabel():
