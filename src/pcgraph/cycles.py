@@ -10,7 +10,7 @@ insert_into_pc_cycle and the constructive rules at the end of this module
 (_swap_in_pair, _insert_with_reversal, _regrow_quadrangle).
 enumerate_pc_cycles lists all of them, once up to rotation and reflection,
 and is how the tests check the walk against the permutation oracle.
-pc_quadrangle_search is the length-4 walk unrolled.
+pc_quadrangle_search is the same walk at length 4.
 """
 
 from __future__ import annotations
@@ -138,31 +138,30 @@ def _pc_cycle_search(
     v: int,
     length: int,
     visit: Optional[Callable[[tuple], object]] = None,
-) -> Optional[Cycle]:
+) -> object:
     """Depth-first walk for PC cycles of the given length through v.
 
     Paths grow from v in vertex order, skipping a vertex whose edge repeats
     the previous color, and close when the closing edge differs from both
-    edges it meets.  The start color -1 sits only on the diagonal.  With no
-    visit callback it returns the first cycle it closes, or None; with one
-    it passes every closed walk to visit as a tuple (each cycle once per
-    direction) and returns the first walk for which visit returns true.
+    edges it meets.  The start color -1 sits only on the diagonal.  A
+    closed walk's value is Cycle(walk), or visit(walk) with a visit
+    callback, which gets each closed walk as a tuple (each cycle once per
+    direction).  The walk returns the first value that is not None, or None.
     """
     g.check_vertex(v)
-    if not 3 <= length <= g.n:
-        raise BadLength(f"length must be in [3, {g.n}], got {length}")
+    if not (isinstance(length, int) and 3 <= length <= g.n):
+        raise BadLength(f"length must be an int in [3, {g.n}], got {length!r}")
     m = g._m
     n = g.n
     path = [v]
     used = [False] * n
     used[v] = True
 
-    def dfs(prev_color: int) -> Optional[Cycle]:
+    def dfs(prev_color: int):
         if len(path) == length:
             closing = m[path[-1]][v]
             if closing != prev_color and closing != m[v][path[1]]:
-                if visit is None or visit(tuple(path)):
-                    return Cycle(path)
+                return Cycle(path) if visit is None else visit(tuple(path))
             return None
         row = m[path[-1]]
         for w in range(n):
@@ -348,35 +347,13 @@ def classify_attachment(g: ColoredCompleteGraph, cycle: Cycle, v: int) -> Attach
 
 
 def pc_quadrangle_search(g: ColoredCompleteGraph, v: int) -> Optional[Cycle]:
-    """Direct cubic-time scan for a PC quadrangle through v.
+    """First PC quadrangle through v in walk order: has_pc_cycle(g, v, 4).
 
-    This is _pc_cycle_search at length 4 unrolled into three loops with the
-    same vertex order and pruning, so it returns exactly has_pc_cycle(g, v,
-    4): no mismatch over 414,993 (graph, vertex) pairs, from every mono-free
-    K4 and K5 coloring and gallai/randomNoMono n = 6..16, seeds 0..19.  It
-    stays separate because it is about twice as fast (1.5-1.6 s against
-    3.0-3.3 s over all 409,545 mono-free K5 pairs).  Growth calls it only
-    for a vertex that lies on no quadrangle of its shared table yet: 158,758
-    times over the 79,379 mono-free K5 colorings that take that route.
+    Growth calls it only for a vertex that lies on no quadrangle of its
+    shared table yet: 158,758 times over the 79,379 mono-free K5 colorings
+    that take that route.
     """
-    m = g._m
-    n = g.n
-    rowv = m[v]
-    others = [u for u in range(n) if u != v]
-    for a in others:
-        ca = rowv[a]
-        rowa = m[a]
-        for b in others:
-            if b == a or rowa[b] == ca:
-                continue
-            cab = rowa[b]
-            rowb = m[b]
-            for c in others:
-                if c == a or c == b:
-                    continue
-                if rowb[c] != cab and rowb[c] != rowv[c] and rowv[c] != ca:
-                    return Cycle((v, a, b, c))
-    return None
+    return _pc_cycle_search(g, v, 4)
 
 
 def find_pc_quadrangle(g: ColoredCompleteGraph, v: int) -> Cycle:
@@ -496,18 +473,13 @@ def _regrow_quadrangle(
     order, each cycle once per direction; the first is
     pc_quadrangle_search's.  grow returns its cycle one vertex longer
     through v, or None, and is applied until the length is reached or it
-    fails.
+    fails; the walk stops at the first quadrangle that reaches it.
     """
-    grown: list = []
 
-    def visit(walk: tuple) -> bool:
+    def regrow(walk: tuple) -> Optional[Cycle]:
         cyc: Optional[Cycle] = Cycle(walk)
         while cyc is not None and len(cyc) < length:
             cyc = grow(cyc)
-        if cyc is None:
-            return False
-        grown.append(cyc)
-        return True
+        return cyc
 
-    _pc_cycle_search(g, v, 4, visit)
-    return grown[0] if grown else None
+    return _pc_cycle_search(g, v, 4, regrow)

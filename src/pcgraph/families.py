@@ -8,6 +8,7 @@ reproducible from the reported seed alone.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -235,19 +236,31 @@ def random_degenerate(
     return g, f
 
 
-def _mono_free_two_coloring(p: int, c1: int, c2: int, rng: random.Random) -> Dict[tuple, int]:
-    """Random 2-coloring of K_p (p <= 5) with no monochromatic triangle."""
+@functools.lru_cache(maxsize=None)
+def _mono_free_two_colorings(p: int) -> Tuple[tuple, ...]:
+    """Every 0/1 coloring of K_p's pairs with no monochromatic triangle.
+
+    In itertools.product order, so a random choice from it picks the same
+    coloring as one from the (c1, c2) colorings in product order.
+    """
     pairs = list(itertools.combinations(range(p), 2))
     tris = _triangles(p)
     valid = []
-    for combo in itertools.product((c1, c2), repeat=len(pairs)):
+    for combo in itertools.product((0, 1), repeat=len(pairs)):
         coloring = dict(zip(pairs, combo))
         if all(
             len({coloring[(a, b)], coloring[(a, c)], coloring[(b, c)]}) > 1
             for a, b, c in tris
         ):
-            valid.append(coloring)
-    return rng.choice(valid)
+            valid.append(combo)
+    return tuple(valid)
+
+
+def _mono_free_two_coloring(p: int, c1: int, c2: int, rng: random.Random) -> Dict[tuple, int]:
+    """Random 2-coloring of K_p (p <= 5) with no monochromatic triangle."""
+    combo = rng.choice(_mono_free_two_colorings(p))
+    colors = (c1, c2)
+    return {pair: colors[i] for pair, i in zip(itertools.combinations(range(p), 2), combo)}
 
 
 def gallai_coloring(

@@ -199,8 +199,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                 ("hamilton_path_ok", "hamilton_path_failures"),
             ):
                 if key in rec and not rec[key]:
-                    getattr_count = getattr(report, counter)
-                    setattr(report, counter, getattr_count + 1)
+                    setattr(report, counter, getattr(report, counter) + 1)
                     report.flagged.append({"index": index, "reason": counter})
     finally:
         if pool is not None:

@@ -36,7 +36,7 @@ from pcgraph.errors import (
     UnknownVertex,
     VertexOnCycle,
 )
-from pcgraph.families import exhaustive_colorings, gallai_coloring, random_no_mono_triangle
+from pcgraph.families import exhaustive_colorings, random_no_mono_triangle
 from pcgraph.oracles import pc_cycles_by_permutation
 
 
@@ -104,8 +104,11 @@ def test_enumerate_double_pentagon(double_pentagon):
     assert enumerate_pc_cycles(double_pentagon, 0, 5) == []
     quads = enumerate_pc_cycles(double_pentagon, 0, 4)
     assert Cycle((0, 1, 4, 3)).canonical() in quads
-    with pytest.raises(BadLength):
-        enumerate_pc_cycles(double_pentagon, 0, 6)
+    for bad in (6, 4.5, 4.0, "4"):
+        with pytest.raises(BadLength):
+            enumerate_pc_cycles(double_pentagon, 0, bad)
+        with pytest.raises(BadLength):
+            has_pc_cycle(double_pentagon, 0, bad)
 
 
 def test_enumerate_matches_naive_oracle():
@@ -140,24 +143,6 @@ def test_has_pc_cycle_agrees_with_enumeration(double_pentagon):
                     assert found.canonical() in listed
                     hits += 1
     assert hits > 0 and misses > 0
-
-
-def test_quadrangle_search_is_the_unrolled_walk():
-    # pc_quadrangle_search must return exactly the walk's first 4-cycle
-    graphs = [g for g in exhaustive_colorings(4) if find_monochromatic_triangle(g) is None]
-    mono_free_k5 = (g for g in exhaustive_colorings(5) if find_monochromatic_triangle(g) is None)
-    graphs += itertools.islice(mono_free_k5, 0, None, 7)
-    for n in range(6, 17):
-        for seed in range(20):
-            graphs.append(gallai_coloring(n, seed)[0])
-            graphs.append(random_no_mono_triangle(n, 4 + seed % 3, seed))
-    misses = 0
-    for g in graphs:
-        for v in range(g.n):
-            quad = pc_quadrangle_search(g, v)
-            assert quad == has_pc_cycle(g, v, 4)
-            misses += quad is None
-    assert len(graphs) > 11000 and misses > 0
 
 
 def test_hamilton_path_examples(double_pentagon, mono_k3):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -101,6 +102,17 @@ def test_gallai_triangles_have_two_colors():
     g, _ = gallai_coloring(9, seed=4)
     for a, b, c in itertools.combinations(range(9), 3):
         assert len({g.color(a, b), g.color(a, c), g.color(b, c)}) == 2
+
+
+def test_gallai_n64_stream_is_pinned():
+    # sha256 over the instance and top-level partition of seeds 0..9; the
+    # part colorings are drawn from a list built once per part count
+    digest = hashlib.sha256()
+    for seed in range(10):
+        g, parts = gallai_coloring(64, seed)
+        digest.update(f"{dumps_instance(g)}\n{parts}\n".encode())
+    want = "ecfa1ddefea2b99bbb18d6db5d21e71c8e4edda1a80ad11fc5ac7dc3c2a56ac3"
+    assert digest.hexdigest() == want
 
 
 def test_exhaustive_counts():
