@@ -15,7 +15,11 @@ values that agree with f, so it ends without conflict (see
 degeneracy_status).  A seed loop that reaches vertex u has seen every seed
 of the vertices below u end without a proper set, and a closure that pulls
 one of those vertices in contains such a dead seed's closure, so it cannot
-be proper either: the loop abandons it at that point.
+be proper either: the loop abandons it at that point.  A closure from
+(u, c) first pulls in every vertex below u that u meets in a color other
+than c, so with u >= 1 it can survive only when all edges from u to
+0..u-1 have color c: the loop closes the one seed (u, color(u, 0)) at
+such a u, none at any other u >= 1, and every seed of vertex 0.
 
 The monochromatic-triangle scan runs over per-vertex, per-color neighbor
 bitmasks, and the graph remembers its answer, so every caller after the
@@ -27,8 +31,9 @@ from __future__ import annotations
 
 import enum
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import ColoredCompleteGraph
 from .errors import NotAPartition, TooSmall
@@ -99,9 +104,12 @@ class DegeneracyCertificate:
     def check(self, g: ColoredCompleteGraph) -> bool:
         """Edge-by-edge validation of both compatibility clauses.
 
-        S must be a nonempty set of vertices of g, the keys of f.
+        S must be a nonempty set or frozenset of vertices of g, and f a
+        mapping keyed by S; any other shape answers False.
         """
-        if not self.S or not set(self.f) == set(self.S):
+        if not isinstance(self.S, (set, frozenset)) or not isinstance(self.f, Mapping):
+            return False
+        if not self.S or set(self.f) != self.S:
             return False
         if not all(isinstance(v, int) and 0 <= v < g.n for v in self.S):
             return False
@@ -227,6 +235,17 @@ def degeneracy_status(g: ColoredCompleteGraph) -> DegeneracyStatus:
     would contain an earlier seed's closure, which then could not conflict
     and would be an earlier full map.  So the full map comes from a seed at
     vertex 0, where no vertex lies below the bound.
+
+    So most seeds are not closed at all.  A closure from (u, c) pops u
+    first, with f(u) = c, and any edge from u to a vertex x < u whose color
+    is not c would pull x in, so it is abandoned at once unless every edge
+    from u to 0..u-1 has color c.  For u >= 1 that leaves only
+    c = color(u, 0), and only when color(u, x) = color(u, 0) for every
+    x < u; the loop skips every other seed of u, and all of u when those
+    edges show two colors.  Each skipped closure would have been abandoned,
+    which the loop passes over anyway, so the seed order and the first
+    proper or full closure are unchanged.  Vertex 0 has nothing below it
+    and keeps all its seeds.
     """
     n = g.n
     if n < 2:
@@ -236,7 +255,16 @@ def degeneracy_status(g: ColoredCompleteGraph) -> DegeneracyStatus:
     full_dense = None
     for u in range(n):
         row = m[u]
-        for c in sorted({row[v] for v in range(n) if v != u}):
+        if u:
+            # the closure from (u, c) survives its first check only when
+            # every edge from u to 0..u-1 has color c, so c = row[0]
+            c = row[0]
+            if row[:u].count(c) != u:
+                continue
+            seeds = (c,)
+        else:
+            seeds = sorted(set(row[1:]))
+        for c in seeds:
             f = _closure_dense(m, n, u, c, u)
             if f is None:
                 continue
@@ -259,9 +287,13 @@ def verify_gallai_partition(g: ColoredCompleteGraph, parts: Sequence) -> bool:
     """True iff every cross-part pair is monochromatic and at most two colors cross.
 
     Raises NotAPartition unless parts are >= 2 nonempty disjoint sets of
-    int vertices covering the vertices exactly.
+    int vertices covering the vertices exactly, also when parts or a part
+    is no collection of vertices.
     """
-    sets = [set(p) for p in parts]
+    try:
+        sets = [set(p) for p in parts]
+    except TypeError:
+        raise NotAPartition("parts must be collections of int vertices") from None
     if len(sets) < 2 or any(not s for s in sets):
         raise NotAPartition("need at least two nonempty parts")
     if not all(isinstance(v, int) for s in sets for v in s):

@@ -290,34 +290,48 @@ def validate_result(g: ColoredCompleteGraph, result: TrichotomyResult) -> bool:
     with a properly colored L-cycle through v.  A cycle's vertices are
     distinct vertices of g, so these distinct keys are then exactly the
     (v, L) with 4 <= L <= n.  One cycle object filed under several entries
-    is checked for being properly colored once.  A table that is no dict,
-    or a key or entry of another shape, fails the check.  A relabel must be
-    a bijection of 0..4.
+    is checked for being properly colored once, and its length and vertex
+    set are taken then too; each entry is checked against those.  A
+    degenerate set must pass DegeneracyCertificate.check and leave a vertex
+    out, and a relabel must be a dict that is a bijection of 0..4.  A
+    certificate of another shape (a table that is no dict, a key or entry
+    of another shape, a malformed set or relabel) fails the check.
     """
     if result.tag is TrichotomyTag.PANCYCLIC:
         table = result.cycles
         if not isinstance(table, dict) or len(table) != g.n * (g.n - 3):
             return False
-        proper = set()  # ids of checked cycles, kept alive by result.cycles
+        # id of a checked cycle -> (length, vertex set); result.cycles keeps
+        # the ids alive
+        checked: Dict = {}
         try:
             for (v, ln), cyc in table.items():
-                if ln < 4 or len(cyc) != ln or v not in cyc:
+                if ln < 4:
                     return False
-                if id(cyc) not in proper:
+                seen = checked.get(id(cyc))
+                if seen is None:
                     if not is_pc_cycle(g, cyc):
                         return False
-                    proper.add(id(cyc))
+                    vs = cyc.vertices if isinstance(cyc, Cycle) else tuple(cyc)
+                    seen = checked[id(cyc)] = (len(vs), frozenset(vs))
+                if seen[0] != ln or v not in seen[1]:
+                    return False
         except (TypeError, ValueError, UnknownVertex, RepeatedVertex):
             return False
         return True
     if result.tag is TrichotomyTag.PROPER_DEGENERATE:
         cert = result.certificate
-        return cert is not None and len(cert.S) < g.n and cert.check(g)
+        return (
+            isinstance(cert, DegeneracyCertificate)
+            and cert.check(g)
+            and len(cert.S) < g.n
+        )
     relabel = result.relabel
     if (
-        relabel is None
+        not isinstance(relabel, dict)
         or g.n != 5
-        or sorted(relabel) != list(range(5))
+        or set(relabel) != set(range(5))
+        or not all(isinstance(w, int) for w in relabel.values())
         or sorted(relabel.values()) != list(range(5))
     ):
         return False

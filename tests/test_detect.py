@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from pcgraph import build
+from pcgraph import build, detect
 from pcgraph.detect import (
     DegeneracyTag,
     closure_from_seed,
@@ -132,17 +132,59 @@ def test_pruned_seed_loop_matches_plain_loop_k4():
 
 def test_pruned_seed_loop_matches_plain_loop_random():
     tags = set()
-    for n in range(6, 13):
-        for seed in range(8):
-            pool = [
-                random_degenerate(n, random_fibers(n, seed), seed)[0],
-                gallai_coloring(n, seed)[0],
-                random_no_mono_triangle(n, 4 + seed % 2, seed),
-            ]
-            for g in pool:
-                _assert_matches_plain_loop(g)
-                tags.add(degeneracy_status(g).tag)
+    cases = [(n, seed, 4 + seed % 2) for n in range(6, 13) for seed in range(8)]
+    cases += [(n, seed, 12) for n in (24, 64) for seed in range(3)]
+    for n, seed, k in cases:
+        pool = [
+            random_degenerate(n, random_fibers(n, seed), seed)[0],
+            gallai_coloring(n, seed)[0],
+            random_no_mono_triangle(n, k, seed),
+        ]
+        for g in pool:
+            _assert_matches_plain_loop(g)
+            tags.add(degeneracy_status(g).tag)
     assert tags == set(DegeneracyTag)
+
+
+def test_pruned_seed_loop_matches_plain_loop_every_4th_k5():
+    # the seed pruning keeps the answer on every 4th mono-free K5 coloring
+    count = 0
+    for g in exhaustive_colorings(5):
+        if find_monochromatic_triangle(g) is None:
+            if count % 4 == 0:
+                _assert_matches_plain_loop(g)
+            count += 1
+    assert count == 81909
+
+
+def _closures_after_pruning(g):
+    """Colors at vertex 0 plus the vertices u >= 1 whose edges to 0..u-1 share one color."""
+    n = g.n
+    at_zero = len({g.color(0, v) for v in range(1, n)})
+    return at_zero + sum(
+        1 for u in range(1, n) if len({g.color(u, x) for x in range(u)}) == 1
+    )
+
+
+def test_seed_loop_closes_only_one_color_prefix_seeds(monkeypatch):
+    # every other seed of a vertex u >= 1 dies on its first check, so the
+    # loop does not close it
+    calls = []
+    closure = detect._closure_dense
+
+    def counting(*args):
+        calls.append(args)
+        return closure(*args)
+
+    monkeypatch.setattr(detect, "_closure_dense", counting)
+    counts = []
+    for seed in range(5):
+        g = random_degenerate(64, random_fibers(64, seed), seed)[0]
+        calls.clear()
+        assert degeneracy_status(g).tag is DegeneracyTag.FULL_ONLY
+        assert len(calls) == _closures_after_pruning(g)
+        counts.append(len(calls))
+    assert counts == [38, 31, 36, 30, 37]
 
 
 def test_closure_minimality_small():
@@ -204,6 +246,10 @@ def test_gallai_partition_checker_rejects(double_pentagon):
         verify_gallai_partition(double_pentagon, [[0, 1], [1, 2, 3, 4]])
     with pytest.raises(NotAPartition):
         verify_gallai_partition(double_pentagon, [[0, 1], [2, 3]])
+    # parts, or a part, that are no collection of vertices
+    for parts in (None, [0, 1], [[[0]], [1]]):
+        with pytest.raises(NotAPartition):
+            verify_gallai_partition(double_pentagon, parts)
 
 
 def test_gallai_partition_checker_rejects_non_int_vertices():

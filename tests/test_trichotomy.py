@@ -291,6 +291,47 @@ def test_validate_result_rejects_malformed_tables():
         assert not validate_result(g, dataclasses.replace(result, cycles=table)), key
 
 
+def test_validate_result_checks_shared_tuples():
+    # entries that are not Cycles take the memo's tuple branch
+    g = _full_only(12, 1)
+    result = classify(g)
+    table = {key: cyc.vertices for key, cyc in result.cycles.items()}
+    tuples = dataclasses.replace(result, cycles=table)
+    assert validate_result(g, tuples)
+    ln = 6
+    shared = table[(0, ln)]
+    assert sum(1 for vs in table.values() if vs is shared) > 1
+    off = next(v for v in range(g.n) if v not in shared)
+    assert not validate_result(g, _refiled(tuples, {(off, ln): shared}))
+    assert not validate_result(g, _refiled(tuples, {(max(shared), ln + 1): shared}))
+
+
+def test_validate_result_rejects_malformed_degenerate_sets_and_relabels(double_pentagon):
+    # tag (b) and (c) certificates of another shape answer False, as tag (a)
+    # tables do, instead of raising
+    g = double_pentagon
+    assert not DegeneracyCertificate(frozenset({0}), None).check(g)
+    for cert in (
+        DegeneracyCertificate(None, {}),
+        DegeneracyCertificate([[1]], {}),
+        {"S": [0], "f": {0: 0}},
+        None,
+    ):
+        forged = TrichotomyResult(TrichotomyTag.PROPER_DEGENERATE, g, certificate=cert)
+        assert not validate_result(g, forged), cert
+    result = classify(g)
+    assert result.tag is TrichotomyTag.EXCEPTIONAL_K5 and validate_result(g, result)
+    for relabel in (
+        {0: 0, 1: 1, 2: 2, 3: 3, "x": 4},
+        {0: 0, 1: 1, 2: 2, 3: 3, 4: "x"},
+        {0: 0, 1: 1, 2: 2, 3: 3, 4: [4]},
+        [0, 1, 2, 3, 4],
+        None,
+    ):
+        forged = dataclasses.replace(result, relabel=relabel)
+        assert not validate_result(g, forged), relabel
+
+
 def test_validate_result_rejects_non_bijective_relabel():
     # the canonical matrix pulled back along a relabel that merges 0 and 1;
     # edge 01 then has no canonical color and gets a third one
