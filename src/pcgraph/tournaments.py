@@ -11,8 +11,12 @@ Both rules are complete (see _extend_cycle, after Moon's theorem), so no
 search backs them up.  A directed L-cycle serves every vertex on it, so
 mpt_cycles_through keeps one table per digraph and builds a cycle only for a
 vertex that no earlier cycle of that length covers, first trying to make it
-of other such vertices, so few cycles cover the table.  A strong tournament is
-the special case without 2-parts: cycles_through adds a triangle to the same
+of other such vertices, so few cycles cover the table.  Each cycle carries
+its vertex mask, which an insertion or a swap updates in place of a rebuild,
+and a new cycle is filed under exactly the set bits of that mask that no
+earlier cycle covers.  One call for the last vertex fills the whole table,
+which cycle_table() then hands out read-only.  A strong tournament is the
+special case without 2-parts: cycles_through adds a triangle to the same
 table's lengths 4..n.  Every search over vertices (insertion and swap
 candidates, the triangle and quadrangle closers, disjointness, strong
 connectivity) is an AND of out- and in-neighbor bitmasks whose lowest set
@@ -22,11 +26,14 @@ The bridge to edge-colored graphs: a full compatible vertex-to-color map f
 orients each cross-fiber edge toward the endpoint whose f-value it misses,
 producing such a tournament; directed cycles of the orientation pull back to
 properly colored cycles because consecutive arcs carry distinct f-values.
+reduce_degenerate builds the tournament's bitmasks straight from the color
+matrix rows, reading each pair once, where the arc-list constructor would
+check every arc again.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .core import ColoredCompleteGraph
 from .cycles import Cycle
@@ -54,25 +61,35 @@ def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def _members(mask: int) -> tuple:
+    """Indices of the set bits of a mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 class MultipartiteTournament:
     """Loopless digraph on 0..n-1 with parts of size <= 2 and one arc per cross pair.
 
-    Each vertex u keeps its out-neighbors as a sorted tuple and, like its
-    in-neighbors, as a bitmask: bit w of ``_outmask[u]`` (``_inmask[u]``) is
-    set for an arc u -> w (w -> u).  A search for a vertex with given arcs
-    is then one AND whose lowest set bit is the smallest such vertex.
+    Each vertex u keeps its out- and in-neighbors as bitmasks: bit w of
+    ``_outmask[u]`` (``_inmask[u]``) is set for an arc u -> w (w -> u).  A
+    search for a vertex with given arcs is then one AND whose lowest set bit
+    is the smallest such vertex.
 
     Instances are immutable, so derived facts are computed at most once and
     remembered: the strong-connectivity and disjointness checks (negative
     results included), and mpt_cycles_through's cycle table, a per-length
-    map vertex -> directed cycle filled in vertex order, in which one cycle
-    is filed under every vertex it covers, with a per-length bitmask of the
-    vertices filed so far.
+    list indexed by vertex, filled in vertex order, in which one cycle is
+    filed under every vertex it covers, beside its vertex mask, with a
+    per-length bitmask of the vertices filed so far.
     """
 
     __slots__ = (
-        "n", "parts", "part_of", "_out", "_outmask", "_inmask",
-        "_strong", "_violation", "_cycles", "_filed", "_cycles_done",
+        "n", "parts", "part_of", "_outmask", "_inmask", "_strong", "_violation",
+        "_cycles", "_cycle_masks", "_filed", "_cycles_done",
     )
 
     def __init__(self, parts: Sequence[Iterable[int]], arcs: Iterable[Sequence[int]]):
@@ -90,7 +107,6 @@ class MultipartiteTournament:
         for i, p in enumerate(parts):
             for v in p:
                 part_of[v] = i
-        out = [[] for _ in range(n)]
         outmask = [0] * n
         inmask = [0] * n
         a = None
@@ -103,7 +119,6 @@ class MultipartiteTournament:
                     raise PreconditionViolated("arcs", f"arc inside a part: ({u},{v})")
                 if (outmask[u] | inmask[u]) >> v & 1:
                     raise PreconditionViolated("arcs", f"two arcs for pair ({u},{v})")
-                out[u].append(v)
                 outmask[u] |= 1 << v
                 inmask[v] |= 1 << u
         except TypeError:
@@ -116,15 +131,34 @@ class MultipartiteTournament:
             missing = full & ~own & ~(outmask[u] | inmask[u])
             if missing:
                 raise PreconditionViolated("arcs", f"no arc for pair ({u},{_lowest(missing)})")
+        self._init(parts, tuple(part_of), outmask, inmask)
+
+    @classmethod
+    def _from_masks(
+        cls, parts: tuple, part_of: tuple, outmask, inmask
+    ) -> "MultipartiteTournament":
+        """Trusted path for reduce_degenerate, which builds valid masks itself.
+
+        parts are sorted tuples partitioning 0..n-1, listed by their
+        smallest vertex, part_of[v] is the index of v's part, and the masks
+        hold exactly one arc per cross-part pair.
+        """
+        t = cls.__new__(cls)
+        t._init(parts, part_of, outmask, inmask)
+        return t
+
+    def _init(self, parts: tuple, part_of: tuple, outmask, inmask) -> None:
+        """The one initializer both constructors end in."""
+        n = len(part_of)
         self.n = n
         self.parts = parts
-        self.part_of = tuple(part_of)
-        self._out = tuple(tuple(sorted(o)) for o in out)
+        self.part_of = part_of
         self._outmask = tuple(outmask)
         self._inmask = tuple(inmask)
         self._strong = None
         self._violation = _UNKNOWN
-        self._cycles = {ln: {} for ln in range(4, n + 1)}
+        self._cycles = {ln: [None] * n for ln in range(4, n + 1)}
+        self._cycle_masks = {ln: [0] * n for ln in range(4, n + 1)}
         self._filed = dict.fromkeys(range(4, n + 1), 0)
         self._cycles_done = 0  # vertices 0.._cycles_done-1 hold every length
 
@@ -134,15 +168,32 @@ class MultipartiteTournament:
         return cls([(v,) for v in range(n)], arcs)
 
     def has_arc(self, u: int, v: int) -> bool:
-        return bool(self._outmask[u] >> v & 1)
+        """Whether u -> v is an arc; PreconditionViolated unless both are ints in 0..n-1."""
+        try:
+            if u >= 0 and v < self.n:
+                return bool(self._outmask[u] >> v & 1)
+        except (IndexError, TypeError, ValueError):
+            # u >= n or a non-int vertex fails the index or the shift, and a
+            # negative v the shift, so a valid call pays two comparisons only
+            pass
+        raise PreconditionViolated("vertex", f"({u!r},{v!r}) has a vertex outside 0..{self.n - 1}")
 
     def out_neighbors(self, u: int) -> tuple:
-        return self._out[u]
+        return _members(self._outmask[u])
 
     def arcs(self):
         for u in range(self.n):
-            for v in self._out[u]:
+            for v in _members(self._outmask[u]):
                 yield (u, v)
+
+    def cycle_table(self) -> Dict[int, tuple]:
+        """mpt_cycles_through's table as filled so far.
+
+        Maps each length L to a tuple indexed by vertex: the directed
+        L-cycle filed under that vertex, or None while it has none.  One
+        cycle object fills every entry it covers.
+        """
+        return {ln: tuple(row) for ln, row in self._cycles.items()}
 
     def is_tournament(self) -> bool:
         return all(len(p) == 1 for p in self.parts)
@@ -196,13 +247,24 @@ def _strongly_connected(t: MultipartiteTournament) -> bool:
 
 
 def is_directed_cycle(t: MultipartiteTournament, seq: Sequence[int]) -> bool:
-    if len(seq) < 3 or len(set(seq)) != len(seq):
+    """Whether seq is a directed cycle of t; False for any vertex outside t."""
+    try:
+        if len(seq) < 3 or len(set(seq)) != len(seq):
+            return False
+        return all(t.has_arc(seq[i], seq[(i + 1) % len(seq)]) for i in range(len(seq)))
+    except (PreconditionViolated, TypeError):
+        # has_arc rejects a vertex outside 0..n-1; set() an unhashable one
         return False
-    return all(t.has_arc(seq[i], seq[(i + 1) % len(seq)]) for i in range(len(seq)))
 
 
-def _extend_cycle(t: MultipartiteTournament, cyc: tuple, v: int, prefer: int) -> tuple:
+def _extend_cycle(
+    t: MultipartiteTournament, cyc: tuple, v: int, prefer: int, mask: Optional[int] = None
+) -> Tuple[tuple, int]:
     """One-longer directed cycle through v, preferring a vertex of mask prefer.
+
+    Returns the cycle with its vertex mask.  mask is cyc's vertex mask,
+    computed here when not given; an insertion adds one bit to it and a
+    swap changes three.
 
     First tries single-vertex insertion at a dominance switch with the
     inserted vertex in prefer (first position, smallest vertex), then the
@@ -227,15 +289,18 @@ def _extend_cycle(t: MultipartiteTournament, cyc: tuple, v: int, prefer: int) ->
     """
     outm = t._outmask
     inm = t._inmask
-    # the vertices are distinct, so the sum of their bits is their mask
-    outside = ((1 << t.n) - 1) ^ sum(map(_BIT, cyc))
+    if mask is None:
+        # the vertices are distinct, so the sum of their bits is their mask
+        mask = sum(map(_BIT, cyc))
+    outside = ((1 << t.n) - 1) ^ mask
     ln = len(cyc)
     for among in (outside & prefer, outside):
         if among:
             for i in range(ln):
                 hits = outm[cyc[i]] & inm[cyc[(i + 1) % ln]] & among
                 if hits:
-                    return cyc[: i + 1] + (_lowest(hits),) + cyc[i + 1 :]
+                    w = hits & -hits
+                    return cyc[: i + 1] + (w.bit_length() - 1,) + cyc[i + 1 :], mask | w
     for i in range(ln):
         if cyc[i] == v:
             continue
@@ -245,7 +310,9 @@ def _extend_cycle(t: MultipartiteTournament, cyc: tuple, v: int, prefer: int) ->
             x = _lowest(xs)
             zs = outm[x] & into_b
             if zs:
-                return cyc[:i] + (x, _lowest(zs)) + cyc[i + 1 :]
+                z = zs & -zs
+                swapped = (mask ^ _BIT(cyc[i])) | _BIT(x) | z
+                return cyc[:i] + (x, z.bit_length() - 1) + cyc[i + 1 :], swapped
             xs &= xs - 1
     raise InternalError(
         f"no directed {ln + 1}-cycle through {v} grown from {list(cyc)}",
@@ -260,10 +327,13 @@ def _triangle_through(t: MultipartiteTournament, v: int) -> tuple:
     v; any such arc a -> b closes v -> a -> b -> v.
     """
     into_v = t._inmask[v]
-    for a in t.out_neighbors(v):
+    from_v = t._outmask[v]
+    while from_v:
+        a = _lowest(from_v)
         hits = t._outmask[a] & into_v
         if hits:
             return (v, a, _lowest(hits))
+        from_v &= from_v - 1
     raise InternalError(
         f"no triangle through {v} in a strong tournament",
         context={"digraph": t.to_json_dict(), "vertex": v},
@@ -352,7 +422,8 @@ def mpt_cycles_through(t: MultipartiteTournament, v: int) -> Dict[int, tuple]:
     at each length L, an L-cycle already filed under it when there is one,
     and otherwise builds one (_quadrangle_through at L = 4, _extend_cycle of
     u's (L-1)-cycle above) and files it under every vertex on it that has no
-    L-cycle yet.  A build prefers the vertices with no L-cycle yet: the
+    L-cycle yet: the set bits of its vertex mask, which each cycle carries
+    beside it, outside the length's mask of filed vertices.  A build prefers the vertices with no L-cycle yet: the
     quadrangle scan first looks for one made of them, and growth first
     tries to insert one of them.  So a new cycle covers as many unserved
     vertices as these first tries find, and at n = 64 about 300 distinct
@@ -374,22 +445,29 @@ def mpt_cycles_through(t: MultipartiteTournament, v: int) -> Dict[int, tuple]:
         )
     _check_vertex(t, v)
     table = t._cycles
+    masks = t._cycle_masks
     filed = t._filed
     for u in range(t._cycles_done, v + 1):
-        cur = None
+        cyc = None
         for ln in range(4, n + 1):
             row = table[ln]
-            cyc = row.get(u)
+            mrow = masks[ln]
+            if row[u] is not None:
+                cyc, mask = row[u], mrow[u]
+                continue
+            unc = ~filed[ln]
             if cyc is None:
-                unc = ~filed[ln]
-                if cur is None:
-                    cyc = _quadrangle_through(t, u, unc)
-                else:
-                    cyc = _extend_cycle(t, cur, u, unc)
-                for w in cyc:
-                    row.setdefault(w, cyc)
-                filed[ln] |= sum(map(_BIT, cyc))
-            cur = cyc
+                cyc = _quadrangle_through(t, u, unc)
+                mask = sum(map(_BIT, cyc))
+            else:
+                cyc, mask = _extend_cycle(t, cyc, u, unc, mask)
+            new = mask & unc
+            filed[ln] |= new
+            while new:
+                w = (new & -new).bit_length() - 1
+                row[w] = cyc
+                mrow[w] = mask
+                new &= new - 1
         t._cycles_done = u + 1
     return {ln: row[v] for ln, row in table.items()}
 
@@ -401,33 +479,66 @@ def reduce_degenerate(g: ColoredCompleteGraph, f) -> MultipartiteTournament:
 
     Fibers of f become the parts (size > 2 would force a monochromatic
     triangle and raises FiberTooLarge); each cross-fiber edge uv becomes the
-    arc u -> v exactly when its color is f(u) but not f(v).
+    arc u -> v exactly when its color is f(u) but not f(v).  An edge whose
+    color is neither f(u) nor f(v) raises IncompatibleFunction, naming the
+    first such pair (u, v), u < v, in lexicographic order; so does an f
+    that is no map from every vertex to a hashable value.
+
+    The f-values are mapped to g's dense color indices once (a value that
+    colors no edge gets a fresh index, which no matrix entry matches), and
+    one pass over the matrix rows above the diagonal sets both endpoints'
+    bitmasks for each cross pair, so no arc list is built or checked again.
     """
     n = g.n
-    for v in range(n):
-        if v not in f:
-            raise IncompatibleFunction(f"f is missing vertex {v}")
+    try:
+        for v in range(n):
+            if v not in f:
+                raise IncompatibleFunction(f"f is missing vertex {v}")
+        dense = {c: d for d, c in enumerate(g._palette)}
+        fd = [dense.setdefault(f[v], len(dense)) for v in range(n)]
+    except TypeError:
+        raise IncompatibleFunction("f must map every vertex to a hashable color") from None
     fibers: Dict[int, list] = {}
-    for v in range(n):
-        fibers.setdefault(f[v], []).append(v)
-    for value, members in fibers.items():
+    for v, d in enumerate(fd):
+        fibers.setdefault(d, []).append(v)
+    for members in fibers.values():
         if len(members) > 2:
             raise FiberTooLarge(
-                f"fiber of color {value} has {len(members)} vertices {members}; "
+                f"fiber of color {f[members[0]]} has {len(members)} vertices {members}; "
                 "this forces a monochromatic triangle"
             )
-    arcs = []
+    # fibers are listed by their first, hence smallest, vertex
+    parts = tuple(map(tuple, fibers.values()))
+    part_of = [0] * n
+    for i, p in enumerate(parts):
+        for v in p:
+            part_of[v] = i
+    m = g._m
+    bit = tuple(map(_BIT, range(n)))
+    outmask = [0] * n
+    inmask = [0] * n
     for u in range(n):
-        fu = f[u]
+        row = m[u]
+        du = fd[u]
+        bu = bit[u]
+        out_u = in_u = 0
         for v in range(u + 1, n):
-            c = g.color(u, v)
-            if c != fu and c != f[v]:
-                raise IncompatibleFunction(f"edge ({u},{v}) has color {c} not in f values")
-            if fu == f[v]:
-                continue
-            arcs.append((u, v) if c == fu else (v, u))
-    parts = sorted(fibers.values(), key=min)
-    return MultipartiteTournament(parts, arcs)
+            c = row[v]
+            dv = fd[v]
+            if c == du:
+                if dv != du:
+                    out_u |= bit[v]
+                    inmask[v] |= bu
+            elif c == dv:
+                outmask[v] |= bu
+                in_u |= bit[v]
+            else:
+                raise IncompatibleFunction(
+                    f"edge ({u},{v}) has color {g._palette[c]} not in f values"
+                )
+        outmask[u] |= out_u
+        inmask[u] |= in_u
+    return MultipartiteTournament._from_masks(parts, tuple(part_of), outmask, inmask)
 
 
 def lift_cycle(g: ColoredCompleteGraph, f, cycle: Sequence[int]) -> Cycle:

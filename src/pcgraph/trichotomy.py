@@ -133,17 +133,23 @@ def _pancyclic_via_orientation(g: ColoredCompleteGraph, cert: DegeneracyCertific
       is compatible.  So (S, f|S) is a proper degenerate set, and
       degeneracy_status would have returned PROPER_SET, not FULL_ONLY.
 
-    mpt_cycles_through files one directed cycle under every vertex it
-    covers, so each distinct cycle is lifted once and the same Cycle object
-    fills every (vertex, length) entry it certifies.  The memo is keyed by
-    the identity of the table's tuple, which t keeps alive, so a lookup
-    does not hash a cycle of up to n vertices.
+    One mpt_cycles_through call, for the last vertex, fills t's whole
+    table, since the table is filled in vertex order; the rest is read from
+    t.cycle_table() in one walk over its entries.  The table files one
+    directed cycle under every vertex it covers, so each distinct cycle is
+    lifted once and the same Cycle object fills every (vertex, length)
+    entry it certifies.  The memo is keyed by the identity of the table's
+    tuple, which t keeps alive, so a lookup does not hash a cycle of up to
+    n vertices.
     """
     t = reduce_degenerate(g, cert.f)
+    mpt_cycles_through(t, g.n - 1)
+    rows = t.cycle_table().items()
     cycles: Dict = {}
     lifted: Dict = {}  # id of a directed cycle in t's table -> its lift
     for v in range(g.n):
-        for ln, dc in mpt_cycles_through(t, v).items():
+        for ln, row in rows:
+            dc = row[v]
             cyc = lifted.get(id(dc))
             if cyc is None:
                 cyc = lifted[id(dc)] = lift_cycle(g, cert.f, dc)

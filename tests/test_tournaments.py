@@ -10,6 +10,7 @@ from pcgraph.cycles import is_pc_cycle
 from pcgraph.detect import DegeneracyTag, degeneracy_status
 from pcgraph.errors import (
     CycleNotInDigraph,
+    FiberTooLarge,
     IncompatibleFunction,
     NotATournament,
     NotStronglyConnected,
@@ -83,6 +84,24 @@ def test_missing_arc_is_named():
         MultipartiteTournament([(0,), (1,), (2,), (3,)], [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)])
     with pytest.raises(PreconditionViolated, match=r"no arc for pair \(0,2\)"):
         MultipartiteTournament([(0, 1), (2,), (3,)], [(1, 2), (0, 3), (1, 3), (2, 3)])
+
+
+def test_arc_checks_reject_vertices_outside_the_digraph():
+    t = random_tournament(5, 3)
+    cyc = cycles_through(t, 0)[3]
+    assert is_directed_cycle(t, cyc)
+    for bad in (-1, 5, 2.0, "1", None, [0]):
+        for at in range(3):
+            seq = cyc[:at] + (bad,) + cyc[at + 1 :]
+            assert is_directed_cycle(t, seq) is False
+        with pytest.raises(PreconditionViolated, match="vertex"):
+            t.has_arc(0, bad)
+        with pytest.raises(PreconditionViolated, match="vertex"):
+            t.has_arc(bad, 0)
+    assert is_directed_cycle(t, (0, 1, -1)) is False
+    assert is_directed_cycle(t, (5, 0, 1)) is False
+    assert is_directed_cycle(t, (0, 1, 2.0)) is False
+    assert t.has_arc(cyc[0], cyc[1]) and not t.has_arc(cyc[1], cyc[0])
 
 
 def test_cycles_through_triangle():
@@ -292,6 +311,37 @@ def test_mpt_table_covers_each_length_with_few_cycles():
         assert all(is_directed_cycle(t, cyc) for cyc in distinct.values())
 
 
+def _vertex_mask(cyc):
+    return sum(1 << w for w in cyc)
+
+
+def test_cycle_table_and_its_masks():
+    # the table read through cycle_table is what mpt_cycles_through hands
+    # out, and the vertex mask filed beside each cycle is that cycle's, so
+    # the masks carried through insertions and swaps are right
+    for seed in range(6):
+        n = 8 + 4 * seed
+        g, f = random_degenerate(n, random_fibers(n, seed), seed)
+        t = reduce_degenerate(g, f)
+        if not (is_strongly_connected(t) and t.disjointness_violation() is None):
+            continue
+        assert all(c is None for row in t.cycle_table().values() for c in row)
+        mpt_cycles_through(t, n - 1)
+        table = t.cycle_table()
+        assert list(table) == list(range(4, n + 1))
+        for v in range(n):
+            assert mpt_cycles_through(t, v) == {ln: row[v] for ln, row in table.items()}
+        for ln, row in table.items():
+            assert all(t._cycle_masks[ln][v] == _vertex_mask(cyc) for v, cyc in enumerate(row))
+            assert t._filed[ln] == (1 << n) - 1
+    arcs = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
+    arcs += [(c, d) for c in range(3) for d in (3, 4)] + [(5, c) for c in range(3)]
+    t = MultipartiteTournament.tournament(6, arcs)
+    for mask in (None, 0b111):
+        swapped = tournaments_mod._extend_cycle(t, (0, 1, 2), 0, 0, mask)
+        assert swapped == ((0, 4, 5, 2), _vertex_mask((0, 4, 5, 2)))
+
+
 def test_mpt_cycles_reject_unknown_vertex():
     t = random_multipartite_tournament(6, 1)
     for v in (-1, 6, 1.5, "0", None):
@@ -403,7 +453,7 @@ def test_extend_cycle_is_complete():
                 if len(cyc) == t.n:
                     continue
                 for prefer in (0, (1 << t.n) - 1, rng.getrandbits(t.n)):
-                    got = tournaments_mod._extend_cycle(t, cyc, v, prefer)
+                    got = tournaments_mod._extend_cycle(t, cyc, v, prefer)[0]
                     assert len(got) == len(cyc) + 1 and v in got and is_directed_cycle(t, got)
                     assert got == _first_extension(t, cyc, v, prefer)
                     if not prefer:
@@ -422,7 +472,7 @@ def test_extend_cycle_swap_tries_every_dominated_vertex():
     arcs += [(c, d) for c in range(3) for d in (3, 4)] + [(5, c) for c in range(3)]
     t = MultipartiteTournament.tournament(6, arcs)
     assert is_strongly_connected(t)
-    got = tournaments_mod._extend_cycle(t, (0, 1, 2), 0, 0)
+    got = tournaments_mod._extend_cycle(t, (0, 1, 2), 0, 0)[0]
     assert got == (0, 4, 5, 2) == _first_extension(t, (0, 1, 2), 0)
 
 
@@ -499,6 +549,81 @@ def test_reduce_degenerate_errors():
     with pytest.raises(Exception) as err:
         reduce_degenerate(mono, {0: 5, 1: 5, 2: 5})
     assert "fiber" in str(err.value).lower()
+
+
+def test_reduce_degenerate_rejects_malformed_maps():
+    g, f = random_degenerate(6, random_fibers(6, 2), 2)
+    for bad in (None, 5, {**f, 0: [1]}, {**f, 3: {}}, {v: f[v] for v in range(5)}):
+        with pytest.raises(IncompatibleFunction):
+            reduce_degenerate(g, bad)
+
+
+def _reference_reduce(g, f):
+    """Arc-list orientation by a plain g.color loop over pairs in lexicographic order."""
+    n = g.n
+    for v in range(n):
+        if v not in f:
+            raise IncompatibleFunction(f"f is missing vertex {v}")
+    fibers = {}
+    for v in range(n):
+        fibers.setdefault(f[v], []).append(v)
+    for value, members in fibers.items():
+        if len(members) > 2:
+            raise FiberTooLarge(
+                f"fiber of color {value} has {len(members)} vertices {members}; "
+                "this forces a monochromatic triangle"
+            )
+    arcs = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            c = g.color(u, v)
+            if c != f[u] and c != f[v]:
+                raise IncompatibleFunction(f"edge ({u},{v}) has color {c} not in f values")
+            if f[u] != f[v]:
+                arcs.append((u, v) if c == f[u] else (v, u))
+    return MultipartiteTournament(sorted(fibers.values(), key=min), arcs)
+
+
+def _same_digraph(t, ref):
+    assert t.n == ref.n and t.parts == ref.parts and t.part_of == ref.part_of
+    assert t._outmask == ref._outmask and t._inmask == ref._inmask
+    assert all(t.out_neighbors(u) == ref.out_neighbors(u) for u in range(t.n))
+    assert list(t.arcs()) == list(ref.arcs())
+
+
+def test_reduce_degenerate_matches_the_arc_list_reference():
+    for n in list(range(5, 17)) + [32, 64]:
+        for seed in range(20):
+            g, f = random_degenerate(n, random_fibers(n, seed), seed)
+            _same_digraph(reduce_degenerate(g, f), _reference_reduce(g, f))
+
+
+def test_reduce_degenerate_names_the_reference_first_bad_pair():
+    # corrupt 1-3 values of a compatible map, to another color of g or to a
+    # value no edge carries; both sides must fail alike, or agree on t.  The
+    # colors are relabeled so that no color id equals its dense index
+    from pcgraph import build
+
+    rng = random.Random(9)
+    named = agreed = 0
+    for trial in range(400):
+        n = rng.choice([5, 6, 8, 11, 16, 32])
+        g, f = random_degenerate(n, random_fibers(n, trial), trial)
+        g = build(n, [(u, v, 3 * c + 5) for u, v, c in g.edges()])
+        bad = {v: 3 * c + 5 for v, c in f.items()}
+        for v in rng.sample(range(n), rng.randint(1, 3)):
+            bad[v] = rng.choice(sorted(g.palette) + [10**6 + v])
+        try:
+            want = _reference_reduce(g, bad)
+        except (IncompatibleFunction, FiberTooLarge) as err:
+            with pytest.raises(type(err)) as got:
+                reduce_degenerate(g, bad)
+            assert str(got.value) == str(err)
+            named += isinstance(err, IncompatibleFunction)
+        else:
+            _same_digraph(reduce_degenerate(g, bad), want)
+            agreed += 1
+    assert named > 200 and agreed > 0
 
 
 def test_lift_cycle_is_pc():

@@ -244,6 +244,25 @@ def test_orientation_route_lifts_each_shared_cycle_once(monkeypatch):
     assert validate_result(g, result)
 
 
+def test_orientation_route_fills_the_table_with_one_call(monkeypatch):
+    import pcgraph.trichotomy as trichotomy_mod
+
+    real = trichotomy_mod.mpt_cycles_through
+    calls = []
+
+    def counted(t, v):
+        calls.append(v)
+        return real(t, v)
+
+    monkeypatch.setattr(trichotomy_mod, "mpt_cycles_through", counted)
+    for n, seed in ((12, 1), (64, 0), (64, 1)):
+        g = _full_only(n, seed)
+        calls.clear()
+        result = classify(g)
+        assert result.tag is TrichotomyTag.PANCYCLIC and validate_result(g, result)
+        assert calls == [n - 1]
+
+
 def _refiled(result, changes):
     return dataclasses.replace(result, cycles={**result.cycles, **changes})
 
