@@ -111,24 +111,30 @@ def build(n: int, edges: Iterable[Sequence[int]]) -> ColoredCompleteGraph:
 
     Each entry is (u, v, color) with 0 <= u, v < n and u != v; colors are
     arbitrary integers.  Raises SelfLoop, DuplicateEdge or MissingEdge
-    naming the offending pair.
+    naming the offending pair, and InvalidInstance on a malformed entry.
     """
     if n < 1:
         raise TooSmall(f"need n >= 1, got {n}")
     raw = [[-1] * n for _ in range(n)]
     seen = [[False] * n for _ in range(n)]
     colors = set()
-    for entry in edges:
-        u, v, c = entry
-        if not (isinstance(u, int) and isinstance(v, int) and 0 <= u < n and 0 <= v < n):
-            raise UnknownVertex(f"edge endpoint out of range in ({u},{v})")
-        if u == v:
-            raise SelfLoop(f"({u},{v})")
-        if seen[u][v]:
-            raise DuplicateEdge(f"({min(u, v)},{max(u, v)})")
-        seen[u][v] = seen[v][u] = True
-        raw[u][v] = raw[v][u] = c
-        colors.add(c)
+    entry = None
+    try:
+        for entry in edges:
+            u, v, c = entry
+            if not (isinstance(u, int) and isinstance(v, int) and 0 <= u < n and 0 <= v < n):
+                raise UnknownVertex(f"edge endpoint out of range in ({u},{v})")
+            if u == v:
+                raise SelfLoop(f"({u},{v})")
+            if seen[u][v]:
+                raise DuplicateEdge(f"({min(u, v)},{max(u, v)})")
+            seen[u][v] = seen[v][u] = True
+            raw[u][v] = raw[v][u] = c
+            colors.add(c)
+    except (TypeError, ValueError):
+        raise InvalidInstance(f"bad edge entry {entry!r}") from None
+    if not all(isinstance(c, int) for c in colors):
+        raise InvalidInstance(f"edge colors must be integers, got {colors!r}")
     for u in range(n):
         for v in range(u + 1, n):
             if not seen[u][v]:

@@ -9,18 +9,15 @@ quadrangle through the vertex, then grows it by inserting an outside vertex
 at a dominance switch or swapping one cycle vertex for a dominated 2-path.
 Both rules are complete (see _extend_cycle, after Moon's theorem), so no
 search backs them up.  A directed L-cycle serves every vertex on it, so
-mpt_cycles_through keeps one table per digraph and builds a cycle only for a
-vertex that no earlier cycle of that length covers, first trying to make it
-of other such vertices, so few cycles cover the table.  Each cycle carries
-its vertex mask, which an insertion or a swap updates in place of a rebuild,
-and a new cycle is filed under exactly the set bits of that mask that no
-earlier cycle covers.  One call for the last vertex fills the whole table,
-which cycle_table() then hands out read-only.  A strong tournament is the
-special case without 2-parts: cycles_through adds a triangle to the same
-table's lengths 4..n.  Every search over vertices (insertion and swap
-candidates, the triangle and quadrangle closers, disjointness, strong
-connectivity) is an AND of out- and in-neighbor bitmasks whose lowest set
-bit is the smallest fitting vertex, the order a plain scan would take.
+mpt_cycles_through builds, per length, a cover of V by few cycles: it builds
+a cycle only for a vertex that no earlier cycle of that length covers, made
+of other such vertices where it can, and cycle_covers() hands the covers
+out.  A strong tournament is the special case without 2-parts:
+cycles_through adds a triangle to lengths 4..n.  Every search over vertices
+(insertion and swap candidates, the triangle and quadrangle closers,
+disjointness, strong connectivity) is an AND of out- and in-neighbor
+bitmasks whose lowest set bit is the smallest fitting vertex, the order a
+plain scan would take.
 
 The bridge to edge-colored graphs: a full compatible vertex-to-color map f
 orients each cross-fiber edge toward the endpoint whose f-value it misses,
@@ -81,15 +78,14 @@ class MultipartiteTournament:
 
     Instances are immutable, so derived facts are computed at most once and
     remembered: the strong-connectivity and disjointness checks (negative
-    results included), and mpt_cycles_through's cycle table, a per-length
-    list indexed by vertex, filled in vertex order, in which one cycle is
-    filed under every vertex it covers, beside its vertex mask, with a
-    per-length bitmask of the vertices filed so far.
+    results included), and mpt_cycles_through's table: per length, the
+    cycle filed under each vertex beside its vertex mask, the mask of the
+    vertices filed so far, and the cover, the cycles built in build order.
     """
 
     __slots__ = (
         "n", "parts", "part_of", "_outmask", "_inmask", "_strong", "_violation",
-        "_cycles", "_cycle_masks", "_filed", "_cycles_done",
+        "_cycles", "_cycle_masks", "_filed", "_covers", "_cycles_done",
     )
 
     def __init__(self, parts: Sequence[Iterable[int]], arcs: Iterable[Sequence[int]]):
@@ -160,6 +156,7 @@ class MultipartiteTournament:
         self._cycles = {ln: [None] * n for ln in range(4, n + 1)}
         self._cycle_masks = {ln: [0] * n for ln in range(4, n + 1)}
         self._filed = dict.fromkeys(range(4, n + 1), 0)
+        self._covers = dict.fromkeys(range(4, n + 1), ())
         self._cycles_done = 0  # vertices 0.._cycles_done-1 hold every length
 
     @classmethod
@@ -179,6 +176,8 @@ class MultipartiteTournament:
         raise PreconditionViolated("vertex", f"({u!r},{v!r}) has a vertex outside 0..{self.n - 1}")
 
     def out_neighbors(self, u: int) -> tuple:
+        """Out-neighbors of u in increasing order; PreconditionViolated unless u is in 0..n-1."""
+        _check_vertex(self, u)
         return _members(self._outmask[u])
 
     def arcs(self):
@@ -186,14 +185,14 @@ class MultipartiteTournament:
             for v in _members(self._outmask[u]):
                 yield (u, v)
 
-    def cycle_table(self) -> Dict[int, tuple]:
-        """mpt_cycles_through's table as filled so far.
+    def cycle_covers(self) -> Dict[int, tuple]:
+        """The directed cycles mpt_cycles_through has built so far, per length.
 
-        Maps each length L to a tuple indexed by vertex: the directed
-        L-cycle filed under that vertex, or None while it has none.  One
-        cycle object fills every entry it covers.
+        Maps each length L to the tuple of L-cycles built, in build order.
+        Once the table is filled, their vertex sets cover V, and the first
+        of them through v is the one mpt_cycles_through(t, v) gives for L.
         """
-        return {ln: tuple(row) for ln, row in self._cycles.items()}
+        return dict(self._covers)
 
     def is_tournament(self) -> bool:
         return all(len(p) == 1 for p in self.parts)
@@ -423,14 +422,16 @@ def mpt_cycles_through(t: MultipartiteTournament, v: int) -> Dict[int, tuple]:
     and otherwise builds one (_quadrangle_through at L = 4, _extend_cycle of
     u's (L-1)-cycle above) and files it under every vertex on it that has no
     L-cycle yet: the set bits of its vertex mask, which each cycle carries
-    beside it, outside the length's mask of filed vertices.  A build prefers the vertices with no L-cycle yet: the
-    quadrangle scan first looks for one made of them, and growth first
-    tries to insert one of them.  So a new cycle covers as many unserved
-    vertices as these first tries find, and at n = 64 about 300 distinct
-    cycles fill the table, not the 1,000 of a plain fill.  A reused cycle
-    goes through u and has length >= 4, so _extend_cycle's completeness
-    argument covers it.  Because the fill order never changes, the result
-    depends on (t, v) only, not on which vertices were asked for earlier.
+    beside it, outside the length's mask of filed vertices, and appends it
+    to L's cover (see cycle_covers).  A build prefers the vertices with no
+    L-cycle yet: the quadrangle scan first looks for one made of them, and
+    growth first tries to insert one of them.  So a new cycle covers as
+    many unserved vertices as these first tries find, and at n = 64 about
+    300 distinct cycles fill the table, not the 1,000 of a plain fill.  A
+    reused cycle goes through u and has length >= 4, so _extend_cycle's
+    completeness argument covers it.  Because the fill order never changes,
+    the result depends on (t, v) only, not on which vertices were asked for
+    earlier.
     """
     n = t.n
     if n < 4:
@@ -461,6 +462,7 @@ def mpt_cycles_through(t: MultipartiteTournament, v: int) -> Dict[int, tuple]:
                 mask = sum(map(_BIT, cyc))
             else:
                 cyc, mask = _extend_cycle(t, cyc, u, unc, mask)
+            t._covers[ln] += (cyc,)
             new = mask & unc
             filed[ln] |= new
             while new:

@@ -8,10 +8,10 @@ Every such graph on at least four vertices lands in exactly one bucket:
   (c) the unique two-colored K5 whose color classes are edge-disjoint
       pentagons, which has PC quadrangles but no PC pentagon.
 
-classify() returns the bucket with a machine-checkable certificate: a full
-(vertex, length) -> cycle table for (a), the degenerate set with its
-compatible coloring for (b), and a relabeling onto the canonical
-double-pentagon for (c).  Failure to build an (a) certificate on eligible
+classify() returns the bucket with a machine-checkable certificate: for
+(a), per length L a cover of V by PC L-cycles, for (b), the degenerate set
+with its compatible coloring, and for (c), a relabeling onto the canonical
+double-pentagon.  Failure to build an (a) certificate on eligible
 input is a falsification alarm, raised as InternalError with the instance
 attached.
 """
@@ -69,17 +69,22 @@ class TrichotomyTag(enum.Enum):
 class TrichotomyResult:
     tag: TrichotomyTag
     graph: ColoredCompleteGraph
-    cycles: Optional[Dict] = None  # (vertex, length) -> Cycle, for tag "a"
+    cycles: Optional[Dict] = None  # L -> PC L-cycles covering V in build order, for tag "a"
     certificate: Optional[DegeneracyCertificate] = None  # for tag "b"
     relabel: Optional[Dict] = None  # vertex -> canonical vertex, for tag "c"
 
     def to_json_dict(self) -> dict:
         certs: dict = {}
         if self.tag is TrichotomyTag.PANCYCLIC:
-            table: dict = {}
-            for (v, ln), cyc in sorted(self.cycles.items()):
-                table.setdefault(str(v), {})[str(ln)] = list(cyc.vertices)
-            certs["cycles"] = table
+            # (v, L) holds the first cycle of L's cover through v, as filed
+            rows: list = [{} for _ in range(self.graph.n)]
+            for ln, cover in sorted(self.cycles.items()):
+                key = str(ln)
+                for cyc in cover:
+                    for v in cyc.vertices:
+                        if key not in rows[v]:
+                            rows[v][key] = list(cyc.vertices)
+            certs["cycles"] = {str(v): row for v, row in enumerate(rows)}
         elif self.tag is TrichotomyTag.PROPER_DEGENERATE:
             certs["degenerate_set"] = self.certificate.to_json_dict()
         else:
@@ -117,7 +122,7 @@ def is_double_pentagon_k5(g: ColoredCompleteGraph) -> Optional[Dict[int, int]]:
 
 
 def _pancyclic_via_orientation(g: ColoredCompleteGraph, cert: DegeneracyCertificate) -> Dict:
-    """Pancyclic table from the orientation of a full compatible map.
+    """Pancyclic covers from the orientation of a full compatible map.
 
     The orientation t meets both preconditions of mpt_cycles_through, which
     still checks them (once: t remembers the answers):
@@ -134,27 +139,15 @@ def _pancyclic_via_orientation(g: ColoredCompleteGraph, cert: DegeneracyCertific
       degeneracy_status would have returned PROPER_SET, not FULL_ONLY.
 
     One mpt_cycles_through call, for the last vertex, fills t's whole
-    table, since the table is filled in vertex order; the rest is read from
-    t.cycle_table() in one walk over its entries.  The table files one
-    directed cycle under every vertex it covers, so each distinct cycle is
-    lifted once and the same Cycle object fills every (vertex, length)
-    entry it certifies.  The memo is keyed by the identity of the table's
-    tuple, which t keeps alive, so a lookup does not hash a cycle of up to
-    n vertices.
+    table, since it is filled in vertex order, and each cycle of its covers
+    (t.cycle_covers()) is lifted once, so the PC covers keep build order.
     """
     t = reduce_degenerate(g, cert.f)
     mpt_cycles_through(t, g.n - 1)
-    rows = t.cycle_table().items()
-    cycles: Dict = {}
-    lifted: Dict = {}  # id of a directed cycle in t's table -> its lift
-    for v in range(g.n):
-        for ln, row in rows:
-            dc = row[v]
-            cyc = lifted.get(id(dc))
-            if cyc is None:
-                cyc = lifted[id(dc)] = lift_cycle(g, cert.f, dc)
-            cycles[(v, ln)] = cyc
-    return cycles
+    return {
+        ln: tuple(lift_cycle(g, cert.f, dc) for dc in cover)
+        for ln, cover in t.cycle_covers().items()
+    }
 
 
 def _grow_step(g: ColoredCompleteGraph, cur: Cycle, v: int):
@@ -177,16 +170,16 @@ def _grow_step(g: ColoredCompleteGraph, cur: Cycle, v: int):
 
 
 def _pancyclic_by_growth(g: ColoredCompleteGraph, stats_out: Optional[dict]) -> Dict:
-    """Pancyclic table grown from PC quadrangles, each cycle shared by its vertices.
+    """Pancyclic covers grown from PC quadrangles, each cycle shared by its vertices.
 
-    A PC L-cycle certifies each of its L vertices, so the table is filled
-    in vertex order and every cycle built is filed under each vertex on it
-    that has no L-cycle yet.  Vertex v takes, at each length L, the L-cycle
-    already filed under it when there is one (reuse) and otherwise builds
-    one: pc_quadrangle_search at L = 4, and above that the first of
-    _grow_step on v's (L-1)-cycle, R5 (_regrow_quadrangle: every PC
-    quadrangle through v in walk order, regrown by _grow_step), and the
-    has_pc_cycle search as the last resort.  stats_out gains, under
+    A PC L-cycle certifies each of its L vertices, so vertices are served
+    in order, and every cycle built joins L's cover and is filed under each
+    vertex on it that has no L-cycle yet.  Vertex v takes, at each length
+    L, the L-cycle already filed under it when there is one (reuse) and
+    otherwise builds one: pc_quadrangle_search at L = 4, and above that
+    the first of _grow_step on v's (L-1)-cycle, R5 (_regrow_quadrangle:
+    every PC quadrangle through v in walk order, regrown by _grow_step),
+    and the has_pc_cycle search as the last resort.  stats_out gains, under
     growth_reused, growth_quadrangles, growth_inserted, growth_swapped
     (R1), growth_reversed (R3), growth_restarted (R5) and
     growth_oracle_uses (the search), how many (vertex, length) steps each
@@ -194,6 +187,7 @@ def _pancyclic_by_growth(g: ColoredCompleteGraph, stats_out: Optional[dict]) -> 
     """
     n = g.n
     rows: Dict[int, Dict[int, Cycle]] = {ln: {} for ln in range(4, n + 1)}
+    covers: Dict[int, tuple] = dict.fromkeys(rows, ())
     counts: Dict[str, int] = {}
     for v in range(n):
         cur = None
@@ -218,6 +212,7 @@ def _pancyclic_by_growth(g: ColoredCompleteGraph, stats_out: Optional[dict]) -> 
                     context={"vertex": v, "length": ln},
                 )
             counts[rule] = counts.get(rule, 0) + 1
+            covers[ln] += (cyc,)
             for w in cyc.vertices:
                 row.setdefault(w, cyc)
             cur = cyc
@@ -226,7 +221,7 @@ def _pancyclic_by_growth(g: ColoredCompleteGraph, stats_out: Optional[dict]) -> 
         for key, count in counts.items():
             if count:
                 stats_out[key] = stats_out.get(key, 0) + count
-    return {(v, ln): cyc for ln, row in rows.items() for v, cyc in row.items()}
+    return covers
 
 
 def classify(g: ColoredCompleteGraph, stats_out: Optional[dict] = None) -> TrichotomyResult:
@@ -235,7 +230,7 @@ def classify(g: ColoredCompleteGraph, stats_out: Optional[dict] = None) -> Trich
     Pipeline: degeneracy first (a proper set settles (b)); a full-only
     compatible coloring routes through the orientation argument; otherwise
     the double-pentagon check settles (c) and quadrangle-plus-growth builds
-    the pancyclic table for (a) (see _pancyclic_by_growth).  Growth runs
+    the pancyclic covers for (a) (see _pancyclic_by_growth).  Growth runs
     the has_pc_cycle depth-first search only as its counted last resort,
     when reuse, insertion and the R1, R3 and R5 rules all fail.  A given
     stats_out dict gains the growth route's count per rule, each absent
@@ -292,35 +287,31 @@ def side_conditions(g: ColoredCompleteGraph, result: TrichotomyResult) -> SideCo
 def validate_result(g: ColoredCompleteGraph, result: TrichotomyResult) -> bool:
     """Independently re-check whichever certificate the result carries.
 
-    A pancyclic table needs n(n-3) entries, each (v, L) with L >= 4 filed
-    with a properly colored L-cycle through v.  A cycle's vertices are
-    distinct vertices of g, so these distinct keys are then exactly the
-    (v, L) with 4 <= L <= n.  One cycle object filed under several entries
-    is checked for being properly colored once, and its length and vertex
-    set are taken then too; each entry is checked against those.  A
+    Pancyclic covers need exactly the keys 4..n, and each length L a cover:
+    an iterable of properly colored L-cycles, each checked once, whose
+    vertex sets cover V.  A cycle's vertices are distinct vertices of g, so
+    every vertex then lies on a PC cycle of every length from 4 to n.  A
     degenerate set must pass DegeneracyCertificate.check and leave a vertex
     out, and a relabel must be a dict that is a bijection of 0..4.  A
-    certificate of another shape (a table that is no dict, a key or entry
-    of another shape, a malformed set or relabel) fails the check.
+    certificate of another shape (covers that are no dict, a key, cover or
+    cycle of another shape, a malformed set or relabel) fails the check.
     """
     if result.tag is TrichotomyTag.PANCYCLIC:
-        table = result.cycles
-        if not isinstance(table, dict) or len(table) != g.n * (g.n - 3):
+        covers = result.cycles
+        n = g.n
+        # set equality, since sorting keys of mixed types would raise
+        if not isinstance(covers, dict) or covers.keys() != set(range(4, n + 1)):
             return False
-        # id of a checked cycle -> (length, vertex set); result.cycles keeps
-        # the ids alive
-        checked: Dict = {}
         try:
-            for (v, ln), cyc in table.items():
-                if ln < 4:
-                    return False
-                seen = checked.get(id(cyc))
-                if seen is None:
-                    if not is_pc_cycle(g, cyc):
-                        return False
+            for ln, cover in covers.items():
+                covered = set()
+                for cyc in cover:
                     vs = cyc.vertices if isinstance(cyc, Cycle) else tuple(cyc)
-                    seen = checked[id(cyc)] = (len(vs), frozenset(vs))
-                if seen[0] != ln or v not in seen[1]:
+                    if len(vs) != ln or not is_pc_cycle(g, vs):
+                        return False
+                    covered.update(vs)
+                # is_pc_cycle admits only vertices of g, so n of them are V
+                if len(covered) != n:
                     return False
         except (TypeError, ValueError, UnknownVertex, RepeatedVertex):
             return False

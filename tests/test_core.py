@@ -52,6 +52,17 @@ def test_build_duplicate_and_self_loop():
         build(2, [(0, 0, 1)])
 
 
+def test_build_rejects_malformed_entries():
+    # an entry that is no triple, an unhashable color, and colors that are
+    # not all integers (a str beside an int once failed in sorted())
+    good = [(0, 2, 1), (1, 2, 2)]
+    for bad in ((0, 1), 5, (0, 1, [1]), (0, 1, "x"), (0, 1, 1.5)):
+        with pytest.raises(InvalidInstance):
+            build(3, [bad] + good)
+    with pytest.raises(InvalidInstance):
+        build(3, 5)
+
+
 def test_stats_double_pentagon(double_pentagon):
     s = stats(double_pentagon)
     assert s.color_degrees == (2, 2, 2, 2, 2)

@@ -98,10 +98,18 @@ def test_arc_checks_reject_vertices_outside_the_digraph():
             t.has_arc(0, bad)
         with pytest.raises(PreconditionViolated, match="vertex"):
             t.has_arc(bad, 0)
+        with pytest.raises(PreconditionViolated, match="vertex"):
+            t.out_neighbors(bad)
     assert is_directed_cycle(t, (0, 1, -1)) is False
     assert is_directed_cycle(t, (5, 0, 1)) is False
     assert is_directed_cycle(t, (0, 1, 2.0)) is False
     assert t.has_arc(cyc[0], cyc[1]) and not t.has_arc(cyc[1], cyc[0])
+    # -1 once read the last vertex's row
+    triangle = directed_triangle()
+    assert triangle.out_neighbors(2) == (0,)
+    for bad in (-1, 3, "a"):
+        with pytest.raises(PreconditionViolated, match="vertex"):
+            triangle.out_neighbors(bad)
 
 
 def test_cycles_through_triangle():
@@ -301,39 +309,47 @@ def test_mpt_table_covers_each_length_with_few_cycles():
         st = degeneracy_status(g)
         assert st.tag is DegeneracyTag.FULL_ONLY
         t = reduce_degenerate(g, st.certificate.f)
-        distinct = {}
         for v in range(t.n):
             for ln, cyc in mpt_cycles_through(t, v).items():
                 assert len(cyc) == ln and v in cyc
-                distinct[id(cyc)] = cyc
-        assert len(distinct) <= 400
-        assert sum(map(len, distinct.values())) <= 8000
-        assert all(is_directed_cycle(t, cyc) for cyc in distinct.values())
+        built = [cyc for cover in t.cycle_covers().values() for cyc in cover]
+        assert len(built) <= 400
+        assert sum(map(len, built)) <= 8000
+        assert all(is_directed_cycle(t, cyc) for cyc in built)
 
 
 def _vertex_mask(cyc):
     return sum(1 << w for w in cyc)
 
 
-def test_cycle_table_and_its_masks():
-    # the table read through cycle_table is what mpt_cycles_through hands
-    # out, and the vertex mask filed beside each cycle is that cycle's, so
-    # the masks carried through insertions and swaps are right
+def test_cycle_covers_and_table_masks():
+    # each length's cover, read through cycle_covers, holds the cycles in
+    # build order, they cover V, and the first one through v is what
+    # mpt_cycles_through hands out for v; the vertex mask filed beside each
+    # cycle is that cycle's, so the masks carried through insertions and
+    # swaps are right
     for seed in range(6):
         n = 8 + 4 * seed
         g, f = random_degenerate(n, random_fibers(n, seed), seed)
         t = reduce_degenerate(g, f)
         if not (is_strongly_connected(t) and t.disjointness_violation() is None):
             continue
-        assert all(c is None for row in t.cycle_table().values() for c in row)
+        assert t.cycle_covers() == {ln: () for ln in range(4, n + 1)}
         mpt_cycles_through(t, n - 1)
-        table = t.cycle_table()
-        assert list(table) == list(range(4, n + 1))
+        covers = t.cycle_covers()
+        assert list(covers) == list(range(4, n + 1))
+        for ln, cover in covers.items():
+            assert set().union(*cover) == set(range(n))
+            assert all(len(cyc) == ln and is_directed_cycle(t, cyc) for cyc in cover)
+            # each cycle was built for a vertex no earlier one covers
+            for i, cyc in enumerate(cover):
+                assert not set(cyc) <= set().union(*cover[:i])
         for v in range(n):
-            assert mpt_cycles_through(t, v) == {ln: row[v] for ln, row in table.items()}
-        for ln, row in table.items():
-            assert all(t._cycle_masks[ln][v] == _vertex_mask(cyc) for v, cyc in enumerate(row))
-            assert t._filed[ln] == (1 << n) - 1
+            got = mpt_cycles_through(t, v)
+            assert got == {ln: next(c for c in cover if v in c) for ln, cover in covers.items()}
+            for ln, cyc in got.items():
+                assert t._cycle_masks[ln][v] == _vertex_mask(cyc)
+        assert all(t._filed[ln] == (1 << n) - 1 for ln in covers)
     arcs = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
     arcs += [(c, d) for c in range(3) for d in (3, 4)] + [(5, c) for c in range(3)]
     t = MultipartiteTournament.tournament(6, arcs)

@@ -28,6 +28,7 @@ from pcgraph.families import (
     random_no_mono_triangle,
 )
 from pcgraph.oracles import is_pancyclic_from
+from pcgraph.tournaments import lift_cycle, mpt_cycles_through, reduce_degenerate
 from pcgraph.trichotomy import (
     TrichotomyResult,
     TrichotomyTag,
@@ -65,9 +66,11 @@ def test_classify_examples(double_pentagon, directed_example, rainbow_k4):
     assert res_b.certificate.S == frozenset({0, 1, 2})
     res_a = classify(rainbow_k4)
     assert res_a.tag is TrichotomyTag.PANCYCLIC
-    assert set(res_a.cycles) == {(v, 4) for v in range(4)}
-    for (v, ln), cyc in res_a.cycles.items():
-        assert v in cyc and len(cyc) == ln and is_pc_cycle(rainbow_k4, cyc)
+    assert set(res_a.cycles) == {4}
+    for ln, cover in res_a.cycles.items():
+        assert set().union(*cover) == set(range(4))
+        for cyc in cover:
+            assert len(cyc) == ln and is_pc_cycle(rainbow_k4, cyc)
 
 
 def test_classify_rejections(mono_k3):
@@ -237,10 +240,11 @@ def test_orientation_route_lifts_each_shared_cycle_once(monkeypatch):
     monkeypatch.setattr(trichotomy_mod, "lift_cycle", counted)
     result = classify(g)
     assert result.tag is TrichotomyTag.PANCYCLIC
-    distinct = {id(cyc) for cyc in result.cycles.values()}
-    assert len(result.cycles) == 64 * 61
-    assert len(distinct) < 64 * 61
-    assert len(lifts) == len(distinct) == len(set(lifts))
+    assert set(result.cycles) == set(range(4, 65))
+    built = [cyc.vertices for cover in result.cycles.values() for cyc in cover]
+    # far fewer cycles than the 64 * 61 (vertex, length) pairs they certify
+    assert len(built) < 64 * 61
+    assert lifts == built and len(set(lifts)) == len(lifts)
     assert validate_result(g, result)
 
 
@@ -263,33 +267,40 @@ def test_orientation_route_fills_the_table_with_one_call(monkeypatch):
         assert calls == [n - 1]
 
 
-def _refiled(result, changes):
+def _recovered(result, changes):
+    """result with the covers of some lengths replaced."""
     return dataclasses.replace(result, cycles={**result.cycles, **changes})
 
 
+def _non_pc_reordering(g, cyc):
+    rng = random.Random(0)
+    while True:
+        order = list(cyc)
+        rng.shuffle(order)
+        if not is_pc_cycle(g, order):
+            return Cycle(order)
+
+
 def test_validate_result_checks_every_entry_of_a_shared_cycle():
+    # each cover cycle certifies several vertices, and each way it can
+    # fail them is caught: a wrong length, a vertex left uncovered, or a
+    # cycle that is not PC
     g = _full_only(12, 1)
     result = classify(g)
     assert validate_result(g, result)
-    table = result.cycles
     ln = 6
-    shared = table[(0, ln)]
-    assert sum(1 for cyc in table.values() if cyc is shared) > 1
-    on = sorted(shared)
-    off = next(v for v in range(g.n) if v not in shared)
-    # one shared cycle also filed under a wrong length
-    assert not validate_result(g, _refiled(result, {(on[-1], ln + 1): shared}))
-    # filed under a vertex not on it
-    assert not validate_result(g, _refiled(result, {(off, ln): shared}))
-    # a non-PC cycle on the same vertices, shared by all of them
-    rng = random.Random(0)
-    while True:
-        order = list(shared)
-        rng.shuffle(order)
-        if not is_pc_cycle(g, order):
-            break
-    bad = Cycle(order)
-    assert not validate_result(g, _refiled(result, {(v, ln): bad for v in bad}))
+    cover = result.cycles[ln]
+    first = cover[0]
+    assert len(cover) > 1
+    # a cycle of length ln also in the cover of ln + 1
+    longer = result.cycles[ln + 1] + (first,)
+    assert not validate_result(g, _recovered(result, {ln + 1: longer}))
+    # the cover without its last cycle leaves a vertex uncovered
+    assert set().union(*cover[:-1]) != set(range(g.n))
+    assert not validate_result(g, _recovered(result, {ln: cover[:-1]}))
+    # a non-PC cycle on the same vertices in place of the first
+    bad = _non_pc_reordering(g, first)
+    assert not validate_result(g, _recovered(result, {ln: (bad,) + cover[1:]}))
 
 
 def test_validate_result_rejects_malformed_tables():
@@ -299,30 +310,85 @@ def test_validate_result_rejects_malformed_tables():
     assert result.tag is TrichotomyTag.PANCYCLIC and validate_result(g, result)
     assert not validate_result(g, dataclasses.replace(result, cycles=None))
     assert not validate_result(g, dataclasses.replace(result, cycles=[]))
+    cover = result.cycles[4]
     for bad in (7, None, "0123", Cycle((0, 1, 2, 9)), (0, 1, 1, 2)):
-        assert not validate_result(g, _refiled(result, {(0, 4): bad})), bad
-    # one key swapped for one of another shape, the entry count kept
-    quad = result.cycles[(0, 4)]
-    for key, cyc in [((0, 3), Cycle((0, 1, 2))), ((0, 4, 0), quad), ("04", quad)]:
-        table = dict(result.cycles)
-        del table[(0, 4)]
-        table[key] = cyc
-        assert not validate_result(g, dataclasses.replace(result, cycles=table)), key
+        # a malformed cycle in the cover, and a malformed cover
+        assert not validate_result(g, _recovered(result, {4: (bad,) + cover})), bad
+        assert not validate_result(g, _recovered(result, {4: bad})), bad
+    # one key swapped for one of another shape, the key count kept
+    for key, cyc_cover in [(3, (Cycle((0, 1, 2)),)), ((4,), cover), ("4", cover)]:
+        covers = dict(result.cycles)
+        del covers[4]
+        covers[key] = cyc_cover
+        assert not validate_result(g, dataclasses.replace(result, cycles=covers)), key
 
 
 def test_validate_result_checks_shared_tuples():
-    # entries that are not Cycles take the memo's tuple branch
+    # cover cycles given as plain vertex tuples validate, and are checked
+    # as Cycles are
     g = _full_only(12, 1)
     result = classify(g)
-    table = {key: cyc.vertices for key, cyc in result.cycles.items()}
-    tuples = dataclasses.replace(result, cycles=table)
+    covers = {ln: tuple(cyc.vertices for cyc in cover) for ln, cover in result.cycles.items()}
+    tuples = dataclasses.replace(result, cycles=covers)
     assert validate_result(g, tuples)
     ln = 6
-    shared = table[(0, ln)]
-    assert sum(1 for vs in table.values() if vs is shared) > 1
-    off = next(v for v in range(g.n) if v not in shared)
-    assert not validate_result(g, _refiled(tuples, {(off, ln): shared}))
-    assert not validate_result(g, _refiled(tuples, {(max(shared), ln + 1): shared}))
+    cover = covers[ln]
+    assert not validate_result(g, _recovered(tuples, {ln: cover[:-1]}))
+    longer = covers[ln + 1] + cover[:1]
+    assert not validate_result(g, _recovered(tuples, {ln + 1: longer}))
+    bad = _non_pc_reordering(g, cover[0]).vertices
+    assert not validate_result(g, _recovered(tuples, {ln: (bad,) + cover[1:]}))
+
+
+def _first_through(cover, v):
+    return next(cyc for cyc in cover if v in cyc)
+
+
+def test_json_entry_is_the_first_cover_cycle_through_each_vertex():
+    # both routes at n = 64: the (v, L) entry of the JSON table is the
+    # first cycle of L's cover through v; on the full-only route it is
+    # also the lift of mpt_cycles_through's L-cycle for v
+    full_only = _full_only(64, 0)
+    growth = next(generate(GenSpec("gallai", n=64, seed=0)))
+    assert degeneracy_status(growth).tag is DegeneracyTag.NON_DEGENERATE
+    for g in (growth, full_only):
+        result = classify(g)
+        assert result.tag is TrichotomyTag.PANCYCLIC and validate_result(g, result)
+        table = result.to_json_dict()["certificates"]["cycles"]
+        assert list(table) == [str(v) for v in range(64)]
+        for v in range(64):
+            assert list(table[str(v)]) == [str(ln) for ln in range(4, 65)]
+            for ln, cover in result.cycles.items():
+                assert table[str(v)][str(ln)] == list(_first_through(cover, v).vertices)
+    # table is full_only's, from the last pass
+    f = degeneracy_status(full_only).certificate.f
+    t = reduce_degenerate(full_only, f)
+    for v in range(64):
+        for ln, dc in mpt_cycles_through(t, v).items():
+            assert table[str(v)][str(ln)] == list(lift_cycle(full_only, f, dc).vertices)
+
+
+def test_validate_result_rejects_covers_of_the_wrong_lengths_or_reach():
+    g = _full_only(12, 1)
+    result = classify(g)
+    assert validate_result(g, result)
+    n = g.n
+    # one (n-1)-cycle misses exactly one vertex
+    (first, *rest) = result.cycles[n - 1]
+    assert rest and len(set(range(n)) - set(first)) == 1
+    assert not validate_result(g, _recovered(result, {n - 1: (first,)}))
+    # a missing length, and an extra length 3 or n + 1
+    for ln in (4, 7, n):
+        covers = dict(result.cycles)
+        del covers[ln]
+        assert not validate_result(g, dataclasses.replace(result, cycles=covers)), ln
+    triangle = (Cycle((0, 1, 2)),)
+    assert not validate_result(g, _recovered(result, {3: triangle}))
+    assert not validate_result(g, _recovered(result, {n + 1: result.cycles[n]}))
+    # keys of mixed type answer False rather than raise
+    assert not validate_result(g, _recovered(result, {"04": result.cycles[4]}))
+    mixed = {("04" if ln == 4 else ln): cover for ln, cover in result.cycles.items()}
+    assert not validate_result(g, dataclasses.replace(result, cycles=mixed))
 
 
 def test_validate_result_rejects_malformed_degenerate_sets_and_relabels(double_pentagon):
