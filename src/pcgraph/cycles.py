@@ -197,6 +197,44 @@ def has_pc_cycle(g: ColoredCompleteGraph, v: int, length: int) -> Optional[Cycle
     return _pc_cycle_search(g, v, length)
 
 
+# -- pancyclic covers -----------------------------------------------------
+
+def _fill_covers(n: int, quadrangle: Callable, extend: Callable) -> tuple:
+    """(covers, rows): per length L in 4..n, a cover of 0..n-1 by L-cycles.
+
+    Both pancyclic routes fill their certificate here.  A builder returns
+    a (cycle, state) pair: a vertex sequence and whatever the route keeps
+    beside it.  Vertex u, in order, takes at each length L the pair filed
+    in rows[L][u] (reuse), or else builds one: quadrangle(u, unfiled) at
+    L = 4, extend(cur, u, L, unfiled) on u's (L-1)-pair cur above, where
+    unfiled is the bitmask of the vertices with no L-cycle yet.  A built
+    cycle joins covers[L], in build order, and its pair is filed under each
+    vertex on it with an empty row, so rows[L][v] holds the first cycle of
+    covers[L] through v.
+    """
+    lengths = range(4, n + 1)
+    covers: dict = {ln: [] for ln in lengths}
+    rows = {ln: [None] * n for ln in lengths}
+    filed = dict.fromkeys(lengths, 0)
+    full = (1 << n) - 1
+    for u in range(n):
+        cur = None
+        for ln in lengths:
+            row = rows[ln]
+            if row[u] is not None:
+                cur = row[u]
+                continue
+            done = filed[ln]
+            cur = quadrangle(u, full ^ done) if cur is None else extend(cur, u, ln, full ^ done)
+            covers[ln].append(cur[0])
+            for w in cur[0]:
+                if row[w] is None:
+                    row[w] = cur
+                    done |= 1 << w
+            filed[ln] = done
+    return {ln: tuple(cover) for ln, cover in covers.items()}, rows
+
+
 # -- Hamilton path ------------------------------------------------------
 
 def _try_lengthen(g: ColoredCompleteGraph, path: tuple) -> tuple:
@@ -314,12 +352,12 @@ def classify_attachment(g: ColoredCompleteGraph, cycle: Cycle, v: int) -> Attach
     every vertex's successor edge color.  Any other outcome on
     mono-triangle-free input is a falsified guarantee.  When no insertion
     fits, has_pc_cycle on G[V(cycle)+{v}] decides extendability.  A cycle
-    vertex outside g raises UnknownVertex.
+    vertex or v outside g raises UnknownVertex.
     """
     _check_sequence(g, cycle.vertices)
+    g.check_vertex(v)
     if v in cycle:
         raise VertexOnCycle(f"{v} lies on the cycle")
-    g.check_vertex(v)
     witness = insert_into_pc_cycle(g, cycle, v)
     if witness is None:
         vs = cycle.vertices + (v,)

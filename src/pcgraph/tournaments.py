@@ -9,7 +9,8 @@ quadrangle through the vertex, then grows it by inserting an outside vertex
 at a dominance switch or swapping one cycle vertex for a dominated 2-path.
 Both rules are complete (see _extend_cycle, after Moon's theorem), so no
 search backs them up.  A directed L-cycle serves every vertex on it, so
-mpt_cycles_through builds, per length, a cover of V by few cycles: it builds
+mpt_cycles_through fills, per length, a cover of V by few cycles with
+cycles._fill_covers, the fill the colored growth route uses too: it builds
 a cycle only for a vertex that no earlier cycle of that length covers, made
 of other such vertices where it can, and cycle_covers() hands the covers
 out.  A strong tournament is the special case without 2-parts:
@@ -33,7 +34,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .core import ColoredCompleteGraph
-from .cycles import Cycle
+from .cycles import Cycle, _fill_covers
 from .errors import (
     BadLength,
     CycleNotInDigraph,
@@ -77,15 +78,12 @@ class MultipartiteTournament:
     is the smallest such vertex.
 
     Instances are immutable, so derived facts are computed at most once and
-    remembered: the strong-connectivity and disjointness checks (negative
-    results included), and mpt_cycles_through's table: per length, the
-    cycle filed under each vertex beside its vertex mask, the mask of the
-    vertices filed so far, and the cover, the cycles built in build order.
+    remembered: strong connectivity, the disjointness violation (None
+    included) and the table mpt_cycles_through fills on its first call.
     """
 
     __slots__ = (
-        "n", "parts", "part_of", "_outmask", "_inmask", "_strong", "_violation",
-        "_cycles", "_cycle_masks", "_filed", "_covers", "_cycles_done",
+        "n", "parts", "part_of", "_outmask", "_inmask", "_strong", "_violation", "_table",
     )
 
     def __init__(self, parts: Sequence[Iterable[int]], arcs: Iterable[Sequence[int]]):
@@ -153,11 +151,7 @@ class MultipartiteTournament:
         self._inmask = tuple(inmask)
         self._strong = None
         self._violation = _UNKNOWN
-        self._cycles = {ln: [None] * n for ln in range(4, n + 1)}
-        self._cycle_masks = {ln: [0] * n for ln in range(4, n + 1)}
-        self._filed = dict.fromkeys(range(4, n + 1), 0)
-        self._covers = dict.fromkeys(range(4, n + 1), ())
-        self._cycles_done = 0  # vertices 0.._cycles_done-1 hold every length
+        self._table = None  # mpt_cycles_through's (covers, rows), once filled
 
     @classmethod
     def tournament(cls, n: int, arcs: Iterable[Sequence[int]]) -> "MultipartiteTournament":
@@ -186,13 +180,16 @@ class MultipartiteTournament:
                 yield (u, v)
 
     def cycle_covers(self) -> Dict[int, tuple]:
-        """The directed cycles mpt_cycles_through has built so far, per length.
+        """The directed cycles mpt_cycles_through built, per length.
 
         Maps each length L to the tuple of L-cycles built, in build order.
-        Once the table is filled, their vertex sets cover V, and the first
-        of them through v is the one mpt_cycles_through(t, v) gives for L.
+        Their vertex sets cover V, and the first of them through v is the
+        one mpt_cycles_through(t, v) gives for L.  Every length maps to ()
+        before the first mpt_cycles_through call.
         """
-        return dict(self._covers)
+        if self._table is None:
+            return dict.fromkeys(range(4, self.n + 1), ())
+        return dict(self._table[0])
 
     def is_tournament(self) -> bool:
         return all(len(p) == 1 for p in self.parts)
@@ -416,22 +413,15 @@ def mpt_cycles_through(t: MultipartiteTournament, v: int) -> Dict[int, tuple]:
     every 2-part.
 
     An L-cycle is a certificate for each of its L vertices, so the cycles
-    come from a table that t remembers, shared by all vertices: the first
-    call for v fills it for vertices 0..v, in that order.  A vertex u takes,
-    at each length L, an L-cycle already filed under it when there is one,
-    and otherwise builds one (_quadrangle_through at L = 4, _extend_cycle of
-    u's (L-1)-cycle above) and files it under every vertex on it that has no
-    L-cycle yet: the set bits of its vertex mask, which each cycle carries
-    beside it, outside the length's mask of filed vertices, and appends it
-    to L's cover (see cycle_covers).  A build prefers the vertices with no
-    L-cycle yet: the quadrangle scan first looks for one made of them, and
-    growth first tries to insert one of them.  So a new cycle covers as
-    many unserved vertices as these first tries find, and at n = 64 about
-    300 distinct cycles fill the table, not the 1,000 of a plain fill.  A
-    reused cycle goes through u and has length >= 4, so _extend_cycle's
-    completeness argument covers it.  Because the fill order never changes,
-    the result depends on (t, v) only, not on which vertices were asked for
-    earlier.
+    come from one table that t remembers, filled for every vertex by the
+    first call with cycles._fill_covers.  A vertex with no L-cycle yet
+    builds one, _quadrangle_through at L = 4 and _extend_cycle of its
+    (L-1)-cycle above, each cycle with its vertex mask as the fill's state.
+    A build prefers the vertices with no L-cycle yet: the quadrangle scan
+    first looks for one made of them, and growth first tries to insert one
+    of them, so at n = 64 about 300 distinct cycles fill the table, not the
+    1,000 of a plain fill.  A reused cycle goes through the vertex and has
+    length >= 4, so _extend_cycle's completeness argument covers it.
     """
     n = t.n
     if n < 4:
@@ -445,33 +435,16 @@ def mpt_cycles_through(t: MultipartiteTournament, v: int) -> Dict[int, tuple]:
             "disjointness", f"{z} is dominated by both {x} and {y} of one part"
         )
     _check_vertex(t, v)
-    table = t._cycles
-    masks = t._cycle_masks
-    filed = t._filed
-    for u in range(t._cycles_done, v + 1):
-        cyc = None
-        for ln in range(4, n + 1):
-            row = table[ln]
-            mrow = masks[ln]
-            if row[u] is not None:
-                cyc, mask = row[u], mrow[u]
-                continue
-            unc = ~filed[ln]
-            if cyc is None:
-                cyc = _quadrangle_through(t, u, unc)
-                mask = sum(map(_BIT, cyc))
-            else:
-                cyc, mask = _extend_cycle(t, cyc, u, unc, mask)
-            t._covers[ln] += (cyc,)
-            new = mask & unc
-            filed[ln] |= new
-            while new:
-                w = (new & -new).bit_length() - 1
-                row[w] = cyc
-                mrow[w] = mask
-                new &= new - 1
-        t._cycles_done = u + 1
-    return {ln: row[v] for ln, row in table.items()}
+    if t._table is None:
+        def quadrangle(u: int, unfiled: int) -> tuple:
+            cyc = _quadrangle_through(t, u, unfiled)
+            return cyc, sum(map(_BIT, cyc))
+
+        def extend(cur: tuple, u: int, ln: int, unfiled: int) -> tuple:
+            return _extend_cycle(t, cur[0], u, unfiled, cur[1])
+
+        t._table = _fill_covers(n, quadrangle, extend)
+    return {ln: row[v][0] for ln, row in t._table[1].items()}
 
 
 # -- correspondence with edge-colored graphs ---------------------------

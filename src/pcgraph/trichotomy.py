@@ -27,6 +27,7 @@ from typing import Dict, Optional
 from .core import ColoredCompleteGraph, stats
 from .cycles import (
     Cycle,
+    _fill_covers,
     _insert_with_reversal,
     _outside,
     _regrow_quadrangle,
@@ -138,9 +139,8 @@ def _pancyclic_via_orientation(g: ColoredCompleteGraph, cert: DegeneracyCertific
       is compatible.  So (S, f|S) is a proper degenerate set, and
       degeneracy_status would have returned PROPER_SET, not FULL_ONLY.
 
-    One mpt_cycles_through call, for the last vertex, fills t's whole
-    table, since it is filled in vertex order, and each cycle of its covers
-    (t.cycle_covers()) is lifted once, so the PC covers keep build order.
+    One mpt_cycles_through call fills t's whole table, and each cycle of
+    its covers (t.cycle_covers()) is lifted once, keeping build order.
     """
     t = reduce_degenerate(g, cert.f)
     mpt_cycles_through(t, g.n - 1)
@@ -170,54 +170,42 @@ def _grow_step(g: ColoredCompleteGraph, cur: Cycle, v: int):
 
 
 def _pancyclic_by_growth(g: ColoredCompleteGraph, stats_out: Optional[dict]) -> Dict:
-    """Pancyclic covers grown from PC quadrangles, each cycle shared by its vertices.
+    """Pancyclic covers grown from PC quadrangles, filled by cycles._fill_covers.
 
-    A PC L-cycle certifies each of its L vertices, so vertices are served
-    in order, and every cycle built joins L's cover and is filed under each
-    vertex on it that has no L-cycle yet.  Vertex v takes, at each length
-    L, the L-cycle already filed under it when there is one (reuse) and
-    otherwise builds one: pc_quadrangle_search at L = 4, and above that
-    the first of _grow_step on v's (L-1)-cycle, R5 (_regrow_quadrangle:
-    every PC quadrangle through v in walk order, regrown by _grow_step),
-    and the has_pc_cycle search as the last resort.  stats_out gains, under
-    growth_reused, growth_quadrangles, growth_inserted, growth_swapped
-    (R1), growth_reversed (R3), growth_restarted (R5) and
-    growth_oracle_uses (the search), how many (vertex, length) steps each
-    rule settled, every key absent while zero.
+    The fill shares each PC L-cycle among the vertices on it, so build runs
+    only for a vertex v with no L-cycle yet: pc_quadrangle_search at L = 4,
+    and above that the first of _grow_step on v's (L-1)-cycle, R5
+    (_regrow_quadrangle: every PC quadrangle through v in walk order,
+    regrown by _grow_step), and the has_pc_cycle search as the last resort.
+    stats_out gains, under growth_reused, growth_quadrangles,
+    growth_inserted, growth_swapped (R1), growth_reversed (R3),
+    growth_restarted (R5) and growth_oracle_uses (the search), how many
+    (vertex, length) steps each rule settled, every key absent while zero.
     """
-    n = g.n
-    rows: Dict[int, Dict[int, Cycle]] = {ln: {} for ln in range(4, n + 1)}
-    covers: Dict[int, tuple] = dict.fromkeys(rows, ())
     counts: Dict[str, int] = {}
-    for v in range(n):
-        cur = None
-        for ln, row in rows.items():
-            cyc = row.get(v)
-            if cyc is not None:
-                cur = cyc
-                continue
-            if cur is None:
-                cyc, rule = pc_quadrangle_search(g, v), "growth_quadrangles"
-            else:
-                cyc, rule = _grow_step(g, cur, v)
-                if cyc is None:
-                    cyc = _regrow_quadrangle(g, v, ln, lambda c: _grow_step(g, c, v)[0])
-                    rule = "growth_restarted"
-                if cyc is None:
-                    cyc, rule = has_pc_cycle(g, v, ln), "growth_oracle_uses"
+
+    def build(cur: Optional[tuple], v: int, ln: int, unfiled: int) -> tuple:
+        if cur is None:
+            cyc, rule = pc_quadrangle_search(g, v), "growth_quadrangles"
+        else:
+            cyc, rule = _grow_step(g, cur[0], v)
             if cyc is None:
-                raise InternalError(
-                    f"no PC {ln}-cycle through {v} on eligible input",
-                    instance=g,
-                    context={"vertex": v, "length": ln},
-                )
-            counts[rule] = counts.get(rule, 0) + 1
-            covers[ln] += (cyc,)
-            for w in cyc.vertices:
-                row.setdefault(w, cyc)
-            cur = cyc
+                cyc = _regrow_quadrangle(g, v, ln, lambda c: _grow_step(g, c, v)[0])
+                rule = "growth_restarted"
+            if cyc is None:
+                cyc, rule = has_pc_cycle(g, v, ln), "growth_oracle_uses"
+        if cyc is None:
+            raise InternalError(
+                f"no PC {ln}-cycle through {v} on eligible input",
+                instance=g,
+                context={"vertex": v, "length": ln},
+            )
+        counts[rule] = counts.get(rule, 0) + 1
+        return cyc, None
+
+    covers, _ = _fill_covers(g.n, lambda v, unfiled: build(None, v, 4, unfiled), build)
     if stats_out is not None:
-        counts["growth_reused"] = n * (n - 3) - sum(counts.values())
+        counts["growth_reused"] = g.n * (g.n - 3) - sum(counts.values())
         for key, count in counts.items():
             if count:
                 stats_out[key] = stats_out.get(key, 0) + count

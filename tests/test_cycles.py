@@ -12,6 +12,7 @@ from pcgraph.core import ColoredCompleteGraph
 from pcgraph.cycles import (
     AttachmentKind,
     Cycle,
+    _fill_covers,
     _insert_with_reversal,
     _regrow_quadrangle,
     _swap_in_pair,
@@ -258,6 +259,10 @@ def test_classify_attachment_rejects_cycle_vertices_outside_graph():
     for cycle in (Cycle((0, 1, 2, 9)), Cycle((0, 1, 2, -1))):
         with pytest.raises(UnknownVertex):
             classify_attachment(g, cycle, 4)
+    # the vertex is checked before membership, so an unhashable one is named
+    for v in (6, -1, 1.5, "4", None, [1]):
+        with pytest.raises(UnknownVertex):
+            classify_attachment(g, Cycle((0, 1, 2, 3)), v)
 
 
 def test_classify_attachment_double_pentagon(double_pentagon):
@@ -435,3 +440,42 @@ def test_pc_cycle_rotation_reflection_invariance(data):
         rotated = seq[shift:] + seq[:shift]
         assert is_pc_cycle(g, rotated) == base
         assert is_pc_cycle(g, tuple(reversed(rotated))) == base
+
+
+def test_fill_covers_builds_only_for_unfiled_vertices():
+    # toy builders grow random vertex tuples and record every call; the fill
+    # must build only for an unfiled (u, L), hand each build the complement
+    # of what is filed at L, and file each vertex under its first cover cycle
+    for n in range(4, 13):
+        rng = random.Random(n)
+        calls = []
+
+        def record(u, ln, unfiled, cur, cyc):
+            pair = (cyc, len(calls))
+            calls.append((u, ln, unfiled, cur, pair))
+            return pair
+
+        def quadrangle(u, unfiled):
+            others = rng.sample([w for w in range(n) if w != u], 3)
+            return record(u, 4, unfiled, None, tuple([u] + others))
+
+        def extend(cur, u, ln, unfiled):
+            assert u in cur[0] and len(cur[0]) == ln - 1
+            w = rng.choice([w for w in range(n) if w not in cur[0]])
+            i = rng.randrange(ln)
+            return record(u, ln, unfiled, cur, cur[0][:i] + (w,) + cur[0][i:])
+
+        covers, rows = _fill_covers(n, quadrangle, extend)
+        assert list(covers) == list(rows) == list(range(4, n + 1))
+        assert len(calls) == sum(map(len, covers.values()))
+        filed = dict.fromkeys(covers, 0)
+        for u, ln, unfiled, cur, pair in calls:
+            assert not filed[ln] >> u & 1
+            assert unfiled == ((1 << n) - 1) ^ filed[ln]
+            assert cur is (None if ln == 4 else rows[ln - 1][u])
+            filed[ln] |= sum(1 << w for w in pair[0])
+        for ln, cover in covers.items():
+            pairs = [call[4] for call in calls if call[1] == ln]
+            assert cover == tuple(pair[0] for pair in pairs)
+            for v in range(n):
+                assert rows[ln][v] is next(pair for pair in pairs if v in pair[0])

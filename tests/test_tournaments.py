@@ -325,9 +325,9 @@ def _vertex_mask(cyc):
 def test_cycle_covers_and_table_masks():
     # each length's cover, read through cycle_covers, holds the cycles in
     # build order, they cover V, and the first one through v is what
-    # mpt_cycles_through hands out for v; the vertex mask filed beside each
-    # cycle is that cycle's, so the masks carried through insertions and
-    # swaps are right
+    # mpt_cycles_through hands out for v; every vertex is filed at every
+    # length, and the vertex mask filed beside each cycle is that cycle's,
+    # so the masks carried through insertions and swaps are right
     for seed in range(6):
         n = 8 + 4 * seed
         g, f = random_degenerate(n, random_fibers(n, seed), seed)
@@ -344,12 +344,12 @@ def test_cycle_covers_and_table_masks():
             # each cycle was built for a vertex no earlier one covers
             for i, cyc in enumerate(cover):
                 assert not set(cyc) <= set().union(*cover[:i])
+        rows = t._table[1]
         for v in range(n):
             got = mpt_cycles_through(t, v)
             assert got == {ln: next(c for c in cover if v in c) for ln, cover in covers.items()}
             for ln, cyc in got.items():
-                assert t._cycle_masks[ln][v] == _vertex_mask(cyc)
-        assert all(t._filed[ln] == (1 << n) - 1 for ln in covers)
+                assert rows[ln][v] == (cyc, _vertex_mask(cyc))
     arcs = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
     arcs += [(c, d) for c in range(3) for d in (3, 4)] + [(5, c) for c in range(3)]
     t = MultipartiteTournament.tournament(6, arcs)

@@ -226,6 +226,24 @@ def test_classify_random_degenerate_n64_is_pinned():
     assert got == want
 
 
+def test_classify_gallai_n64_is_pinned():
+    # sha256 of classify(g).to_json() for a growth-route stream at scale;
+    # the cover fill and the rule order behind it fix every cycle
+    want = [
+        "cf6acb6bbe6ba77a2fb554f0bdcb83f2c96c930af21708c1a9a06e4bcbe262e4",
+        "aaa1b50497764791cc01165dcd868b43cfed6adc3c7dabbcc226cc116f778d32",
+        "3ef27d669303c199dee1fc66f65721ea465735f6fed7b8649c8565979b6cf986",
+        "00443794724662cfbc9f73968f065fc20dd791b1e4edc4d8c7a51419d84c44c5",
+        "2248ba03d069b1f56276b27949eeb7c187c17cffed917de0ec4a5bf4123c2bf3",
+    ]
+    got = []
+    for g in generate(GenSpec("gallai", n=64, seed=0, count=5)):
+        result = classify(g)
+        assert validate_result(g, result)
+        got.append(hashlib.sha256(result.to_json().encode()).hexdigest())
+    assert got == want
+
+
 def test_orientation_route_lifts_each_shared_cycle_once(monkeypatch):
     import pcgraph.trichotomy as trichotomy_mod
 
