@@ -48,13 +48,6 @@ class ColoredCompleteGraph:
         self._palette = palette
         self._mono = False
 
-    # -- construction -------------------------------------------------
-
-    @classmethod
-    def _from_dense(cls, n: int, rows: Sequence[Sequence[int]], palette: Sequence[int]):
-        """Trusted fast path: rows already symmetric with dense indices."""
-        return cls(n, tuple(tuple(r) for r in rows), tuple(palette))
-
     # -- basic access --------------------------------------------------
 
     @property

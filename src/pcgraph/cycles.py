@@ -4,10 +4,12 @@
 including the wrap-around pair of a cycle.  Every PC-cycle search is one
 depth-first walk, _pc_cycle_search, pruning only on the previous edge color.
 has_pc_cycle returns its first cycle; it is the engine of
-classify_attachment and oracles.is_pancyclic_from, and the counted last
-resort of trichotomy.classify's growth route, which first tries
-insert_into_pc_cycle and the constructive rules at the end of this module
-(_swap_in_pair, _insert_with_reversal, _regrow_quadrangle).
+oracles.is_pancyclic_from, and the counted last resort of
+trichotomy.classify's growth route, which first tries insert_into_pc_cycle
+and the constructive rules at the end of this module (_swap_in_pair,
+_insert_with_reversal, _regrow_quadrangle).  classify_attachment decides
+extendability by insertion, then by classify on the induced subgraph, with
+no search.
 enumerate_pc_cycles lists all of them, once up to rotation and reflection,
 and is how the tests check the walk against the permutation oracle.
 pc_quadrangle_search is the same walk at length 4.
@@ -199,14 +201,14 @@ def has_pc_cycle(g: ColoredCompleteGraph, v: int, length: int) -> Optional[Cycle
 
 # -- pancyclic covers -----------------------------------------------------
 
-def _fill_covers(n: int, quadrangle: Callable, extend: Callable) -> tuple:
+def _fill_covers(n: int, build: Callable) -> tuple:
     """(covers, rows): per length L in 4..n, a cover of 0..n-1 by L-cycles.
 
-    Both pancyclic routes fill their certificate here.  A builder returns
+    Both pancyclic routes fill their certificate here.  The builder returns
     a (cycle, state) pair: a vertex sequence and whatever the route keeps
     beside it.  Vertex u, in order, takes at each length L the pair filed
-    in rows[L][u] (reuse), or else builds one: quadrangle(u, unfiled) at
-    L = 4, extend(cur, u, L, unfiled) on u's (L-1)-pair cur above, where
+    in rows[L][u] (reuse), or else builds one with build(cur, u, L,
+    unfiled), where cur is u's (L-1)-pair, None exactly at L = 4, and
     unfiled is the bitmask of the vertices with no L-cycle yet.  A built
     cycle joins covers[L], in build order, and its pair is filed under each
     vertex on it with an empty row, so rows[L][v] holds the first cycle of
@@ -225,7 +227,7 @@ def _fill_covers(n: int, quadrangle: Callable, extend: Callable) -> tuple:
                 cur = row[u]
                 continue
             done = filed[ln]
-            cur = quadrangle(u, full ^ done) if cur is None else extend(cur, u, ln, full ^ done)
+            cur = build(cur, u, ln, full ^ done)
             covers[ln].append(cur[0])
             for w in cur[0]:
                 if row[w] is None:
@@ -337,10 +339,10 @@ def _induced(g: ColoredCompleteGraph, vertices: Sequence[int]) -> ColoredComplet
     m = g._m
     used = sorted({m[u][v] for u in vertices for v in vertices if u != v})
     dense = {d: i for i, d in enumerate(used)}
-    rows = [[-1 if u == v else dense[m[u][v]] for v in vertices] for u in vertices]
-    return ColoredCompleteGraph._from_dense(
-        len(vertices), rows, [g._palette[d] for d in used]
+    rows = tuple(
+        tuple(-1 if u == v else dense[m[u][v]] for v in vertices) for u in vertices
     )
+    return ColoredCompleteGraph(len(vertices), rows, tuple(g._palette[d] for d in used))
 
 
 def classify_attachment(g: ColoredCompleteGraph, cycle: Cycle, v: int) -> AttachmentClass:
@@ -351,9 +353,16 @@ def classify_attachment(g: ColoredCompleteGraph, cycle: Cycle, v: int) -> Attach
     the cycle, v copies every vertex's predecessor edge color, or v copies
     every vertex's successor edge color.  Any other outcome on
     mono-triangle-free input is a falsified guarantee.  When no insertion
-    fits, has_pc_cycle on G[V(cycle)+{v}] decides extendability.  A cycle
-    vertex or v outside g raises UnknownVertex.
+    fits, trichotomy.classify on H = G[V(cycle)+{v}] decides extendability,
+    in polynomial time: tag (a) hands over a PC Hamilton cycle of H, the
+    first of its length-|H| cover.  Tags (b) and (c) rule one out, as the
+    boundary edges of a proper degenerate set lie on no PC cycle and the
+    double pentagon has no PC pentagon.  A cycle vertex or v outside g
+    raises UnknownVertex, and a monochromatic triangle inside H, when no
+    insertion fits, raises MonochromaticTrianglePresent.
     """
+    from .trichotomy import TrichotomyTag, classify  # trichotomy imports this module
+
     _check_sequence(g, cycle.vertices)
     g.check_vertex(v)
     if v in cycle:
@@ -361,9 +370,9 @@ def classify_attachment(g: ColoredCompleteGraph, cycle: Cycle, v: int) -> Attach
     witness = insert_into_pc_cycle(g, cycle, v)
     if witness is None:
         vs = cycle.vertices + (v,)
-        sub = has_pc_cycle(_induced(g, vs), 0, len(vs))
-        if sub is not None:
-            witness = Cycle([vs[i] for i in sub])
+        res = classify(_induced(g, vs))
+        if res.tag is TrichotomyTag.PANCYCLIC:
+            witness = Cycle([vs[i] for i in res.cycles[len(vs)][0]])
     if witness is not None:
         return AttachmentClass(AttachmentKind.EXTENDABLE, cycle=witness)
     m = g._m

@@ -334,7 +334,7 @@ def _graph_from_rgs(n: int, pairs: List[tuple], rgs: tuple) -> ColoredCompleteGr
     for (u, v), c in zip(pairs, rgs):
         rows[u][v] = rows[v][u] = c
     palette = tuple(range(max(rgs) + 1))
-    return ColoredCompleteGraph._from_dense(n, rows, palette)
+    return ColoredCompleteGraph(n, tuple(map(tuple, rows)), palette)
 
 
 def exhaustive_colorings(

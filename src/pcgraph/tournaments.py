@@ -47,10 +47,6 @@ from .errors import (
     RepeatedVertex,
 )
 
-# disjointness_violation's "not computed yet"; None means "no violation"
-_UNKNOWN = object()
-
-
 _BIT = (1).__lshift__  # _BIT(v) == 1 << v
 
 
@@ -77,14 +73,11 @@ class MultipartiteTournament:
     search for a vertex with given arcs is then one AND whose lowest set bit
     is the smallest such vertex.
 
-    Instances are immutable, so derived facts are computed at most once and
-    remembered: strong connectivity, the disjointness violation (None
-    included) and the table mpt_cycles_through fills on its first call.
+    Instances are immutable.  The one derived fact remembered is the table
+    mpt_cycles_through fills on its first call, which cycle_covers() reads.
     """
 
-    __slots__ = (
-        "n", "parts", "part_of", "_outmask", "_inmask", "_strong", "_violation", "_table",
-    )
+    __slots__ = ("n", "parts", "part_of", "_outmask", "_inmask", "_table")
 
     def __init__(self, parts: Sequence[Iterable[int]], arcs: Iterable[Sequence[int]]):
         parts = tuple(tuple(p) for p in parts)
@@ -149,8 +142,6 @@ class MultipartiteTournament:
         self.part_of = part_of
         self._outmask = tuple(outmask)
         self._inmask = tuple(inmask)
-        self._strong = None
-        self._violation = _UNKNOWN
         self._table = None  # mpt_cycles_through's (covers, rows), once filled
 
     @classmethod
@@ -196,11 +187,6 @@ class MultipartiteTournament:
 
     def disjointness_violation(self) -> Optional[tuple]:
         """A triple (x, y, z) with {x,y} a 2-part both dominating z, if any."""
-        if self._violation is _UNKNOWN:
-            self._violation = self._find_violation()
-        return self._violation
-
-    def _find_violation(self) -> Optional[tuple]:
         for p in self.parts:
             if len(p) != 2:
                 continue
@@ -222,14 +208,10 @@ class MultipartiteTournament:
 
 
 def is_strongly_connected(t: MultipartiteTournament) -> bool:
-    """True iff every ordered vertex pair is joined by a directed path."""
-    if t._strong is None:
-        t._strong = _strongly_connected(t)
-    return t._strong
+    """True iff every ordered vertex pair is joined by a directed path.
 
-
-def _strongly_connected(t: MultipartiteTournament) -> bool:
-    """Forward and backward search from vertex 0 over the bitmasks, uncached."""
+    A forward and a backward search from vertex 0 over the bitmasks.
+    """
     full = (1 << t.n) - 1
     for nbr in (t._outmask, t._inmask):
         seen = todo = 1
@@ -254,13 +236,12 @@ def is_directed_cycle(t: MultipartiteTournament, seq: Sequence[int]) -> bool:
 
 
 def _extend_cycle(
-    t: MultipartiteTournament, cyc: tuple, v: int, prefer: int, mask: Optional[int] = None
+    t: MultipartiteTournament, cyc: tuple, v: int, prefer: int, mask: int
 ) -> Tuple[tuple, int]:
     """One-longer directed cycle through v, preferring a vertex of mask prefer.
 
-    Returns the cycle with its vertex mask.  mask is cyc's vertex mask,
-    computed here when not given; an insertion adds one bit to it and a
-    swap changes three.
+    mask is cyc's vertex mask.  Returns the new cycle with its vertex mask:
+    an insertion adds one bit to mask and a swap changes three.
 
     First tries single-vertex insertion at a dominance switch with the
     inserted vertex in prefer (first position, smallest vertex), then the
@@ -285,9 +266,6 @@ def _extend_cycle(
     """
     outm = t._outmask
     inm = t._inmask
-    if mask is None:
-        # the vertices are distinct, so the sum of their bits is their mask
-        mask = sum(map(_BIT, cyc))
     outside = ((1 << t.n) - 1) ^ mask
     ln = len(cyc)
     for among in (outside & prefer, outside):
@@ -408,15 +386,16 @@ def _quadrangle_through(t: MultipartiteTournament, v: int, prefer: int) -> tuple
 def mpt_cycles_through(t: MultipartiteTournament, v: int) -> Dict[int, tuple]:
     """Directed cycles of every length 4..|V| through v.
 
-    Preconditions (each reported via PreconditionViolated): at least four
-    vertices, strong connectivity, and disjoint out-neighborhoods inside
-    every 2-part.
+    Preconditions (each reported via PreconditionViolated, and checked on
+    every call): at least four vertices, strong connectivity, and disjoint
+    out-neighborhoods inside every 2-part.
 
     An L-cycle is a certificate for each of its L vertices, so the cycles
     come from one table that t remembers, filled for every vertex by the
-    first call with cycles._fill_covers.  A vertex with no L-cycle yet
-    builds one, _quadrangle_through at L = 4 and _extend_cycle of its
-    (L-1)-cycle above, each cycle with its vertex mask as the fill's state.
+    first call with cycles._fill_covers.  Its one builder makes an L-cycle
+    for a vertex with none yet: _quadrangle_through at L = 4 and
+    _extend_cycle of the vertex's (L-1)-cycle above, each cycle with its
+    vertex mask as the fill's state.
     A build prefers the vertices with no L-cycle yet: the quadrangle scan
     first looks for one made of them, and growth first tries to insert one
     of them, so at n = 64 about 300 distinct cycles fill the table, not the
@@ -436,14 +415,14 @@ def mpt_cycles_through(t: MultipartiteTournament, v: int) -> Dict[int, tuple]:
         )
     _check_vertex(t, v)
     if t._table is None:
-        def quadrangle(u: int, unfiled: int) -> tuple:
-            cyc = _quadrangle_through(t, u, unfiled)
-            return cyc, sum(map(_BIT, cyc))
-
-        def extend(cur: tuple, u: int, ln: int, unfiled: int) -> tuple:
+        def build(cur: Optional[tuple], u: int, ln: int, unfiled: int) -> tuple:
+            if cur is None:
+                cyc = _quadrangle_through(t, u, unfiled)
+                # the vertices are distinct, so the sum of their bits is their mask
+                return cyc, sum(map(_BIT, cyc))
             return _extend_cycle(t, cur[0], u, unfiled, cur[1])
 
-        t._table = _fill_covers(n, quadrangle, extend)
+        t._table = _fill_covers(n, build)
     return {ln: row[v][0] for ln, row in t._table[1].items()}
 
 

@@ -126,7 +126,7 @@ def _pancyclic_via_orientation(g: ColoredCompleteGraph, cert: DegeneracyCertific
     """Pancyclic covers from the orientation of a full compatible map.
 
     The orientation t meets both preconditions of mpt_cycles_through, which
-    still checks them (once: t remembers the answers):
+    still checks them, once, in its one call:
 
     * Disjoint out-neighborhoods inside each 2-part: a fiber {x, y} has
       f(x) = f(y) = c, so edge xy has color c, and arcs x -> z and y -> z
@@ -203,7 +203,7 @@ def _pancyclic_by_growth(g: ColoredCompleteGraph, stats_out: Optional[dict]) -> 
         counts[rule] = counts.get(rule, 0) + 1
         return cyc, None
 
-    covers, _ = _fill_covers(g.n, lambda v, unfiled: build(None, v, 4, unfiled), build)
+    covers, _ = _fill_covers(g.n, build)
     if stats_out is not None:
         counts["growth_reused"] = g.n * (g.n - 3) - sum(counts.values())
         for key, count in counts.items():

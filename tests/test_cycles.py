@@ -13,6 +13,7 @@ from pcgraph.cycles import (
     AttachmentKind,
     Cycle,
     _fill_covers,
+    _induced,
     _insert_with_reversal,
     _regrow_quadrangle,
     _swap_in_pair,
@@ -38,6 +39,7 @@ from pcgraph.errors import (
     VertexOnCycle,
 )
 from pcgraph.families import exhaustive_colorings, random_no_mono_triangle
+from pcgraph.trichotomy import classify
 from pcgraph.oracles import pc_cycles_by_permutation
 
 
@@ -194,8 +196,8 @@ def _absorbs_every_outside_vertex(g, path):
         if w in path:
             continue
         order = path + (w,)
-        sub = ColoredCompleteGraph._from_dense(
-            k + 1, [[m[a][b] for b in order] for a in order], g._palette
+        sub = ColoredCompleteGraph(
+            k + 1, tuple(tuple(m[a][b] for b in order) for a in order), g._palette
         )
         longer = _try_lengthen(sub, tuple(range(k)))
         assert sorted(longer) == list(range(k + 1)) and is_pc_path(sub, longer)
@@ -238,8 +240,8 @@ def test_classify_attachment_single_color():
 
 def test_classify_attachment_extendable_beyond_insertion():
     # col(4, u) copies col(u, u+) around 0->1->2->3->0, which kills every
-    # insertion point, yet a PC cycle on all five vertices still exists; the
-    # exact-set fallback must find it
+    # insertion point, yet a PC cycle on all five vertices still exists;
+    # classifying G[V(C)+4] must find it
     edges = [
         (0, 1, 1), (1, 2, 2), (2, 3, 1), (0, 3, 2),
         (0, 2, 3), (1, 3, 3),
@@ -272,6 +274,45 @@ def test_classify_attachment_double_pentagon(double_pentagon):
     assert rev.kind is AttachmentKind.ALL_SUCCESSOR
     with pytest.raises(VertexOnCycle):
         classify_attachment(double_pentagon, Cycle((0, 1, 4, 3)), 0)
+
+
+def _extendable_by_search(g, cycle, w):
+    """Reference decider: DFS for a PC Hamilton cycle of G[V(cycle)+w]."""
+    vs = cycle.vertices + (w,)
+    return has_pc_cycle(_induced(g, vs), 0, len(vs)) is not None
+
+
+def test_classify_attachment_agrees_with_search_on_k5():
+    # every 8th mono-free K5 coloring, each PC quadrangle through vertex 0
+    # with its one outside vertex: classify_attachment decides extendability
+    # as the Hamilton-cycle DFS does, and its witness is a PC pentagon
+    mono_free = (g for g in exhaustive_colorings(5) if find_monochromatic_triangle(g) is None)
+    pairs = beyond = stuck = 0
+    for g in itertools.islice(mono_free, 0, None, 8):
+        for cyc in enumerate_pc_cycles(g, 0, 4):
+            (w,) = set(range(5)) - set(cyc)
+            res = classify_attachment(g, cyc, w)
+            extendable = res.kind is AttachmentKind.EXTENDABLE
+            assert extendable == _extendable_by_search(g, cyc, w)
+            if extendable:
+                assert sorted(res.cycle) == list(range(5)) and is_pc_cycle(g, res.cycle)
+                beyond += insert_into_pc_cycle(g, cyc, w) is None
+            pairs += 1
+            stuck += not extendable
+    assert (pairs, beyond, stuck) == (66208, 153, 126)
+
+
+def test_classify_attachment_single_color_13_cycle():
+    # a PC 13-cycle plus a vertex whose edges to it all carry one fresh
+    # color: no insertion fits and no PC 14-cycle exists.  {13} is a proper
+    # degenerate set of G[V(C)+13], so classify answers at once, where the
+    # Hamilton-cycle DFS grows about 8x per cycle vertex and ran for minutes
+    base = random_no_mono_triangle(13, 8, 0)
+    cyc = classify(base).cycles[13][0]
+    fresh = max(base.palette) + 1
+    g = build(14, list(base.edges()) + [(u, 13, fresh) for u in range(13)])
+    res = classify_attachment(g, cyc, 13)
+    assert res.kind is AttachmentKind.SINGLE_COLOR and res.color == fresh
 
 
 def test_classify_attachment_trichotomy_random():
@@ -443,29 +484,27 @@ def test_pc_cycle_rotation_reflection_invariance(data):
 
 
 def test_fill_covers_builds_only_for_unfiled_vertices():
-    # toy builders grow random vertex tuples and record every call; the fill
-    # must build only for an unfiled (u, L), hand each build the complement
-    # of what is filed at L, and file each vertex under its first cover cycle
+    # a toy builder grows random vertex tuples and records every call; the
+    # fill must build only for an unfiled (u, L), pass cur = None exactly at
+    # L = 4, hand each build the complement of what is filed at L, and file
+    # each vertex under its first cover cycle
     for n in range(4, 13):
         rng = random.Random(n)
         calls = []
 
-        def record(u, ln, unfiled, cur, cyc):
+        def build(cur, u, ln, unfiled):
+            if cur is None:
+                cyc = tuple([u] + rng.sample([w for w in range(n) if w != u], 3))
+            else:
+                assert u in cur[0] and len(cur[0]) == ln - 1
+                w = rng.choice([w for w in range(n) if w not in cur[0]])
+                i = rng.randrange(ln)
+                cyc = cur[0][:i] + (w,) + cur[0][i:]
             pair = (cyc, len(calls))
             calls.append((u, ln, unfiled, cur, pair))
             return pair
 
-        def quadrangle(u, unfiled):
-            others = rng.sample([w for w in range(n) if w != u], 3)
-            return record(u, 4, unfiled, None, tuple([u] + others))
-
-        def extend(cur, u, ln, unfiled):
-            assert u in cur[0] and len(cur[0]) == ln - 1
-            w = rng.choice([w for w in range(n) if w not in cur[0]])
-            i = rng.randrange(ln)
-            return record(u, ln, unfiled, cur, cur[0][:i] + (w,) + cur[0][i:])
-
-        covers, rows = _fill_covers(n, quadrangle, extend)
+        covers, rows = _fill_covers(n, build)
         assert list(covers) == list(rows) == list(range(4, n + 1))
         assert len(calls) == sum(map(len, covers.values()))
         filed = dict.fromkeys(covers, 0)

@@ -176,19 +176,21 @@ def test_mpt_rejects_violations():
 def test_orientation_checked_once_per_classification(monkeypatch):
     g, _f = random_degenerate(16, random_fibers(16, 0), 0)
     assert degeneracy_status(g).tag is DegeneracyTag.FULL_ONLY
-    real = tournaments_mod._strongly_connected
+    real = tournaments_mod.is_strongly_connected
     calls = []
 
     def counted(t):
         calls.append(t)
         return real(t)
 
-    monkeypatch.setattr(tournaments_mod, "_strongly_connected", counted)
+    monkeypatch.setattr(tournaments_mod, "is_strongly_connected", counted)
     assert classify(g).tag is TrichotomyTag.PANCYCLIC
     assert len(calls) == 1
 
 
-def test_mpt_precondition_failures_are_remembered(monkeypatch):
+def test_mpt_precondition_failures_raise_on_every_call(monkeypatch):
+    # nothing is remembered about a failed precondition: each call checks
+    # again, in order, and raises again
     searches = []
 
     def counted(label, fn):
@@ -200,19 +202,19 @@ def test_mpt_precondition_failures_are_remembered(monkeypatch):
 
     monkeypatch.setattr(
         tournaments_mod,
-        "_strongly_connected",
-        counted("strong", tournaments_mod._strongly_connected),
+        "is_strongly_connected",
+        counted("strong", tournaments_mod.is_strongly_connected),
     )
     monkeypatch.setattr(
         MultipartiteTournament,
-        "_find_violation",
-        counted("disjoint", MultipartiteTournament._find_violation),
+        "disjointness_violation",
+        counted("disjoint", MultipartiteTournament.disjointness_violation),
     )
     not_strong = transitive(5)
     for _ in range(2):
         with pytest.raises(PreconditionViolated, match="connectivity"):
             mpt_cycles_through(not_strong, 0)
-    assert searches == ["strong"]
+    assert searches == ["strong", "strong"]
     searches.clear()
     violating = MultipartiteTournament(
         [(0, 1), (2,), (3,)], [(0, 2), (1, 2), (2, 3), (3, 0), (3, 1)]
@@ -220,7 +222,7 @@ def test_mpt_precondition_failures_are_remembered(monkeypatch):
     for _ in range(2):
         with pytest.raises(PreconditionViolated, match="disjointness"):
             mpt_cycles_through(violating, 0)
-    assert searches == ["strong", "disjoint"]
+    assert searches == ["strong", "disjoint"] * 2
 
 
 def test_mpt_quadrangle_long_return_path():
@@ -353,9 +355,8 @@ def test_cycle_covers_and_table_masks():
     arcs = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
     arcs += [(c, d) for c in range(3) for d in (3, 4)] + [(5, c) for c in range(3)]
     t = MultipartiteTournament.tournament(6, arcs)
-    for mask in (None, 0b111):
-        swapped = tournaments_mod._extend_cycle(t, (0, 1, 2), 0, 0, mask)
-        assert swapped == ((0, 4, 5, 2), _vertex_mask((0, 4, 5, 2)))
+    swapped = tournaments_mod._extend_cycle(t, (0, 1, 2), 0, 0, 0b111)
+    assert swapped == ((0, 4, 5, 2), _vertex_mask((0, 4, 5, 2)))
 
 
 def test_mpt_cycles_reject_unknown_vertex():
@@ -468,8 +469,9 @@ def test_extend_cycle_is_complete():
             for cyc in _random_cycles_through(t, v, min_len, rng):
                 if len(cyc) == t.n:
                     continue
+                mask = _vertex_mask(cyc)
                 for prefer in (0, (1 << t.n) - 1, rng.getrandbits(t.n)):
-                    got = tournaments_mod._extend_cycle(t, cyc, v, prefer)[0]
+                    got = tournaments_mod._extend_cycle(t, cyc, v, prefer, mask)[0]
                     assert len(got) == len(cyc) + 1 and v in got and is_directed_cycle(t, got)
                     assert got == _first_extension(t, cyc, v, prefer)
                     if not prefer:
@@ -488,7 +490,7 @@ def test_extend_cycle_swap_tries_every_dominated_vertex():
     arcs += [(c, d) for c in range(3) for d in (3, 4)] + [(5, c) for c in range(3)]
     t = MultipartiteTournament.tournament(6, arcs)
     assert is_strongly_connected(t)
-    got = tournaments_mod._extend_cycle(t, (0, 1, 2), 0, 0)[0]
+    got = tournaments_mod._extend_cycle(t, (0, 1, 2), 0, 0, 0b111)[0]
     assert got == (0, 4, 5, 2) == _first_extension(t, (0, 1, 2), 0)
 
 
