@@ -1,9 +1,10 @@
 """Instance generators: named examples, random families, exhaustive streams.
 
-Every generator asserts its advertised structural contract with the
-corresponding detector before an instance leaves this module, and every
-random family is a pure function of its integer seed, so failures are
-reproducible from the reported seed alone.
+Every generator checks its advertised structural contract with the
+corresponding detector before an instance leaves this module, and raises
+InternalError with the instance when it fails (a check, not an assert, so
+it also runs under python -O).  Every random family is a pure function of
+its integer seed, so failures are reproducible from the reported seed alone.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .detect import find_monochromatic_triangle, find_pc_triangle, verify_gallai
 from .errors import (
     BadPartition,
     BudgetExhausted,
+    InternalError,
     PreconditionViolated,
     TooLarge,
     TooSmall,
@@ -49,6 +51,12 @@ class GenSpec:
             raise PreconditionViolated("count", f"must be >= 0, got {self.count}")
 
 
+def _contract(g: ColoredCompleteGraph, holds: bool, what: str) -> None:
+    """The generators' alarm: raise InternalError with g unless its contract holds."""
+    if not holds:
+        raise InternalError(f"generated instance breaks its contract: {what}", instance=g)
+
+
 def double_pentagon_matrix() -> tuple:
     """Dense color matrix of the canonical two-pentagon K5.
 
@@ -71,7 +79,7 @@ def example_k5_double_pentagon() -> ColoredCompleteGraph:
     """The unique mono-triangle-free 2-coloring of K5: two edge-disjoint pentagons."""
     dense = double_pentagon_matrix()
     g = build(5, [(u, v, dense[u][v] + 1) for u in range(5) for v in range(u + 1, 5)])
-    assert find_monochromatic_triangle(g) is None
+    _contract(g, find_monochromatic_triangle(g) is None, "no monochromatic triangle")
     return g
 
 
@@ -94,7 +102,7 @@ def example_directed(n: int) -> ColoredCompleteGraph:
         for v in range(u + 1, n):
             edges.append((u, v, next(fresh)))
     g = build(n, edges)
-    assert find_monochromatic_triangle(g) is None
+    _contract(g, find_monochromatic_triangle(g) is None, "no monochromatic triangle")
     return g
 
 
@@ -131,7 +139,7 @@ def random_no_mono_triangle(n: int, k: int, seed: int) -> ColoredCompleteGraph:
                 break
         if bad is None:
             g = build(n, [(u, v, colors[i]) for i, (u, v) in enumerate(pairs)])
-            assert find_monochromatic_triangle(g) is None
+            _contract(g, find_monochromatic_triangle(g) is None, "no monochromatic triangle")
             return g
         edge = bad[rng.randrange(3)]
         colors[edge] = (colors[edge] + 1 + rng.randrange(k - 1)) % k
@@ -173,7 +181,23 @@ def _fitting_orientations(la: int, lb: int) -> frozenset:
     return frozenset(fits)
 
 
-_FITTING = {(la, lb): _fitting_orientations(la, lb) for la in (1, 2) for lb in (1, 2)}
+def _write_plans(la: int, lb: int) -> tuple:
+    """Per orientation index, its writes (ia, ib, forward), or None if it does not fit.
+
+    The write (ia, ib, forward) colors the cross edge between a[ia] and b[ib]
+    with a's value when forward (the arc a[ia] -> b[ib]) and b's otherwise.
+    """
+    fits = _fitting_orientations(la, lb)
+    cross = [(ia, ib) for ia in range(la) for ib in range(lb)]
+    return tuple(
+        tuple((ia, ib, forward) for (ia, ib), forward in zip(cross, combo))
+        if index in fits
+        else None
+        for index, combo in enumerate(_ORIENTATIONS[la * lb])
+    )
+
+
+_PLANS = {(la, lb): _write_plans(la, lb) for la in (1, 2) for lb in (1, 2)}
 
 
 def random_degenerate(
@@ -197,42 +221,65 @@ def random_degenerate(
     2-fiber {x, y}; and the ring x -> z -> y -> w -> x does for two
     2-fibers {x, y} and {z, w}.  The closing triangle scan is an alarm.
 
-    The shuffle runs over orientation indices, so the random stream is the
-    one that shuffling the orientations themselves draws.  The values are
-    written straight into the color matrix; the palette is the values that
-    land on some edge (a singleton that is the head of all its cross edges
-    has none), renumbered densely in order, which is what build() makes of
-    the same edge list.
+    The only random draws are one rng.shuffle(list(range(m))) per fiber
+    pair, in itertools.combinations order, with m = 2 ** (|a| * |b|) the
+    number of orientations.  shuffle draws depend only on the length of
+    the list, and the list starts as the same range, so the seed fixes the
+    same permutation and the same chosen index k as shuffling the
+    orientations themselves would.  Everything around the shuffle is a
+    table lookup: _PLANS[|a|, |b|][k] is orientation k's list of writes,
+    or None when it does not fit, and between two singletons, where every
+    orientation fits, k is order[0].  The values are written straight into
+    the color matrix and marked as they land; the palette is the values
+    that land on some edge (a singleton that is the head of all its cross
+    edges has none), renumbered densely in order, which is what build()
+    makes of the same edge list.
     """
     parts = _check_fibers(n, fibers)
     rng = random.Random(seed)
+    shuffle = rng.shuffle
     f = {v: idx for idx, p in enumerate(parts) for v in p}
     rows = [[-1] * n for _ in range(n)]
+    landed = bytearray(len(parts))
     for idx, p in enumerate(parts):
         if len(p) == 2:
             x, y = p
             rows[x][y] = rows[y][x] = idx
-    for (i, a), (j, b) in itertools.combinations(enumerate(parts), 2):
-        combos = _ORIENTATIONS[len(a) * len(b)]
-        order = list(range(len(combos)))
-        rng.shuffle(order)
-        fits = _FITTING[len(a), len(b)]
-        for k in order:  # one always fits; see above
-            if k in fits:
-                break
-        cross = [(u, v) for u in a for v in b]
-        for (u, v), forward in zip(cross, combos[k]):
-            rows[u][v] = rows[v][u] = i if forward else j
-    values = set(itertools.chain.from_iterable(rows))
-    values.discard(-1)
-    palette = tuple(sorted(values))
+            landed[idx] = 1
+    for i, a in enumerate(parts):
+        la = len(a)
+        row_a = [rows[u] for u in a]
+        for j in range(i + 1, len(parts)):
+            b = parts[j]
+            if la == 1 and len(b) == 1:
+                # both orientations fit, and orientation k is the arc a -> b iff k
+                order = [0, 1]
+                shuffle(order)
+                c = i if order[0] else j
+                v = b[0]
+                row_a[0][v] = rows[v][a[0]] = c
+                landed[c] = 1
+                continue
+            plans = _PLANS[la, len(b)]
+            order = list(range(len(plans)))
+            shuffle(order)
+            for k in order:  # one always fits; see above
+                plan = plans[k]
+                if plan is not None:
+                    break
+            for ia, ib, forward in plan:
+                c = i if forward else j
+                v = b[ib]
+                row_a[ia][v] = rows[v][a[ia]] = c
+                landed[c] = 1
+    palette = tuple(c for c, hit in enumerate(landed) if hit)
     if len(palette) < len(parts):
         rank = {c: d for d, c in enumerate(palette)}
         rank[-1] = -1
         rows = [[rank[c] for c in row] for row in rows]
     g = ColoredCompleteGraph(n, tuple(map(tuple, rows)), palette)
     if n >= 3:
-        assert find_monochromatic_triangle(g) is None
+        _contract(g, find_monochromatic_triangle(g) is None, "no monochromatic triangle")
     return g, f
 
 
@@ -300,9 +347,9 @@ def gallai_coloring(
     top = fill(list(range(n)))
     g = build(n, [(u, v, c) for (u, v), c in color.items()])
     partition = sorted((sorted(p) for p in top), key=lambda p: p[0])
-    assert find_monochromatic_triangle(g) is None
-    assert find_pc_triangle(g) is None
-    assert verify_gallai_partition(g, partition)
+    _contract(g, find_monochromatic_triangle(g) is None, "no monochromatic triangle")
+    _contract(g, find_pc_triangle(g) is None, "no PC triangle")
+    _contract(g, verify_gallai_partition(g, partition), "a Gallai partition")
     return g, partition
 
 

@@ -325,12 +325,14 @@ def cycles_through(t: MultipartiteTournament, v: int) -> Dict[int, tuple]:
     The triangle comes from _triangle_through and lengths 4..n from
     mpt_cycles_through's shared table: a strong tournament of order >= 4
     meets its preconditions, as it has no 2-part to violate disjointness.
+    Strong connectivity is searched only while that table is unfilled; a
+    filled table shows it held, as t is immutable.
     """
     if not t.is_tournament():
         raise NotATournament("input has a part of size 2")
     if t.n < 3:
         raise PreconditionViolated("size", f"need order >= 3, got {t.n}")
-    if not is_strongly_connected(t):
+    if t._table is None and not is_strongly_connected(t):
         raise NotStronglyConnected("tournament is not strongly connected")
     _check_vertex(t, v)
     out = {3: _triangle_through(t, v)}
@@ -386,9 +388,11 @@ def _quadrangle_through(t: MultipartiteTournament, v: int, prefer: int) -> tuple
 def mpt_cycles_through(t: MultipartiteTournament, v: int) -> Dict[int, tuple]:
     """Directed cycles of every length 4..|V| through v.
 
-    Preconditions (each reported via PreconditionViolated, and checked on
-    every call): at least four vertices, strong connectivity, and disjoint
-    out-neighborhoods inside every 2-part.
+    Preconditions (each reported via PreconditionViolated): at least four
+    vertices, strong connectivity, and disjoint out-neighborhoods inside
+    every 2-part.  The last two are searched on every call until the table
+    below is filled; t is immutable, so a filled table shows they held,
+    and a t that fails one never fills it.
 
     An L-cycle is a certificate for each of its L vertices, so the cycles
     come from one table that t remembers, filled for every vertex by the
@@ -405,14 +409,15 @@ def mpt_cycles_through(t: MultipartiteTournament, v: int) -> Dict[int, tuple]:
     n = t.n
     if n < 4:
         raise PreconditionViolated("size", f"need at least 4 vertices, got {n}")
-    if not is_strongly_connected(t):
-        raise PreconditionViolated("connectivity", "digraph is not strongly connected")
-    bad = t.disjointness_violation()
-    if bad is not None:
-        x, y, z = bad
-        raise PreconditionViolated(
-            "disjointness", f"{z} is dominated by both {x} and {y} of one part"
-        )
+    if t._table is None:
+        if not is_strongly_connected(t):
+            raise PreconditionViolated("connectivity", "digraph is not strongly connected")
+        bad = t.disjointness_violation()
+        if bad is not None:
+            x, y, z = bad
+            raise PreconditionViolated(
+                "disjointness", f"{z} is dominated by both {x} and {y} of one part"
+            )
     _check_vertex(t, v)
     if t._table is None:
         def build(cur: Optional[tuple], u: int, ln: int, unfiled: int) -> tuple:

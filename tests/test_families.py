@@ -1,9 +1,11 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 
-from pcgraph.core import build, dumps_instance
+import pcgraph.families as families_mod
+from pcgraph.core import ColoredCompleteGraph, build, dumps_instance
 from pcgraph.detect import (
     DegeneracyTag,
     degeneracy_status,
@@ -11,7 +13,7 @@ from pcgraph.detect import (
     find_pc_triangle,
     verify_gallai_partition,
 )
-from pcgraph.errors import BadPartition, BudgetExhausted, TooLarge, TooSmall
+from pcgraph.errors import BadPartition, BudgetExhausted, InternalError, TooLarge, TooSmall
 from pcgraph.families import (
     GenSpec,
     example_directed,
@@ -89,6 +91,98 @@ def test_random_degenerate_matrix_matches_build():
             if n >= 3:
                 skipped += len(set(f.values()) - g.palette)
     assert skipped > 0
+
+
+def _reference_fitting(la, lb):
+    fits = set()
+    for index, combo in enumerate(itertools.product((0, 1), repeat=la * lb)):
+        if la == 2 and any(combo[z] and combo[lb + z] for z in range(lb)):
+            continue
+        if lb == 2 and any(not (combo[2 * z] or combo[2 * z + 1]) for z in range(la)):
+            continue
+        fits.add(index)
+    return frozenset(fits)
+
+
+_REFERENCE_FITTING = {(la, lb): _reference_fitting(la, lb) for la in (1, 2) for lb in (1, 2)}
+
+
+def _reference_random_degenerate(n, fibers, seed):
+    # the per-pair body that predates the write plans: build the cross list,
+    # zip it with the chosen combo, and read the palette off the whole matrix
+    parts = [tuple(sorted(p)) for p in fibers]
+    rng = random.Random(seed)
+    f = {v: idx for idx, p in enumerate(parts) for v in p}
+    rows = [[-1] * n for _ in range(n)]
+    for idx, p in enumerate(parts):
+        if len(p) == 2:
+            x, y = p
+            rows[x][y] = rows[y][x] = idx
+    for (i, a), (j, b) in itertools.combinations(enumerate(parts), 2):
+        combos = tuple(itertools.product((0, 1), repeat=len(a) * len(b)))
+        order = list(range(len(combos)))
+        rng.shuffle(order)
+        fits = _REFERENCE_FITTING[len(a), len(b)]
+        for k in order:
+            if k in fits:
+                break
+        cross = [(u, v) for u in a for v in b]
+        for (u, v), forward in zip(cross, combos[k]):
+            rows[u][v] = rows[v][u] = i if forward else j
+    values = set(itertools.chain.from_iterable(rows))
+    values.discard(-1)
+    palette = tuple(sorted(values))
+    if len(palette) < len(parts):
+        rank = {c: d for d, c in enumerate(palette)}
+        rank[-1] = -1
+        rows = [[rank[c] for c in row] for row in rows]
+    return ColoredCompleteGraph(n, tuple(map(tuple, rows)), palette), f
+
+
+def test_random_degenerate_draws_the_reference_stream(monkeypatch):
+    # same graph, palette and witness as the reference body, from the same
+    # sequence of shuffle calls; n=64 seeds 0..199 open the stream that the
+    # benchmark's degenerate-n64 workload draws
+    cases = [(n, seed) for n in range(1, 25) for seed in range(50)]
+    cases += [(64, seed) for seed in range(200)]
+    fibers = {case: random_fibers(*case) for case in cases}
+    lengths = []
+    real_shuffle = random.Random.shuffle
+
+    def recorded(self, x):
+        lengths.append(len(x))
+        return real_shuffle(self, x)
+
+    def draw(make):
+        lengths.clear()
+        out = []
+        for n, seed in cases:
+            g, f = make(n, fibers[n, seed], seed)
+            out.append((g.n, g._m, g._palette, f))
+        return out, list(lengths)
+
+    monkeypatch.setattr(random.Random, "shuffle", recorded)
+    want, want_lengths = draw(_reference_random_degenerate)
+    got, got_lengths = draw(random_degenerate)
+    assert got == want
+    assert got_lengths == want_lengths
+    assert sorted(set(got_lengths)) == [2, 4, 16]
+
+
+def test_generator_alarms_raise_internal_error(monkeypatch):
+    # the contract checks are not asserts, so they also hold under python -O
+    monkeypatch.setattr(families_mod, "find_monochromatic_triangle", lambda g: (0, 1, 2))
+    calls = [
+        lambda: random_degenerate(7, random_fibers(7, 0), 0),
+        lambda: random_no_mono_triangle(7, 4, 1),
+        lambda: gallai_coloring(9, 4),
+        example_k5_double_pentagon,
+        lambda: example_directed(6),
+    ]
+    for call in calls:
+        with pytest.raises(InternalError, match="monochromatic triangle") as info:
+            call()
+        assert isinstance(info.value.instance, ColoredCompleteGraph)
 
 
 def test_gallai_contract():

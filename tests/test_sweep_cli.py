@@ -335,7 +335,8 @@ def test_sweep_dumps_falsification_instances(tmp_path, monkeypatch):
     assert report.internal_errors == 1
     assert not report.clean
     assert len(report.dumps) == 1
-    doc = json.loads(open(report.dumps[0]).read())
+    with open(report.dumps[0]) as fh:
+        doc = json.load(fh)
     assert doc["error"] == "synthetic failure"
     dumped = loads_instance(json.dumps(doc["instance"]))
     assert dumped.n == 6
@@ -368,7 +369,8 @@ def test_sweep_survives_unexpected_exceptions(tmp_path, monkeypatch):
     assert not report.clean
     assert report.flagged == [{"index": 1, "reason": "ValueError: synthetic defect"}]
     assert len(report.dumps) == 1
-    doc = json.loads(open(report.dumps[0]).read())
+    with open(report.dumps[0]) as fh:
+        doc = json.load(fh)
     assert doc["error"] == "ValueError: synthetic defect"
     assert loads_instance(json.dumps(doc["instance"])).n == 6
 

@@ -225,6 +225,42 @@ def test_mpt_precondition_failures_raise_on_every_call(monkeypatch):
     assert searches == ["strong", "disjoint"] * 2
 
 
+def test_filled_table_skips_precondition_searches(monkeypatch):
+    # the first call fills the table, which shows the preconditions held (t is
+    # immutable); the calls for every other vertex make no search
+    searches = []
+
+    def counted(label, fn):
+        def wrapped(t):
+            searches.append(label)
+            return fn(t)
+
+        return wrapped
+
+    monkeypatch.setattr(
+        tournaments_mod,
+        "is_strongly_connected",
+        counted("strong", tournaments_mod.is_strongly_connected),
+    )
+    monkeypatch.setattr(
+        MultipartiteTournament,
+        "disjointness_violation",
+        counted("disjoint", MultipartiteTournament.disjointness_violation),
+    )
+    first_call = {
+        cycles_through: ["strong", "strong", "disjoint"],
+        mpt_cycles_through: ["strong", "disjoint"],
+    }
+    for through, want in first_call.items():
+        t = random_tournament(64, 0)
+        searches.clear()
+        through(t, 0)
+        assert searches == want
+        for v in range(64):
+            assert v in through(t, v)[4]
+        assert searches == want
+
+
 def test_mpt_quadrangle_long_return_path():
     # anchor 4 dominates the whole hub {0,1,2,3} and the only arc leaving the
     # hub starts a 3-step path back: the d >= 3 case of the existence proof
