@@ -141,21 +141,22 @@ def build(n: int, edges: Iterable[Sequence[int]]) -> ColoredCompleteGraph:
 
 
 def stats(g: ColoredCompleteGraph) -> ColorStats:
-    """Color degree per vertex, its minimum, and the max monochromatic degree."""
+    """Color degree per vertex, its minimum, and the max monochromatic degree.
+
+    Each row is counted into k + 1 slots with no test per entry: the
+    diagonal's -1 lands in the spare last slot, which is then dropped.
+    """
     if g.n < 2:
         raise TooSmall(f"stats need n >= 2, got {g.n}")
-    m = g._m
-    n = g.n
     k = g.num_colors
     degrees = []
     max_mono = 0
-    for u in range(n):
-        counts = [0] * k
-        row = m[u]
-        for v in range(n):
-            if v != u:
-                counts[row[v]] += 1
-        degrees.append(sum(1 for c in counts if c))
+    for row in g._m:
+        counts = [0] * (k + 1)
+        for c in row:
+            counts[c] += 1
+        counts.pop()
+        degrees.append(k - counts.count(0))
         mx = max(counts)
         if mx > max_mono:
             max_mono = mx

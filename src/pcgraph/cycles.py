@@ -36,17 +36,24 @@ from .errors import (
 
 
 class Cycle:
-    """Oriented cycle as a tuple of distinct vertices with navigation helpers."""
+    """Oriented cycle as a tuple of distinct vertices with navigation helpers.
 
-    __slots__ = ("vertices", "_pos")
+    The vertex set, kept beside the tuple, checks distinctness by its size
+    and answers ``in``; a set built and dropped per cycle instead churned
+    the allocator and raised peak RSS.  Positions come from ``vertices.index``
+    in _index, read only by succ, pred and _from: the growth route and
+    classify_attachment ask, while the orientation route builds about 300
+    cycles per n=64 instance and never does.
+    """
+
+    __slots__ = ("vertices", "_members")
 
     def __init__(self, vertices: Sequence[int]):
-        self.vertices = tuple(vertices)
-        if len(self.vertices) < 3:
-            raise BadLength(f"cycles need >= 3 vertices, got {len(self.vertices)}")
-        # one dict gives positions and, by its size, distinctness
-        self._pos = dict(zip(self.vertices, range(len(self.vertices))))
-        if len(self._pos) != len(self.vertices):
+        vs = self.vertices = tuple(vertices)
+        if len(vs) < 3:
+            raise BadLength(f"cycles need >= 3 vertices, got {len(vs)}")
+        self._members = frozenset(vs)
+        if len(self._members) != len(vs):
             raise RepeatedVertex(f"repeated vertex in {list(vertices)}")
 
     def __len__(self) -> int:
@@ -56,7 +63,7 @@ class Cycle:
         return iter(self.vertices)
 
     def __contains__(self, v) -> bool:
-        return v in self._pos
+        return v in self._members
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Cycle) and self.vertices == other.vertices
@@ -67,11 +74,17 @@ class Cycle:
     def __repr__(self) -> str:
         return f"Cycle{self.vertices}"
 
+    def _index(self, v: int) -> int:
+        """Position of v on the cycle; KeyError when v is not on it."""
+        if v not in self._members:
+            raise KeyError(v)
+        return self.vertices.index(v)
+
     def succ(self, v: int) -> int:
-        return self.vertices[(self._pos[v] + 1) % len(self.vertices)]
+        return self.vertices[(self._index(v) + 1) % len(self.vertices)]
 
     def pred(self, v: int) -> int:
-        return self.vertices[self._pos[v] - 1]
+        return self.vertices[self._index(v) - 1]
 
     def canonical(self) -> "Cycle":
         """Rotate the smallest vertex first and orient toward its smaller neighbor."""
@@ -430,13 +443,13 @@ def find_pc_quadrangle(g: ColoredCompleteGraph, v: int) -> Cycle:
 
 def _outside(g: ColoredCompleteGraph, cycle: Cycle) -> list:
     """The vertices of g off the cycle, in vertex order."""
-    pos = cycle._pos
-    return [w for w in range(g.n) if w not in pos]
+    on = cycle._members
+    return [w for w in range(g.n) if w not in on]
 
 
 def _from(cycle: Cycle, v: int) -> tuple:
     """The cycle's vertices rotated to start at v."""
-    i = cycle._pos[v]
+    i = cycle._index(v)
     return cycle.vertices[i:] + cycle.vertices[:i]
 
 

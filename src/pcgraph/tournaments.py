@@ -509,6 +509,12 @@ def lift_cycle(g: ColoredCompleteGraph, f, cycle: Sequence[int]) -> Cycle:
     when any consecutive pair is not an arc of the orientation, and when a
     vertex is not an int in 0..n-1; IncompatibleFunction when f has no value
     for a vertex of g on the cycle.
+
+    The walk carries each arc's head value forward as the next arc's tail
+    value, so f is read once per vertex (and once more for the first vertex
+    on the closing arc).  Every arc still indexes m before f is read for
+    it, so a vertex outside g is reported as such even when f lacks it, and
+    the first bad arc in cycle order is the one named.
     """
     seq = tuple(cycle)
     m = g._m
@@ -517,10 +523,13 @@ def lift_cycle(g: ColoredCompleteGraph, f, cycle: Sequence[int]) -> Cycle:
         cyc = Cycle(seq)
         if min(seq) < 0:
             raise IndexError  # m[-1] would read the last row instead
-        for u, v in zip(seq, seq[1:] + seq[:1]):
-            # m is indexed first, so a vertex outside g never reads f
-            if not (pal[m[u][v]] == f[u] != f[v]):
+        u = seq[0]
+        m[u][seq[1]]  # index the first arc before reading f
+        fu = f[u]
+        for v in seq[1:] + seq[:1]:
+            if pal[m[u][v]] != fu or fu == (fv := f[v]):
                 raise CycleNotInDigraph(f"({u},{v}) is not an arc of the orientation")
+            u, fu = v, fv
     except (BadLength, RepeatedVertex):
         raise CycleNotInDigraph(f"{list(seq)} is not a directed cycle") from None
     except (IndexError, TypeError):

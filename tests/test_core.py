@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcgraph import build, colors_between, loads_instance, stats
-from pcgraph.core import dumps_instance, from_instance_dict
+from pcgraph.core import ColorStats, dumps_instance, from_instance_dict
 from pcgraph.errors import (
     DuplicateEdge,
     EmptyVertexSet,
@@ -16,6 +17,7 @@ from pcgraph.errors import (
     SelfLoop,
     TooSmall,
 )
+from pcgraph.families import GenSpec, exhaustive_colorings, generate
 
 
 def test_public_exports_resolve():
@@ -87,6 +89,30 @@ def test_stats_mono_k3(mono_k3):
 def test_stats_too_small():
     with pytest.raises(TooSmall):
         stats(build(1, []))
+
+
+def _reference_stats(g):
+    # one color lookup per ordered pair, with the diagonal skipped by test
+    degrees = []
+    max_mono = 0
+    for u in range(g.n):
+        counts = collections.Counter(g.color(u, v) for v in range(g.n) if v != u)
+        degrees.append(len(counts))
+        max_mono = max(max_mono, max(counts.values()))
+    return ColorStats(tuple(degrees), min(degrees), max_mono)
+
+
+def test_stats_matches_the_per_pair_reference(double_pentagon, rainbow_k4, mono_k3):
+    graphs = [double_pentagon, rainbow_k4, mono_k3, build(2, [(0, 1, 7)])]
+    for family in ("randomDegenerate", "gallai"):
+        graphs += generate(GenSpec(family, n=64, seed=0, count=10))
+    # every K5 coloring up to color renaming, monochromatic triangles included
+    graphs = itertools.chain(graphs, exhaustive_colorings(5))
+    checked = 0
+    for g in graphs:
+        assert stats(g) == _reference_stats(g)
+        checked += 1
+    assert checked == 4 + 20 + 115_975
 
 
 def test_colors_between_examples(double_pentagon, directed_example):

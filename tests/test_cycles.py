@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -47,6 +48,30 @@ def test_cycle_navigation():
     c = Cycle((3, 1, 4, 0))
     assert c.succ(3) == 1 and c.pred(3) == 0
     assert c.canonical().vertices == (0, 3, 1, 4)
+
+
+def test_cycle_checks_membership_and_navigation():
+    with pytest.raises(BadLength, match=r"^cycles need >= 3 vertices, got 2$"):
+        Cycle((0, 1))
+    with pytest.raises(RepeatedVertex, match=r"^repeated vertex in \[2, 5, 2\]$"):
+        Cycle([2, 5, 2])
+    c = Cycle([3, 1, 4, 0, 6])
+    assert len(c) == 5 and list(c) == [3, 1, 4, 0, 6]
+    assert all(v in c for v in (3, 1, 4, 0, 6, 4.0))
+    assert not any(v in c for v in (2, 5, -1, "3", None))
+    with pytest.raises(TypeError):
+        [3] in c
+    assert [c.succ(v) for v in c] == [1, 4, 0, 6, 3]
+    assert [c.pred(v) for v in c] == [6, 3, 1, 4, 0]
+    assert c.canonical() == Cycle((0, 4, 1, 3, 6))
+    for off in (2, -1, 5):
+        with pytest.raises(KeyError):
+            c.succ(off)
+        with pytest.raises(KeyError):
+            c.pred(off)
+    again = pickle.loads(pickle.dumps(c))
+    assert again == c and hash(again) == hash(c) and again.vertices == c.vertices
+    assert 4 in again and 2 not in again and again.succ(6) == 3 and again.pred(3) == 6
 
 
 def test_is_pc_cycle_examples(double_pentagon, rainbow_k4):

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -6,15 +7,17 @@ import pytest
 from helpers import random_multipartite_tournament, random_tournament
 
 import pcgraph.tournaments as tournaments_mod
-from pcgraph.cycles import is_pc_cycle
+from pcgraph.cycles import Cycle, is_pc_cycle
 from pcgraph.detect import DegeneracyTag, degeneracy_status
 from pcgraph.errors import (
+    BadLength,
     CycleNotInDigraph,
     FiberTooLarge,
     IncompatibleFunction,
     NotATournament,
     NotStronglyConnected,
     PreconditionViolated,
+    RepeatedVertex,
 )
 from pcgraph.families import (
     GenSpec,
@@ -729,6 +732,75 @@ def test_lift_cycle_names_a_vertex_missing_from_f():
     # a vertex outside g is reported as such, though f lacks it too
     with pytest.raises(CycleNotInDigraph, match="outside"):
         lift_cycle(g, partial, cyc[:1] + (8,) + cyc[2:])
+
+
+def _reference_lift(g, f, cycle):
+    # lift_cycle as it read f twice per edge, kept to pin its outcomes
+    seq = tuple(cycle)
+    m = g._m
+    pal = g._palette
+    try:
+        cyc = Cycle(seq)
+        if min(seq) < 0:
+            raise IndexError
+        for u, v in zip(seq, seq[1:] + seq[:1]):
+            if not (pal[m[u][v]] == f[u] != f[v]):
+                raise CycleNotInDigraph(f"({u},{v}) is not an arc of the orientation")
+    except (BadLength, RepeatedVertex):
+        raise CycleNotInDigraph(f"{list(seq)} is not a directed cycle") from None
+    except (IndexError, TypeError):
+        raise CycleNotInDigraph(
+            f"{list(seq)} has a vertex outside 0..{g.n - 1}"
+        ) from None
+    except KeyError as err:
+        raise IncompatibleFunction(f"f is missing vertex {err.args[0]}") from None
+    return cyc
+
+
+def _lift_outcome(lift, g, f, seq):
+    try:
+        return lift(g, f, seq).vertices
+    except Exception as err:
+        return type(err), str(err)
+
+
+def _lift_cases(n, f, cyc, crossed):
+    """(f, sequence) pairs around one directed cycle: the cycle, each position
+    set to a non-vertex, a backwards arc, a repeat, short sequences, and f
+    missing each cycle vertex in turn (against every non-vertex if crossed)."""
+    k = len(cyc)
+    bad = [cyc[:i] + (x,) + cyc[i + 1 :] for i in range(k) for x in (n, -1, 2.0, "1", None)]
+    odd = [cyc[::-1], cyc + cyc[:1], cyc[:2], cyc[:1], ()]
+    odd += [cyc[:i] + (cyc[i + 1], cyc[i]) + cyc[i + 2 :] for i in range(k - 1)]
+    odd += [cyc[:i] + (cyc[i - 1],) + cyc[i + 1 :] for i in range(1, k)]
+    cases = [(f, seq) for seq in [cyc] + bad + odd]
+    for gone in cyc:
+        partial = {v: c for v, c in f.items() if v != gone}
+        cases += [(partial, seq) for seq in [cyc] + (bad if crossed else [])]
+    return cases
+
+
+def test_lift_cycle_matches_the_reference_on_good_and_bad_input():
+    outcomes = collections.Counter()
+    for n in range(6, 13):
+        for seed in range(20):
+            g, f = random_degenerate(n, random_fibers(n, seed), seed)
+            t = reduce_degenerate(g, f)
+            if not is_strongly_connected(t):
+                continue
+            mpt_cycles_through(t, n - 1)
+            covers = t.cycle_covers()
+            ends = (min(covers), max(covers))
+            for ln, cover in covers.items():
+                for at, cyc in enumerate(cover):
+                    crossed = at == 0 and ln in ends
+                    for fm, seq in _lift_cases(n, f, cyc, crossed):
+                        want = _lift_outcome(_reference_lift, g, fm, seq)
+                        got = _lift_outcome(lift_cycle, g, fm, seq)
+                        assert got == want, (n, seed, seq)
+                        outcomes[want[0] if isinstance(want[0], type) else "lifted"] += 1
+    assert outcomes.keys() == {"lifted", CycleNotInDigraph, IncompatibleFunction}
+    assert min(outcomes.values()) > 1000, outcomes
 
 
 def test_json_roundtrip():
