@@ -7,9 +7,8 @@ has_pc_cycle returns its first cycle; it is the engine of
 oracles.is_pancyclic_from, and the counted last resort of
 trichotomy.classify's growth route, which first tries insert_into_pc_cycle
 and the constructive rules at the end of this module (_swap_in_pair,
-_insert_with_reversal, _regrow_quadrangle).  classify_attachment decides
-extendability by insertion, then by classify on the induced subgraph, with
-no search.
+_regrow_quadrangle).  classify_attachment decides extendability by
+insertion, then by classify on the induced subgraph, with no search.
 enumerate_pc_cycles lists all of them, once up to rotation and reflection,
 and is how the tests check the walk against the permutation oracle.
 pc_quadrangle_search is the same walk at length 4.
@@ -54,7 +53,7 @@ class Cycle:
             raise BadLength(f"cycles need >= 3 vertices, got {len(vs)}")
         self._members = frozenset(vs)
         if len(self._members) != len(vs):
-            raise RepeatedVertex(f"repeated vertex in {list(vertices)}")
+            raise RepeatedVertex(f"repeated vertex in {list(vs)}")
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -484,40 +483,6 @@ def _swap_in_pair(g: ColoredCompleteGraph, cycle: Cycle, v: int) -> Optional[Cyc
                 cy = rowq[y]
                 if cxy != cx and cy != cxy and cy != from_q:
                     return Cycle(vs[:i] + (x, y) + vs[i + 1 :])
-    return None
-
-
-def _insert_with_reversal(g: ColoredCompleteGraph, cycle: Cycle, v: int) -> Optional[Cycle]:
-    """R3: insert an outside w and reverse one segment of the cycle.
-
-    With the cycle written c_0..c_(k-1) from v = c_0, the result is
-    c_0..c_i, w, c_j, c_(j-1), ..., c_(i+1), c_(j+1), ..., c_(k-1): edges
-    c_i c_(i+1) and c_j c_(j+1) give way to c_i w, w c_j and
-    c_(i+1) c_(j+1).  Two removed edges that meet would make this a plain
-    insertion, so j >= i + 2 and (i, j) != (0, k - 1).  Tries w, then i,
-    then j in order.
-    """
-    m = g._m
-    vs = _from(cycle, v)
-    k = len(vs)
-    for w in _outside(g, cycle):
-        roww = m[w]
-        for i in range(k - 2):
-            a, b = vs[i], vs[i + 1]
-            ca = roww[a]
-            if ca == m[vs[i - 1]][a]:
-                continue
-            into_b = m[vs[i + 2]][b]  # b's edge into the reversed segment
-            rowb = m[b]
-            for j in range(i + 2, k if i else k - 1):
-                c = vs[j]
-                cw = roww[c]
-                if cw == ca or cw == m[c][vs[j - 1]]:
-                    continue
-                d = vs[(j + 1) % k]
-                cbd = rowb[d]
-                if cbd != into_b and cbd != m[d][vs[(j + 2) % k]]:
-                    return Cycle(vs[: i + 1] + (w,) + vs[j:i:-1] + vs[j + 1 :])
     return None
 
 

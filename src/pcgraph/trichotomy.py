@@ -28,7 +28,6 @@ from .core import ColoredCompleteGraph, stats
 from .cycles import (
     Cycle,
     _fill_covers,
-    _insert_with_reversal,
     _outside,
     _regrow_quadrangle,
     _swap_in_pair,
@@ -153,8 +152,7 @@ def _pancyclic_via_orientation(g: ColoredCompleteGraph, cert: DegeneracyCertific
 def _grow_step(g: ColoredCompleteGraph, cur: Cycle, v: int):
     """(PC cycle one vertex longer than cur through v, its rule key) or (None, None).
 
-    Single-vertex insertion in vertex order, then R1 (_swap_in_pair), then
-    R3 (_insert_with_reversal).
+    Single-vertex insertion in vertex order, then R1 (_swap_in_pair).
     """
     for w in _outside(g, cur):
         grown = insert_into_pc_cycle(g, cur, w)
@@ -163,9 +161,6 @@ def _grow_step(g: ColoredCompleteGraph, cur: Cycle, v: int):
     grown = _swap_in_pair(g, cur, v)
     if grown is not None:
         return grown, "growth_swapped"
-    grown = _insert_with_reversal(g, cur, v)
-    if grown is not None:
-        return grown, "growth_reversed"
     return None, None
 
 
@@ -178,9 +173,9 @@ def _pancyclic_by_growth(g: ColoredCompleteGraph, stats_out: Optional[dict]) -> 
     (_regrow_quadrangle: every PC quadrangle through v in walk order,
     regrown by _grow_step), and the has_pc_cycle search as the last resort.
     stats_out gains, under growth_reused, growth_quadrangles,
-    growth_inserted, growth_swapped (R1), growth_reversed (R3),
-    growth_restarted (R5) and growth_oracle_uses (the search), how many
-    (vertex, length) steps each rule settled, every key absent while zero.
+    growth_inserted, growth_swapped (R1), growth_restarted (R5) and
+    growth_oracle_uses (the search), how many (vertex, length) steps each
+    rule settled, every key absent while zero.
     """
     counts: Dict[str, int] = {}
 
@@ -220,7 +215,7 @@ def classify(g: ColoredCompleteGraph, stats_out: Optional[dict] = None) -> Trich
     the double-pentagon check settles (c) and quadrangle-plus-growth builds
     the pancyclic covers for (a) (see _pancyclic_by_growth).  Growth runs
     the has_pc_cycle depth-first search only as its counted last resort,
-    when reuse, insertion and the R1, R3 and R5 rules all fail.  A given
+    when reuse, insertion and the R1 and R5 rules all fail.  A given
     stats_out dict gains the growth route's count per rule, each absent
     while zero; "growth_oracle_uses" counts the has_pc_cycle searches, and
     it is the only one that sweep records keep.

@@ -9,7 +9,7 @@ import pytest
 
 from helpers import random_instance_pool
 
-from pcgraph import build
+from pcgraph import build, loads_instance
 from pcgraph.cycles import Cycle, has_pc_cycle, is_pc_cycle
 from pcgraph.detect import (
     DegeneracyCertificate,
@@ -130,8 +130,8 @@ def test_pc_cycle_walk_order_is_pinned():
 
 def test_growth_rule_counts_exhaustive_k5():
     # over every mono-free K5 coloring that takes the growth route, the
-    # (vertex, length) steps each rule settled; reversal (R3) and restart
-    # (R5) both fire, and the has_pc_cycle search never runs
+    # (vertex, length) steps each rule settled; restart (R5) fires, and the
+    # has_pc_cycle search never runs
     counts = collections.Counter()
     for g in exhaustive_colorings(5):
         if find_monochromatic_triangle(g) is None:
@@ -140,9 +140,25 @@ def test_growth_rule_counts_exhaustive_k5():
         "growth_reused": 555653,
         "growth_quadrangles": 158758,
         "growth_inserted": 79021,
-        "growth_reversed": 157,
-        "growth_restarted": 201,
+        "growth_restarted": 358,
     }
+
+
+def test_growth_restarts_where_the_reversal_rule_once_fired():
+    # every coloring of exhaustive_colorings(6, sample=300000, seed=7) and
+    # exhaustive_colorings(7, sample=100000, seed=3) on which a rule that
+    # inserted an outside vertex and reversed a cycle segment settled a
+    # step: with that rule gone, the R5 restart settles those steps, and
+    # the has_pc_cycle search never runs
+    path = os.path.join(os.path.dirname(__file__), "data", "growth_former_r3_k6_k7.jsonl")
+    with open(path) as fh:
+        instances = [loads_instance(line) for line in fh]
+    assert len(instances) == 94
+    for i, g in enumerate(instances):
+        st: dict = {}
+        result = classify(g, stats_out=st)
+        assert result.tag is TrichotomyTag.PANCYCLIC and validate_result(g, result), i
+        assert "growth_oracle_uses" not in st and st.get("growth_restarted"), (i, st)
 
 
 def test_growth_never_searches_on_gallai_n64():
@@ -165,7 +181,6 @@ def test_growth_falls_back_to_the_counted_search(monkeypatch):
     for name in (
         "insert_into_pc_cycle",
         "_swap_in_pair",
-        "_insert_with_reversal",
         "_regrow_quadrangle",
     ):
         monkeypatch.setattr(trichotomy_mod, name, lambda *args: None)
