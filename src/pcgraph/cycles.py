@@ -4,10 +4,8 @@
 including the wrap-around pair of a cycle.  Every PC-cycle search is one
 depth-first walk, _pc_cycle_search, pruning only on the previous edge color.
 has_pc_cycle returns its first cycle; it is the engine of
-oracles.is_pancyclic_from, and the counted last resort of
-trichotomy.classify's growth route, which first tries insert_into_pc_cycle
-and the constructive rules at the end of this module (_swap_in_pair,
-_regrow_quadrangle).  classify_attachment decides extendability by
+oracles.is_pancyclic_from, and trichotomy.classify's growth route runs it
+as a counted last resort.  classify_attachment decides extendability by
 insertion, then by classify on the induced subgraph, with no search.
 enumerate_pc_cycles lists all of them, once up to rotation and reflection,
 and is how the tests check the walk against the permutation oracle.
@@ -40,9 +38,9 @@ class Cycle:
     The vertex set, kept beside the tuple, checks distinctness by its size
     and answers ``in``; a set built and dropped per cycle instead churned
     the allocator and raised peak RSS.  Positions come from ``vertices.index``
-    in _index, read only by succ, pred and _from: the growth route and
-    classify_attachment ask, while the orientation route builds about 300
-    cycles per n=64 instance and never does.
+    in _index, read only by succ and pred: classify_attachment asks, while
+    the orientation route builds about 300 cycles per n=64 instance and
+    never does.
     """
 
     __slots__ = ("vertices", "_members")
@@ -406,12 +404,7 @@ def classify_attachment(g: ColoredCompleteGraph, cycle: Cycle, v: int) -> Attach
 
 
 def pc_quadrangle_search(g: ColoredCompleteGraph, v: int) -> Optional[Cycle]:
-    """First PC quadrangle through v in walk order: has_pc_cycle(g, v, 4).
-
-    Growth calls it only for a vertex that lies on no quadrangle of its
-    shared table yet: 158,758 times over the 79,379 mono-free K5 colorings
-    that take that route.
-    """
+    """First PC quadrangle through v in walk order: has_pc_cycle(g, v, 4)."""
     return _pc_cycle_search(g, v, 4)
 
 
@@ -432,79 +425,3 @@ def find_pc_quadrangle(g: ColoredCompleteGraph, v: int) -> Cycle:
         )
     return got
 
-
-# -- growth rules beyond single-vertex insertion ---------------------------
-#
-# trichotomy's growth route lengthens a PC cycle through v by insertion
-# first, then by these rules in turn; each returns a PC cycle one vertex
-# longer that still contains v, or None.
-
-
-def _outside(g: ColoredCompleteGraph, cycle: Cycle) -> list:
-    """The vertices of g off the cycle, in vertex order."""
-    on = cycle._members
-    return [w for w in range(g.n) if w not in on]
-
-
-def _from(cycle: Cycle, v: int) -> tuple:
-    """The cycle's vertices rotated to start at v."""
-    i = cycle._index(v)
-    return cycle.vertices[i:] + cycle.vertices[:i]
-
-
-def _swap_in_pair(g: ColoredCompleteGraph, cycle: Cycle, v: int) -> Optional[Cycle]:
-    """R1: replace one cycle vertex other than v by a PC 2-path x, y.
-
-    With the cycle written c_0..c_(k-1) from v = c_0, vertex c_i (i >= 1)
-    gives way to two outside vertices, c_(i-1) x y c_(i+1), when no two
-    consecutive edges of c_(i-2) c_(i-1) x y c_(i+1) c_(i+2) share a color.
-    Tries i, then x, then y in order; needs at least two outside vertices.
-    """
-    m = g._m
-    vs = _from(cycle, v)
-    k = len(vs)
-    outside = _outside(g, cycle)
-    if len(outside) < 2:
-        return None
-    for i in range(1, k):
-        p, q = vs[i - 1], vs[(i + 1) % k]
-        into_p = m[vs[i - 2]][p]
-        from_q = m[q][vs[(i + 2) % k]]
-        rowp, rowq = m[p], m[q]
-        for x in outside:
-            cx = rowp[x]
-            if cx == into_p:
-                continue
-            rowx = m[x]
-            for y in outside:
-                if y == x:
-                    continue
-                cxy = rowx[y]
-                cy = rowq[y]
-                if cxy != cx and cy != cxy and cy != from_q:
-                    return Cycle(vs[:i] + (x, y) + vs[i + 1 :])
-    return None
-
-
-def _regrow_quadrangle(
-    g: ColoredCompleteGraph,
-    v: int,
-    length: int,
-    grow: Callable[[Cycle], Optional[Cycle]],
-) -> Optional[Cycle]:
-    """R5: the first PC quadrangle through v that grow lengthens to length.
-
-    The quadrangles are the length-4 walks of _pc_cycle_search in walk
-    order, each cycle once per direction; the first is
-    pc_quadrangle_search's.  grow returns its cycle one vertex longer
-    through v, or None, and is applied until the length is reached or it
-    fails; the walk stops at the first quadrangle that reaches it.
-    """
-
-    def regrow(walk: tuple) -> Optional[Cycle]:
-        cyc: Optional[Cycle] = Cycle(walk)
-        while cyc is not None and len(cyc) < length:
-            cyc = grow(cyc)
-        return cyc
-
-    return _pc_cycle_search(g, v, 4, regrow)

@@ -80,7 +80,10 @@ class MultipartiteTournament:
     __slots__ = ("n", "parts", "part_of", "_outmask", "_inmask", "_table")
 
     def __init__(self, parts: Sequence[Iterable[int]], arcs: Iterable[Sequence[int]]):
-        parts = tuple(tuple(p) for p in parts)
+        try:
+            parts = tuple(tuple(p) for p in parts)
+        except TypeError:
+            raise PreconditionViolated("parts", f"not a sequence of parts: {parts!r}") from None
         if not all(isinstance(v, int) for p in parts for v in p):
             raise PreconditionViolated("parts", "part members must be ints")
         parts = tuple(tuple(sorted(p)) for p in parts)
@@ -108,9 +111,9 @@ class MultipartiteTournament:
                     raise PreconditionViolated("arcs", f"two arcs for pair ({u},{v})")
                 outmask[u] |= 1 << v
                 inmask[v] |= 1 << u
-        except TypeError:
-            # indexing part_of with a non-int endpoint lands here, at no
-            # cost per arc
+        except (TypeError, ValueError):
+            # indexing part_of with a non-int endpoint, or unpacking an arc
+            # that is not a pair, lands here, at no cost per arc
             raise PreconditionViolated("arcs", f"bad arc {a!r}") from None
         full = (1 << n) - 1
         for u in range(n):
@@ -201,7 +204,7 @@ class MultipartiteTournament:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MultipartiteTournament":
-        return cls(data["parts"], data["arcs"])
+        return cls(data.get("parts", ()), data.get("arcs", ()))
 
     def __repr__(self) -> str:
         return f"MultipartiteTournament(n={self.n}, parts={len(self.parts)})"
@@ -534,10 +537,12 @@ def lift_cycle(g: ColoredCompleteGraph, f, cycle: Sequence[int]) -> Cycle:
         raise CycleNotInDigraph(f"{list(seq)} is not a directed cycle") from None
     except (IndexError, TypeError):
         # a vertex >= n or a non-int one fails an index into m (or min()),
-        # so the range check costs nothing per vertex
-        raise CycleNotInDigraph(
-            f"{list(seq)} has a vertex outside 0..{g.n - 1}"
-        ) from None
+        # so the range check costs nothing per vertex; with every vertex in
+        # range, f failed: it is no mapping, or a sequence too short
+        n = g.n
+        if all(isinstance(v, int) and 0 <= v < n for v in seq):
+            raise IncompatibleFunction(f"f has no value for a vertex of {list(seq)}") from None
+        raise CycleNotInDigraph(f"{list(seq)} has a vertex outside 0..{n - 1}") from None
     except KeyError as err:
         raise IncompatibleFunction(f"f is missing vertex {err.args[0]}") from None
     return cyc

@@ -28,9 +28,7 @@ from .core import ColoredCompleteGraph, stats
 from .cycles import (
     Cycle,
     _fill_covers,
-    _outside,
-    _regrow_quadrangle,
-    _swap_in_pair,
+    _pc_cycle_search,
     has_pc_cycle,
     insert_into_pc_cycle,
     is_pc_cycle,
@@ -152,16 +150,71 @@ def _pancyclic_via_orientation(g: ColoredCompleteGraph, cert: DegeneracyCertific
 def _grow_step(g: ColoredCompleteGraph, cur: Cycle, v: int):
     """(PC cycle one vertex longer than cur through v, its rule key) or (None, None).
 
-    Single-vertex insertion in vertex order, then R1 (_swap_in_pair).
+    Single-vertex insertion in vertex order, then R1 (_swap_in_pair), both
+    over one list of the vertices off cur.
     """
-    for w in _outside(g, cur):
+    on = cur._members
+    outside = [w for w in range(g.n) if w not in on]
+    for w in outside:
         grown = insert_into_pc_cycle(g, cur, w)
         if grown is not None:
             return grown, "growth_inserted"
-    grown = _swap_in_pair(g, cur, v)
+    grown = _swap_in_pair(g, cur, v, outside)
     if grown is not None:
         return grown, "growth_swapped"
     return None, None
+
+
+def _swap_in_pair(g: ColoredCompleteGraph, cycle: Cycle, v: int, outside: list) -> Optional[Cycle]:
+    """R1: replace one cycle vertex other than v by a PC 2-path x, y.
+
+    With the cycle written c_0..c_(k-1) from v = c_0, vertex c_i (i >= 1)
+    gives way to two outside vertices, c_(i-1) x y c_(i+1), when no two
+    consecutive edges of c_(i-2) c_(i-1) x y c_(i+1) c_(i+2) share a color.
+    Tries i, then x, then y in the order of outside, the vertices off the
+    cycle; needs at least two of them, since x != y.
+    """
+    m = g._m
+    i = cycle.vertices.index(v)
+    vs = cycle.vertices[i:] + cycle.vertices[:i]
+    k = len(vs)
+    for i in range(1, k):
+        p, q = vs[i - 1], vs[(i + 1) % k]
+        into_p = m[vs[i - 2]][p]
+        from_q = m[q][vs[(i + 2) % k]]
+        rowp, rowq = m[p], m[q]
+        for x in outside:
+            cx = rowp[x]
+            if cx == into_p:
+                continue
+            rowx = m[x]
+            for y in outside:
+                if y == x:
+                    continue
+                cxy = rowx[y]
+                cy = rowq[y]
+                if cxy != cx and cy != cxy and cy != from_q:
+                    return Cycle(vs[:i] + (x, y) + vs[i + 1 :])
+    return None
+
+
+def _regrow_quadrangle(g: ColoredCompleteGraph, v: int, length: int) -> Optional[Cycle]:
+    """R5: the first PC quadrangle through v that _grow_step lengthens to length.
+
+    The quadrangles are the length-4 walks of _pc_cycle_search in walk
+    order, each cycle once per direction; the first is
+    pc_quadrangle_search's.  _grow_step is applied until the length is
+    reached or it fails; the walk stops at the first quadrangle that
+    reaches it.
+    """
+
+    def regrow(walk: tuple) -> Optional[Cycle]:
+        cyc: Optional[Cycle] = Cycle(walk)
+        while cyc is not None and len(cyc) < length:
+            cyc = _grow_step(g, cyc, v)[0]
+        return cyc
+
+    return _pc_cycle_search(g, v, 4, regrow)
 
 
 def _pancyclic_by_growth(g: ColoredCompleteGraph, stats_out: Optional[dict]) -> Dict:
@@ -185,7 +238,7 @@ def _pancyclic_by_growth(g: ColoredCompleteGraph, stats_out: Optional[dict]) -> 
         else:
             cyc, rule = _grow_step(g, cur[0], v)
             if cyc is None:
-                cyc = _regrow_quadrangle(g, v, ln, lambda c: _grow_step(g, c, v)[0])
+                cyc = _regrow_quadrangle(g, v, ln)
                 rule = "growth_restarted"
             if cyc is None:
                 cyc, rule = has_pc_cycle(g, v, ln), "growth_oracle_uses"

@@ -15,8 +15,6 @@ from pcgraph.cycles import (
     Cycle,
     _fill_covers,
     _induced,
-    _regrow_quadrangle,
-    _swap_in_pair,
     _try_lengthen,
     classify_attachment,
     enumerate_pc_cycles,
@@ -394,80 +392,6 @@ def test_find_pc_quadrangle_preconditions(directed_example, mono_k3):
         find_pc_quadrangle(mono_k4, 0)
     with pytest.raises(PreconditionViolated, match="size"):
         find_pc_quadrangle(mono_k3, 0)
-
-
-def _random_pc_cycles(count, seed):
-    """(graph, cycle, v): random PC cycles shorter than n, v a random vertex on each."""
-    rng = random.Random(seed)
-    out = []
-    for g in random_instance_pool(count, sizes=(6, 7, 8), seed=seed):
-        for _ in range(3):
-            ln = rng.randint(4, g.n - 1)
-            listed = enumerate_pc_cycles(g, rng.randrange(g.n), ln)
-            if listed:
-                cyc = rng.choice(listed)
-                out.append((g, cyc, rng.choice(cyc.vertices)))
-    return out
-
-
-def _from_v(cyc, v):
-    i = cyc.vertices.index(v)
-    return cyc.vertices[i:] + cyc.vertices[:i]
-
-
-def _swaps(g, cyc, v):
-    """Every R1 candidate in the rule's order: c_i gives way to x, y."""
-    vs = _from_v(cyc, v)
-    outside = [w for w in range(g.n) if w not in cyc]
-    for i in range(1, len(vs)):
-        for x in outside:
-            for y in outside:
-                if x != y:
-                    yield vs[:i] + (x, y) + vs[i + 1 :]
-
-
-def _one_longer(g, cyc, v, grown):
-    return len(grown) == len(cyc) + 1 and v in grown and is_pc_cycle(g, grown)
-
-
-@pytest.mark.parametrize("rule, candidates", [(_swap_in_pair, _swaps)])
-def test_growth_rule_returns_its_first_pc_candidate(rule, candidates):
-    # on random PC cycles, the rule returns exactly the first candidate of
-    # its form that is properly colored, and None when there is none
-    hits = misses = 0
-    for g, cyc, v in _random_pc_cycles(60, seed=31):
-        grown = rule(g, cyc, v)
-        first = next((c for c in candidates(g, cyc, v) if is_pc_cycle(g, c)), None)
-        if grown is None:
-            assert first is None
-            misses += 1
-        else:
-            assert grown.vertices == first and _one_longer(g, cyc, v, grown)
-            hits += 1
-    assert hits > 20 and misses > 0
-
-
-def test_regrow_quadrangle_walks_the_quadrangles_through_v():
-    def grow(c, g, v):
-        for w in range(g.n):
-            if w not in c:
-                got = insert_into_pc_cycle(g, c, w)
-                if got is not None:
-                    return got
-        return _swap_in_pair(g, c, v)
-
-    hits = 0
-    for g in random_instance_pool(40, sizes=(6, 7, 8), seed=37):
-        for v in range(g.n):
-            # with nothing to grow, the first walk is the unrolled scan's
-            first = _regrow_quadrangle(g, v, 4, lambda c: None)
-            assert first == pc_quadrangle_search(g, v)
-            for ln in range(5, g.n + 1):
-                got = _regrow_quadrangle(g, v, ln, lambda c: grow(c, g, v))
-                if got is not None:
-                    assert len(got) == ln and v in got and is_pc_cycle(g, got)
-                    hits += 1
-    assert hits > 100
 
 
 @settings(max_examples=40, deadline=None)

@@ -82,6 +82,18 @@ def test_construction_rejects_non_int_vertices():
             MultipartiteTournament(parts, arcs)
 
 
+def test_malformed_input_raises_precondition_violated():
+    three = [(0,), (1,), (2,)]
+    with pytest.raises(PreconditionViolated, match="^arcs: bad arc"):
+        MultipartiteTournament(three, [(0, 1, 2)])
+    with pytest.raises(PreconditionViolated, match="^parts:"):
+        MultipartiteTournament(5, [])
+    with pytest.raises(PreconditionViolated, match="^parts:"):
+        MultipartiteTournament.from_json_dict({})
+    with pytest.raises(PreconditionViolated, match="^arcs:"):
+        MultipartiteTournament.from_json_dict({"parts": three})
+
+
 def test_missing_arc_is_named():
     with pytest.raises(PreconditionViolated, match=r"no arc for pair \(1,3\)"):
         MultipartiteTournament([(0,), (1,), (2,), (3,)], [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)])
@@ -732,6 +744,20 @@ def test_lift_cycle_names_a_vertex_missing_from_f():
     # a vertex outside g is reported as such, though f lacks it too
     with pytest.raises(CycleNotInDigraph, match="outside"):
         lift_cycle(g, partial, cyc[:1] + (8,) + cyc[2:])
+
+
+def test_lift_cycle_blames_f_when_every_vertex_is_valid():
+    g, f = random_degenerate(8, random_fibers(8, 1), 1)
+    t = reduce_degenerate(g, f)
+    cyc = mpt_cycles_through(t, 0)[4]
+    short = [f[v] for v in range(max(cyc))]  # no value for the largest cycle vertex
+    for bad_f in (None, 7, short):
+        with pytest.raises(IncompatibleFunction, match="f has no value"):
+            lift_cycle(g, bad_f, cyc)
+        # a bad vertex is still the error reported, though f is bad too
+        for bad in (8, -1, "1"):
+            with pytest.raises(CycleNotInDigraph, match="outside"):
+                lift_cycle(g, bad_f, cyc[:1] + (bad,) + cyc[2:])
 
 
 def _reference_lift(g, f, cycle):

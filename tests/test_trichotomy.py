@@ -10,7 +10,15 @@ import pytest
 from helpers import random_instance_pool
 
 from pcgraph import build, loads_instance
-from pcgraph.cycles import Cycle, has_pc_cycle, is_pc_cycle
+from pcgraph.cycles import (
+    Cycle,
+    _pc_cycle_search,
+    enumerate_pc_cycles,
+    has_pc_cycle,
+    insert_into_pc_cycle,
+    is_pc_cycle,
+    pc_quadrangle_search,
+)
 from pcgraph.detect import (
     DegeneracyCertificate,
     DegeneracyTag,
@@ -32,6 +40,8 @@ from pcgraph.tournaments import lift_cycle, mpt_cycles_through, reduce_degenerat
 from pcgraph.trichotomy import (
     TrichotomyResult,
     TrichotomyTag,
+    _regrow_quadrangle,
+    _swap_in_pair,
     classify,
     is_double_pentagon_k5,
     side_conditions,
@@ -126,6 +136,98 @@ def test_pc_cycle_walk_order_is_pinned():
                 digest.update(f"{v} {ln} {found}\n".encode())
     want = "83e1a1af830dd74362dfb7e3b237f34939baf6b2f0f44fc9fcee7f950a4f1b36"
     assert digest.hexdigest() == want
+
+
+def _random_pc_cycles(count, seed, span=lambda n: (4, n - 1)):
+    """(graph, cycle, v): random PC cycles, v a random vertex on each.
+
+    Each length is drawn from span(n), 4..n-1 by default.
+    """
+    rng = random.Random(seed)
+    out = []
+    for g in random_instance_pool(count, sizes=(6, 7, 8), seed=seed):
+        for _ in range(3):
+            ln = rng.randint(*span(g.n))
+            listed = enumerate_pc_cycles(g, rng.randrange(g.n), ln)
+            if listed:
+                cyc = rng.choice(listed)
+                out.append((g, cyc, rng.choice(cyc.vertices)))
+    return out
+
+
+def _off(g, cyc):
+    return [w for w in range(g.n) if w not in cyc]
+
+
+def _swaps(g, cyc, v):
+    """Every R1 candidate in the rule's order: c_i gives way to x, y."""
+    i = cyc.vertices.index(v)
+    vs = cyc.vertices[i:] + cyc.vertices[:i]
+    outside = _off(g, cyc)
+    for i in range(1, len(vs)):
+        for x in outside:
+            for y in outside:
+                if x != y:
+                    yield vs[:i] + (x, y) + vs[i + 1 :]
+
+
+def test_growth_rule_returns_its_first_pc_candidate():
+    # on random PC cycles, R1 returns exactly the first candidate of its
+    # form that is properly colored, and None when there is none
+    hits = misses = 0
+    for g, cyc, v in _random_pc_cycles(60, seed=31):
+        grown = _swap_in_pair(g, cyc, v, _off(g, cyc))
+        first = next((c for c in _swaps(g, cyc, v) if is_pc_cycle(g, c)), None)
+        if grown is None:
+            assert first is None
+            misses += 1
+        else:
+            assert grown.vertices == first and len(grown) == len(cyc) + 1
+            assert v in grown and is_pc_cycle(g, grown)
+            hits += 1
+    assert hits > 20 and misses > 0
+    # with 1 or 0 vertices off the cycle (lengths n-1 and n) no pair
+    # x != y exists, so R1 returns None
+    sizes = collections.Counter()
+    for g, cyc, v in _random_pc_cycles(20, seed=41, span=lambda n: (n - 1, n)):
+        outside = _off(g, cyc)
+        assert _swap_in_pair(g, cyc, v, outside) is None
+        sizes[len(outside)] += 1
+    assert sizes[0] > 0 and sizes[1] > 0
+
+
+def test_regrow_quadrangle_walks_the_quadrangles_through_v():
+    # R5 against a reference regrow: the same quadrangle walk, each
+    # quadrangle grown by insertion in vertex order, then R1
+    def grow(c, g, v):
+        outside = _off(g, c)
+        for w in outside:
+            got = insert_into_pc_cycle(g, c, w)
+            if got is not None:
+                return got
+        return _swap_in_pair(g, c, v, outside)
+
+    def reference(g, v, ln):
+        def visit(walk):
+            cyc = Cycle(walk)
+            while cyc is not None and len(cyc) < ln:
+                cyc = grow(cyc, g, v)
+            return cyc
+
+        return _pc_cycle_search(g, v, 4, visit)
+
+    hits = 0
+    for g in random_instance_pool(40, sizes=(6, 7, 8), seed=37):
+        for v in range(g.n):
+            # at length 4 nothing grows: R5 returns the first quadrangle
+            assert _regrow_quadrangle(g, v, 4) == pc_quadrangle_search(g, v)
+            for ln in range(5, g.n + 1):
+                got = _regrow_quadrangle(g, v, ln)
+                assert got == reference(g, v, ln)
+                if got is not None:
+                    assert len(got) == ln and v in got and is_pc_cycle(g, got)
+                    hits += 1
+    assert hits > 100
 
 
 def test_growth_rule_counts_exhaustive_k5():
