@@ -47,8 +47,20 @@ class GenSpec:
     count: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("n", "k", "seed", "count"):
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise PreconditionViolated(name, f"must be an int, got {value!r}")
         if self.count < 0:
             raise PreconditionViolated("count", f"must be >= 0, got {self.count}")
+
+
+def _check_order(n: int, least: int) -> None:
+    """PreconditionViolated unless n is an int; TooSmall if it is below least."""
+    if not isinstance(n, int):
+        raise PreconditionViolated("n", f"must be an int, got {n!r}")
+    if n < least:
+        raise TooSmall(f"need n >= {least}, got {n}")
 
 
 def _contract(g: ColoredCompleteGraph, holds: bool, what: str) -> None:
@@ -120,10 +132,9 @@ def random_no_mono_triangle(n: int, k: int, seed: int) -> ColoredCompleteGraph:
     recolorings cannot fix it; with two colors and n >= 6 that is
     unavoidable.
     """
-    if n < 3:
-        raise TooSmall(f"need n >= 3, got {n}")
-    if k < 2:
-        raise PreconditionViolated("colors", f"need k >= 2, got {k}")
+    _check_order(n, 3)
+    if not isinstance(k, int) or k < 2:
+        raise PreconditionViolated("colors", f"need an int k >= 2, got {k!r}")
     rng = random.Random(seed)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     index = {p: i for i, p in enumerate(pairs)}
@@ -150,9 +161,13 @@ def random_no_mono_triangle(n: int, k: int, seed: int) -> ColoredCompleteGraph:
 
 
 def _check_fibers(n: int, fibers: Sequence[Sequence[int]]) -> List[tuple]:
-    out = [tuple(sorted(p)) for p in fibers]
-    flat = sorted(v for p in out for v in p)
-    if flat != list(range(n)):
+    try:
+        out = [tuple(sorted(p)) for p in fibers]
+        flat = sorted(v for p in out for v in p)
+    except TypeError:
+        # a non-iterable fibers or fiber, or members that do not compare
+        raise BadPartition(f"fibers must be sequences of vertices, got {fibers!r}") from None
+    if flat != list(range(n)) or not all(type(v) is int for v in flat):
         raise BadPartition("fibers must partition 0..n-1")
     if any(len(p) not in (1, 2) for p in out):
         raise BadPartition("fiber sizes must be 1 or 2")
@@ -160,7 +175,7 @@ def _check_fibers(n: int, fibers: Sequence[Sequence[int]]) -> List[tuple]:
 
 
 # Orientations of the cross edges between two fibers a and b, indexed as
-# random_degenerate shuffles them: entry i of a combo is 1 when the i-th pair
+# random_degenerate permutes them: entry i of a combo is 1 when the i-th pair
 # (u, v) of `for u in a for v in b` is the arc u -> v.
 _ORIENTATIONS = {size: tuple(itertools.product((0, 1), repeat=size)) for size in (1, 2, 4)}
 
@@ -199,6 +214,11 @@ def _write_plans(la: int, lb: int) -> tuple:
 
 _PLANS = {(la, lb): _write_plans(la, lb) for la in (1, 2) for lb in (1, 2)}
 
+# Per orientation count m above 2, the Fisher-Yates steps that Random.shuffle
+# takes on a list of length m: for i = m-1 .. 1, swap item i with item r, where
+# r is the first getrandbits(k) draw that is at most i, k = (i + 1).bit_length().
+_DRAWS = {m: tuple((i, (i + 1).bit_length()) for i in range(m - 1, 0, -1)) for m in (4, 16)}
+
 
 def random_degenerate(
     n: int, fibers: Sequence[Sequence[int]], seed: int
@@ -221,23 +241,27 @@ def random_degenerate(
     2-fiber {x, y}; and the ring x -> z -> y -> w -> x does for two
     2-fibers {x, y} and {z, w}.  The closing triangle scan is an alarm.
 
-    The only random draws are one rng.shuffle(list(range(m))) per fiber
-    pair, in itertools.combinations order, with m = 2 ** (|a| * |b|) the
-    number of orientations.  shuffle draws depend only on the length of
-    the list, and the list starts as the same range, so the seed fixes the
-    same permutation and the same chosen index k as shuffling the
-    orientations themselves would.  Everything around the shuffle is a
-    table lookup: _PLANS[|a|, |b|][k] is orientation k's list of writes,
-    or None when it does not fit, and between two singletons, where every
-    orientation fits, k is order[0].  The values are written straight into
-    the color matrix and marked as they land; the palette is the values
-    that land on some edge (a singleton that is the head of all its cross
-    edges has none), renumbered densely in order, which is what build()
-    makes of the same edge list.
+    The only random draws permute range(m) once per fiber pair, in
+    itertools.combinations order, with m = 2 ** (|a| * |b|) the number of
+    orientations.  They are written inline on rng.getrandbits, and they are
+    the draws rng.shuffle(list(range(m))) makes through _randbelow: for
+    i = m-1 .. 1, draw getrandbits(k) with k = (i + 1).bit_length() until
+    the result r is at most i, then swap items i and r (_DRAWS[m] lists
+    the (i, k) steps).  So the seed consumes the same Mersenne Twister
+    words and fixes the same permutation and the same chosen index k as
+    shuffling the orientations themselves would.  Everything around the
+    draws is a table lookup: _PLANS[|a|, |b|][k] is orientation k's list
+    of writes, or None when it does not fit.  Between two singletons,
+    where every orientation fits, the one draw r picks k = 1 (the arc
+    a -> b) when r is 0 and k = 0 otherwise.  The values are written
+    straight into the color matrix and marked as they land; the palette is
+    the values that land on some edge (a singleton that is the head of all
+    its cross edges has none), renumbered densely in order, which is what
+    build() makes of the same edge list.
     """
+    _check_order(n, 1)
     parts = _check_fibers(n, fibers)
-    rng = random.Random(seed)
-    shuffle = rng.shuffle
+    getrandbits = random.Random(seed).getrandbits
     f = {v: idx for idx, p in enumerate(parts) for v in p}
     rows = [[-1] * n for _ in range(n)]
     landed = bytearray(len(parts))
@@ -252,17 +276,24 @@ def random_degenerate(
         for j in range(i + 1, len(parts)):
             b = parts[j]
             if la == 1 and len(b) == 1:
-                # both orientations fit, and orientation k is the arc a -> b iff k
-                order = [0, 1]
-                shuffle(order)
-                c = i if order[0] else j
+                # both orientations fit, and orientation k is the arc a -> b
+                # iff k; shuffling [0, 1] leaves k = 1 first iff its draw is 0
+                r = getrandbits(2)
+                while r > 1:
+                    r = getrandbits(2)
+                c = j if r else i
                 v = b[0]
                 row_a[0][v] = rows[v][a[0]] = c
                 landed[c] = 1
                 continue
             plans = _PLANS[la, len(b)]
-            order = list(range(len(plans)))
-            shuffle(order)
+            m = len(plans)
+            order = list(range(m))
+            for t, bits in _DRAWS[m]:
+                r = getrandbits(bits)
+                while r > t:
+                    r = getrandbits(bits)
+                order[t], order[r] = order[r], order[t]
             for k in order:  # one always fits; see above
                 plan = plans[k]
                 if plan is not None:
@@ -320,8 +351,7 @@ def gallai_coloring(
     recurses into the parts with further fresh colors.  The top-level
     partition is returned alongside the graph.
     """
-    if n < 3:
-        raise TooSmall(f"need n >= 3, got {n}")
+    _check_order(n, 3)
     rng = random.Random(seed)
     fresh = itertools.count(1)
     color: Dict[tuple, int] = {}
@@ -395,8 +425,7 @@ def exhaustive_colorings(
     larger n requires `sample`, drawing random growth strings instead
     (not uniform over partitions, but seed-reproducible).
     """
-    if n < 3:
-        raise TooSmall(f"need n >= 3, got {n}")
+    _check_order(n, 3)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     if n > 5 and sample is None:
         raise TooLarge(
@@ -426,8 +455,7 @@ def exhaustive_colorings(
 
 def random_fibers(n: int, seed: int) -> List[tuple]:
     """Random partition of 0..n-1 into parts of size 1 and 2."""
-    if n < 1:
-        raise TooSmall(f"need n >= 1, got {n}")
+    _check_order(n, 1)
     rng = random.Random(seed)
     vs = list(range(n))
     rng.shuffle(vs)

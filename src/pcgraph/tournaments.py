@@ -99,6 +99,10 @@ class MultipartiteTournament:
                 part_of[v] = i
         outmask = [0] * n
         inmask = [0] * n
+        try:
+            arcs = iter(arcs)
+        except TypeError:
+            raise PreconditionViolated("arcs", f"not a sequence of arcs: {arcs!r}") from None
         a = None
         try:
             for a in arcs:
@@ -204,6 +208,10 @@ class MultipartiteTournament:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MultipartiteTournament":
+        if not isinstance(data, dict):
+            raise PreconditionViolated(
+                "json", f'expected an object with "parts" and "arcs", got {data!r}'
+            )
         return cls(data.get("parts", ()), data.get("arcs", ()))
 
     def __repr__(self) -> str:

@@ -13,7 +13,14 @@ from pcgraph.detect import (
     find_pc_triangle,
     verify_gallai_partition,
 )
-from pcgraph.errors import BadPartition, BudgetExhausted, InternalError, TooLarge, TooSmall
+from pcgraph.errors import (
+    BadPartition,
+    BudgetExhausted,
+    InternalError,
+    PreconditionViolated,
+    TooLarge,
+    TooSmall,
+)
 from pcgraph.families import (
     GenSpec,
     example_directed,
@@ -139,34 +146,111 @@ def _reference_random_degenerate(n, fibers, seed):
     return ColoredCompleteGraph(n, tuple(map(tuple, rows)), palette), f
 
 
+def _record_seeded(monkeypatch):
+    # every random.Random seeded from here on, in order; the subclass keeps
+    # getrandbits, so its _randbelow and shuffle are the stock ones
+    seeded = []
+
+    class Recording(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            seeded.append(self)
+
+    monkeypatch.setattr(random, "Random", Recording)
+    return seeded
+
+
+def _both_bodies(seeded, n, fibers, seed):
+    # the reference body's and random_degenerate's output on one case, each
+    # with the state it left its one generator in
+    out = []
+    for body in (_reference_random_degenerate, random_degenerate):
+        seeded.clear()
+        g, f = body(n, fibers, seed)
+        assert len(seeded) == 1
+        out.append(((g.n, g._m, g._palette, f), seeded[0].getstate()))
+    return out
+
+
 def test_random_degenerate_draws_the_reference_stream(monkeypatch):
-    # same graph, palette and witness as the reference body, from the same
-    # sequence of shuffle calls; n=64 seeds 0..199 open the stream that the
-    # benchmark's degenerate-n64 workload draws
+    # same graph, palette and witness as the reference body, which calls
+    # rng.shuffle once per fiber pair, and the same Mersenne Twister state
+    # afterwards, so both consume the same words; n=64 seeds 0..199 open the
+    # stream that the benchmark's degenerate-n64 workload draws
     cases = [(n, seed) for n in range(1, 25) for seed in range(50)]
     cases += [(64, seed) for seed in range(200)]
     fibers = {case: random_fibers(*case) for case in cases}
-    lengths = []
-    real_shuffle = random.Random.shuffle
+    seeded = _record_seeded(monkeypatch)
+    orientations = set()
+    for n, seed in cases:
+        want, got = _both_bodies(seeded, n, fibers[n, seed], seed)
+        assert got == want, (n, seed)
+        pairs = itertools.combinations(fibers[n, seed], 2)
+        orientations.update(2 ** (len(a) * len(b)) for a, b in pairs)
+    assert orientations == {2, 4, 16}
 
-    def recorded(self, x):
-        lengths.append(len(x))
-        return real_shuffle(self, x)
 
-    def draw(make):
-        lengths.clear()
-        out = []
-        for n, seed in cases:
-            g, f = make(n, fibers[n, seed], seed)
-            out.append((g.n, g._m, g._palette, f))
-        return out, list(lengths)
+def _replayed_permutation(rng, m):
+    # the draws random_degenerate makes in place of rng.shuffle(list(range(m))):
+    # one draw between two singletons, the _DRAWS[m] steps otherwise
+    getrandbits = rng.getrandbits
+    if m == 2:
+        r = getrandbits(2)
+        while r > 1:
+            r = getrandbits(2)
+        return [0, 1] if r else [1, 0]
+    order = list(range(m))
+    for t, bits in families_mod._DRAWS[m]:
+        r = getrandbits(bits)
+        while r > t:
+            r = getrandbits(bits)
+        order[t], order[r] = order[r], order[t]
+    return order
 
-    monkeypatch.setattr(random.Random, "shuffle", recorded)
-    want, want_lengths = draw(_reference_random_degenerate)
-    got, got_lengths = draw(random_degenerate)
-    assert got == want
-    assert got_lengths == want_lengths
-    assert sorted(set(got_lengths)) == [2, 4, 16]
+
+def test_inline_draws_permute_as_shuffle_does(monkeypatch):
+    # per orientation count m, the inline draws give shuffle's permutation
+    # and leave the generator in shuffle's state, and a single fiber pair of
+    # each shape (1-1, 1-2, 2-1, 2-2) gives the reference body's graph
+    for m in (2, 4, 16):
+        for seed in range(1000):
+            want, got = random.Random(seed), random.Random(seed)
+            order = list(range(m))
+            want.shuffle(order)
+            assert _replayed_permutation(got, m) == order, (m, seed)
+            assert got.getstate() == want.getstate(), (m, seed)
+    seeded = _record_seeded(monkeypatch)
+    for fibers in ([(0,), (1,)], [(0,), (1, 2)], [(0, 1), (2,)], [(0, 1), (2, 3)]):
+        n = sum(map(len, fibers))
+        for seed in range(1000):
+            want, got = _both_bodies(seeded, n, fibers, seed)
+            assert got == want, (fibers, seed)
+
+
+def test_generator_inputs_raise_pcgraph_errors():
+    # bad sizes, fibers and counts raise the package's errors, not TypeError
+    # or a graph on no vertices
+    for n in (0, -1):
+        with pytest.raises(TooSmall):
+            random_degenerate(n, [], 1)
+    for fibers in (5, [5], [(0, 1), (2, "a")], [(0.0, 1), (2,)]):
+        with pytest.raises(BadPartition):
+            random_degenerate(3, fibers, 1)
+    with pytest.raises(PreconditionViolated, match="^count:"):
+        GenSpec("gallai", 5, count="a")
+    non_int_n = [
+        lambda: random_fibers("a", 1),
+        lambda: random_degenerate("a", [(0,)], 1),
+        lambda: random_no_mono_triangle("a", 3, 0),
+        lambda: gallai_coloring("a", 0),
+        lambda: next(exhaustive_colorings("a")),
+        lambda: GenSpec("exhaustive", "a"),
+    ]
+    for call in non_int_n:
+        with pytest.raises(PreconditionViolated, match="^n:"):
+            call()
+    with pytest.raises(PreconditionViolated, match="^colors:"):
+        random_no_mono_triangle(7, "a", 0)
 
 
 def test_generator_alarms_raise_internal_error(monkeypatch):

@@ -225,17 +225,21 @@ def test_cli_sweep_report_matches_golden(tmp_path, capsys):
 
 def test_cli_gen_random_degenerate_stream_is_pinned(monkeypatch, capsys):
     # seeds 0..39 at n=10 cover every fiber-pair shape (1-1, 1-2, 2-1, 2-2);
-    # the n=64 digest pins the stream the benchmark's degenerate workload draws
+    # the n=64 digest, the one CI checks with sha256sum -c, pins the stream
+    # the benchmark's degenerate workload draws
     monkeypatch.delenv("PCG_SEED", raising=False)
     golden = os.path.join(os.path.dirname(__file__), "data", "gen_random_degenerate_n10.jsonl")
     argv = ["gen", "--family", "randomDegenerate", "--n", "10", "--seed", "0", "--count", "40"]
     assert main(argv) == 0
     with open(golden) as fh:
         assert capsys.readouterr().out == fh.read()
-    argv = ["gen", "--family", "randomDegenerate", "--n", "64", "--seed", "0", "--count", "5"]
+    pinned = os.path.join(os.path.dirname(__file__), "data", "gen_random_degenerate_n64.sha256")
+    with open(pinned) as fh:
+        want, name = fh.read().split()
+    assert name == "rd64g.jsonl"
+    argv = ["gen", "--family", "randomDegenerate", "--n", "64", "--seed", "0", "--count", "20"]
     assert main(argv) == 0
-    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "56f20df5057d35ade908b0faf0776a4e02dff5e1a3f1b52dd5929f5d83f6057f"
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
 
 
 def test_cli_seed_env_override(tmp_path, monkeypatch):

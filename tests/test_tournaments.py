@@ -92,6 +92,14 @@ def test_malformed_input_raises_precondition_violated():
         MultipartiteTournament.from_json_dict({})
     with pytest.raises(PreconditionViolated, match="^arcs:"):
         MultipartiteTournament.from_json_dict({"parts": three})
+    for data in ([], None, "x"):
+        with pytest.raises(PreconditionViolated, match="^json:"):
+            MultipartiteTournament.from_json_dict(data)
+    # the non-iterable arcs value is named, not a "bad arc None"
+    with pytest.raises(PreconditionViolated, match="^arcs: not a sequence of arcs: 7$"):
+        MultipartiteTournament.from_json_dict({"parts": [[0], [1]], "arcs": 7})
+    with pytest.raises(PreconditionViolated, match="^arcs: bad arc None$"):
+        MultipartiteTournament.from_json_dict({"parts": [[0], [1]], "arcs": [None]})
 
 
 def test_missing_arc_is_named():
