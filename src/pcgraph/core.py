@@ -6,10 +6,14 @@ dense indices 0..k-1 (sorted by original id) so hot loops compare small
 ints.  Every public surface speaks original color ids.
 
 Instances are immutable after construction and safe to share between
-worker processes.  The one derived fact a graph remembers is the answer of
+worker processes.  A graph remembers two derived facts, and neither takes
+part in equality or hashing.  One is the answer of
 detect.find_monochromatic_triangle, so the generator, the sweep, classify
 and pc_hamilton_path share a single scan; it travels with the graph through
-pickling and takes no part in equality or hashing.
+pickling.  The other is the scan's per-vertex, per-color neighbor bitmask
+table (detect._color_masks), which tournaments.reduce_degenerate reads its
+arcs from.  It is left out of pickling and rebuilt on first use, since at
+n = 64 it would almost triple the bytes a sweep ships to each worker.
 """
 
 from __future__ import annotations
@@ -37,16 +41,25 @@ class ColoredCompleteGraph:
     ``_m[u][v]`` holds the dense color index of edge uv (diagonal is -1);
     ``_palette[d]`` maps a dense index back to the original color id.
     ``_mono`` is find_monochromatic_triangle's remembered answer, a triple
-    or None, and False until that first scan.
+    or None, and False until that first scan.  ``_nbr`` is
+    detect._color_masks's table, None until first use and after unpickling.
     """
 
-    __slots__ = ("n", "_m", "_palette", "_mono")
+    __slots__ = ("n", "_m", "_palette", "_mono", "_nbr")
 
     def __init__(self, n: int, matrix: tuple, palette: tuple):
         self.n = n
         self._m = matrix
         self._palette = palette
         self._mono = False
+        self._nbr = None
+
+    def __getstate__(self) -> tuple:
+        return self.n, self._m, self._palette, self._mono
+
+    def __setstate__(self, state: tuple) -> None:
+        self.n, self._m, self._palette, self._mono = state
+        self._nbr = None
 
     # -- basic access --------------------------------------------------
 

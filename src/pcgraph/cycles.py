@@ -114,9 +114,15 @@ def _check_sequence(g: ColoredCompleteGraph, seq: Sequence[int]) -> tuple:
 def is_pc_cycle(g: ColoredCompleteGraph, seq) -> bool:
     """True iff seq (cyclically) has no two consecutive edges of one color."""
     vs = _check_sequence(g, seq.vertices if isinstance(seq, Cycle) else seq)
-    if len(vs) < 3:
-        return False
-    m = g._m
+    return len(vs) >= 3 and _pc_closed(g._m, vs)
+
+
+def _pc_closed(m: tuple, vs: tuple) -> bool:
+    """True iff the closed walk vs has no two consecutive edges of one color in m.
+
+    vs needs at least two entries, and each is used to index a row of m and
+    an entry of a row, with no other check.
+    """
     a = vs[-1]
     prev = m[vs[-2]][a]
     for b in vs:

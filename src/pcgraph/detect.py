@@ -24,7 +24,11 @@ such a u, none at any other u >= 1, and every seed of vertex 0.
 The monochromatic-triangle scan runs over per-vertex, per-color neighbor
 bitmasks, and the graph remembers its answer, so every caller after the
 first (the generator's check, the sweep, classify, pc_hamilton_path) reads
-it without scanning again.
+it without scanning again.  The graph also keeps the bitmask table itself
+(_color_masks), from which tournaments.reduce_degenerate reads the
+orientation's arcs.  The answer is pickled with the graph and the table is
+not: an unpickled graph, such as a sweep worker's, rebuilds the table on
+first use.
 """
 
 from __future__ import annotations
@@ -43,28 +47,41 @@ def find_monochromatic_triangle(g: ColoredCompleteGraph) -> Optional[tuple]:
     """Lexicographically first (u, v, w) whose three edges share a color.
 
     The graph remembers the answer, so only its first call scans.  The scan
-    keeps one bitmask per vertex u and color c, N_c(u), of the vertices that
-    u meets in color c.  For u < v with c = color(u, v), the triangles uvw
-    with w > v of color c are the set bits of (N_c(u) & N_c(v)) >> (v + 1),
-    and its lowest bit is the first such w.  The diagonal's -1 indexes each
-    vertex's spare last slot, so it lands in no color's mask.
+    reads the table of _color_masks: N_c(u), the vertices that u meets in
+    color c.  For u < v with c = color(u, v), the triangles uvw with w > v
+    of color c are the set bits of (N_c(u) & N_c(v)) >> (v + 1), and its
+    lowest bit is the first such w.
     """
     n = g.n
     if n < 3:
         raise TooSmall(f"triangles need n >= 3, got {n}")
     tri = g._mono
     if tri is False:
-        tri = g._mono = _first_monochromatic_triangle(g._m, n, len(g._palette))
+        tri = g._mono = _first_monochromatic_triangle(g._m, n, _color_masks(g))
     return tri
 
 
-def _first_monochromatic_triangle(m: tuple, n: int, k: int) -> Optional[tuple]:
-    nbr = []
-    for row in m:
-        masks = [0] * (k + 1)
-        for v, c in enumerate(row):
-            masks[c] |= 1 << v
-        nbr.append(masks)
+def _color_masks(g: ColoredCompleteGraph) -> list:
+    """The graph's neighbor bitmask table, built on first use and then kept.
+
+    Entry [u][c] has bit v set when edge uv has dense color c.  Each vertex
+    has k + 1 slots for k colors: the diagonal's -1 indexes the spare last
+    slot, so slot k holds bit u alone and lands in no color's mask.
+    """
+    nbr = g._nbr
+    if nbr is None:
+        k = len(g._palette)
+        nbr = []
+        for row in g._m:
+            masks = [0] * (k + 1)
+            for v, c in enumerate(row):
+                masks[c] |= 1 << v
+            nbr.append(masks)
+        g._nbr = nbr
+    return nbr
+
+
+def _first_monochromatic_triangle(m: tuple, n: int, nbr: list) -> Optional[tuple]:
     for u in range(n - 2):
         row_u = m[u]
         nu = nbr[u]

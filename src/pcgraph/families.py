@@ -423,7 +423,8 @@ def exhaustive_colorings(
 
     Full enumeration (Bell(C(n,2)) instances) is supported for n <= 5;
     larger n requires `sample`, drawing random growth strings instead
-    (not uniform over partitions, but seed-reproducible).
+    (not uniform over partitions, but seed-reproducible).  The arguments
+    are checked at the call, before the first instance is asked for.
     """
     _check_order(n, 3)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -447,8 +448,7 @@ def exhaustive_colorings(
                 yield tuple(a)
 
         stream = sampled()
-    for rgs in stream:
-        yield _graph_from_rgs(n, pairs, rgs)
+    return (_graph_from_rgs(n, pairs, rgs) for rgs in stream)
 
 
 # -- uniform dispatch ---------------------------------------------------

@@ -24,9 +24,9 @@ The bridge to edge-colored graphs: a full compatible vertex-to-color map f
 orients each cross-fiber edge toward the endpoint whose f-value it misses,
 producing such a tournament; directed cycles of the orientation pull back to
 properly colored cycles because consecutive arcs carry distinct f-values.
-reduce_degenerate builds the tournament's bitmasks straight from the color
-matrix rows, reading each pair once, where the arc-list constructor would
-check every arc again.
+reduce_degenerate reads the tournament's bitmasks straight from the graph's
+color-mask table, O(n) mask operations where the arc-list constructor would
+read and check every pair, and one count shows the map compatible.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .core import ColoredCompleteGraph
 from .cycles import Cycle, _fill_covers
+from .detect import _color_masks
 from .errors import (
     BadLength,
     CycleNotInDigraph,
@@ -454,10 +455,24 @@ def reduce_degenerate(g: ColoredCompleteGraph, f) -> MultipartiteTournament:
     first such pair (u, v), u < v, in lexicographic order; so does an f
     that is no map from every vertex to a hashable value.
 
-    The f-values are mapped to g's dense color indices once (a value that
-    colors no edge gets a fresh index, which no matrix entry matches), and
-    one pass over the matrix rows above the diagonal sets both endpoints'
-    bitmasks for each cross pair, so no arc list is built or checked again.
+    The f-values are mapped to g's dense color indices once; a value that
+    colors no edge gets a fresh index >= k, the palette size.  The arcs
+    come from the graph's color-mask table (detect._color_masks), O(n)
+    big-int operations in all.  With fd the dense f and F(u) the mask of
+    u's fiber, u's cross-fiber vertices are cross(u) = V - F(u) and
+    out(u) = N_fd(u)(u) & cross(u), or 0 for a fresh fd(u), whose slot in
+    the table is absent or the diagonal's.  in(u) = cross(u) - out(u).
+
+    These masks are the orientation iff f is compatible, and one count
+    decides that: the number of ordered pairs (u, v) with color(u, v) =
+    f(u), the bits of N_fd(u)(u) summed over u.  Across fibers
+    f(u) != f(v), so a cross edge is counted at most once, and once
+    exactly when its color is f(u) or f(v).  Inside a 2-fiber f(u) = f(v),
+    so its edge is counted twice or not at all.  With P 2-fibers the count
+    is at most C(n, 2) - P + 2P, and it reaches that bound iff every edge
+    is compatible; then every bit of cross(u) off out(u) is indeed an arc
+    into u.  Only below the bound does the plain pair loop run, to name
+    the first bad pair.
     """
     n = g.n
     try:
@@ -465,6 +480,7 @@ def reduce_degenerate(g: ColoredCompleteGraph, f) -> MultipartiteTournament:
             if v not in f:
                 raise IncompatibleFunction(f"f is missing vertex {v}")
         dense = {c: d for d, c in enumerate(g._palette)}
+        k = len(dense)
         fd = [dense.setdefault(f[v], len(dense)) for v in range(n)]
     except TypeError:
         raise IncompatibleFunction("f must map every vertex to a hashable color") from None
@@ -483,31 +499,31 @@ def reduce_degenerate(g: ColoredCompleteGraph, f) -> MultipartiteTournament:
     for i, p in enumerate(parts):
         for v in p:
             part_of[v] = i
-    m = g._m
-    bit = tuple(map(_BIT, range(n)))
-    outmask = [0] * n
-    inmask = [0] * n
-    for u in range(n):
-        row = m[u]
-        du = fd[u]
-        bu = bit[u]
-        out_u = in_u = 0
-        for v in range(u + 1, n):
-            c = row[v]
-            dv = fd[v]
-            if c == du:
-                if dv != du:
-                    out_u |= bit[v]
-                    inmask[v] |= bu
-            elif c == dv:
-                outmask[v] |= bu
-                in_u |= bit[v]
-            else:
-                raise IncompatibleFunction(
-                    f"edge ({u},{v}) has color {g._palette[c]} not in f values"
-                )
-        outmask[u] |= out_u
-        inmask[u] |= in_u
+    nbr = _color_masks(g)
+    full = (1 << n) - 1
+    away = {d: full ^ sum(map(_BIT, p)) for d, p in zip(fibers, parts)}
+    outmask = []
+    inmask = []
+    compatible = 0
+    for u, d in enumerate(fd):
+        cross = away[d]
+        same = nbr[u][d] if d < k else 0
+        out = same & cross
+        outmask.append(out)
+        inmask.append(cross ^ out)
+        compatible += same.bit_count()
+    # C(n, 2) - P + 2P, with P = n - len(parts) the number of 2-fibers
+    if compatible != n * (n - 1) // 2 + (n - len(parts)):
+        m = g._m
+        for u in range(n):
+            row = m[u]
+            du = fd[u]
+            for v in range(u + 1, n):
+                c = row[v]
+                if c != du and c != fd[v]:
+                    raise IncompatibleFunction(
+                        f"edge ({u},{v}) has color {g._palette[c]} not in f values"
+                    )
     return MultipartiteTournament._from_masks(parts, tuple(part_of), outmask, inmask)
 
 

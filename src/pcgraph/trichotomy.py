@@ -28,10 +28,10 @@ from .core import ColoredCompleteGraph, stats
 from .cycles import (
     Cycle,
     _fill_covers,
+    _pc_closed,
     _pc_cycle_search,
     has_pc_cycle,
     insert_into_pc_cycle,
-    is_pc_cycle,
     pc_quadrangle_search,
 )
 from .detect import (
@@ -43,10 +43,8 @@ from .detect import (
 from .errors import (
     InternalError,
     MonochromaticTrianglePresent,
-    RepeatedVertex,
     ResultMismatch,
     TooSmall,
-    UnknownVertex,
 )
 from .families import double_pentagon_matrix
 from .tournaments import (
@@ -325,12 +323,20 @@ def validate_result(g: ColoredCompleteGraph, result: TrichotomyResult) -> bool:
 
     Pancyclic covers need exactly the keys 4..n, and each length L a cover:
     an iterable of properly colored L-cycles, each checked once, whose
-    vertex sets cover V.  A cycle's vertices are distinct vertices of g, so
-    every vertex then lies on a PC cycle of every length from 4 to n.  A
-    degenerate set must pass DegeneracyCertificate.check and leave a vertex
-    out, and a relabel must be a dict that is a bijection of 0..4.  A
-    certificate of another shape (covers that are no dict, a key, cover or
-    cycle of another shape, a malformed set or relabel) fails the check.
+    vertex sets cover V.  A cycle must hold L entries, L distinct ones, and
+    pass the PC color test, which indexes the color matrix with every
+    entry; no entry is tested on its own.  An entry that is no int (1.0,
+    "a", None) fails an index with TypeError, an int of n or more with
+    IndexError, and an unhashable one the distinctness test.  A negative
+    int indexes from the end of a row and passes, but it lands in its
+    cover's union, which must equal V = {0..n-1}.  So every entry is a
+    vertex of g, and every vertex lies on a PC cycle of every length from
+    4 to n.
+
+    A degenerate set must pass DegeneracyCertificate.check and leave a
+    vertex out, and a relabel must be a dict that is a bijection of 0..4.
+    A certificate of another shape (covers that are no dict, a key, cover
+    or cycle of another shape, a malformed set or relabel) fails the check.
     """
     if result.tag is TrichotomyTag.PANCYCLIC:
         covers = result.cycles
@@ -338,18 +344,19 @@ def validate_result(g: ColoredCompleteGraph, result: TrichotomyResult) -> bool:
         # set equality, since sorting keys of mixed types would raise
         if not isinstance(covers, dict) or covers.keys() != set(range(4, n + 1)):
             return False
+        m = g._m
+        everyone = set(range(n))
         try:
             for ln, cover in covers.items():
                 covered = set()
                 for cyc in cover:
                     vs = cyc.vertices if isinstance(cyc, Cycle) else tuple(cyc)
-                    if len(vs) != ln or not is_pc_cycle(g, vs):
+                    if len(vs) != ln or len(set(vs)) != ln or not _pc_closed(m, vs):
                         return False
                     covered.update(vs)
-                # is_pc_cycle admits only vertices of g, so n of them are V
-                if len(covered) != n:
+                if covered != everyone:
                     return False
-        except (TypeError, ValueError, UnknownVertex, RepeatedVertex):
+        except (TypeError, ValueError, IndexError):
             return False
         return True
     if result.tag is TrichotomyTag.PROPER_DEGENERATE:

@@ -22,6 +22,7 @@ from pcgraph.families import (
     random_no_mono_triangle,
 )
 from pcgraph.oracles import brute_degeneracy_tag, pc_cycle_exists_with_edge, proper_degenerate_sets
+from pcgraph.tournaments import reduce_degenerate
 
 
 def test_find_mono_triangle(mono_k3, double_pentagon, rainbow_k4):
@@ -313,18 +314,57 @@ def test_bitset_mono_scan_matches_plain_scan():
     assert hits > 200 and misses > 150
 
 
+def _orientation(t):
+    return t.parts, t.part_of, t._outmask, t._inmask
+
+
 def test_mono_scan_is_remembered_and_pickled_but_not_compared():
-    g = random_degenerate(12, random_fibers(12, 2), 2)[0]  # the generator scans
-    fresh = build(g.n, list(g.edges()))
-    assert g._mono is None and fresh._mono is False
-    assert g == fresh and hash(g) == hash(fresh)
-    again = pickle.loads(pickle.dumps(g))
-    assert again._mono is None and again == fresh
+    # the scan's answer and its color-mask table are remembered; only the
+    # answer is pickled, neither is compared or hashed, and the table is
+    # rebuilt on first use wherever it is missing
+    fresh_value = 0
+    for seed in range(100):
+        g, f = random_degenerate(9, random_fibers(9, seed), seed)  # the generator scans
+        if any(f[v] not in g.palette for v in range(9)):
+            fresh_value += 1
+        fresh = build(g.n, list(g.edges()))
+        assert g._mono is None and fresh._mono is False
+        assert g._nbr is not None and fresh._nbr is None
+        assert g == fresh and hash(g) == hash(fresh)
+        again = pickle.loads(pickle.dumps(g))
+        assert again._mono is None and again._nbr is None and again == fresh
+        want = _orientation(reduce_degenerate(g, f))
+        for h in (again, fresh):
+            assert _orientation(reduce_degenerate(h, f)) == want
+            assert h._nbr == g._nbr and h == g and hash(h) == hash(g)
+        assert fresh._mono is False  # reduce_degenerate built the table, not a scan
+        assert pickle.dumps(again) == pickle.dumps(g)
+    # some singleton's value colors no edge: its fd is a fresh index
+    assert fresh_value > 0
     mono = build(4, [(u, v, 1 if u else 2) for u, v in itertools.combinations(range(4), 2)])
     assert find_monochromatic_triangle(mono) == (1, 2, 3)
     assert mono == build(4, mono.edges()) and hash(mono) == hash(build(4, mono.edges()))
     again = pickle.loads(pickle.dumps(mono))
     assert again._mono == (1, 2, 3) and find_monochromatic_triangle(again) == (1, 2, 3)
+    assert again._nbr is None
+
+
+def _reference_masks(g):
+    """Per vertex u, the vertices meeting u in each dense color, then {u}."""
+    k = g.num_colors
+    return [
+        [sum(1 << v for v, c in enumerate(row) if c == d) for d in range(k)] + [1 << u]
+        for u, row in enumerate(g._m)
+    ]
+
+
+def test_color_masks_match_the_rows():
+    from pcgraph.families import GenSpec, generate
+
+    n64 = generate(GenSpec("randomDegenerate", n=64, seed=0, count=20))
+    for g in itertools.chain(exhaustive_colorings(5), n64):
+        assert detect._color_masks(g) == _reference_masks(g)
+        assert detect._color_masks(g) is g._nbr
 
 
 def test_generator_sweep_and_classify_share_one_scan(monkeypatch):

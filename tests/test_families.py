@@ -243,7 +243,7 @@ def test_generator_inputs_raise_pcgraph_errors():
         lambda: random_degenerate("a", [(0,)], 1),
         lambda: random_no_mono_triangle("a", 3, 0),
         lambda: gallai_coloring("a", 0),
-        lambda: next(exhaustive_colorings("a")),
+        lambda: exhaustive_colorings("a"),
         lambda: GenSpec("exhaustive", "a"),
     ]
     for call in non_int_n:
@@ -299,8 +299,11 @@ def test_exhaustive_counts():
 
 
 def test_exhaustive_too_large_and_sampling():
+    # bad arguments raise at the call, not at the first next()
     with pytest.raises(TooLarge):
-        list(exhaustive_colorings(6))
+        exhaustive_colorings(6)
+    with pytest.raises(TooSmall):
+        exhaustive_colorings(2)
     sampled = list(exhaustive_colorings(6, sample=10, seed=3))
     assert len(sampled) == 10
     assert all(g.n == 6 for g in sampled)

@@ -622,6 +622,12 @@ def test_reduce_degenerate_errors():
     g = build(3, [(0, 1, 1), (1, 2, 2), (0, 2, 3)])
     with pytest.raises(IncompatibleFunction, match=r"\(1,2\)"):
         reduce_degenerate(g, {0: 1, 1: 1, 2: 3})
+    # every cross edge fits, so only the 2-fiber's own edge is wrong; its
+    # value is a color of g, then one that colors no edge
+    g = build(3, [(0, 1, 5), (0, 2, 1), (1, 2, 1)])
+    for f in ({0: 1, 1: 1, 2: 9}, {0: 7, 1: 7, 2: 1}):
+        with pytest.raises(IncompatibleFunction, match=r"^edge \(0,1\) has color 5 "):
+            reduce_degenerate(g, f)
     mono = build(3, [(0, 1, 5), (1, 2, 5), (0, 2, 5)])
     with pytest.raises(Exception) as err:
         reduce_degenerate(mono, {0: 5, 1: 5, 2: 5})
@@ -669,10 +675,14 @@ def _same_digraph(t, ref):
 
 
 def test_reduce_degenerate_matches_the_arc_list_reference():
+    fresh_value = 0
     for n in list(range(5, 17)) + [32, 64]:
         for seed in range(20):
             g, f = random_degenerate(n, random_fibers(n, seed), seed)
             _same_digraph(reduce_degenerate(g, f), _reference_reduce(g, f))
+            fresh_value += any(f[v] not in g.palette for v in range(n))
+    # a singleton whose value colors no edge has no slot in the mask table
+    assert fresh_value > 0
 
 
 def test_reduce_degenerate_names_the_reference_first_bad_pair():

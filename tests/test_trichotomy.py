@@ -12,6 +12,7 @@ from helpers import random_instance_pool
 from pcgraph import build, loads_instance
 from pcgraph.cycles import (
     Cycle,
+    _pc_closed,
     _pc_cycle_search,
     enumerate_pc_cycles,
     has_pc_cycle,
@@ -25,7 +26,13 @@ from pcgraph.detect import (
     degeneracy_status,
     find_monochromatic_triangle,
 )
-from pcgraph.errors import MonochromaticTrianglePresent, ResultMismatch, TooSmall
+from pcgraph.errors import (
+    MonochromaticTrianglePresent,
+    RepeatedVertex,
+    ResultMismatch,
+    TooSmall,
+    UnknownVertex,
+)
 from pcgraph.families import (
     GenSpec,
     double_pentagon_matrix,
@@ -456,6 +463,108 @@ def test_validate_result_rejects_malformed_tables():
         del covers[4]
         covers[key] = cyc_cover
         assert not validate_result(g, dataclasses.replace(result, cycles=covers)), key
+
+
+def _per_vertex_validate(g, result):
+    """validate_result's tag-(a) check with a type and range test per vertex.
+
+    The reference for the set-equality check: each cycle goes through
+    is_pc_cycle, which tests every vertex, and each cover needs n distinct
+    vertices.
+    """
+    covers = result.cycles
+    n = g.n
+    if not isinstance(covers, dict) or covers.keys() != set(range(4, n + 1)):
+        return False
+    try:
+        for ln, cover in covers.items():
+            covered = set()
+            for cyc in cover:
+                vs = cyc.vertices if isinstance(cyc, Cycle) else tuple(cyc)
+                if len(vs) != ln or not is_pc_cycle(g, vs):
+                    return False
+                covered.update(vs)
+            if len(covered) != n:
+                return False
+    except (TypeError, ValueError, UnknownVertex, RepeatedVertex):
+        return False
+    return True
+
+
+def _with_vertex(cyc, i, w):
+    vs = tuple(cyc)
+    return vs[:i] + (w,) + vs[i + 1 :]
+
+
+def test_validate_result_rejects_forged_vertices():
+    g = _full_only(12, 1)
+    result = classify(g)
+    n = g.n
+    assert validate_result(g, result)
+    ln = 6
+    cover = tuple(cyc.vertices for cyc in result.cycles[ln])
+    first = cover[0]
+    forged = [_with_vertex(first, 0, bad) for bad in (-1, n, 2**70, 1.0, "a", None)]
+    through_1 = next(cyc for cyc in cover if 1 in cyc)
+    forged.append(_with_vertex(through_1, (through_1.index(1) + 1) % ln, True))
+    forged.append(_with_vertex(first, 0, first[1]))
+    for cyc in forged:
+        for table in ({ln: (cyc,) + cover}, {ln: cover + (cyc,)}, {ln: (cyc,) + cover[1:]}):
+            assert not validate_result(g, _recovered(result, table)), cyc
+            assert not _per_vertex_validate(g, _recovered(result, table)), cyc
+    # the cover without its last cycle misses a vertex
+    assert set().union(*cover[:-1]) != set(range(n))
+    assert not validate_result(g, _recovered(result, {ln: cover[:-1]}))
+    # m[-1] reads row n - 1, so -1 in place of n - 1 passes the PC test; the
+    # cover's union, V with -1 added or n - 1 swapped for -1, rejects it
+    swapped = tuple(tuple(-1 if v == n - 1 else v for v in cyc) for cyc in cover)
+    assert all(_pc_closed(g._m, cyc) for cyc in swapped)
+    assert not validate_result(g, _recovered(result, {ln: swapped}))
+    assert not validate_result(g, _recovered(result, {ln: cover + swapped}))
+
+
+def test_set_equality_validate_agrees_with_the_per_vertex_check():
+    # every tag-(a) certificate of K5, and random forgeries of n = 12 covers
+    checked = 0
+    for g in exhaustive_colorings(5):
+        if find_monochromatic_triangle(g) is None:
+            result = classify(g)
+            if result.tag is TrichotomyTag.PANCYCLIC:
+                assert validate_result(g, result) and _per_vertex_validate(g, result)
+                checked += 1
+    assert checked == 81003
+    rng = random.Random(5)
+    results = [classify(_full_only(12, s)) for s in range(3)]
+    results += [classify(random_no_mono_triangle(12, 5, s)) for s in range(3)]
+    strange = (-1, 12, 2**70, 1.0, "a", None, True, 0.0, -13)
+    outcomes = collections.Counter()
+    for trial in range(500):
+        result = rng.choice(results)
+        g = result.graph
+        ln = rng.randint(4, 12)
+        cover = [cyc.vertices for cyc in result.cycles[ln]]
+        i = rng.randrange(len(cover))
+        cyc = list(cover[i])
+        move = rng.randrange(5)
+        if move == 0:
+            cyc[rng.randrange(ln)] = rng.choice(strange)
+        elif move == 1:
+            cyc[rng.randrange(ln)] = rng.randrange(12)
+        elif move == 2:
+            a, b = rng.sample(range(ln), 2)
+            cyc[a], cyc[b] = cyc[b], cyc[a]
+        elif move == 3:
+            cyc.insert(rng.randrange(ln + 1), rng.choice(strange + (rng.randrange(12),)))
+        else:
+            del cover[i]
+            cyc = None
+        if cyc is not None:
+            cover[i] = tuple(cyc)
+        forged = _recovered(result, {ln: tuple(cover)})
+        want = _per_vertex_validate(g, forged)
+        assert validate_result(g, forged) == want, (trial, ln, cover)
+        outcomes[want] += 1
+    assert outcomes[True] > 20 and outcomes[False] > 300
 
 
 def test_validate_result_checks_shared_tuples():
