@@ -6,14 +6,14 @@ dense indices 0..k-1 (sorted by original id) so hot loops compare small
 ints.  Every public surface speaks original color ids.
 
 Instances are immutable after construction and safe to share between
-worker processes.  A graph remembers two derived facts, and neither takes
-part in equality or hashing.  One is the answer of
-detect.find_monochromatic_triangle, so the generator, the sweep, classify
-and pc_hamilton_path share a single scan; it travels with the graph through
-pickling.  The other is the scan's per-vertex, per-color neighbor bitmask
-table (detect._color_masks), which tournaments.reduce_degenerate reads its
-arcs from.  It is left out of pickling and rebuilt on first use, since at
-n = 64 it would almost triple the bytes a sweep ships to each worker.
+worker processes.  Two derived facts ride along, outside equality and
+hashing.  The neighbor table N_c(u) (_neighbor_table) is built with the
+matrix and rebuilt on unpickling, not on first use; stats, the
+monochromatic-triangle scan, the double-pentagon check and
+tournaments.reduce_degenerate read it.  It is left out of pickles, which
+it would almost triple at n = 64.  The answer of
+detect.find_monochromatic_triangle is remembered, so the generator, the
+sweep, classify and pc_hamilton_path share one scan; it is pickled.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .errors import (
     InvalidInstance,
     MissingEdge,
     OverlappingSets,
+    PreconditionViolated,
     SelfLoop,
     TooSmall,
     UnknownVertex,
@@ -40,9 +41,9 @@ class ColoredCompleteGraph:
 
     ``_m[u][v]`` holds the dense color index of edge uv (diagonal is -1);
     ``_palette[d]`` maps a dense index back to the original color id.
-    ``_mono`` is find_monochromatic_triangle's remembered answer, a triple
-    or None, and False until that first scan.  ``_nbr`` is
-    detect._color_masks's table, None until first use and after unpickling.
+    ``_nbr`` is the neighbor table of _neighbor_table.  ``_mono`` is
+    find_monochromatic_triangle's remembered answer, a triple or None, and
+    False until that first scan.
     """
 
     __slots__ = ("n", "_m", "_palette", "_mono", "_nbr")
@@ -52,14 +53,14 @@ class ColoredCompleteGraph:
         self._m = matrix
         self._palette = palette
         self._mono = False
-        self._nbr = None
+        self._nbr = _neighbor_table(matrix, len(palette))
 
     def __getstate__(self) -> tuple:
         return self.n, self._m, self._palette, self._mono
 
     def __setstate__(self, state: tuple) -> None:
         self.n, self._m, self._palette, self._mono = state
-        self._nbr = None
+        self._nbr = _neighbor_table(self._m, len(self._palette))
 
     # -- basic access --------------------------------------------------
 
@@ -103,6 +104,30 @@ class ColoredCompleteGraph:
         return f"ColoredCompleteGraph(n={self.n}, colors={len(self._palette)})"
 
 
+def _neighbor_table(matrix: tuple, k: int) -> list:
+    """Per vertex u, the masks N_c(u) of the vertices that u meets in color c.
+
+    Entry [u][c] has bit v set when edge uv has dense color c.  Each vertex
+    has k + 1 slots for k colors: the diagonal's -1 indexes the spare last
+    slot, so slot k holds bit u alone and lands in no color's mask.
+    """
+    table = []
+    for row in matrix:
+        masks = [0] * (k + 1)
+        for v, c in enumerate(row):
+            masks[c] |= 1 << v
+        table.append(masks)
+    return table
+
+
+def _check_order(n: int, least: int) -> None:
+    """PreconditionViolated unless n is an int; TooSmall if it is below least."""
+    if not isinstance(n, int):
+        raise PreconditionViolated("n", f"must be an int, got {n!r}")
+    if n < least:
+        raise TooSmall(f"need n >= {least}, got {n}")
+
+
 @dataclass(frozen=True)
 class ColorStats:
     """Per-vertex color degrees plus the two extremal degree statistics."""
@@ -117,10 +142,10 @@ def build(n: int, edges: Iterable[Sequence[int]]) -> ColoredCompleteGraph:
 
     Each entry is (u, v, color) with 0 <= u, v < n and u != v; colors are
     arbitrary integers.  Raises SelfLoop, DuplicateEdge or MissingEdge
-    naming the offending pair, and InvalidInstance on a malformed entry.
+    naming the offending pair, and InvalidInstance on a malformed entry;
+    PreconditionViolated when n is no int.
     """
-    if n < 1:
-        raise TooSmall(f"need n >= 1, got {n}")
+    _check_order(n, 1)
     raw = [[-1] * n for _ in range(n)]
     seen = [[False] * n for _ in range(n)]
     colors = set()
@@ -156,24 +181,19 @@ def build(n: int, edges: Iterable[Sequence[int]]) -> ColoredCompleteGraph:
 def stats(g: ColoredCompleteGraph) -> ColorStats:
     """Color degree per vertex, its minimum, and the max monochromatic degree.
 
-    Each row is counted into k + 1 slots with no test per entry: the
-    diagonal's -1 lands in the spare last slot, which is then dropped.
+    Both read the neighbor table: u's color degree is the number of its k
+    color masks that are nonzero, and the max monochromatic degree is the
+    most bits in any mask.  The spare slot k holds only {u}: it is never
+    zero, so the zeros counted are colors missing at u, and for n >= 2
+    some color mask of u has a bit, so slot k's one bit never raises the
+    max.
     """
     if g.n < 2:
         raise TooSmall(f"stats need n >= 2, got {g.n}")
     k = g.num_colors
-    degrees = []
-    max_mono = 0
-    for row in g._m:
-        counts = [0] * (k + 1)
-        for c in row:
-            counts[c] += 1
-        counts.pop()
-        degrees.append(k - counts.count(0))
-        mx = max(counts)
-        if mx > max_mono:
-            max_mono = mx
-    return ColorStats(tuple(degrees), min(degrees), max_mono)
+    degrees = tuple(k - row.count(0) for row in g._nbr)
+    max_mono = max(max(map(int.bit_count, row)) for row in g._nbr)
+    return ColorStats(degrees, min(degrees), max_mono)
 
 
 def colors_between(g: ColoredCompleteGraph, a: Iterable[int], b: Iterable[int]) -> set:

@@ -21,14 +21,12 @@ than c, so with u >= 1 it can survive only when all edges from u to
 0..u-1 have color c: the loop closes the one seed (u, color(u, 0)) at
 such a u, none at any other u >= 1, and every seed of vertex 0.
 
-The monochromatic-triangle scan runs over per-vertex, per-color neighbor
-bitmasks, and the graph remembers its answer, so every caller after the
-first (the generator's check, the sweep, classify, pc_hamilton_path) reads
-it without scanning again.  The graph also keeps the bitmask table itself
-(_color_masks), from which tournaments.reduce_degenerate reads the
-orientation's arcs.  The answer is pickled with the graph and the table is
-not: an unpickled graph, such as a sweep worker's, rebuilds the table on
-first use.
+The monochromatic-triangle scan runs over the graph's per-vertex, per-color
+neighbor bitmask table, which the graph builds with its matrix and rebuilds
+on unpickling, not on first use.  The graph remembers the scan's answer, so
+every caller after the first (the generator's check, the sweep, classify,
+pc_hamilton_path) reads it without scanning again; the answer is pickled
+with the graph and the table is not.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ def find_monochromatic_triangle(g: ColoredCompleteGraph) -> Optional[tuple]:
     """Lexicographically first (u, v, w) whose three edges share a color.
 
     The graph remembers the answer, so only its first call scans.  The scan
-    reads the table of _color_masks: N_c(u), the vertices that u meets in
+    reads the graph's neighbor table: N_c(u), the vertices that u meets in
     color c.  For u < v with c = color(u, v), the triangles uvw with w > v
     of color c are the set bits of (N_c(u) & N_c(v)) >> (v + 1), and its
     lowest bit is the first such w.
@@ -57,28 +55,8 @@ def find_monochromatic_triangle(g: ColoredCompleteGraph) -> Optional[tuple]:
         raise TooSmall(f"triangles need n >= 3, got {n}")
     tri = g._mono
     if tri is False:
-        tri = g._mono = _first_monochromatic_triangle(g._m, n, _color_masks(g))
+        tri = g._mono = _first_monochromatic_triangle(g._m, n, g._nbr)
     return tri
-
-
-def _color_masks(g: ColoredCompleteGraph) -> list:
-    """The graph's neighbor bitmask table, built on first use and then kept.
-
-    Entry [u][c] has bit v set when edge uv has dense color c.  Each vertex
-    has k + 1 slots for k colors: the diagonal's -1 indexes the spare last
-    slot, so slot k holds bit u alone and lands in no color's mask.
-    """
-    nbr = g._nbr
-    if nbr is None:
-        k = len(g._palette)
-        nbr = []
-        for row in g._m:
-            masks = [0] * (k + 1)
-            for v, c in enumerate(row):
-                masks[c] |= 1 << v
-            nbr.append(masks)
-        g._nbr = nbr
-    return nbr
 
 
 def _first_monochromatic_triangle(m: tuple, n: int, nbr: list) -> Optional[tuple]:

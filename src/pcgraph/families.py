@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .core import ColoredCompleteGraph, build
+from .core import ColoredCompleteGraph, _check_order, build
 from .detect import find_monochromatic_triangle, find_pc_triangle, verify_gallai_partition
 from .errors import (
     BadPartition,
@@ -53,14 +53,6 @@ class GenSpec:
                 raise PreconditionViolated(name, f"must be an int, got {value!r}")
         if self.count < 0:
             raise PreconditionViolated("count", f"must be >= 0, got {self.count}")
-
-
-def _check_order(n: int, least: int) -> None:
-    """PreconditionViolated unless n is an int; TooSmall if it is below least."""
-    if not isinstance(n, int):
-        raise PreconditionViolated("n", f"must be an int, got {n!r}")
-    if n < least:
-        raise TooSmall(f"need n >= {least}, got {n}")
 
 
 def _contract(g: ColoredCompleteGraph, holds: bool, what: str) -> None:

@@ -25,8 +25,10 @@ orients each cross-fiber edge toward the endpoint whose f-value it misses,
 producing such a tournament; directed cycles of the orientation pull back to
 properly colored cycles because consecutive arcs carry distinct f-values.
 reduce_degenerate reads the tournament's bitmasks straight from the graph's
-color-mask table, O(n) mask operations where the arc-list constructor would
-read and check every pair, and one count shows the map compatible.
+neighbor table, which the graph builds with its matrix and rebuilds on
+unpickling, not on first use: O(n) mask operations where the arc-list
+constructor would read and check every pair, and one count shows the map
+compatible.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .core import ColoredCompleteGraph
 from .cycles import Cycle, _fill_covers
-from .detect import _color_masks
 from .errors import (
     BadLength,
     CycleNotInDigraph,
@@ -457,9 +458,9 @@ def reduce_degenerate(g: ColoredCompleteGraph, f) -> MultipartiteTournament:
 
     The f-values are mapped to g's dense color indices once; a value that
     colors no edge gets a fresh index >= k, the palette size.  The arcs
-    come from the graph's color-mask table (detect._color_masks), O(n)
-    big-int operations in all.  With fd the dense f and F(u) the mask of
-    u's fiber, u's cross-fiber vertices are cross(u) = V - F(u) and
+    come from the graph's neighbor table g._nbr, O(n) big-int operations
+    in all.  With fd the dense f and F(u) the mask of u's fiber, u's
+    cross-fiber vertices are cross(u) = V - F(u) and
     out(u) = N_fd(u)(u) & cross(u), or 0 for a fresh fd(u), whose slot in
     the table is absent or the diagonal's.  in(u) = cross(u) - out(u).
 
@@ -499,7 +500,7 @@ def reduce_degenerate(g: ColoredCompleteGraph, f) -> MultipartiteTournament:
     for i, p in enumerate(parts):
         for v in p:
             part_of[v] = i
-    nbr = _color_masks(g)
+    nbr = g._nbr
     full = (1 << n) - 1
     away = {d: full ^ sum(map(_BIT, p)) for d, p in zip(fibers, parts)}
     outmask = []

@@ -100,20 +100,18 @@ def is_double_pentagon_k5(g: ColoredCompleteGraph) -> Optional[Dict[int, int]]:
     pentagon, so walking class 0 from vertex 0 visits every vertex, and
     relabeling the walk's i-th vertex to i sends class 0 onto the canonical
     ring 0-1-2-3-4 and its complement, class 1, onto the canonical chords.
+    The walk reads class 0 from the neighbor table: it leaves vertex 0 for
+    its lower class-0 neighbor, and every later step leaves a vertex's mask
+    for the bit that is not the vertex it came from.
     """
     if g.n != 5 or g.num_colors != 2:
         return None
-    m = g._m
-    for u in range(5):
-        if sum(1 for v in range(5) if v != u and m[u][v] == 0) != 2:
-            return None
-    ring = [0]
-    prev = None
+    class0 = [row[0] for row in g._nbr]
+    if any(mask.bit_count() != 2 for mask in class0):
+        return None
+    ring = [0, (class0[0] & -class0[0]).bit_length() - 1]
     while len(ring) < 5:
-        cur = ring[-1]
-        nxt = next(w for w in range(5) if w != cur and w != prev and m[cur][w] == 0)
-        ring.append(nxt)
-        prev = cur
+        ring.append((class0[ring[-1]] ^ 1 << ring[-2]).bit_length() - 1)
     return {v: i for i, v in enumerate(ring)}
 
 

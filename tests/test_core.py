@@ -14,6 +14,7 @@ from pcgraph.errors import (
     InvalidInstance,
     MissingEdge,
     OverlappingSets,
+    PreconditionViolated,
     SelfLoop,
     TooSmall,
 )
@@ -63,6 +64,16 @@ def test_build_rejects_malformed_entries():
             build(3, [bad] + good)
     with pytest.raises(InvalidInstance):
         build(3, 5)
+
+
+def test_build_rejects_a_non_int_order():
+    # an order that is no int is named before any comparison with it
+    for n in ("3", None, 2.0):
+        with pytest.raises(PreconditionViolated) as err:
+            build(n, [])
+        assert err.value.which == "n"
+    with pytest.raises(TooSmall, match="need n >= 1, got 0"):
+        build(0, [])
 
 
 def test_stats_double_pentagon(double_pentagon):

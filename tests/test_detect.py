@@ -319,9 +319,9 @@ def _orientation(t):
 
 
 def test_mono_scan_is_remembered_and_pickled_but_not_compared():
-    # the scan's answer and its color-mask table are remembered; only the
-    # answer is pickled, neither is compared or hashed, and the table is
-    # rebuilt on first use wherever it is missing
+    # the scan's answer is remembered and pickled; the color-mask table is
+    # built with the graph and rebuilt on unpickling; neither is compared
+    # or hashed
     fresh_value = 0
     for seed in range(100):
         g, f = random_degenerate(9, random_fibers(9, seed), seed)  # the generator scans
@@ -329,15 +329,14 @@ def test_mono_scan_is_remembered_and_pickled_but_not_compared():
             fresh_value += 1
         fresh = build(g.n, list(g.edges()))
         assert g._mono is None and fresh._mono is False
-        assert g._nbr is not None and fresh._nbr is None
         assert g == fresh and hash(g) == hash(fresh)
         again = pickle.loads(pickle.dumps(g))
-        assert again._mono is None and again._nbr is None and again == fresh
+        assert again._mono is None and again == fresh
         want = _orientation(reduce_degenerate(g, f))
         for h in (again, fresh):
             assert _orientation(reduce_degenerate(h, f)) == want
             assert h._nbr == g._nbr and h == g and hash(h) == hash(g)
-        assert fresh._mono is False  # reduce_degenerate built the table, not a scan
+        assert fresh._mono is False  # reduce_degenerate read the table, not a scan
         assert pickle.dumps(again) == pickle.dumps(g)
     # some singleton's value colors no edge: its fd is a fresh index
     assert fresh_value > 0
@@ -346,7 +345,6 @@ def test_mono_scan_is_remembered_and_pickled_but_not_compared():
     assert mono == build(4, mono.edges()) and hash(mono) == hash(build(4, mono.edges()))
     again = pickle.loads(pickle.dumps(mono))
     assert again._mono == (1, 2, 3) and find_monochromatic_triangle(again) == (1, 2, 3)
-    assert again._nbr is None
 
 
 def _reference_masks(g):
@@ -359,12 +357,20 @@ def _reference_masks(g):
 
 
 def test_color_masks_match_the_rows():
-    from pcgraph.families import GenSpec, generate
+    # every way a graph comes to be: build, each generator, an induced
+    # subgraph and unpickling all hand over the table with the graph
+    from pcgraph.cycles import _induced
+    from pcgraph.families import FAMILIES, GenSpec, generate
 
-    n64 = generate(GenSpec("randomDegenerate", n=64, seed=0, count=20))
-    for g in itertools.chain(exhaustive_colorings(5), n64):
-        assert detect._color_masks(g) == _reference_masks(g)
-        assert detect._color_masks(g) is g._nbr
+    graphs = [build(1, []), build(2, [(0, 1, 7)])]
+    for family in FAMILIES:
+        n = {"doublePentagon": 5, "directedExample": 6, "exhaustive": 4}.get(family, 12)
+        graphs += generate(GenSpec(family, n=n, k=4, seed=0, count=5))
+    graphs += generate(GenSpec("randomDegenerate", n=64, seed=0, count=20))
+    graphs += [_induced(g, range(1, g.n, 2)) for g in graphs if g.n >= 4]
+    graphs += [pickle.loads(pickle.dumps(g)) for g in graphs]
+    for g in itertools.chain(exhaustive_colorings(5), graphs):
+        assert g._nbr == _reference_masks(g)
 
 
 def test_generator_sweep_and_classify_share_one_scan(monkeypatch):

@@ -139,6 +139,16 @@ def test_run_sweep_rejects_workers_below_one():
 
 
 @pytest.mark.parametrize(
+    "field, value", [("oracle", "bogus"), ("oracle", None), ("workers", "2"), ("workers", 2.5)]
+)
+def test_run_sweep_names_a_bad_oracle_or_workers(field, value):
+    # the field is named, as for every other ill-formed sweep input
+    with pytest.raises(PreconditionViolated) as err:
+        run_sweep(SweepConfig(family="exhaustive", n=4, **{field: value}))
+    assert err.value.which == field
+
+
+@pytest.mark.parametrize(
     "flags",
     [
         ["--family", "randomDegenerate", "--n", "8", "--count", "5", "--cert-out"],
