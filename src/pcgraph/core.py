@@ -121,8 +121,8 @@ def _neighbor_table(matrix: tuple, k: int) -> list:
 
 
 def _check_order(n: int, least: int) -> None:
-    """PreconditionViolated unless n is an int; TooSmall if it is below least."""
-    if not isinstance(n, int):
+    """PreconditionViolated unless n is an int, not a bool; TooSmall if it is below least."""
+    if not isinstance(n, int) or isinstance(n, bool):
         raise PreconditionViolated("n", f"must be an int, got {n!r}")
     if n < least:
         raise TooSmall(f"need n >= {least}, got {n}")

@@ -36,11 +36,9 @@ class Cycle:
     """Oriented cycle as a tuple of distinct vertices with navigation helpers.
 
     The vertex set, kept beside the tuple, checks distinctness by its size
-    and answers ``in``; a set built and dropped per cycle instead churned
-    the allocator and raised peak RSS.  Positions come from ``vertices.index``
-    in _index, read only by succ and pred: classify_attachment asks, while
-    the orientation route builds about 300 cycles per n=64 instance and
-    never does.
+    and answers ``in``.  succ and pred, which classify_attachment asks, find
+    positions with ``vertices.index``.  Certificate covers hold plain vertex
+    tuples, not Cycles.
     """
 
     __slots__ = ("vertices", "_members")
@@ -94,26 +92,23 @@ class Cycle:
 
 
 def _check_sequence(g: ColoredCompleteGraph, seq: Sequence[int]) -> tuple:
-    """seq as a tuple of distinct vertices of g, checked in one pass.
+    """seq as a tuple of distinct vertices of g.
 
     An unknown vertex is reported before a repeat, wherever each occurs.
     """
     out = tuple(seq)
     n = g.n
-    seen = set()
-    add = seen.add
     for v in out:
         if not (isinstance(v, int) and 0 <= v < n):
             raise UnknownVertex(f"vertex {v!r} not in 0..{n - 1}")
-        add(v)
-    if len(seen) != len(out):
+    if len(set(out)) != len(out):
         raise RepeatedVertex(f"repeated vertex in {list(out)}")
     return out
 
 
 def is_pc_cycle(g: ColoredCompleteGraph, seq) -> bool:
     """True iff seq (cyclically) has no two consecutive edges of one color."""
-    vs = _check_sequence(g, seq.vertices if isinstance(seq, Cycle) else seq)
+    vs = _check_sequence(g, seq)
     return len(vs) >= 3 and _pc_closed(g._m, vs)
 
 
@@ -193,7 +188,10 @@ def _pc_cycle_search(
                     return got
         return None
 
-    return dfs(-1)
+    try:
+        return dfs(-1)
+    finally:
+        del dfs  # dfs holds itself through its closure cell; leave no cycle for gc
 
 
 def enumerate_pc_cycles(g: ColoredCompleteGraph, v: int, length: int) -> List[Cycle]:
@@ -221,7 +219,7 @@ def _fill_covers(n: int, build: Callable) -> tuple:
     """(covers, rows): per length L in 4..n, a cover of 0..n-1 by L-cycles.
 
     Both pancyclic routes fill their certificate here.  The builder returns
-    a (cycle, state) pair: a vertex sequence and whatever the route keeps
+    a (cycle, state) pair: a vertex tuple and whatever the route keeps
     beside it.  Vertex u, in order, takes at each length L the pair filed
     in rows[L][u] (reuse), or else builds one with build(cur, u, L,
     unfiled), where cur is u's (L-1)-pair, None exactly at L = 4, and
@@ -361,8 +359,8 @@ def _induced(g: ColoredCompleteGraph, vertices: Sequence[int]) -> ColoredComplet
     return ColoredCompleteGraph(len(vertices), rows, tuple(g._palette[d] for d in used))
 
 
-def classify_attachment(g: ColoredCompleteGraph, cycle: Cycle, v: int) -> AttachmentClass:
-    """How an outside vertex relates to a PC cycle it cannot join.
+def classify_attachment(g: ColoredCompleteGraph, cycle: Sequence[int], v: int) -> AttachmentClass:
+    """How an outside vertex relates to a PC cycle, any sequence of its vertices.
 
     Either some PC cycle covers V(cycle)+{v} (returned as EXTENDABLE with a
     witness), or exactly one of three patterns holds: v sees one color on
@@ -379,7 +377,7 @@ def classify_attachment(g: ColoredCompleteGraph, cycle: Cycle, v: int) -> Attach
     """
     from .trichotomy import TrichotomyTag, classify  # trichotomy imports this module
 
-    _check_sequence(g, cycle.vertices)
+    cycle = Cycle(_check_sequence(g, cycle))
     g.check_vertex(v)
     if v in cycle:
         raise VertexOnCycle(f"{v} lies on the cycle")

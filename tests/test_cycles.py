@@ -1,3 +1,4 @@
+import gc
 import itertools
 import pickle
 import random
@@ -26,17 +27,18 @@ from pcgraph.cycles import (
     pc_hamilton_path,
     pc_quadrangle_search,
 )
-from pcgraph.detect import find_monochromatic_triangle
+from pcgraph.detect import DegeneracyTag, degeneracy_status, find_monochromatic_triangle
 from pcgraph.errors import (
     BadLength,
     MonochromaticTrianglePresent,
+    PCGraphError,
     PreconditionViolated,
     RepeatedVertex,
     TooSmall,
     UnknownVertex,
     VertexOnCycle,
 )
-from pcgraph.families import exhaustive_colorings, random_no_mono_triangle
+from pcgraph.families import exhaustive_colorings, gallai_coloring, random_no_mono_triangle
 from pcgraph.trichotomy import classify
 from pcgraph.oracles import pc_cycles_by_permutation
 
@@ -301,6 +303,25 @@ def test_classify_attachment_double_pentagon(double_pentagon):
         classify_attachment(double_pentagon, Cycle((0, 1, 4, 3)), 0)
 
 
+def test_classify_attachment_takes_any_vertex_sequence(double_pentagon):
+    # a tuple, a list and a Cycle of the same vertices give equal results,
+    # and a sequence that is no cycle still raises the package's error
+    g = random_no_mono_triangle(8, 4, 0)
+    cases = [(double_pentagon, (0, 1, 4, 3), 2), (double_pentagon, (0, 3, 4, 1), 2)]
+    for ln in (4, 5, 7):
+        cyc = enumerate_pc_cycles(g, 0, ln)[0]
+        cases += [(g, cyc.vertices, w) for w in range(g.n) if w not in cyc]
+    kinds = set()
+    for h, vs, w in cases:
+        res = classify_attachment(h, Cycle(vs), w)
+        assert classify_attachment(h, vs, w) == res == classify_attachment(h, list(vs), w)
+        kinds.add(res.kind)
+    assert len(kinds) > 1
+    for bad in ((0, 1), [0], (), (0, 1, 0, 3)):
+        with pytest.raises(PCGraphError):
+            classify_attachment(g, bad, 4)
+
+
 def _extendable_by_search(g, cycle, w):
     """Reference decider: DFS for a PC Hamilton cycle of G[V(cycle)+w]."""
     vs = cycle.vertices + (w,)
@@ -453,3 +474,25 @@ def test_fill_covers_builds_only_for_unfiled_vertices():
             assert cover == tuple(pair[0] for pair in pairs)
             for v in range(n):
                 assert rows[ln][v] is next(pair for pair in pairs if v in pair[0])
+
+
+def test_searches_leave_no_cyclic_garbage():
+    # the recursive walks (the PC-cycle search, the Gallai generator's fill)
+    # drop their self-referencing closures, so generating an instance and a
+    # search, an enumeration and a growth-route classify on it leave the
+    # cyclic collector nothing to find
+    gc.collect()
+    g0 = random_no_mono_triangle(10, 5, 0)
+    gc.disable()
+    try:
+        g1, _ = gallai_coloring(16, 0)
+        generated = gc.collect()
+        for g in (g0, g1):
+            assert degeneracy_status(g).tag is DegeneracyTag.NON_DEGENERATE
+            has_pc_cycle(g, 0, 5)
+            enumerate_pc_cycles(g, 0, 5)
+            classify(g)
+        searched = gc.collect()
+    finally:
+        gc.enable()
+    assert (generated, searched) == (0, 0)

@@ -253,6 +253,14 @@ def test_generator_inputs_raise_pcgraph_errors():
         random_no_mono_triangle(7, "a", 0)
 
 
+def test_gen_spec_rejects_bool_fields():
+    # a bool is an int to isinstance, but no order, color count, seed or count
+    for field in ("n", "k", "seed", "count"):
+        for value in (True, False):
+            with pytest.raises(PreconditionViolated, match=f"^{field}: must be an int"):
+                GenSpec("exhaustive", **{"n": 4, field: value})
+
+
 def test_generator_alarms_raise_internal_error(monkeypatch):
     # the contract checks are not asserts, so they also hold under python -O
     monkeypatch.setattr(families_mod, "find_monochromatic_triangle", lambda g: (0, 1, 2))

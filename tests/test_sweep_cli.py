@@ -138,6 +138,14 @@ def test_run_sweep_rejects_workers_below_one():
         run_sweep(SweepConfig(family="exhaustive", n=4, workers=0))
 
 
+def test_run_sweep_rejects_bool_workers():
+    # a bool is an int to isinstance, but no worker count
+    for workers in (True, False):
+        with pytest.raises(PreconditionViolated, match="^workers: must be an int") as err:
+            run_sweep(SweepConfig(family="exhaustive", n=4, workers=workers))
+        assert err.value.which == "workers"
+
+
 @pytest.mark.parametrize(
     "field, value", [("oracle", "bogus"), ("oracle", None), ("workers", "2"), ("workers", 2.5)]
 )

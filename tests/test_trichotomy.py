@@ -376,17 +376,19 @@ def test_orientation_route_lifts_each_shared_cycle_once(monkeypatch):
     lifts = []
 
     def counted(g, f, cycle):
-        lifts.append(tuple(cycle))
-        return real(g, f, cycle)
+        lifts.append(real(g, f, cycle))
+        return lifts[-1]
 
     monkeypatch.setattr(trichotomy_mod, "lift_cycle", counted)
     result = classify(g)
     assert result.tag is TrichotomyTag.PANCYCLIC
     assert set(result.cycles) == set(range(4, 65))
-    built = [cyc.vertices for cover in result.cycles.values() for cyc in cover]
+    built = [cyc for cover in result.cycles.values() for cyc in cover]
     # far fewer cycles than the 64 * 61 (vertex, length) pairs they certify
     assert len(built) < 64 * 61
     assert lifts == built and len(set(lifts)) == len(lifts)
+    # the covers hold the lift's own checked tuples, wrapped in nothing
+    assert all(cyc is lifted for cyc, lifted in zip(built, lifts))
     assert validate_result(g, result)
 
 
@@ -502,7 +504,7 @@ def test_validate_result_rejects_forged_vertices():
     n = g.n
     assert validate_result(g, result)
     ln = 6
-    cover = tuple(cyc.vertices for cyc in result.cycles[ln])
+    cover = result.cycles[ln]
     first = cover[0]
     forged = [_with_vertex(first, 0, bad) for bad in (-1, n, 2**70, 1.0, "a", None)]
     through_1 = next(cyc for cyc in cover if 1 in cyc)
@@ -542,7 +544,7 @@ def test_set_equality_validate_agrees_with_the_per_vertex_check():
         result = rng.choice(results)
         g = result.graph
         ln = rng.randint(4, 12)
-        cover = [cyc.vertices for cyc in result.cycles[ln]]
+        cover = list(result.cycles[ln])
         i = rng.randrange(len(cover))
         cyc = list(cover[i])
         move = rng.randrange(5)
@@ -568,20 +570,21 @@ def test_set_equality_validate_agrees_with_the_per_vertex_check():
 
 
 def test_validate_result_checks_shared_tuples():
-    # cover cycles given as plain vertex tuples validate, and are checked
-    # as Cycles are
+    # classify's covers hold plain vertex tuples; the same covers given as
+    # Cycles still validate, and forgeries of either are rejected alike
     g = _full_only(12, 1)
     result = classify(g)
-    covers = {ln: tuple(cyc.vertices for cyc in cover) for ln, cover in result.cycles.items()}
-    tuples = dataclasses.replace(result, cycles=covers)
-    assert validate_result(g, tuples)
-    ln = 6
-    cover = covers[ln]
-    assert not validate_result(g, _recovered(tuples, {ln: cover[:-1]}))
-    longer = covers[ln + 1] + cover[:1]
-    assert not validate_result(g, _recovered(tuples, {ln + 1: longer}))
-    bad = _non_pc_reordering(g, cover[0]).vertices
-    assert not validate_result(g, _recovered(tuples, {ln: (bad,) + cover[1:]}))
+    as_cycles = {ln: tuple([Cycle(c) for c in cover]) for ln, cover in result.cycles.items()}
+    for res in (result, dataclasses.replace(result, cycles=as_cycles)):
+        covers = res.cycles
+        assert validate_result(g, res)
+        ln = 6
+        cover = covers[ln]
+        assert not validate_result(g, _recovered(res, {ln: cover[:-1]}))
+        longer = covers[ln + 1] + cover[:1]
+        assert not validate_result(g, _recovered(res, {ln + 1: longer}))
+        bad = type(cover[0])(_non_pc_reordering(g, cover[0]))
+        assert not validate_result(g, _recovered(res, {ln: (bad,) + cover[1:]}))
 
 
 def _first_through(cover, v):
@@ -598,18 +601,22 @@ def test_json_entry_is_the_first_cover_cycle_through_each_vertex():
     for g in (growth, full_only):
         result = classify(g)
         assert result.tag is TrichotomyTag.PANCYCLIC and validate_result(g, result)
+        # every cover entry is a plain tuple of vertex ints on both routes
+        for cover in result.cycles.values():
+            assert type(cover) is tuple
+            assert all(type(cyc) is tuple and {type(v) for v in cyc} == {int} for cyc in cover)
         table = result.to_json_dict()["certificates"]["cycles"]
         assert list(table) == [str(v) for v in range(64)]
         for v in range(64):
             assert list(table[str(v)]) == [str(ln) for ln in range(4, 65)]
             for ln, cover in result.cycles.items():
-                assert table[str(v)][str(ln)] == list(_first_through(cover, v).vertices)
+                assert table[str(v)][str(ln)] == list(_first_through(cover, v))
     # table is full_only's, from the last pass
     f = degeneracy_status(full_only).certificate.f
     t = reduce_degenerate(full_only, f)
     for v in range(64):
         for ln, dc in mpt_cycles_through(t, v).items():
-            assert table[str(v)][str(ln)] == list(lift_cycle(full_only, f, dc).vertices)
+            assert table[str(v)][str(ln)] == list(lift_cycle(full_only, f, dc))
 
 
 def test_validate_result_rejects_covers_of_the_wrong_lengths_or_reach():
