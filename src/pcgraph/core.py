@@ -18,10 +18,9 @@ sweep, classify and pc_hamilton_path share one scan; it is pickled.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     DuplicateEdge,
@@ -30,6 +29,7 @@ from .errors import (
     MissingEdge,
     OverlappingSets,
     PreconditionViolated,
+    RepeatedVertex,
     SelfLoop,
     TooSmall,
     UnknownVertex,
@@ -74,7 +74,9 @@ class ColoredCompleteGraph:
         return len(self._palette)
 
     def color(self, u: int, v: int) -> int:
-        """Original color id of edge uv."""
+        """Original color id of edge uv; UnknownVertex unless both are vertices."""
+        _check_vertex(self.n, u)
+        _check_vertex(self.n, v)
         if u == v:
             raise SelfLoop(f"no edge ({u},{v})")
         return self._palette[self._m[u][v]]
@@ -84,10 +86,6 @@ class ColoredCompleteGraph:
         for u in range(self.n):
             for v in range(u + 1, self.n):
                 yield u, v, self._palette[self._m[u][v]]
-
-    def check_vertex(self, v: int) -> None:
-        if not (isinstance(v, int) and 0 <= v < self.n):
-            raise UnknownVertex(f"vertex {v!r} not in 0..{self.n - 1}")
 
     def __eq__(self, other) -> bool:
         return (
@@ -120,12 +118,56 @@ def _neighbor_table(matrix: tuple, k: int) -> list:
     return table
 
 
+def _is_int(x) -> bool:
+    """The package's one int test: exactly int, so no bool and no int subclass."""
+    return type(x) is int
+
+
+def _all_ints(xs: Iterable) -> bool:
+    """Whether every item of xs passes _is_int, tested in C: one type lookup per item."""
+    return {int}.issuperset(map(type, xs))
+
+
+def _check_int(x, which: str, least: Optional[int] = None) -> None:
+    """PreconditionViolated(which) unless x is an int, and at least least if given."""
+    if not _is_int(x):
+        raise PreconditionViolated(which, f"must be an int, got {x!r}")
+    if least is not None and x < least:
+        raise PreconditionViolated(which, f"must be >= {least}, got {x}")
+
+
 def _check_order(n: int, least: int) -> None:
-    """PreconditionViolated unless n is an int, not a bool; TooSmall if it is below least."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise PreconditionViolated("n", f"must be an int, got {n!r}")
+    """PreconditionViolated("n") unless n is an int; TooSmall if it is below least."""
+    _check_int(n, "n")
     if n < least:
         raise TooSmall(f"need n >= {least}, got {n}")
+
+
+def _is_vertex(n: int, v) -> bool:
+    """Whether v is a vertex of a graph or digraph of order n: an int in 0..n-1."""
+    return type(v) is int and 0 <= v < n
+
+
+def _check_vertex(n: int, v) -> None:
+    if not _is_vertex(n, v):
+        raise UnknownVertex(f"vertex {v!r} not in 0..{n - 1}")
+
+
+def _check_vertices(n: int, seq, distinct: bool = True) -> tuple:
+    """seq as a tuple of vertices of order n, distinct unless distinct is False.
+
+    PreconditionViolated("vertices") when seq is not iterable; an unknown
+    vertex is reported before a repeat, wherever each occurs.
+    """
+    try:
+        out = tuple(seq)
+    except TypeError:
+        raise PreconditionViolated("vertices", f"not a vertex sequence: {seq!r}") from None
+    for v in out:
+        _check_vertex(n, v)
+    if distinct and len(set(out)) != len(out):
+        raise RepeatedVertex(f"repeated vertex in {list(out)}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -140,9 +182,10 @@ class ColorStats:
 def build(n: int, edges: Iterable[Sequence[int]]) -> ColoredCompleteGraph:
     """Build a graph from an explicit edge list covering every pair exactly once.
 
-    Each entry is (u, v, color) with 0 <= u, v < n and u != v; colors are
-    arbitrary integers.  Raises SelfLoop, DuplicateEdge or MissingEdge
-    naming the offending pair, and InvalidInstance on a malformed entry;
+    Each entry is (u, v, color): vertices u != v and a color that is any
+    int (a bool is none).  Raises SelfLoop, DuplicateEdge or MissingEdge
+    naming the offending pair, UnknownVertex on an endpoint that is no
+    vertex, and InvalidInstance on another malformed entry;
     PreconditionViolated when n is no int.
     """
     _check_order(n, 1)
@@ -153,8 +196,10 @@ def build(n: int, edges: Iterable[Sequence[int]]) -> ColoredCompleteGraph:
     try:
         for entry in edges:
             u, v, c = entry
-            if not (isinstance(u, int) and isinstance(v, int) and 0 <= u < n and 0 <= v < n):
+            if not (_is_vertex(n, u) and _is_vertex(n, v)):
                 raise UnknownVertex(f"edge endpoint out of range in ({u},{v})")
+            if not _is_int(c):
+                raise InvalidInstance(f"edge colors must be integers, got {c!r}")
             if u == v:
                 raise SelfLoop(f"({u},{v})")
             if seen[u][v]:
@@ -164,8 +209,6 @@ def build(n: int, edges: Iterable[Sequence[int]]) -> ColoredCompleteGraph:
             colors.add(c)
     except (TypeError, ValueError):
         raise InvalidInstance(f"bad edge entry {entry!r}") from None
-    if not all(isinstance(c, int) for c in colors):
-        raise InvalidInstance(f"edge colors must be integers, got {colors!r}")
     for u in range(n):
         for v in range(u + 1, n):
             if not seen[u][v]:
@@ -198,13 +241,12 @@ def stats(g: ColoredCompleteGraph) -> ColorStats:
 
 def colors_between(g: ColoredCompleteGraph, a: Iterable[int], b: Iterable[int]) -> set:
     """Set of original colors on edges with one endpoint in each set."""
-    sa, sb = set(a), set(b)
+    sa = set(_check_vertices(g.n, a, distinct=False))
+    sb = set(_check_vertices(g.n, b, distinct=False))
     if not sa or not sb:
         raise EmptyVertexSet("both sets must be nonempty")
     if sa & sb:
         raise OverlappingSets(f"sets share {sorted(sa & sb)}")
-    for v in itertools.chain(sa, sb):
-        g.check_vertex(v)
     m = g._m
     pal = g._palette
     return {pal[m[u][v]] for u in sa for v in sb}
@@ -221,29 +263,23 @@ def dumps_instance(g: ColoredCompleteGraph) -> str:
 
 
 def from_instance_dict(data) -> ColoredCompleteGraph:
-    """Strict loader for {"n": int, "edges": [[u,v,color],...]}."""
+    """Strict loader for {"n": int, "edges": [[u,v,color],...]}; build checks each entry."""
     if not isinstance(data, dict) or set(data.keys()) != {"n", "edges"}:
         raise InvalidInstance('expected exactly the keys "n" and "edges"')
     n = data["n"]
     edges = data["edges"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _is_int(n) or n < 1:
         raise InvalidInstance('"n" must be a positive integer')
     if not isinstance(edges, list) or len(edges) != n * (n - 1) // 2:
         raise InvalidInstance(f'"edges" must list exactly {n * (n - 1) // 2} entries')
-    for e in edges:
-        if (
-            not isinstance(e, list)
-            or len(e) != 3
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in e)
-        ):
-            raise InvalidInstance(f"bad edge entry {e!r}")
     return build(n, edges)
 
 
 def loads_instance(text: str) -> ColoredCompleteGraph:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (TypeError, ValueError) as exc:
+        # a text that is no str or bytes, or not JSON
         raise InvalidInstance(f"not JSON: {exc}") from exc
     except RecursionError:
         raise InvalidInstance("JSON nested too deeply") from None

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, List, Optional, Sequence
 
-from .core import ColoredCompleteGraph
+from .core import ColoredCompleteGraph, _check_vertex, _check_vertices, _is_int
 from .detect import DegeneracyTag, degeneracy_status, find_monochromatic_triangle
 from .errors import (
     BadLength,
@@ -27,7 +27,6 @@ from .errors import (
     PreconditionViolated,
     RepeatedVertex,
     TooSmall,
-    UnknownVertex,
     VertexOnCycle,
 )
 
@@ -44,10 +43,13 @@ class Cycle:
     __slots__ = ("vertices", "_members")
 
     def __init__(self, vertices: Sequence[int]):
-        vs = self.vertices = tuple(vertices)
+        try:
+            vs = self.vertices = tuple(vertices)
+            self._members = frozenset(vs)
+        except TypeError:
+            raise PreconditionViolated("vertices", f"not a vertex sequence: {vertices!r}") from None
         if len(vs) < 3:
             raise BadLength(f"cycles need >= 3 vertices, got {len(vs)}")
-        self._members = frozenset(vs)
         if len(self._members) != len(vs):
             raise RepeatedVertex(f"repeated vertex in {list(vs)}")
 
@@ -91,24 +93,9 @@ class Cycle:
         return Cycle(rot)
 
 
-def _check_sequence(g: ColoredCompleteGraph, seq: Sequence[int]) -> tuple:
-    """seq as a tuple of distinct vertices of g.
-
-    An unknown vertex is reported before a repeat, wherever each occurs.
-    """
-    out = tuple(seq)
-    n = g.n
-    for v in out:
-        if not (isinstance(v, int) and 0 <= v < n):
-            raise UnknownVertex(f"vertex {v!r} not in 0..{n - 1}")
-    if len(set(out)) != len(out):
-        raise RepeatedVertex(f"repeated vertex in {list(out)}")
-    return out
-
-
 def is_pc_cycle(g: ColoredCompleteGraph, seq) -> bool:
     """True iff seq (cyclically) has no two consecutive edges of one color."""
-    vs = _check_sequence(g, seq)
+    vs = _check_vertices(g.n, seq)
     return len(vs) >= 3 and _pc_closed(g._m, vs)
 
 
@@ -131,7 +118,7 @@ def _pc_closed(m: tuple, vs: tuple) -> bool:
 
 def is_pc_path(g: ColoredCompleteGraph, seq) -> bool:
     """True iff consecutive edges along the path have distinct colors."""
-    vs = _check_sequence(g, seq)
+    vs = _check_vertices(g.n, seq)
     if len(vs) < 3:
         return True
     m = g._m
@@ -161,8 +148,8 @@ def _pc_cycle_search(
     callback, which gets each closed walk as a tuple (each cycle once per
     direction).  The walk returns the first value that is not None, or None.
     """
-    g.check_vertex(v)
-    if not (isinstance(length, int) and 3 <= length <= g.n):
+    _check_vertex(g.n, v)
+    if not (_is_int(length) and 3 <= length <= g.n):
         raise BadLength(f"length must be an int in [3, {g.n}], got {length!r}")
     m = g._m
     n = g.n
@@ -377,8 +364,8 @@ def classify_attachment(g: ColoredCompleteGraph, cycle: Sequence[int], v: int) -
     """
     from .trichotomy import TrichotomyTag, classify  # trichotomy imports this module
 
-    cycle = Cycle(_check_sequence(g, cycle))
-    g.check_vertex(v)
+    cycle = Cycle(_check_vertices(g.n, cycle))
+    _check_vertex(g.n, v)
     if v in cycle:
         raise VertexOnCycle(f"{v} lies on the cycle")
     witness = insert_into_pc_cycle(g, cycle, v)
@@ -416,7 +403,7 @@ def find_pc_quadrangle(g: ColoredCompleteGraph, v: int) -> Cycle:
     """PC quadrangle through v; guaranteed on non-degenerate mono-triangle-free input."""
     if g.n < 4:
         raise PreconditionViolated("size", f"need n >= 4, got {g.n}")
-    g.check_vertex(v)
+    _check_vertex(g.n, v)
     tri = find_monochromatic_triangle(g)
     if tri is not None:
         raise PreconditionViolated("mono-triangle-free", f"triangle {tri}")

@@ -37,7 +37,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import ColoredCompleteGraph
+from .core import ColoredCompleteGraph, _all_ints, _check_int, _check_vertex, _is_vertex
 from .errors import NotAPartition, TooSmall
 
 
@@ -100,21 +100,22 @@ class DegeneracyCertificate:
         """Edge-by-edge validation of both compatibility clauses.
 
         S must be a nonempty set or frozenset of vertices of g, and f a
-        mapping keyed by S; any other shape answers False.
+        mapping from S to int colors; any other shape answers False.
         """
         if not isinstance(self.S, (set, frozenset)) or not isinstance(self.f, Mapping):
             return False
-        if not self.S or set(self.f) != self.S:
+        if not self.S or set(self.f) != self.S or not _all_ints(self.f.values()):
             return False
-        if not all(isinstance(v, int) and 0 <= v < g.n for v in self.S):
+        if not all(_is_vertex(g.n, v) for v in self.S):
             return False
         inside = self.S
         for u in inside:
             fu = self.f[u]
+            row = g._m[u]
             for v in range(g.n):
                 if v == u:
                     continue
-                c = g.color(u, v)
+                c = g._palette[row[v]]
                 if v in inside:
                     if c != fu and c != self.f[v]:
                         return False
@@ -182,13 +183,14 @@ def closure_from_seed(g: ColoredCompleteGraph, u: int, c: int) -> Optional[Degen
     """Propagate the forcing rule from f(u)=c; None when it conflicts.
 
     The result, when present, is the unique minimal degenerate set
-    containing u with that seed value.  c is an original color id; a color
+    containing u with that seed value.  c is an int color id; a color
     absent from the palette maps to dense index -1, which no edge carries,
     so it simply forces every other vertex in.
     """
     if g.n < 2:
         raise TooSmall(f"closure needs n >= 2, got {g.n}")
-    g.check_vertex(u)
+    _check_vertex(g.n, u)
+    _check_int(c, "color")
     pal = g._palette
     dense = pal.index(c) if c in pal else -1
     f = _closure_dense(g._m, g.n, u, dense)
@@ -291,7 +293,7 @@ def verify_gallai_partition(g: ColoredCompleteGraph, parts: Sequence) -> bool:
         raise NotAPartition("parts must be collections of int vertices") from None
     if len(sets) < 2 or any(not s for s in sets):
         raise NotAPartition("need at least two nonempty parts")
-    if not all(isinstance(v, int) for s in sets for v in s):
+    if not all(map(_all_ints, sets)):
         raise NotAPartition("part members must be int vertices")
     union = set()
     total = 0

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; UnknownVertex is also a PreconditionViolated."""
 
 from __future__ import annotations
 
@@ -16,10 +16,6 @@ class DuplicateEdge(PCGraphError):
 
 
 class MissingEdge(PCGraphError):
-    pass
-
-
-class UnknownVertex(PCGraphError):
     pass
 
 
@@ -69,6 +65,14 @@ class PreconditionViolated(PCGraphError):
     def __init__(self, which: str, message: str = ""):
         self.which = which
         super().__init__(f"{which}: {message}" if message else which)
+
+
+class UnknownVertex(PreconditionViolated):
+    """The one vertex check of graphs and digraphs: which is "vertex", the message unprefixed."""
+
+    def __init__(self, message: str):
+        self.which = "vertex"
+        PCGraphError.__init__(self, message)
 
 
 class IncompatibleFunction(PCGraphError):

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .core import ColoredCompleteGraph, _check_order, build
+from .core import ColoredCompleteGraph, _all_ints, _check_int, _check_order, build
 from .detect import find_monochromatic_triangle, find_pc_triangle, verify_gallai_partition
 from .errors import (
     BadPartition,
@@ -47,12 +47,15 @@ class GenSpec:
     count: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("n", "k", "seed", "count"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise PreconditionViolated(name, f"must be an int, got {value!r}")
-        if self.count < 0:
-            raise PreconditionViolated("count", f"must be >= 0, got {self.count}")
+        for name in ("n", "k", "seed"):
+            _check_int(getattr(self, name), name)
+        _check_int(self.count, "count", 0)
+
+
+def _rng(seed: int) -> random.Random:
+    """Every generator's random source: PreconditionViolated("seed") unless seed is an int."""
+    _check_int(seed, "seed")
+    return random.Random(seed)
 
 
 def _contract(g: ColoredCompleteGraph, holds: bool, what: str) -> None:
@@ -125,9 +128,8 @@ def random_no_mono_triangle(n: int, k: int, seed: int) -> ColoredCompleteGraph:
     unavoidable.
     """
     _check_order(n, 3)
-    if not isinstance(k, int) or k < 2:
-        raise PreconditionViolated("colors", f"need an int k >= 2, got {k!r}")
-    rng = random.Random(seed)
+    _check_int(k, "colors", 2)
+    rng = _rng(seed)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     index = {p: i for i, p in enumerate(pairs)}
     tri_edges = [
@@ -159,7 +161,7 @@ def _check_fibers(n: int, fibers: Sequence[Sequence[int]]) -> List[tuple]:
     except TypeError:
         # a non-iterable fibers or fiber, or members that do not compare
         raise BadPartition(f"fibers must be sequences of vertices, got {fibers!r}") from None
-    if flat != list(range(n)) or not all(type(v) is int for v in flat):
+    if flat != list(range(n)) or not _all_ints(flat):
         raise BadPartition("fibers must partition 0..n-1")
     if any(len(p) not in (1, 2) for p in out):
         raise BadPartition("fiber sizes must be 1 or 2")
@@ -253,7 +255,7 @@ def random_degenerate(
     """
     _check_order(n, 1)
     parts = _check_fibers(n, fibers)
-    getrandbits = random.Random(seed).getrandbits
+    getrandbits = _rng(seed).getrandbits
     f = {v: idx for idx, p in enumerate(parts) for v in p}
     rows = [[-1] * n for _ in range(n)]
     landed = bytearray(len(parts))
@@ -344,7 +346,7 @@ def gallai_coloring(
     partition is returned alongside the graph.
     """
     _check_order(n, 3)
-    rng = random.Random(seed)
+    rng = _rng(seed)
     fresh = itertools.count(1)
     color: Dict[tuple, int] = {}
 
@@ -420,6 +422,9 @@ def exhaustive_colorings(
     are checked at the call, before the first instance is asked for.
     """
     _check_order(n, 3)
+    if sample is not None:
+        _check_int(sample, "sample", 0)
+    rng = _rng(seed)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     if n > 5 and sample is None:
         raise TooLarge(
@@ -429,8 +434,6 @@ def exhaustive_colorings(
     if sample is None:
         stream = _rgs_stream(len(pairs))
     else:
-        rng = random.Random(seed)
-
         def sampled() -> Iterator[tuple]:
             for _ in range(sample):
                 a = [0]
@@ -449,7 +452,7 @@ def exhaustive_colorings(
 def random_fibers(n: int, seed: int) -> List[tuple]:
     """Random partition of 0..n-1 into parts of size 1 and 2."""
     _check_order(n, 1)
-    rng = random.Random(seed)
+    rng = _rng(seed)
     vs = list(range(n))
     rng.shuffle(vs)
     npairs = rng.randint(0, n // 2)

@@ -23,7 +23,7 @@ import os
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
-from .core import ColoredCompleteGraph, dumps_instance
+from .core import ColoredCompleteGraph, _check_int, dumps_instance
 from .cycles import is_pc_path, pc_hamilton_path
 from .detect import find_monochromatic_triangle
 from .errors import InternalError, PreconditionViolated
@@ -153,10 +153,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         raise PreconditionViolated(
             "oracle", f"must be one of {ORACLE_LEVELS}, got {config.oracle!r}"
         )
-    if not isinstance(config.workers, int) or isinstance(config.workers, bool):
-        raise PreconditionViolated("workers", f"must be an int, got {config.workers!r}")
-    if config.workers < 1:
-        raise PreconditionViolated("workers", f"must be >= 1, got {config.workers}")
+    _check_int(config.workers, "workers", 1)
     report = SweepReport(config=asdict(config))
     instances = generate(config.gen_spec())
     if config.workers > 1:

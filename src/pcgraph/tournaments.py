@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .core import ColoredCompleteGraph
+from .core import ColoredCompleteGraph, _all_ints, _check_int, _check_vertex, _is_vertex
 from .cycles import _fill_covers
 from .errors import (
     CycleNotInDigraph,
@@ -84,7 +84,7 @@ class MultipartiteTournament:
             parts = tuple(tuple(p) for p in parts)
         except TypeError:
             raise PreconditionViolated("parts", f"not a sequence of parts: {parts!r}") from None
-        if not all(isinstance(v, int) for p in parts for v in p):
+        if not all(map(_all_ints, parts)):
             raise PreconditionViolated("parts", "part members must be ints")
         parts = tuple(tuple(sorted(p)) for p in parts)
         n = sum(len(p) for p in parts)
@@ -107,7 +107,7 @@ class MultipartiteTournament:
         try:
             for a in arcs:
                 u, v = a
-                if not (0 <= u < n and 0 <= v < n) or u == v:
+                if not (_is_vertex(n, u) and _is_vertex(n, v)) or u == v:
                     raise PreconditionViolated("arcs", f"bad arc ({u},{v})")
                 if part_of[u] == part_of[v]:
                     raise PreconditionViolated("arcs", f"arc inside a part: ({u},{v})")
@@ -116,8 +116,7 @@ class MultipartiteTournament:
                 outmask[u] |= 1 << v
                 inmask[v] |= 1 << u
         except (TypeError, ValueError):
-            # indexing part_of with a non-int endpoint, or unpacking an arc
-            # that is not a pair, lands here, at no cost per arc
+            # unpacking an arc that is not a pair lands here
             raise PreconditionViolated("arcs", f"bad arc {a!r}") from None
         full = (1 << n) - 1
         for u in range(n):
@@ -154,22 +153,18 @@ class MultipartiteTournament:
     @classmethod
     def tournament(cls, n: int, arcs: Iterable[Sequence[int]]) -> "MultipartiteTournament":
         """All-singleton special case (an ordinary tournament)."""
+        _check_int(n, "n")
         return cls([(v,) for v in range(n)], arcs)
 
     def has_arc(self, u: int, v: int) -> bool:
-        """Whether u -> v is an arc; PreconditionViolated unless both are ints in 0..n-1."""
-        try:
-            if u >= 0 and v < self.n:
-                return bool(self._outmask[u] >> v & 1)
-        except (IndexError, TypeError, ValueError):
-            # u >= n or a non-int vertex fails the index or the shift, and a
-            # negative v the shift, so a valid call pays two comparisons only
-            pass
-        raise PreconditionViolated("vertex", f"({u!r},{v!r}) has a vertex outside 0..{self.n - 1}")
+        """Whether u -> v is an arc; UnknownVertex unless both are vertices."""
+        _check_vertex(self.n, u)
+        _check_vertex(self.n, v)
+        return bool(self._outmask[u] >> v & 1)
 
     def out_neighbors(self, u: int) -> tuple:
-        """Out-neighbors of u in increasing order; PreconditionViolated unless u is in 0..n-1."""
-        _check_vertex(self, u)
+        """Out-neighbors of u in increasing order; UnknownVertex unless u is a vertex."""
+        _check_vertex(self.n, u)
         return _members(self._outmask[u])
 
     def arcs(self):
@@ -325,11 +320,6 @@ def _triangle_through(t: MultipartiteTournament, v: int) -> tuple:
     )
 
 
-def _check_vertex(t: MultipartiteTournament, v: int) -> None:
-    if not (isinstance(v, int) and 0 <= v < t.n):
-        raise PreconditionViolated("vertex", f"vertex {v!r} not in 0..{t.n - 1}")
-
-
 def cycles_through(t: MultipartiteTournament, v: int) -> Dict[int, tuple]:
     """Directed cycles of every length 3..n through v in a strong tournament.
 
@@ -345,7 +335,7 @@ def cycles_through(t: MultipartiteTournament, v: int) -> Dict[int, tuple]:
         raise PreconditionViolated("size", f"need order >= 3, got {t.n}")
     if t._table is None and not is_strongly_connected(t):
         raise NotStronglyConnected("tournament is not strongly connected")
-    _check_vertex(t, v)
+    _check_vertex(t.n, v)
     out = {3: _triangle_through(t, v)}
     if t.n >= 4:
         out.update(mpt_cycles_through(t, v))
@@ -429,7 +419,7 @@ def mpt_cycles_through(t: MultipartiteTournament, v: int) -> Dict[int, tuple]:
             raise PreconditionViolated(
                 "disjointness", f"{z} is dominated by both {x} and {y} of one part"
             )
-    _check_vertex(t, v)
+    _check_vertex(t.n, v)
     if t._table is None:
         def build(cur: Optional[tuple], u: int, ln: int, unfiled: int) -> tuple:
             if cur is None:
@@ -531,10 +521,12 @@ def lift_cycle(g: ColoredCompleteGraph, f, cycle: Sequence[int]) -> tuple:
 
     Consecutive arcs u -> v -> w carry colors f(u) != f(v), so the vertex
     sequence is properly colored as-is; it is returned as the checked tuple,
-    and no Cycle is built.  Raises CycleNotInDigraph when the sequence is
-    shorter than 3 or repeats a vertex, when any consecutive pair is not an
-    arc of the orientation, and when a vertex is not an int in 0..n-1;
-    IncompatibleFunction when f has no value for a vertex of g on the cycle.
+    and no Cycle is built.  Raises CycleNotInDigraph when the cycle is no
+    sequence, is shorter than 3 or repeats a vertex, when any consecutive
+    pair is not an arc of the orientation, and when a vertex is not an int
+    in 0..n-1; IncompatibleFunction when f has no value for a vertex of g
+    on the cycle.  No entry is type-tested on its own, so a bool passes as
+    the vertex 0 or 1.
 
     The walk carries each arc's head value forward as the next arc's tail
     value, so f is read once per vertex (and once more for the first vertex
@@ -542,7 +534,10 @@ def lift_cycle(g: ColoredCompleteGraph, f, cycle: Sequence[int]) -> tuple:
     it, so a vertex outside g is reported as such even when f lacks it, and
     the first bad arc in cycle order is the one named.
     """
-    seq = tuple(cycle)
+    try:
+        seq = tuple(cycle)
+    except TypeError:
+        raise CycleNotInDigraph(f"{cycle!r} is not a vertex sequence") from None
     m = g._m
     pal = g._palette
     try:
@@ -563,7 +558,7 @@ def lift_cycle(g: ColoredCompleteGraph, f, cycle: Sequence[int]) -> tuple:
         # so the range check costs nothing per vertex; with every vertex in
         # range, f failed: it is no mapping, or a sequence too short
         n = g.n
-        if all(isinstance(v, int) and 0 <= v < n for v in seq):
+        if all(_is_vertex(n, v) for v in seq):
             raise IncompatibleFunction(f"f has no value for a vertex of {list(seq)}") from None
         raise CycleNotInDigraph(f"{list(seq)} has a vertex outside 0..{n - 1}") from None
     except KeyError as err:

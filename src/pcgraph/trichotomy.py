@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from .core import ColoredCompleteGraph, stats
+from .core import ColoredCompleteGraph, _all_ints, stats
 from .cycles import (
     Cycle,
     _fill_covers,
@@ -43,6 +43,7 @@ from .detect import (
 from .errors import (
     InternalError,
     MonochromaticTrianglePresent,
+    PreconditionViolated,
     ResultMismatch,
     TooSmall,
 )
@@ -272,6 +273,8 @@ def classify(g: ColoredCompleteGraph, stats_out: Optional[dict] = None) -> Trich
     while zero; "growth_oracle_uses" counts the has_pc_cycle searches, and
     it is the only one that sweep records keep.
     """
+    if stats_out is not None and not isinstance(stats_out, dict):
+        raise PreconditionViolated("stats_out", f"must be a dict or None, got {stats_out!r}")
     if g.n < 4:
         raise TooSmall(f"classification needs n >= 4, got {g.n}")
     tri = find_monochromatic_triangle(g)
@@ -304,7 +307,7 @@ class SideConditionReport:
 
 def side_conditions(g: ColoredCompleteGraph, result: TrichotomyResult) -> SideConditionReport:
     """Evaluate the degree-threshold side conditions against a classification."""
-    if result.graph != g:
+    if not isinstance(result, TrichotomyResult) or result.graph != g:
         raise ResultMismatch("result was computed from a different instance")
     st = stats(g)
     meets_half = 2 * st.min_color_degree >= g.n + 1
@@ -324,21 +327,24 @@ def validate_result(g: ColoredCompleteGraph, result: TrichotomyResult) -> bool:
 
     Pancyclic covers need exactly the keys 4..n, and each length L a cover:
     an iterable of properly colored L-cycles, each checked once, whose
-    vertex sets cover V.  A cycle must hold L entries, L distinct ones, and
-    pass the PC color test, which indexes the color matrix with every
-    entry; no entry is tested on its own.  An entry that is no int (1.0,
-    "a", None) fails an index with TypeError, an int of n or more with
-    IndexError, and an unhashable one the distinctness test.  A negative
-    int indexes from the end of a row and passes, but it lands in its
-    cover's union, which must equal V = {0..n-1}.  So every entry is a
-    vertex of g, and every vertex lies on a PC cycle of every length from
-    4 to n.
+    vertex sets cover V.  A cycle must hold L entries, L distinct ones,
+    all ints, and pass the PC color test, which indexes the color matrix
+    with every entry; no range is tested per entry.  An unhashable entry
+    fails the distinctness test, and any other that is no int (1.0, "a",
+    None, True) the int test, one type lookup per entry in C.  An int of n
+    or more fails an index with IndexError.  A negative int indexes from
+    the end of a row and passes, but it lands in its cover's union, which
+    must equal V = {0..n-1}.  So every entry is a vertex of g, and every
+    vertex lies on a PC cycle of every length from 4 to n.
 
     A degenerate set must pass DegeneracyCertificate.check and leave a
     vertex out, and a relabel must be a dict that is a bijection of 0..4.
-    A certificate of another shape (covers that are no dict, a key, cover
-    or cycle of another shape, a malformed set or relabel) fails the check.
+    A certificate of another shape (a result that is no TrichotomyResult,
+    covers that are no dict, a key, cover or cycle of another shape, a
+    malformed set or relabel) fails the check.
     """
+    if not isinstance(result, TrichotomyResult):
+        return False
     if result.tag is TrichotomyTag.PANCYCLIC:
         covers = result.cycles
         n = g.n
@@ -351,7 +357,9 @@ def validate_result(g: ColoredCompleteGraph, result: TrichotomyResult) -> bool:
             for ln, cover in covers.items():
                 covered = set()
                 for vs in map(tuple, cover):
-                    if len(vs) != ln or len(set(vs)) != ln or not _pc_closed(m, vs):
+                    if len(vs) != ln or len(set(vs)) != ln or not _all_ints(vs):
+                        return False
+                    if not _pc_closed(m, vs):
                         return False
                     covered.update(vs)
                 if covered != everyone:
@@ -370,8 +378,8 @@ def validate_result(g: ColoredCompleteGraph, result: TrichotomyResult) -> bool:
     if (
         not isinstance(relabel, dict)
         or g.n != 5
+        or not _all_ints(itertools.chain(relabel, relabel.values()))
         or set(relabel) != set(range(5))
-        or not all(isinstance(w, int) for w in relabel.values())
         or sorted(relabel.values()) != list(range(5))
     ):
         return False
