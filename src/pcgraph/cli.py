@@ -1,8 +1,9 @@
 """Command-line front end: generate instances, classify one, or sweep a family.
 
 Exit codes: `classify` maps the trichotomy to 0 (pancyclic), 10 (proper
-degenerate set), 11 (the exceptional K5), and 2 for precondition or input
-violations.  `gen` and `sweep` exit 1 on parameter errors, unwritable
+degenerate set), 11 (the exceptional K5), 2 for precondition or input
+violations, and 1 for an InternalError, a falsified guarantee, echoing the
+instance on stderr.  `gen` and `sweep` exit 1 on parameter errors, unwritable
 output paths or failed sweep invariants; a failed `gen` leaves an existing
 --out file as it was.  The environment variable PCG_SEED, when set,
 overrides --seed and must then be an integer.

@@ -72,9 +72,11 @@ class Cycle:
         return f"Cycle{self.vertices}"
 
     def _index(self, v: int) -> int:
-        """Position of v on the cycle; KeyError when v is not on it."""
-        if v not in self._members:
-            raise KeyError(v)
+        """Position of v on the cycle; PreconditionViolated unless v is an int on it."""
+        if not (_is_int(v) and v in self._members):
+            raise PreconditionViolated(
+                "vertex", f"{v!r} is not on the cycle {list(self.vertices)}"
+            )
         return self.vertices.index(v)
 
     def succ(self, v: int) -> int:
@@ -205,7 +207,7 @@ def has_pc_cycle(g: ColoredCompleteGraph, v: int, length: int) -> Optional[Cycle
 def _fill_covers(n: int, build: Callable) -> tuple:
     """(covers, rows): per length L in 4..n, a cover of 0..n-1 by L-cycles.
 
-    Both pancyclic routes fill their certificate here.  The builder returns
+    The growth route fills its certificate here.  The builder returns
     a (cycle, state) pair: a vertex tuple and whatever the route keeps
     beside it.  Vertex u, in order, takes at each length L the pair filed
     in rows[L][u] (reuse), or else builds one with build(cur, u, L,

@@ -9,11 +9,11 @@ quadrangle through the vertex, then grows it by inserting an outside vertex
 at a dominance switch or swapping one cycle vertex for a dominated 2-path.
 Both rules are complete (see _extend_cycle, after Moon's theorem), so no
 search backs them up.  A directed L-cycle serves every vertex on it, so
-mpt_cycles_through fills, per length, a cover of V by few cycles with
-cycles._fill_covers, the fill the colored growth route uses too: it builds
-a cycle only for a vertex that no earlier cycle of that length covers, made
-of other such vertices where it can, and cycle_covers() hands the covers
-out.  A strong tournament is the special case without 2-parts:
+mpt_cycles_through fills, per length, a cover of V by few cycles: the rules
+grow one Hamilton cycle H, each cover takes runs of L consecutive vertices
+of H whose seam arc closes them (windows), and the rules build a cycle only
+for a vertex that no window holds.  cycle_covers() hands the covers out.
+A strong tournament is the special case without 2-parts:
 cycles_through adds a triangle to lengths 4..n.  Every search over vertices
 (insertion and swap candidates, the triangle and quadrangle closers,
 disjointness, strong connectivity) is an AND of out- and in-neighbor
@@ -36,7 +36,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .core import ColoredCompleteGraph, _all_ints, _check_int, _check_vertex, _is_vertex
-from .cycles import _fill_covers
 from .errors import (
     CycleNotInDigraph,
     FiberTooLarge,
@@ -148,7 +147,7 @@ class MultipartiteTournament:
         self.part_of = part_of
         self._outmask = tuple(outmask)
         self._inmask = tuple(inmask)
-        self._table = None  # mpt_cycles_through's (covers, rows), once filled
+        self._table = None  # mpt_cycles_through's covers, once filled
 
     @classmethod
     def tournament(cls, n: int, arcs: Iterable[Sequence[int]]) -> "MultipartiteTournament":
@@ -175,14 +174,15 @@ class MultipartiteTournament:
     def cycle_covers(self) -> Dict[int, tuple]:
         """The directed cycles mpt_cycles_through built, per length.
 
-        Maps each length L to the tuple of L-cycles built, in build order.
+        Maps each length L to the tuple of L-cycles built, in walk order
+        (see _window_covers).
         Their vertex sets cover V, and the first of them through v is the
         one mpt_cycles_through(t, v) gives for L.  Every length maps to ()
         before the first mpt_cycles_through call.
         """
         if self._table is None:
             return dict.fromkeys(range(4, self.n + 1), ())
-        return dict(self._table[0])
+        return dict(self._table)
 
     def is_tournament(self) -> bool:
         return all(len(p) == 1 for p in self.parts)
@@ -242,21 +242,19 @@ def is_directed_cycle(t: MultipartiteTournament, seq: Sequence[int]) -> bool:
 
 
 def _extend_cycle(
-    t: MultipartiteTournament, cyc: tuple, v: int, prefer: int, mask: int
+    t: MultipartiteTournament, cyc: tuple, v: int, mask: int
 ) -> Tuple[tuple, int]:
-    """One-longer directed cycle through v, preferring a vertex of mask prefer.
+    """One-longer directed cycle through v.
 
     mask is cyc's vertex mask.  Returns the new cycle with its vertex mask:
     an insertion adds one bit to mask and a swap changes three.
 
-    First tries single-vertex insertion at a dominance switch with the
-    inserted vertex in prefer (first position, smallest vertex), then the
-    same insertion with any outside vertex, then the swap of one non-anchor
-    cycle vertex for a 2-path of outside vertices.  The preferred pass only
-    adds a first try, so completeness rests on the last two rules.  One of
-    them works on a cycle C = c_0..c_{k-1} through v with k < n
-    when t meets mpt_cycles_through's preconditions and k >= 4, or is a
-    strong tournament and k >= 3, so the closing InternalError is an alarm:
+    First tries single-vertex insertion at a dominance switch (first
+    position, smallest vertex), then the swap of one non-anchor cycle
+    vertex for a 2-path of outside vertices.  One of them works on a cycle
+    C = c_0..c_{k-1} through v with k < n when t meets
+    mpt_cycles_through's preconditions and k >= 4, or is a strong
+    tournament and k >= 3, so the closing InternalError is an alarm:
 
     * If some outside w has an in- and an out-neighbor on C, walk C from
       the one to the other.  Only w's partner p lacks an arc to w, so some
@@ -274,13 +272,11 @@ def _extend_cycle(
     inm = t._inmask
     outside = ((1 << t.n) - 1) ^ mask
     ln = len(cyc)
-    for among in (outside & prefer, outside):
-        if among:
-            for i in range(ln):
-                hits = outm[cyc[i]] & inm[cyc[(i + 1) % ln]] & among
-                if hits:
-                    w = hits & -hits
-                    return cyc[: i + 1] + (w.bit_length() - 1,) + cyc[i + 1 :], mask | w
+    for i in range(ln):
+        hits = outm[cyc[i]] & inm[cyc[(i + 1) % ln]] & outside
+        if hits:
+            w = hits & -hits
+            return cyc[: i + 1] + (w.bit_length() - 1,) + cyc[i + 1 :], mask | w
     for i in range(ln):
         if cyc[i] == v:
             continue
@@ -342,14 +338,12 @@ def cycles_through(t: MultipartiteTournament, v: int) -> Dict[int, tuple]:
     return out
 
 
-def _quadrangle_through(t: MultipartiteTournament, v: int, prefer: int) -> tuple:
+def _quadrangle_through(t: MultipartiteTournament, v: int) -> tuple:
     """Directed quadrangle (v, a, b, c) under mpt_cycles_through's preconditions.
 
     The scan follows arcs only, so every hit is a 4-cycle starting at v, and
-    it tries every such cycle in (a, b, c) order.  A first pass returns the
-    first one with a, b and c all in mask prefer; failing that, the second
-    pass returns the first one of all.  One always exists, so the closing
-    InternalError is an alarm:
+    it returns the first such cycle in (a, b, c) order.  One always exists,
+    so the closing InternalError is an alarm:
 
     * v in a 2-part {v, y}: take a in N+(v) and b in N+(y) (t is strong).
       Disjointness turns both returns around, a -> y and b -> v with a != b.
@@ -368,22 +362,82 @@ def _quadrangle_through(t: MultipartiteTournament, v: int, prefer: int) -> tuple
     """
     outm = t._outmask
     into_v = t._inmask[v]
-    for among in (prefer, -1):
-        from_v = outm[v] & among
-        while from_v:
-            a = _lowest(from_v)
-            from_a = outm[a] & among
-            while from_a:
-                b = _lowest(from_a)
-                hits = outm[b] & into_v & among
-                if hits:
-                    return (v, a, b, _lowest(hits))
-                from_a &= from_a - 1
-            from_v &= from_v - 1
+    from_v = outm[v]
+    while from_v:
+        a = _lowest(from_v)
+        from_a = outm[a]
+        while from_a:
+            b = _lowest(from_a)
+            hits = outm[b] & into_v
+            if hits:
+                return (v, a, b, _lowest(hits))
+            from_a &= from_a - 1
+        from_v &= from_v - 1
     raise InternalError(
         f"no directed quadrangle through {v}",
         context={"digraph": t.to_json_dict(), "vertex": v},
     )
+
+
+def _window_covers(t: MultipartiteTournament) -> Dict[int, tuple]:
+    """Per length L in 4..n, a cover of V by directed L-cycles, from one Hamilton cycle.
+
+    t must meet mpt_cycles_through's preconditions.  H, a Hamilton cycle
+    through vertex 0, grows from _quadrangle_through by _extend_cycle, and
+    covers[n] is (H,).  Any L consecutive vertices of H are a directed path,
+    so they form an L-cycle (a window) when the seam arc from the last back
+    to the first is an arc of t.  For each L in 4..n-1 one walk over H's
+    positions takes, at the first uncovered position p, the window that
+    contains p and starts latest: starts p, p-1, ..., p-L+1, around H, one
+    bit test each.  The walk goes on after that window.  A position that no
+    window closes over gets a fallback cycle through its vertex, from the
+    proved rules: _quadrangle_through at L = 4, and above it _extend_cycle
+    of the first (L-1)-cycle of the cover through the vertex.  So every
+    position is covered, and each cover lists its cycles in walk order.
+    On randomDegenerate n = 64 the covers hold about 234 cycles (the floor,
+    the sum of ceil(64 / L), is 219), about 3 of them fallbacks.
+    """
+    n = t.n
+    outm = t._outmask
+    ham = _quadrangle_through(t, 0)
+    mask = sum(map(_BIT, ham))  # distinct vertices: the sum of their bits is their mask
+    while len(ham) < n:
+        ham, mask = _extend_cycle(t, ham, 0, mask)
+    twice = ham + ham  # a window is a slice, also across the end of H
+    pos = [0] * n
+    for i, w in enumerate(ham):
+        pos[w] = i
+    covers: Dict[int, tuple] = {}
+    for ln in range(4, n):
+        cover = []
+        run = (1 << ln) - 1
+        done = 0  # bit i: position i of H lies on a cycle of cover
+        p = 0
+        while p < n:
+            if done >> p & 1:
+                p += 1
+                continue
+            for i in range(p, p - ln, -1):
+                j = i % n
+                if outm[twice[j + ln - 1]] >> twice[j] & 1:
+                    cover.append(twice[j : j + ln])
+                    bits = run << j
+                    done |= bits | bits >> n  # wrap around H's end; bits >= n go unread
+                    p = i + ln
+                    break
+            else:
+                u = ham[p]
+                if ln == 4:
+                    cyc = _quadrangle_through(t, u)
+                else:
+                    cur = next(c for c in covers[ln - 1] if u in c)
+                    cyc = _extend_cycle(t, cur, u, sum(map(_BIT, cur)))[0]
+                cover.append(cyc)
+                for w in cyc:
+                    done |= 1 << pos[w]
+        covers[ln] = tuple(cover)
+    covers[n] = (ham,)
+    return covers
 
 
 def mpt_cycles_through(t: MultipartiteTournament, v: int) -> Dict[int, tuple]:
@@ -396,16 +450,10 @@ def mpt_cycles_through(t: MultipartiteTournament, v: int) -> Dict[int, tuple]:
     and a t that fails one never fills it.
 
     An L-cycle is a certificate for each of its L vertices, so the cycles
-    come from one table that t remembers, filled for every vertex by the
-    first call with cycles._fill_covers.  Its one builder makes an L-cycle
-    for a vertex with none yet: _quadrangle_through at L = 4 and
-    _extend_cycle of the vertex's (L-1)-cycle above, each cycle with its
-    vertex mask as the fill's state.
-    A build prefers the vertices with no L-cycle yet: the quadrangle scan
-    first looks for one made of them, and growth first tries to insert one
-    of them, so at n = 64 about 300 distinct cycles fill the table, not the
-    1,000 of a plain fill.  A reused cycle goes through the vertex and has
-    length >= 4, so _extend_cycle's completeness argument covers it.
+    come from one table that t remembers: per length, a cover of V by
+    L-cycles, filled by the first call with _window_covers (windows of one
+    Hamilton cycle, fallbacks from the proved rules).  The cycle given for
+    L is the first cycle of L's cover through v.
     """
     n = t.n
     if n < 4:
@@ -421,15 +469,14 @@ def mpt_cycles_through(t: MultipartiteTournament, v: int) -> Dict[int, tuple]:
             )
     _check_vertex(t.n, v)
     if t._table is None:
-        def build(cur: Optional[tuple], u: int, ln: int, unfiled: int) -> tuple:
-            if cur is None:
-                cyc = _quadrangle_through(t, u, unfiled)
-                # the vertices are distinct, so the sum of their bits is their mask
-                return cyc, sum(map(_BIT, cyc))
-            return _extend_cycle(t, cur[0], u, unfiled, cur[1])
-
-        t._table = _fill_covers(n, build)
-    return {ln: row[v][0] for ln, row in t._table[1].items()}
+        t._table = _window_covers(t)
+    out = {}
+    for ln, cover in t._table.items():
+        for cyc in cover:  # a plain loop: half the time of next() over a generator
+            if v in cyc:
+                out[ln] = cyc
+                break
+    return out
 
 
 # -- correspondence with edge-colored graphs ---------------------------

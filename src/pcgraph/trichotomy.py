@@ -133,10 +133,12 @@ def _pancyclic_via_orientation(g: ColoredCompleteGraph, cert: DegeneracyCertific
       is compatible.  So (S, f|S) is a proper degenerate set, and
       degeneracy_status would have returned PROPER_SET, not FULL_ONLY.
 
-    One mpt_cycles_through call fills t's whole table, and each cycle of
-    its covers (t.cycle_covers()) is lifted once, in build order, to its
-    vertex tuple.  Covers are built from lists: tuples grown from generators
-    filled the tuple free lists, raising peak RSS 15% on randomDegenerate n=64.
+    One mpt_cycles_through call fills t's whole table: per length, windows
+    of one Hamilton cycle of t and a few fallback cycles, about 234 cycles
+    at n = 64.  Each cycle of its covers (t.cycle_covers()) is lifted once,
+    in walk order, to its vertex tuple.  Covers are built from lists:
+    tuples grown from generators filled the tuple free lists, raising peak
+    RSS 15% on randomDegenerate n=64.
     """
     t = reduce_degenerate(g, cert.f)
     mpt_cycles_through(t, g.n - 1)

@@ -183,6 +183,8 @@ CASES = [
     ("find_pc_quadrangle", lambda b: find_pc_quadrangle(P()["growth"], b)),
     ("Cycle", lambda b: Cycle(b)),
     ("Cycle", lambda b: Cycle((0, 1, b))),
+    ("Cycle", lambda b: Cycle((0, 1, 2)).succ(b)),
+    ("Cycle", lambda b: Cycle((0, 1, 2)).pred(b)),
     ("classify_attachment", lambda b: classify_attachment(P()["growth"], b, 7)),
     ("classify_attachment", lambda b: classify_attachment(P()["growth"], _at(_pc(), 2, b), 7)),
     ("classify_attachment", lambda b: classify_attachment(P()["growth"], _pc(), b)),
@@ -285,6 +287,11 @@ def test_quoted_probes():
     assert validate_result(g, None) is False
     with pytest.raises(ResultMismatch):
         side_conditions(g, None)
+    for off in (5, [5]):
+        for step in (Cycle((0, 1, 2)).succ, Cycle((0, 1, 2)).pred):
+            with pytest.raises(PreconditionViolated) as err:
+                step(off)
+            assert err.value.which == "vertex"
 
 
 def test_one_vertex_check_serves_graphs_and_digraphs():

@@ -66,11 +66,11 @@ def test_cycle_checks_membership_and_navigation():
     assert [c.succ(v) for v in c] == [1, 4, 0, 6, 3]
     assert [c.pred(v) for v in c] == [6, 3, 1, 4, 0]
     assert c.canonical() == Cycle((0, 4, 1, 3, 6))
-    for off in (2, -1, 5):
-        with pytest.raises(KeyError):
-            c.succ(off)
-        with pytest.raises(KeyError):
-            c.pred(off)
+    for off in (2, -1, 5, True, 4.0, [3], None):
+        for step in (c.succ, c.pred):
+            with pytest.raises(PreconditionViolated, match="is not on the cycle") as err:
+                step(off)
+            assert err.value.which == "vertex"
     again = pickle.loads(pickle.dumps(c))
     assert again == c and hash(again) == hash(c) and again.vertices == c.vertices
     assert 4 in again and 2 not in again and again.succ(6) == 3 and again.pred(3) == 6

@@ -216,6 +216,28 @@ def test_cli_classify_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: InvalidInstance: ")
 
 
+def test_cli_classify_exits_1_and_echoes_the_instance_on_internal_error(
+    tmp_path, monkeypatch, capsys
+):
+    import pcgraph.cli as cli_mod
+    from pcgraph import build
+    from pcgraph.errors import InternalError
+
+    def failing(g):
+        raise InternalError("synthetic failure", instance=g)
+
+    monkeypatch.setattr(cli_mod, "classify", failing)
+    g = build(4, [(u, v, u + v) for u in range(4) for v in range(u + 1, 4)])
+    path = tmp_path / "g.json"
+    path.write_text(dumps_instance(g))
+    assert main(["classify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    first, echoed = captured.err.splitlines()
+    assert first == "error: InternalError: synthetic failure"
+    assert loads_instance(echoed) == g
+
+
 def test_cli_sweep_report_and_exit(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(

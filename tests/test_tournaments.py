@@ -323,9 +323,9 @@ def _copy(t):
 
 
 def test_mpt_cycles_do_not_depend_on_call_order():
-    # the cycle table t remembers is always filled in vertex order, so a
-    # vertex's cycles on a fresh t match those read after every other vertex
-    # was asked for, in shuffled order
+    # the cycle table t remembers is filled the same way whichever vertex
+    # asks first, so a vertex's cycles on a fresh t match those read after
+    # every other vertex was asked for, in shuffled order
     rng = random.Random(11)
     cases = []
     for seed in range(12):
@@ -354,18 +354,19 @@ def test_mpt_cycles_share_one_cycle_per_covered_vertex():
     t = reduce_degenerate(g, f)
     assert is_strongly_connected(t) and t.disjointness_violation() is None
     tables = [mpt_cycles_through(t, v) for v in range(t.n)]
-    # vertex 0 is served first, so each of its cycles is built for it and
-    # filed under every vertex on it; in particular one Hamilton cycle
-    # serves every vertex
+    # the Hamilton cycle starts at vertex 0 and each walk at its position,
+    # so each of vertex 0's cycles is the first cover cycle through every
+    # vertex on it; in particular one Hamilton cycle serves every vertex
     for ln, cyc in tables[0].items():
         assert all(tables[w][ln] is cyc for w in cyc)
     assert len({id(table[t.n]) for table in tables}) == 1
 
 
 def test_mpt_table_covers_each_length_with_few_cycles():
-    # 64 * 61 = 3,904 (vertex, length) entries and at least 3,904 vertex
-    # slots; a fill that ignores coverage builds about 1,000 cycles with
-    # about 17,600 slots, while preferring unserved vertices needs about 300
+    # 64 * 61 = 3,904 (vertex, length) entries; covers need at least
+    # sum(ceil(64 / L)) = 219 cycles with 5,162 vertex slots.  A fill that
+    # ignores coverage builds about 1,000 cycles with about 17,600 slots,
+    # and windows of one Hamilton cycle about 234 with about 5,300
     for g in generate(GenSpec("randomDegenerate", n=64, seed=0, count=5)):
         st = degeneracy_status(g)
         assert st.tag is DegeneracyTag.FULL_ONLY
@@ -374,8 +375,8 @@ def test_mpt_table_covers_each_length_with_few_cycles():
             for ln, cyc in mpt_cycles_through(t, v).items():
                 assert len(cyc) == ln and v in cyc
         built = [cyc for cover in t.cycle_covers().values() for cyc in cover]
-        assert len(built) <= 400
-        assert sum(map(len, built)) <= 8000
+        assert len(built) <= 250
+        assert sum(map(len, built)) <= 5500
         assert all(is_directed_cycle(t, cyc) for cyc in built)
 
 
@@ -383,12 +384,21 @@ def _vertex_mask(cyc):
     return sum(1 << w for w in cyc)
 
 
-def test_cycle_covers_and_table_masks():
-    # each length's cover, read through cycle_covers, holds the cycles in
-    # build order, they cover V, and the first one through v is what
-    # mpt_cycles_through hands out for v; every vertex is filed at every
-    # length, and the vertex mask filed beside each cycle is that cycle's,
-    # so the masks carried through insertions and swaps are right
+def _fallback(t, covers, ln, u):
+    """The cycle the proved rules give u at length ln when no window holds it."""
+    if ln == 4:
+        return tournaments_mod._quadrangle_through(t, u)
+    cur = next(cyc for cyc in covers[ln - 1] if u in cyc)
+    return tournaments_mod._extend_cycle(t, cur, u, _vertex_mask(cur))[0]
+
+
+def test_cycle_covers_are_windows_of_one_hamilton_cycle():
+    # each length's cover, read through cycle_covers, covers V by directed
+    # L-cycles, and the first one through v is what mpt_cycles_through hands
+    # out for v.  Every cycle is a run of consecutive vertices of the
+    # Hamilton cycle cover[n][0], or else the fallback the proved rules give
+    # a vertex that no earlier cycle of its cover holds
+    windows = fallbacks = 0
     for seed in range(6):
         n = 8 + 4 * seed
         g, f = random_degenerate(n, random_fibers(n, seed), seed)
@@ -399,23 +409,25 @@ def test_cycle_covers_and_table_masks():
         mpt_cycles_through(t, n - 1)
         covers = t.cycle_covers()
         assert list(covers) == list(range(4, n + 1))
+        (ham,) = covers[n]
+        twice = ham + ham
         for ln, cover in covers.items():
             assert set().union(*cover) == set(range(n))
             assert all(len(cyc) == ln and is_directed_cycle(t, cyc) for cyc in cover)
-            # each cycle was built for a vertex no earlier one covers
             for i, cyc in enumerate(cover):
-                assert not set(cyc) <= set().union(*cover[:i])
-        rows = t._table[1]
+                # each cycle holds a vertex that no earlier one covers
+                earlier = set().union(*cover[:i])
+                assert not set(cyc) <= earlier
+                start = ham.index(cyc[0])
+                if twice[start : start + ln] == cyc:
+                    windows += 1
+                else:
+                    fallbacks += 1
+                    assert any(cyc == _fallback(t, covers, ln, u) for u in cyc if u not in earlier)
         for v in range(n):
             got = mpt_cycles_through(t, v)
             assert got == {ln: next(c for c in cover if v in c) for ln, cover in covers.items()}
-            for ln, cyc in got.items():
-                assert rows[ln][v] == (cyc, _vertex_mask(cyc))
-    arcs = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
-    arcs += [(c, d) for c in range(3) for d in (3, 4)] + [(5, c) for c in range(3)]
-    t = MultipartiteTournament.tournament(6, arcs)
-    swapped = tournaments_mod._extend_cycle(t, (0, 1, 2), 0, 0, 0b111)
-    assert swapped == ((0, 4, 5, 2), _vertex_mask((0, 4, 5, 2)))
+    assert windows > 0 and fallbacks > 0
 
 
 def test_mpt_cycles_reject_unknown_vertex():
@@ -482,19 +494,17 @@ def _random_cycles_through(t, v, min_len, rng, walks=6):
     return out
 
 
-def _first_extension(t, cyc, v, prefer=0):
+def _first_extension(t, cyc, v):
     """Plain scan in _extend_cycle's rule order: first position, smallest vertices.
 
-    Insertion of a vertex of mask prefer comes first, then any insertion,
-    then the swap.
+    Any insertion comes first, then the swap.
     """
     ln = len(cyc)
     outside = [w for w in range(t.n) if w not in cyc]
-    for among in ([w for w in outside if prefer >> w & 1], outside):
-        for i in range(ln):
-            for w in among:
-                if t.has_arc(cyc[i], w) and t.has_arc(w, cyc[(i + 1) % ln]):
-                    return cyc[: i + 1] + (w,) + cyc[i + 1 :]
+    for i in range(ln):
+        for w in outside:
+            if t.has_arc(cyc[i], w) and t.has_arc(w, cyc[(i + 1) % ln]):
+                return cyc[: i + 1] + (w,) + cyc[i + 1 :]
     for i in range(ln):
         if cyc[i] == v:
             continue
@@ -510,8 +520,7 @@ def test_extend_cycle_is_complete():
     # insertion-or-swap extends any directed cycle through v, not only the
     # cycles the classifier grows: length >= 4 under mpt_cycles_through's
     # preconditions, length >= 3 in strong tournaments.  The bitmask scan
-    # must pick what a plain scan in vertex order picks, with no preferred
-    # vertex, all of them, or a random set.
+    # must pick what a plain scan in vertex order picks.
     rng = random.Random(4)
     cases = []
     for seed in range(40):
@@ -522,57 +531,47 @@ def test_extend_cycle_is_complete():
         t = reduce_degenerate(g, f)
         if is_strongly_connected(t) and t.disjointness_violation() is None:
             cases.append((t, 4))
-    cycles = swaps = preferred = 0
+    cycles = swaps = 0
     for t, min_len in cases:
         for v in range(t.n):
             for cyc in _random_cycles_through(t, v, min_len, rng):
                 if len(cyc) == t.n:
                     continue
-                mask = _vertex_mask(cyc)
-                for prefer in (0, (1 << t.n) - 1, rng.getrandbits(t.n)):
-                    got = tournaments_mod._extend_cycle(t, cyc, v, prefer, mask)[0]
-                    assert len(got) == len(cyc) + 1 and v in got and is_directed_cycle(t, got)
-                    assert got == _first_extension(t, cyc, v, prefer)
-                    if not prefer:
-                        plain = got
-                    preferred += got != plain
+                got = tournaments_mod._extend_cycle(t, cyc, v, _vertex_mask(cyc))[0]
+                assert len(got) == len(cyc) + 1 and v in got and is_directed_cycle(t, got)
+                assert got == _first_extension(t, cyc, v)
                 cycles += 1
-                swaps += not set(cyc) <= set(plain)
-    assert cycles > 5000 and swaps > 0 and preferred > 0
+                swaps += not set(cyc) <= set(got)
+    assert cycles > 5000 and swaps > 0
 
 
 def test_extend_cycle_swap_tries_every_dominated_vertex():
     # C = 0 -> 1 -> 2 -> 0 dominates 3 and 4, and 5 dominates C, so nothing
     # inserts.  The swap out of vertex 1 tries 3 first, which reaches no
-    # vertex dominating 2, and then 4 -> 5
+    # vertex dominating 2, and then 4 -> 5.  The vertex mask returned beside
+    # the cycle is the swapped cycle's
     arcs = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
     arcs += [(c, d) for c in range(3) for d in (3, 4)] + [(5, c) for c in range(3)]
     t = MultipartiteTournament.tournament(6, arcs)
     assert is_strongly_connected(t)
-    got = tournaments_mod._extend_cycle(t, (0, 1, 2), 0, 0, 0b111)[0]
-    assert got == (0, 4, 5, 2) == _first_extension(t, (0, 1, 2), 0)
+    got = tournaments_mod._extend_cycle(t, (0, 1, 2), 0, 0b111)
+    assert got == ((0, 4, 5, 2), _vertex_mask((0, 4, 5, 2)))
+    assert got[0] == _first_extension(t, (0, 1, 2), 0)
 
 
-def _first_quadrangle(t, v, prefer=0):
-    """Plain scan v -> a -> b -> c -> v in vertex order.
-
-    The first quadrangle with a, b and c all in mask prefer wins, if any.
-    """
+def _first_quadrangle(t, v):
+    """Plain scan v -> a -> b -> c -> v in vertex order."""
     out = t.out_neighbors
-    found = [
+    return next(
         (v, a, b, c)
         for a in out(v)
         for b in out(a)
         for c in out(b)
         if t.has_arc(c, v)
-    ]
-    preferred = [q for q in found if all(prefer >> w & 1 for w in q[1:])]
-    return (preferred or found)[0]
+    )
 
 
 def test_direct_searches_pick_the_smallest_vertices():
-    rng = random.Random(5)
-    preferred = 0
     for seed in range(30):
         t = random_tournament(4 + seed % 6, seed)
         out = t.out_neighbors
@@ -581,14 +580,9 @@ def test_direct_searches_pick_the_smallest_vertices():
             assert tournaments_mod._triangle_through(t, v) == want
         for t in (t, random_multipartite_tournament(5 + seed % 6, seed)):
             for v in range(t.n):
-                for prefer in (0, (1 << t.n) - 1, rng.getrandbits(t.n)):
-                    got = tournaments_mod._quadrangle_through(t, v, prefer)
-                    assert got == _first_quadrangle(t, v, prefer)
-                    assert is_directed_cycle(t, got)
-                    if not prefer:
-                        plain = got
-                    preferred += got != plain
-    assert preferred > 0
+                got = tournaments_mod._quadrangle_through(t, v)
+                assert got == _first_quadrangle(t, v)
+                assert is_directed_cycle(t, got)
     t = MultipartiteTournament(
         [(0, 1), (2,), (3,)], [(0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
     )

@@ -333,13 +333,13 @@ def test_classify_random_degenerate_n12_is_pinned():
 
 def test_classify_random_degenerate_n64_is_pinned():
     # sha256 of classify(g).to_json() for the benchmark's degenerate stream;
-    # the cycle tables depend on the order in which directed cycles grow
+    # the cycle tables depend on the Hamilton cycle the windows are cut from
     want = [
-        "20ffd01e2b76cafa0d8b3ab20c595795c8bb9f0b013f7042e6338819fc77fed7",
-        "ac2505884c62005a3da789993615ef1ee9c4e9e894ba75e5cc5c0a7611663d3c",
-        "3c2926f8e51a1b226f73feed9de3d26a5a7ca6ee085472783f9b4fc468bd9929",
-        "e5cb84138fdc055db77a4bab227d2adcb24dd69e783a18d1128c3152dacc9dd9",
-        "d4c443e797ad2831a3863d591ee51dcce93e1285b82e29ad190ffb54bd344fa1",
+        "2c6a7d1baf74c4de90a4361888a9d9e81f6cb320f58c58ef5728f5717a149472",
+        "714e6978afa43ccea1b469c340e448b1f2d8110f71291a974805f010ed8eb438",
+        "d5b3c350cdcb9e4d4b820754b0a03742c553b7b15e047963bb9d425f8cfd30f7",
+        "13ff84a5d42caed8f3faf23f5afbbb081f9c7195b173ffeab5478f1f1dac2ff0",
+        "5ee253d2287672f59c6a7629f24bbd78f6749763062d0692b38c2a69a86d1ffa",
     ]
     got = []
     for g in generate(GenSpec("randomDegenerate", n=64, seed=0, count=5)):
