@@ -19,7 +19,9 @@ be proper either: the loop abandons it at that point.  A closure from
 (u, c) first pulls in every vertex below u that u meets in a color other
 than c, so with u >= 1 it can survive only when all edges from u to
 0..u-1 have color c: the loop closes the one seed (u, color(u, 0)) at
-such a u, none at any other u >= 1, and every seed of vertex 0.
+such a u, and none at any other u >= 1.  At vertex 0 it closes only the
+seeds (0, c) for which every other color class at 0 is a clique of its
+own color, since any other seed of 0 conflicts.
 
 The monochromatic-triangle scan runs over the graph's per-vertex, per-color
 neighbor bitmask table, which the graph builds with its matrix and rebuilds
@@ -202,6 +204,31 @@ def closure_from_seed(g: ColoredCompleteGraph, u: int, c: int) -> Optional[Degen
     )
 
 
+def _vertex_zero_seeds(nbr: list) -> tuple:
+    """The dense colors c, ascending, whose closure from (0, c) can survive.
+
+    Those are all colors at 0 when every color class N_d(0) is a clique of
+    color d, the one color d of the only class that is not, and none when
+    two or more classes are not (see degeneracy_status).
+    """
+    row = nbr[0]
+    colors = [d for d, cls in enumerate(row[:-1]) if cls]  # the last slot is the diagonal
+    loose = []
+    for d in colors:
+        cls = row[d]
+        rest = cls
+        while rest:
+            low = rest & -rest
+            x = low.bit_length() - 1
+            if nbr[x][d] & cls != cls ^ low:
+                loose.append(d)
+                if len(loose) > 1:
+                    return ()
+                break
+            rest ^= low
+    return tuple(loose) if loose else tuple(colors)
+
+
 def degeneracy_status(g: ColoredCompleteGraph) -> DegeneracyStatus:
     """Classify g as proper-degenerate, degenerate-full-only, or non-degenerate.
 
@@ -241,8 +268,21 @@ def degeneracy_status(g: ColoredCompleteGraph) -> DegeneracyStatus:
     x < u; the loop skips every other seed of u, and all of u when those
     edges show two colors.  Each skipped closure would have been abandoned,
     which the loop passes over anyway, so the seed order and the first
-    proper or full closure are unchanged.  Vertex 0 has nothing below it
-    and keeps all its seeds.
+    proper or full closure are unchanged.
+
+    Vertex 0 has nothing below it, but a closure from (0, c) conflicts
+    unless every other color class at 0, N_d(0) for d != c, is a clique of
+    its own color d.  It pops 0 first and pulls in every vertex x of N_d(0)
+    with f(x) = d.  If two of them, x and y, meet in a color other than d,
+    then popping x forces f(y) = color(x, y) != d against the value y
+    already has, so the closure conflicts.  So with two or more classes at
+    0 that are no such clique, every seed of 0 conflicts and none is
+    closed; with exactly one, class d, only (0, d) is closed; with none,
+    every seed of 0 is.  The skipped seeds end in a conflict, which the
+    loop passes over anyway, so again the seed order and the first proper
+    or full closure are unchanged.  Without a monochromatic triangle a
+    class of two or more vertices is never such a clique, but the test
+    reads the edges, so the answer holds on any coloring.
     """
     n = g.n
     if n < 2:
@@ -260,7 +300,7 @@ def degeneracy_status(g: ColoredCompleteGraph) -> DegeneracyStatus:
                 continue
             seeds = (c,)
         else:
-            seeds = sorted(set(row[1:]))
+            seeds = _vertex_zero_seeds(g._nbr)
         for c in seeds:
             f = _closure_dense(m, n, u, c, u)
             if f is None:

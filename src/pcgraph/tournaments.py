@@ -572,8 +572,8 @@ def lift_cycle(g: ColoredCompleteGraph, f, cycle: Sequence[int]) -> tuple:
     sequence, is shorter than 3 or repeats a vertex, when any consecutive
     pair is not an arc of the orientation, and when a vertex is not an int
     in 0..n-1; IncompatibleFunction when f has no value for a vertex of g
-    on the cycle.  No entry is type-tested on its own, so a bool passes as
-    the vertex 0 or 1.
+    on the cycle.  The entries' types are tested together in C, as
+    validate_result does, so a bool is no vertex, not 0 or 1.
 
     The walk carries each arc's head value forward as the next arc's tail
     value, so f is read once per vertex (and once more for the first vertex
@@ -591,8 +591,8 @@ def lift_cycle(g: ColoredCompleteGraph, f, cycle: Sequence[int]) -> tuple:
         # the length first, then set() fails an unhashable vertex as outside
         if len(seq) < 3 or len(set(seq)) != len(seq):
             raise CycleNotInDigraph(f"{list(seq)} is not a directed cycle")
-        if min(seq) < 0:
-            raise IndexError  # m[-1] would read the last row instead
+        if min(seq) < 0 or not _all_ints(seq):
+            raise IndexError  # m[-1] would read the last row instead, m[True] row 1
         u = seq[0]
         m[u][seq[1]]  # index the first arc before reading f
         fu = f[u]
@@ -601,9 +601,10 @@ def lift_cycle(g: ColoredCompleteGraph, f, cycle: Sequence[int]) -> tuple:
                 raise CycleNotInDigraph(f"({u},{v}) is not an arc of the orientation")
             u, fu = v, fv
     except (IndexError, TypeError):
-        # a vertex >= n or a non-int one fails an index into m (or min()),
-        # so the range check costs nothing per vertex; with every vertex in
-        # range, f failed: it is no mapping, or a sequence too short
+        # a vertex >= n fails an index into m, and a non-int one min() or
+        # the type test, so no vertex is range-checked on its own; with
+        # every vertex in range, f failed: it is no mapping, or a sequence
+        # too short
         n = g.n
         if all(_is_vertex(n, v) for v in seq):
             raise IncompatibleFunction(f"f has no value for a vertex of {list(seq)}") from None

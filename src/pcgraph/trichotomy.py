@@ -134,18 +134,37 @@ def _pancyclic_via_orientation(g: ColoredCompleteGraph, cert: DegeneracyCertific
       degeneracy_status would have returned PROPER_SET, not FULL_ONLY.
 
     One mpt_cycles_through call fills t's whole table: per length, windows
-    of one Hamilton cycle of t and a few fallback cycles, about 234 cycles
-    at n = 64.  Each cycle of its covers (t.cycle_covers()) is lifted once,
-    in walk order, to its vertex tuple.  Covers are built from lists:
-    tuples grown from generators filled the tuple free lists, raising peak
-    RSS 15% on randomDegenerate n=64.
+    of one Hamilton cycle H of t and a few fallback cycles, about 234
+    cycles at n = 64.  Every arc of every cover cycle is checked against
+    (m, f) before the covers are returned, each distinct arc once rather
+    than once per cycle holding it.  H, covers[n]'s one cycle, goes through
+    lift_cycle, which checks all n of its arcs.  A cover cycle that equals
+    the run of H from its first vertex on (one tuple compare against a
+    slice of H + H) is a window: its inner arcs are arcs of H, so only its
+    seam arc, from its last vertex back to its first, is tested, with
+    lift_cycle's own predicate.  Every other cycle, and a window whose seam
+    fails, goes through lift_cycle, which raises on a bad arc.  The covers
+    hold t.cycle_covers()'s own tuples: building new ones from generators
+    filled the tuple free lists, raising peak RSS 15% on randomDegenerate
+    n=64.
     """
-    t = reduce_degenerate(g, cert.f)
+    f = cert.f
+    t = reduce_degenerate(g, f)
     mpt_cycles_through(t, g.n - 1)
-    return {
-        ln: tuple([lift_cycle(g, cert.f, dc) for dc in cover])
-        for ln, cover in t.cycle_covers().items()
-    }
+    covers = t.cycle_covers()
+    ham = lift_cycle(g, f, covers[g.n][0])
+    twice = ham + ham  # a window is a slice, also across the end of H
+    pos = {w: i for i, w in enumerate(ham)}
+    m = g._m
+    pal = g._palette
+    for cover in covers.values():
+        for dc in cover:
+            u, v = dc[-1], dc[0]
+            p = pos.get(v)
+            window = p is not None and dc == twice[p : p + len(dc)]
+            if not (window and pal[m[u][v]] == f[u] != f[v]):
+                lift_cycle(g, f, dc)
+    return covers
 
 
 def _grow_step(g: ColoredCompleteGraph, cur: Cycle, v: int):

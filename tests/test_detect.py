@@ -1,10 +1,11 @@
+import collections
 import itertools
 import pickle
 import random
 
 import pytest
 
-from pcgraph import build, detect
+from pcgraph import build, detect, dumps_instance
 from pcgraph.detect import (
     DegeneracyTag,
     closure_from_seed,
@@ -159,9 +160,23 @@ def test_pruned_seed_loop_matches_plain_loop_every_4th_k5():
 
 
 def _closures_after_pruning(g):
-    """Colors at vertex 0 plus the vertices u >= 1 whose edges to 0..u-1 share one color."""
+    """Seeds at vertex 0 that can survive, plus the vertices u >= 1 whose
+    edges to 0..u-1 share one color.
+
+    A seed (0, c) can survive when every other color class at 0 is a
+    clique of its own color; that is every color at 0 when all classes are
+    such cliques, the one color of the only class that is not, or none.
+    """
     n = g.n
-    at_zero = len({g.color(0, v) for v in range(1, n)})
+    classes = collections.defaultdict(list)
+    for v in range(1, n):
+        classes[g.color(0, v)].append(v)
+    loose = [
+        d
+        for d, members in classes.items()
+        if any(g.color(x, y) != d for x, y in itertools.combinations(members, 2))
+    ]
+    at_zero = len(classes) if not loose else int(len(loose) == 1)
     return at_zero + sum(
         1 for u in range(1, n) if len({g.color(u, x) for x in range(u)}) == 1
     )
@@ -185,7 +200,57 @@ def test_seed_loop_closes_only_one_color_prefix_seeds(monkeypatch):
         assert degeneracy_status(g).tag is DegeneracyTag.FULL_ONLY
         assert len(calls) == _closures_after_pruning(g)
         counts.append(len(calls))
-    assert counts == [38, 31, 36, 30, 37]
+    assert counts == [3, 2, 3, 3, 3]
+
+
+def _reference_status(g):
+    """degeneracy_status as it closed every seed of vertex 0, kept to pin
+    the vertex-0 rule: (tag, S, f) with f in original colors."""
+    n, m, pal = g.n, g._m, g._palette
+    full = None
+    for u in range(n):
+        row = m[u]
+        if u:
+            if row[:u].count(row[0]) != u:
+                continue
+            seeds = (row[0],)
+        else:
+            seeds = sorted(set(row[1:]))
+        for c in seeds:
+            f = detect._closure_dense(m, n, u, c, u)
+            if f is None:
+                continue
+            if len(f) < n:
+                return DegeneracyTag.PROPER_SET, frozenset(f), {v: pal[d] for v, d in f.items()}
+            if full is None:
+                full = f
+    if full is not None:
+        return DegeneracyTag.FULL_ONLY, frozenset(range(n)), {v: pal[d] for v, d in full.items()}
+    return DegeneracyTag.NON_DEGENERATE, None, None
+
+
+def _assert_matches_reference(g):
+    st = degeneracy_status(g)
+    cert = st.certificate
+    got = (st.tag, None, None) if cert is None else (st.tag, cert.S, cert.f)
+    assert got == _reference_status(g), dumps_instance(g)
+    return st.tag
+
+
+def test_vertex_zero_rule_matches_the_reference_on_random_colorings():
+    # uniform colorings, most of them with a monochromatic triangle, where
+    # a color class at 0 can be a clique of its own color
+    rng = random.Random(29)
+    tags = collections.Counter()
+    mono = 0
+    for i in range(10000):
+        n = 5 + i % 5
+        k = 2 + i % 3
+        edges = [(u, v, rng.randrange(k)) for u, v in itertools.combinations(range(n), 2)]
+        g = build(n, edges)
+        tags[_assert_matches_reference(g)] += 1
+        mono += find_monochromatic_triangle(g) is not None
+    assert mono > 8000 and tags.keys() == set(DegeneracyTag), (mono, tags)
 
 
 def test_closure_minimality_small():

@@ -745,6 +745,24 @@ def test_lift_cycle_rejects_vertices_outside_the_graph():
         lift_cycle(g, f, cyc + (6,))
 
 
+def test_lift_cycle_rejects_a_bool_vertex():
+    # False and True index m and f as 0 and 1, so every arc of these
+    # cycles would pass; the type test names the bool as no vertex
+    g, f = random_degenerate(8, random_fibers(8, 1), 1)
+    t = reduce_degenerate(g, f)
+    for v, flag in ((0, False), (1, True)):
+        for cyc in mpt_cycles_through(t, v).values():
+            assert lift_cycle(g, f, cyc) == cyc
+            forged = tuple(flag if w == v else w for w in cyc)
+            assert forged == cyc  # equal as values, and a bool is an int to isinstance
+            with pytest.raises(CycleNotInDigraph, match="outside"):
+                lift_cycle(g, f, forged)
+            # outside, not f's fault, though f lacks the vertex too
+            partial = {w: c for w, c in f.items() if w != v}
+            with pytest.raises(CycleNotInDigraph, match="outside"):
+                lift_cycle(g, partial, forged)
+
+
 def test_lift_cycle_names_a_vertex_missing_from_f():
     g, f = random_degenerate(8, random_fibers(8, 1), 1)
     t = reduce_degenerate(g, f)
@@ -773,13 +791,15 @@ def test_lift_cycle_blames_f_when_every_vertex_is_valid():
 
 
 def _reference_lift(g, f, cycle):
-    # lift_cycle as it read f twice per edge, kept to pin its outcomes
+    # lift_cycle as it read f twice per edge, kept to pin its outcomes; a
+    # non-int entry is reported as outside before any arc is read, as a
+    # negative one always was, so a bool is no vertex
     seq = tuple(cycle)
     m = g._m
     pal = g._palette
     try:
         cyc = Cycle(seq)
-        if min(seq) < 0:
+        if min(seq) < 0 or any(type(v) is not int for v in seq):
             raise IndexError
         for u, v in zip(seq, seq[1:] + seq[:1]):
             if not (pal[m[u][v]] == f[u] != f[v]):
@@ -807,7 +827,7 @@ def _lift_cases(n, f, cyc, crossed):
     set to a non-vertex, a backwards arc, a repeat, short sequences, and f
     missing each cycle vertex in turn (against every non-vertex if crossed)."""
     k = len(cyc)
-    bad = [cyc[:i] + (x,) + cyc[i + 1 :] for i in range(k) for x in (n, -1, 2.0, "1", None)]
+    bad = [cyc[:i] + (x,) + cyc[i + 1 :] for i in range(k) for x in (n, -1, 2.0, "1", None, True)]
     odd = [cyc[::-1], cyc + cyc[:1], cyc[:2], cyc[:1], ()]
     odd += [cyc[:i] + (cyc[i + 1], cyc[i]) + cyc[i + 2 :] for i in range(k - 1)]
     odd += [cyc[:i] + (cyc[i - 1],) + cyc[i + 1 :] for i in range(1, k)]

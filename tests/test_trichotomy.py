@@ -27,6 +27,7 @@ from pcgraph.detect import (
     find_monochromatic_triangle,
 )
 from pcgraph.errors import (
+    CycleNotInDigraph,
     MonochromaticTrianglePresent,
     RepeatedVertex,
     ResultMismatch,
@@ -368,28 +369,86 @@ def test_classify_gallai_n64_is_pinned():
     assert got == want
 
 
-def test_orientation_route_lifts_each_shared_cycle_once(monkeypatch):
+def _is_window(ham, cyc):
+    """Whether cyc is the run of len(cyc) vertices of ham from cyc[0] on."""
+    p = ham.index(cyc[0])
+    return cyc == (ham + ham)[p : p + len(cyc)]
+
+
+def test_orientation_route_lifts_h_and_each_non_window_cycle(monkeypatch):
     import pcgraph.trichotomy as trichotomy_mod
 
-    g = _full_only(64, 0)
-    real = trichotomy_mod.lift_cycle
+    real_lift = trichotomy_mod.lift_cycle
+    real_reduce = trichotomy_mod.reduce_degenerate
     lifts = []
+    built = []
 
     def counted(g, f, cycle):
-        lifts.append(real(g, f, cycle))
-        return lifts[-1]
+        lifts.append(cycle)
+        return real_lift(g, f, cycle)
+
+    def kept(g, f):
+        built.append(real_reduce(g, f))
+        return built[-1]
 
     monkeypatch.setattr(trichotomy_mod, "lift_cycle", counted)
+    monkeypatch.setattr(trichotomy_mod, "reduce_degenerate", kept)
+    fallbacks = 0
+    for n, seed in ((12, 1), (64, 0), (64, 1), (64, 2)):
+        g = _full_only(n, seed)
+        lifts.clear()
+        built.clear()
+        result = classify(g)
+        assert result.tag is TrichotomyTag.PANCYCLIC and validate_result(g, result)
+        covers = built[0].cycle_covers()
+        assert set(covers) == set(range(4, n + 1))
+        ham = covers[n][0]
+        others = [c for cover in covers.values() for c in cover if not _is_window(ham, c)]
+        # H first, then each cycle that is no window of H, in cover order
+        assert lifts == [ham] + others
+        fallbacks += len(others)
+        # the covers hold t's own tuples, wrapped in nothing
+        assert result.cycles == covers
+        assert all(
+            a is b for ln in covers for a, b in zip(result.cycles[ln], covers[ln], strict=True)
+        )
+    assert fallbacks > 0
+
+
+def _seam_reversed_window(t, ham):
+    """A run of H of length 4..n-1 whose seam pair is the arc first -> last."""
+    n = t.n
+    twice = ham + ham
+    for ln in range(4, n):
+        for p in range(n):
+            run = twice[p : p + ln]
+            if t._outmask[run[0]] >> run[-1] & 1:
+                return run
+    raise AssertionError("every run of H closes")
+
+
+def test_orientation_route_rejects_a_forged_window_or_cycle(monkeypatch):
+    # a window the route checks by its seam alone, and a cycle it hands to
+    # lift_cycle, each forged into t's table: both fail the classification,
+    # naming the first bad arc
+    import pcgraph.tournaments as tournaments_mod
+
+    real = tournaments_mod._window_covers
+    g = _full_only(64, 0)
     result = classify(g)
-    assert result.tag is TrichotomyTag.PANCYCLIC
-    assert set(result.cycles) == set(range(4, 65))
-    built = [cyc for cover in result.cycles.values() for cyc in cover]
-    # far fewer cycles than the 64 * 61 (vertex, length) pairs they certify
-    assert len(built) < 64 * 61
-    assert lifts == built and len(set(lifts)) == len(lifts)
-    # the covers hold the lift's own checked tuples, wrapped in nothing
-    assert all(cyc is lifted for cyc, lifted in zip(built, lifts))
-    assert validate_result(g, result)
+    ham = result.cycles[64][0]
+    window = _seam_reversed_window(reduce_degenerate(g, degeneracy_status(g).certificate.f), ham)
+    backwards = result.cycles[5][0][::-1]
+    assert _is_window(ham, window) and not _is_window(ham, backwards)
+    for bad, arc in ((window, (window[-1], window[0])), (backwards, backwards[:2])):
+
+        def forged(t, bad=bad):
+            covers = real(t)
+            return {**covers, len(bad): covers[len(bad)] + (bad,)}
+
+        monkeypatch.setattr(tournaments_mod, "_window_covers", forged)
+        with pytest.raises(CycleNotInDigraph, match=r"^\(%d,%d\) is not an arc" % arc):
+            classify(g)
 
 
 def test_orientation_route_fills_the_table_with_one_call(monkeypatch):
