@@ -9,14 +9,15 @@ as a counted last resort.  classify_attachment decides extendability by
 insertion, then by classify on the induced subgraph, with no search.
 enumerate_pc_cycles lists all of them, once up to rotation and reflection,
 and is how the tests check the walk against the permutation oracle.
-pc_quadrangle_search is the same walk at length 4.
+pc_quadrangle_search is the same walk at length 4.  _window_covers, which
+both tag-(a) routes call, cuts per length a cover of V from a Hamilton cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .core import ColoredCompleteGraph, _check_vertex, _check_vertices, _is_int
 from .detect import DegeneracyTag, degeneracy_status, find_monochromatic_triangle
@@ -204,40 +205,54 @@ def has_pc_cycle(g: ColoredCompleteGraph, v: int, length: int) -> Optional[Cycle
 
 # -- pancyclic covers -----------------------------------------------------
 
-def _fill_covers(n: int, build: Callable) -> tuple:
-    """(covers, rows): per length L in 4..n, a cover of 0..n-1 by L-cycles.
+def _window_covers(ham: tuple, closes: Callable, build: Callable) -> Dict[int, tuple]:
+    """Per length L in 4..n, a cover of V = 0..n-1 by L-cycles, cut from one Hamilton cycle.
 
-    The growth route fills its certificate here.  The builder returns
-    a (cycle, state) pair: a vertex tuple and whatever the route keeps
-    beside it.  Vertex u, in order, takes at each length L the pair filed
-    in rows[L][u] (reuse), or else builds one with build(cur, u, L,
-    unfiled), where cur is u's (L-1)-pair, None exactly at L = 4, and
-    unfiled is the bitmask of the vertices with no L-cycle yet.  A built
-    cycle joins covers[L], in build order, and its pair is filed under each
-    vertex on it with an empty row, so rows[L][v] holds the first cycle of
-    covers[L] through v.
+    Both tag-(a) routes fill their certificate here.  ham is a Hamilton
+    cycle, and covers[n] is (ham,).  Any L consecutive vertices of ham, in
+    ham's order, form an L-cycle (a window) when closes(last, first)
+    accepts its seam, the pair from the last back to the first.  For each
+    L in 4..n-1 one walk over ham's positions takes, at the first
+    uncovered position p, the window that holds p and starts latest:
+    starts p, p-1, ..., p-L+1, around ham, one closes test each.  The walk
+    goes on after that window.  A position that no window holds gets
+    build(cur, u, L), an L-cycle through its vertex u, where cur is the
+    first (L-1)-cycle of the cover through u, or None at L = 4.  So every
+    position is covered, and each cover lists its cycles in walk order.
     """
-    lengths = range(4, n + 1)
-    covers: dict = {ln: [] for ln in lengths}
-    rows = {ln: [None] * n for ln in lengths}
-    filed = dict.fromkeys(lengths, 0)
-    full = (1 << n) - 1
-    for u in range(n):
-        cur = None
-        for ln in lengths:
-            row = rows[ln]
-            if row[u] is not None:
-                cur = row[u]
+    n = len(ham)
+    twice = ham + ham  # a window is a slice, also across the end of ham
+    pos = [0] * n
+    for i, w in enumerate(ham):
+        pos[w] = i
+    covers: Dict[int, tuple] = {}
+    for ln in range(4, n):
+        cover = []
+        run = (1 << ln) - 1
+        done = 0  # bit i: position i of ham lies on a cycle of cover
+        p = 0
+        while p < n:
+            if done >> p & 1:
+                p += 1
                 continue
-            done = filed[ln]
-            cur = build(cur, u, ln, full ^ done)
-            covers[ln].append(cur[0])
-            for w in cur[0]:
-                if row[w] is None:
-                    row[w] = cur
-                    done |= 1 << w
-            filed[ln] = done
-    return {ln: tuple(cover) for ln, cover in covers.items()}, rows
+            for i in range(p, p - ln, -1):
+                j = i % n
+                if closes(twice[j + ln - 1], twice[j]):
+                    cover.append(twice[j : j + ln])
+                    bits = run << j
+                    done |= bits | bits >> n  # wrap around ham's end; bits >= n go unread
+                    p = i + ln
+                    break
+            else:
+                u = ham[p]
+                cur = None if ln == 4 else next(c for c in covers[ln - 1] if u in c)
+                cyc = build(cur, u, ln)
+                cover.append(cyc)
+                for w in cyc:
+                    done |= 1 << pos[w]
+        covers[ln] = tuple(cover)
+    covers[n] = (ham,)
+    return covers
 
 
 # -- Hamilton path ------------------------------------------------------

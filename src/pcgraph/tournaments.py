@@ -12,7 +12,8 @@ search backs them up.  A directed L-cycle serves every vertex on it, so
 mpt_cycles_through fills, per length, a cover of V by few cycles: the rules
 grow one Hamilton cycle H, each cover takes runs of L consecutive vertices
 of H whose seam arc closes them (windows), and the rules build a cycle only
-for a vertex that no window holds.  cycle_covers() hands the covers out.
+for a vertex that no window holds (cycles._window_covers, which the colored
+growth route shares).  cycle_covers() hands the covers out.
 A strong tournament is the special case without 2-parts:
 cycles_through adds a triangle to lengths 4..n.  Every search over vertices
 (insertion and swap candidates, the triangle and quadrangle closers,
@@ -36,6 +37,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .core import ColoredCompleteGraph, _all_ints, _check_int, _check_vertex, _is_vertex
+from .cycles import _window_covers as _cut_windows
 from .errors import (
     CycleNotInDigraph,
     FiberTooLarge,
@@ -383,61 +385,26 @@ def _window_covers(t: MultipartiteTournament) -> Dict[int, tuple]:
     """Per length L in 4..n, a cover of V by directed L-cycles, from one Hamilton cycle.
 
     t must meet mpt_cycles_through's preconditions.  H, a Hamilton cycle
-    through vertex 0, grows from _quadrangle_through by _extend_cycle, and
-    covers[n] is (H,).  Any L consecutive vertices of H are a directed path,
-    so they form an L-cycle (a window) when the seam arc from the last back
-    to the first is an arc of t.  For each L in 4..n-1 one walk over H's
-    positions takes, at the first uncovered position p, the window that
-    contains p and starts latest: starts p, p-1, ..., p-L+1, around H, one
-    bit test each.  The walk goes on after that window.  A position that no
-    window closes over gets a fallback cycle through its vertex, from the
-    proved rules: _quadrangle_through at L = 4, and above it _extend_cycle
-    of the first (L-1)-cycle of the cover through the vertex.  So every
-    position is covered, and each cover lists its cycles in walk order.
-    On randomDegenerate n = 64 the covers hold about 234 cycles (the floor,
-    the sum of ceil(64 / L), is 219), about 3 of them fallbacks.
+    through vertex 0, grows from _quadrangle_through by _extend_cycle.  Any
+    L consecutive vertices of H are a directed path, so cycles._window_covers
+    cuts the covers from H with one bit test per seam: is the pair from the
+    last vertex to the first an arc of t?  Its fallbacks come from the
+    proved rules, _quadrangle_through at L = 4 and _extend_cycle above.  On
+    randomDegenerate n = 64 the covers hold about 234 cycles (the floor, the
+    sum of ceil(64 / L), is 219), about 3 of them fallbacks.
     """
-    n = t.n
     outm = t._outmask
     ham = _quadrangle_through(t, 0)
     mask = sum(map(_BIT, ham))  # distinct vertices: the sum of their bits is their mask
-    while len(ham) < n:
+    while len(ham) < t.n:
         ham, mask = _extend_cycle(t, ham, 0, mask)
-    twice = ham + ham  # a window is a slice, also across the end of H
-    pos = [0] * n
-    for i, w in enumerate(ham):
-        pos[w] = i
-    covers: Dict[int, tuple] = {}
-    for ln in range(4, n):
-        cover = []
-        run = (1 << ln) - 1
-        done = 0  # bit i: position i of H lies on a cycle of cover
-        p = 0
-        while p < n:
-            if done >> p & 1:
-                p += 1
-                continue
-            for i in range(p, p - ln, -1):
-                j = i % n
-                if outm[twice[j + ln - 1]] >> twice[j] & 1:
-                    cover.append(twice[j : j + ln])
-                    bits = run << j
-                    done |= bits | bits >> n  # wrap around H's end; bits >= n go unread
-                    p = i + ln
-                    break
-            else:
-                u = ham[p]
-                if ln == 4:
-                    cyc = _quadrangle_through(t, u)
-                else:
-                    cur = next(c for c in covers[ln - 1] if u in c)
-                    cyc = _extend_cycle(t, cur, u, sum(map(_BIT, cur)))[0]
-                cover.append(cyc)
-                for w in cyc:
-                    done |= 1 << pos[w]
-        covers[ln] = tuple(cover)
-    covers[n] = (ham,)
-    return covers
+
+    def build(cur: Optional[tuple], u: int, ln: int) -> tuple:
+        if cur is None:
+            return _quadrangle_through(t, u)
+        return _extend_cycle(t, cur, u, sum(map(_BIT, cur)))[0]
+
+    return _cut_windows(ham, lambda a, b: outm[a] >> b & 1, build)
 
 
 def mpt_cycles_through(t: MultipartiteTournament, v: int) -> Dict[int, tuple]:

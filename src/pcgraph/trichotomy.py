@@ -27,9 +27,9 @@ from typing import Dict, Optional
 from .core import ColoredCompleteGraph, _all_ints, stats
 from .cycles import (
     Cycle,
-    _fill_covers,
     _pc_closed,
     _pc_cycle_search,
+    _window_covers,
     has_pc_cycle,
     insert_into_pc_cycle,
     pc_quadrangle_search,
@@ -66,14 +66,14 @@ class TrichotomyTag(enum.Enum):
 class TrichotomyResult:
     tag: TrichotomyTag
     graph: ColoredCompleteGraph
-    cycles: Optional[Dict] = None  # L -> PC L-cycles covering V, vertex tuples in build order; tag "a"
+    cycles: Optional[Dict] = None  # L -> PC L-cycles covering V, vertex tuples in walk order; tag "a"
     certificate: Optional[DegeneracyCertificate] = None  # for tag "b"
     relabel: Optional[Dict] = None  # vertex -> canonical vertex, for tag "c"
 
     def to_json_dict(self) -> dict:
         certs: dict = {}
         if self.tag is TrichotomyTag.PANCYCLIC:
-            # (v, L) holds the first cycle of L's cover through v, as filed
+            # (v, L) holds the first cycle of L's cover through v
             rows: list = [{} for _ in range(self.graph.n)]
             for ln, cover in sorted(self.cycles.items()):
                 key = str(ln)
@@ -238,26 +238,30 @@ def _regrow_quadrangle(g: ColoredCompleteGraph, v: int, length: int) -> Optional
 
 
 def _pancyclic_by_growth(g: ColoredCompleteGraph, stats_out: Optional[dict]) -> Dict:
-    """Pancyclic covers grown from PC quadrangles, filled by cycles._fill_covers.
+    """Pancyclic covers cut from one PC Hamilton cycle grown from a quadrangle.
 
-    The fill shares each PC L-cycle among the vertices on it, so build runs
-    only for a vertex v with no L-cycle yet: pc_quadrangle_search at L = 4,
-    and above that the first of _grow_step on v's (L-1)-cycle, R5
+    build makes a PC L-cycle through v: pc_quadrangle_search at L = 4, and
+    above that, from v's (L-1)-cycle, the first of _grow_step, R5
     (_regrow_quadrangle: every PC quadrangle through v in walk order,
-    regrown by _grow_step), and the has_pc_cycle search as the last resort;
-    the cover gets each vertex tuple, _grow_step the Cycle kept as state.
-    stats_out gains, under growth_reused, growth_quadrangles,
-    growth_inserted, growth_swapped (R1), growth_restarted (R5) and
-    growth_oracle_uses (the search), how many (vertex, length) steps each
-    rule settled, every key absent while zero.
+    regrown by _grow_step) and the has_pc_cycle search as the last resort.
+    Its chain at vertex 0 grows H, a PC Hamilton cycle, and
+    cycles._window_covers cuts the covers from H, with build for the
+    fallbacks.  A run of H is PC inside, so it closes into a PC cycle when
+    its seam a -> b differs in color from H's edges into a and out of b.
+    stats_out gains, under growth_quadrangles, growth_inserted,
+    growth_swapped (R1), growth_restarted (R5) and growth_oracle_uses (the
+    search), how many cycles each rule built, H's chain included, and under
+    growth_reused the n(n-3) (vertex, length) pairs less the number of
+    builds: the pairs a window settled, or a cycle built for another
+    vertex; every key absent while zero.
     """
     counts: Dict[str, int] = {}
 
-    def build(cur: Optional[tuple], v: int, ln: int, unfiled: int) -> tuple:
+    def build(cur: Optional[tuple], v: int, ln: int) -> tuple:
         if cur is None:
             cyc, rule = pc_quadrangle_search(g, v), "growth_quadrangles"
         else:
-            cyc, rule = _grow_step(g, cur[1], v)
+            cyc, rule = _grow_step(g, Cycle(cur), v)
             if cyc is None:
                 cyc = _regrow_quadrangle(g, v, ln)
                 rule = "growth_restarted"
@@ -270,11 +274,20 @@ def _pancyclic_by_growth(g: ColoredCompleteGraph, stats_out: Optional[dict]) -> 
                 context={"vertex": v, "length": ln},
             )
         counts[rule] = counts.get(rule, 0) + 1
-        return cyc.vertices, cyc
+        return cyc.vertices
 
-    covers, _ = _fill_covers(g.n, build)
+    n = g.n
+    ham = None  # grows from a quadrangle through 0 into H
+    for ln in range(4, n + 1):
+        ham = build(ham, 0, ln)
+    m = g._m
+    into = [0] * n  # into[v]: color of H's edge into v; out_of[v]: of H's edge out of v
+    out_of = [0] * n
+    for a, b in zip(ham, ham[1:] + ham[:1]):
+        out_of[a] = into[b] = m[a][b]
+    covers = _window_covers(ham, lambda a, b: into[a] != m[a][b] != out_of[b], build)
     if stats_out is not None:
-        counts["growth_reused"] = g.n * (g.n - 3) - sum(counts.values())
+        counts["growth_reused"] = n * (n - 3) - sum(counts.values())
         for key, count in counts.items():
             if count:
                 stats_out[key] = stats_out.get(key, 0) + count
@@ -287,9 +300,10 @@ def classify(g: ColoredCompleteGraph, stats_out: Optional[dict] = None) -> Trich
     Pipeline: degeneracy first (a proper set settles (b)); a full-only
     compatible coloring routes through the orientation argument; otherwise
     the double-pentagon check settles (c) and quadrangle-plus-growth builds
-    the pancyclic covers for (a) (see _pancyclic_by_growth).  Growth runs
-    the has_pc_cycle depth-first search only as its counted last resort,
-    when reuse, insertion and the R1 and R5 rules all fail.  A given
+    a PC Hamilton cycle whose windows, with a few fallback cycles, are the
+    pancyclic covers for (a) (see _pancyclic_by_growth).  Growth runs the
+    has_pc_cycle depth-first search only as its counted last resort, when
+    insertion and the R1 and R5 rules all fail.  A given
     stats_out dict gains the growth route's count per rule, each absent
     while zero; "growth_oracle_uses" counts the has_pc_cycle searches, and
     it is the only one that sweep records keep.

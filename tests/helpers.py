@@ -86,3 +86,9 @@ def random_instance_pool(count: int, sizes, seed: int, k_choices=(3, 4, 5)):
         out.append(random_no_mono_triangle(n, k, seed + 7919 * attempt))
         attempt += 1
     return out
+
+
+def is_window(ham, cyc):
+    """Whether cyc is the run of len(cyc) vertices of ham from cyc[0] on."""
+    p = ham.index(cyc[0])
+    return cyc == (ham + ham)[p : p + len(cyc)]

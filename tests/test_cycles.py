@@ -14,9 +14,9 @@ from pcgraph.core import ColoredCompleteGraph
 from pcgraph.cycles import (
     AttachmentKind,
     Cycle,
-    _fill_covers,
     _induced,
     _try_lengthen,
+    _window_covers,
     classify_attachment,
     enumerate_pc_cycles,
     find_pc_quadrangle,
@@ -435,41 +435,70 @@ def test_pc_cycle_rotation_reflection_invariance(data):
         assert is_pc_cycle(g, tuple(reversed(rotated))) == base
 
 
-def test_fill_covers_builds_only_for_unfiled_vertices():
-    # a toy builder grows random vertex tuples and records every call; the
-    # fill must build only for an unfiled (u, L), pass cur = None exactly at
-    # L = 4, hand each build the complement of what is filed at L, and file
-    # each vertex under its first cover cycle
-    for n in range(4, 13):
-        rng = random.Random(n)
-        calls = []
+def test_window_covers_cut_windows_and_build_only_where_none_holds():
+    # a toy Hamilton cycle, a seam test that answers each pair at random
+    # (the same way every time) and records it, and a builder that grows
+    # random vertex tuples and records every call.  Each cover entry is a
+    # window whose seam was accepted or a build result; a build runs only
+    # for an uncovered position that no window holds, with cur None at
+    # L = 4 and else the first (L-1)-cycle of the cover through u
+    windows = builds = 0
+    for n in range(4, 17):
+        for q in (0.0, 0.3, 1.0):
+            rng = random.Random(n)
+            ham = tuple(rng.sample(range(n), n))
+            twice = ham + ham
+            seams = {}
+            accepted = set()
+            calls = []
 
-        def build(cur, u, ln, unfiled):
-            if cur is None:
-                cyc = tuple([u] + rng.sample([w for w in range(n) if w != u], 3))
-            else:
-                assert u in cur[0] and len(cur[0]) == ln - 1
-                w = rng.choice([w for w in range(n) if w not in cur[0]])
-                i = rng.randrange(ln)
-                cyc = cur[0][:i] + (w,) + cur[0][i:]
-            pair = (cyc, len(calls))
-            calls.append((u, ln, unfiled, cur, pair))
-            return pair
+            def closes(a, b):
+                ok = seams.setdefault((a, b), rng.random() < q)
+                if ok:
+                    accepted.add((a, b))
+                return ok
 
-        covers, rows = _fill_covers(n, build)
-        assert list(covers) == list(rows) == list(range(4, n + 1))
-        assert len(calls) == sum(map(len, covers.values()))
-        filed = dict.fromkeys(covers, 0)
-        for u, ln, unfiled, cur, pair in calls:
-            assert not filed[ln] >> u & 1
-            assert unfiled == ((1 << n) - 1) ^ filed[ln]
-            assert cur is (None if ln == 4 else rows[ln - 1][u])
-            filed[ln] |= sum(1 << w for w in pair[0])
-        for ln, cover in covers.items():
-            pairs = [call[4] for call in calls if call[1] == ln]
-            assert cover == tuple(pair[0] for pair in pairs)
-            for v in range(n):
-                assert rows[ln][v] is next(pair for pair in pairs if v in pair[0])
+            def build(cur, u, ln):
+                if cur is None:
+                    cyc = tuple([u] + rng.sample([w for w in range(n) if w != u], 3))
+                else:
+                    assert u in cur and len(cur) == ln - 1
+                    w = rng.choice([w for w in range(n) if w not in cur])
+                    i = rng.randrange(ln)
+                    cyc = cur[:i] + (w,) + cur[i:]
+                calls.append((cur, u, ln, cyc))
+                return cyc
+
+            covers = _window_covers(ham, closes, build)
+            assert list(covers) == list(range(4, n + 1))
+            assert covers[n] == (ham,)
+            built = {id(call[3]) for call in calls}
+            for ln, cover in covers.items():
+                assert set().union(*cover) == set(range(n))
+                if ln == n:
+                    continue
+                for cyc in cover:
+                    if id(cyc) in built:
+                        builds += 1
+                    else:
+                        start = ham.index(cyc[0])
+                        assert cyc == twice[start : start + ln]
+                        assert (cyc[-1], cyc[0]) in accepted
+                        windows += 1
+            for cur, u, ln, cyc in calls:
+                cover = covers[ln]
+                k = next(i for i, c in enumerate(cover) if c is cyc)
+                assert u not in set().union(*cover[:k])
+                p = ham.index(u)
+                # every run of ln positions holding p has a seam that fails
+                for s in range(p - ln + 1, p + 1):
+                    first, last = ham[s % n], ham[(s + ln - 1) % n]
+                    assert seams[(last, first)] is False
+                if ln == 4:
+                    assert cur is None
+                else:
+                    assert cur is next(c for c in covers[ln - 1] if u in c)
+    assert windows > 0 and builds > 0
 
 
 def test_searches_leave_no_cyclic_garbage():

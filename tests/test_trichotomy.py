@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from helpers import random_instance_pool
+from helpers import is_window, random_instance_pool
 
 from pcgraph import build, loads_instance
 from pcgraph.cycles import (
@@ -48,6 +48,7 @@ from pcgraph.tournaments import lift_cycle, mpt_cycles_through, reduce_degenerat
 from pcgraph.trichotomy import (
     TrichotomyResult,
     TrichotomyTag,
+    _grow_step,
     _regrow_quadrangle,
     _swap_in_pair,
     classify,
@@ -118,7 +119,7 @@ def _full_only(n, seed):
 
 def test_classify_gallai_n10_is_pinned():
     # the stream of `pcg gen --family gallai --n 10 --seed 0 --count 16`;
-    # the tables pin the growth route's fill order and rule order
+    # the tables pin the growth route's Hamilton cycle, window walk and rule order
     golden = os.path.join(os.path.dirname(__file__), "data", "classify_gallai_n10.jsonl")
     lines = []
     for g in generate(GenSpec("gallai", n=10, seed=0, count=16)):
@@ -247,8 +248,8 @@ def test_growth_rule_counts_exhaustive_k5():
         if find_monochromatic_triangle(g) is None:
             classify(g, stats_out=counts)
     assert counts == {
-        "growth_reused": 555653,
-        "growth_quadrangles": 158758,
+        "growth_reused": 634839,
+        "growth_quadrangles": 79572,
         "growth_inserted": 79021,
         "growth_restarted": 358,
     }
@@ -259,20 +260,29 @@ def test_growth_restarts_where_the_reversal_rule_once_fired():
     # exhaustive_colorings(7, sample=100000, seed=3) on which a rule that
     # inserted an outside vertex and reversed a cycle segment settled a
     # step: with that rule gone, the R5 restart settles those steps, and
-    # the has_pc_cycle search never runs
+    # the has_pc_cycle search never runs.  On lines 20, 47, 66 and 78
+    # (0-based, all n = 6) R5 no longer fires: windows of the Hamilton
+    # cycle cover the vertex whose cycle's growth needed it, so that cycle
+    # is never built
     path = os.path.join(os.path.dirname(__file__), "data", "growth_former_r3_k6_k7.jsonl")
     with open(path) as fh:
         instances = [loads_instance(line) for line in fh]
     assert len(instances) == 94
+    restarted = set()
     for i, g in enumerate(instances):
         st: dict = {}
         result = classify(g, stats_out=st)
         assert result.tag is TrichotomyTag.PANCYCLIC and validate_result(g, result), i
-        assert "growth_oracle_uses" not in st and st.get("growth_restarted"), (i, st)
+        assert "growth_oracle_uses" not in st, (i, st)
+        if st.get("growth_restarted"):
+            restarted.add(i)
+    assert restarted == set(range(94)) - {20, 47, 66, 78}
 
 
 def test_growth_never_searches_on_gallai_n64():
-    # the former worst case, seed 2, spent over 100 s in has_pc_cycle
+    # the former worst case, seed 2, spent over 100 s in has_pc_cycle.  A
+    # tag-(a) certificate, windows of one PC Hamilton cycle and a few
+    # fallbacks, holds at most 250 distinct cycles (the floor is 219)
     searched = []
     for seed, g in enumerate(generate(GenSpec("gallai", n=64, seed=0, count=200))):
         st: dict = {}
@@ -280,7 +290,63 @@ def test_growth_never_searches_on_gallai_n64():
         assert validate_result(g, result), seed
         if st.get("growth_oracle_uses"):
             searched.append(seed)
+        if result.tag is TrichotomyTag.PANCYCLIC:
+            distinct = {cyc for cover in result.cycles.values() for cyc in cover}
+            assert len(distinct) <= 250, (seed, len(distinct))
     assert searched == []
+
+
+def _growth_fallback(g, covers, ln, u):
+    """The cycle the growth ladder gives u at length ln when no window holds it."""
+    if ln == 4:
+        return pc_quadrangle_search(g, u).vertices
+    cur = Cycle(next(cyc for cyc in covers[ln - 1] if u in cyc))
+    grown = _grow_step(g, cur, u)[0] or _regrow_quadrangle(g, u, ln) or has_pc_cycle(g, u, ln)
+    return grown.vertices
+
+
+def _no_window_holds(g, ham, ln, u):
+    """Whether no run of ln consecutive vertices of ham holding u is a PC cycle."""
+    n = g.n
+    twice = ham + ham
+    p = ham.index(u)
+    return not any(is_pc_cycle(g, twice[s % n : s % n + ln]) for s in range(p - ln + 1, p + 1))
+
+
+def test_growth_covers_are_windows_of_one_pc_hamilton_cycle():
+    # the growth route's twin of the orientation route's window test: each
+    # length's cover covers V by PC L-cycles, and every cycle is a run of
+    # consecutive vertices of the PC Hamilton cycle cover[n][0], or else
+    # the cycle the growth ladder gives a vertex that no earlier cycle of
+    # its cover holds and no such run holds
+    windows = fallbacks = 0
+    graphs = []
+    for n in range(8, 29, 4):
+        graphs += generate(GenSpec("gallai", n=n, seed=n, count=4))
+        graphs += [random_no_mono_triangle(n, 6, seed) for seed in range(2)]
+    for g in graphs:
+        if degeneracy_status(g).tag is not DegeneracyTag.NON_DEGENERATE:
+            continue
+        n = g.n
+        result = classify(g)
+        assert result.tag is TrichotomyTag.PANCYCLIC and validate_result(g, result)
+        covers = result.cycles
+        (ham,) = covers[n]
+        for ln, cover in covers.items():
+            for i, cyc in enumerate(cover):
+                earlier = set().union(*cover[:i])
+                assert not set(cyc) <= earlier
+                if is_window(ham, cyc):
+                    windows += 1
+                else:
+                    fallbacks += 1
+                    assert any(
+                        cyc == _growth_fallback(g, covers, ln, u)
+                        and _no_window_holds(g, ham, ln, u)
+                        for u in cyc
+                        if u not in earlier
+                    )
+    assert windows > 0 and fallbacks > 0
 
 
 def test_growth_falls_back_to_the_counted_search(monkeypatch):
@@ -353,13 +419,13 @@ def test_classify_random_degenerate_n64_is_pinned():
 
 def test_classify_gallai_n64_is_pinned():
     # sha256 of classify(g).to_json() for a growth-route stream at scale;
-    # the cover fill and the rule order behind it fix every cycle
+    # the Hamilton cycle, the window walk and the rule order fix every cycle
     want = [
-        "cf6acb6bbe6ba77a2fb554f0bdcb83f2c96c930af21708c1a9a06e4bcbe262e4",
+        "26ab22854b3453dc4935927c1ef6d53d853b9f40d920a9171f761f8341874035",
         "aaa1b50497764791cc01165dcd868b43cfed6adc3c7dabbcc226cc116f778d32",
-        "3ef27d669303c199dee1fc66f65721ea465735f6fed7b8649c8565979b6cf986",
-        "00443794724662cfbc9f73968f065fc20dd791b1e4edc4d8c7a51419d84c44c5",
-        "2248ba03d069b1f56276b27949eeb7c187c17cffed917de0ec4a5bf4123c2bf3",
+        "1baa8426f76d0c0f18575ae0d862e61c3d8f517dd05bb37825ff51211c3cc2b2",
+        "6595f8f846087bd8b38329b652fa738258722fce24c223b6b52aaa154412a1a0",
+        "2f089997a3ad72c859ccce352898995525c49b3bcc336918e9fe45c2e87a25d8",
     ]
     got = []
     for g in generate(GenSpec("gallai", n=64, seed=0, count=5)):
@@ -367,12 +433,6 @@ def test_classify_gallai_n64_is_pinned():
         assert validate_result(g, result)
         got.append(hashlib.sha256(result.to_json().encode()).hexdigest())
     assert got == want
-
-
-def _is_window(ham, cyc):
-    """Whether cyc is the run of len(cyc) vertices of ham from cyc[0] on."""
-    p = ham.index(cyc[0])
-    return cyc == (ham + ham)[p : p + len(cyc)]
 
 
 def test_orientation_route_lifts_h_and_each_non_window_cycle(monkeypatch):
@@ -403,7 +463,7 @@ def test_orientation_route_lifts_h_and_each_non_window_cycle(monkeypatch):
         covers = built[0].cycle_covers()
         assert set(covers) == set(range(4, n + 1))
         ham = covers[n][0]
-        others = [c for cover in covers.values() for c in cover if not _is_window(ham, c)]
+        others = [c for cover in covers.values() for c in cover if not is_window(ham, c)]
         # H first, then each cycle that is no window of H, in cover order
         assert lifts == [ham] + others
         fallbacks += len(others)
@@ -439,7 +499,7 @@ def test_orientation_route_rejects_a_forged_window_or_cycle(monkeypatch):
     ham = result.cycles[64][0]
     window = _seam_reversed_window(reduce_degenerate(g, degeneracy_status(g).certificate.f), ham)
     backwards = result.cycles[5][0][::-1]
-    assert _is_window(ham, window) and not _is_window(ham, backwards)
+    assert is_window(ham, window) and not is_window(ham, backwards)
     for bad, arc in ((window, (window[-1], window[0])), (backwards, backwards[:2])):
 
         def forged(t, bad=bad):
