@@ -11,6 +11,8 @@ enumerate_pc_cycles lists all of them, once up to rotation and reflection,
 and is how the tests check the walk against the permutation oracle.
 pc_quadrangle_search is the same walk at length 4.  _window_covers, which
 both tag-(a) routes call, cuts per length a cover of V from a Hamilton cycle.
+_Windows recognizes a window of that cycle, and _pc_seam tests the seam of
+a window of a PC one; the routes and trichotomy.validate_result share them.
 """
 
 from __future__ import annotations
@@ -205,6 +207,50 @@ def has_pc_cycle(g: ColoredCompleteGraph, v: int, length: int) -> Optional[Cycle
 
 # -- pancyclic covers -----------------------------------------------------
 
+class _Windows:
+    """The runs of a Hamilton cycle ham: L <= n consecutive vertices in ham's order.
+
+    pos maps each vertex to its position on ham, and twice is ham + ham, so
+    the run of L from position p, also across ham's end, is
+    twice[p : p + L].  A run closed by its seam, the pair from its last
+    vertex back to its first, is a window.  Every tag-(a) window is
+    recognized by start, the one slice compare.
+    """
+
+    __slots__ = ("pos", "twice")
+
+    def __init__(self, ham: tuple):
+        self.pos = {w: i for i, w in enumerate(ham)}
+        self.twice = ham + ham
+
+    def start(self, vs: tuple) -> int:
+        """p = the position of vs[0] if vs equals the run twice[p : p + len(vs)], else -1.
+
+        KeyError when vs[0] is not on ham, TypeError when it is unhashable,
+        and IndexError when vs is empty.  Tuple equality takes 1.0 and True
+        for 1, so a caller that needs ints tests the types itself.
+        """
+        p = self.pos[vs[0]]
+        return p if vs == self.twice[p : p + len(vs)] else -1
+
+
+def _pc_seam(m: tuple, ham: tuple) -> Callable[[int, int], bool]:
+    """The seam test for windows of a PC Hamilton cycle ham of the color matrix m.
+
+    A run of ham from b to a is a PC path, so it closes into a PC cycle
+    exactly when the seam edge a -> b differs in color from ham's edge into
+    a and from ham's edge out of b.  The test reads both from two lists,
+    into and out_of, built once and indexed by vertex.
+    """
+    into = [0] * len(ham)  # into[v]: color of ham's edge into v; out_of[v]: of its edge out of v
+    out_of = [0] * len(ham)
+    a = ham[-1]
+    for b in ham:
+        out_of[a] = into[b] = m[a][b]
+        a = b
+    return lambda a, b: into[a] != m[a][b] != out_of[b]
+
+
 def _window_covers(ham: tuple, closes: Callable, build: Callable) -> Dict[int, tuple]:
     """Per length L in 4..n, a cover of V = 0..n-1 by L-cycles, cut from one Hamilton cycle.
 
@@ -221,10 +267,8 @@ def _window_covers(ham: tuple, closes: Callable, build: Callable) -> Dict[int, t
     position is covered, and each cover lists its cycles in walk order.
     """
     n = len(ham)
-    twice = ham + ham  # a window is a slice, also across the end of ham
-    pos = [0] * n
-    for i, w in enumerate(ham):
-        pos[w] = i
+    runs = _Windows(ham)
+    twice, pos = runs.twice, runs.pos
     covers: Dict[int, tuple] = {}
     for ln in range(4, n):
         cover = []

@@ -29,7 +29,9 @@ from .cycles import (
     Cycle,
     _pc_closed,
     _pc_cycle_search,
+    _pc_seam,
     _window_covers,
+    _Windows,
     has_pc_cycle,
     insert_into_pc_cycle,
     pc_quadrangle_search,
@@ -135,34 +137,32 @@ def _pancyclic_via_orientation(g: ColoredCompleteGraph, cert: DegeneracyCertific
 
     One mpt_cycles_through call fills t's whole table: per length, windows
     of one Hamilton cycle H of t and a few fallback cycles, about 234
-    cycles at n = 64.  Every arc of every cover cycle is checked against
-    (m, f) before the covers are returned, each distinct arc once rather
-    than once per cycle holding it.  H, covers[n]'s one cycle, goes through
-    lift_cycle, which checks all n of its arcs.  A cover cycle that equals
-    the run of H from its first vertex on (one tuple compare against a
-    slice of H + H) is a window: its inner arcs are arcs of H, so only its
-    seam arc, from its last vertex back to its first, is tested, with
-    lift_cycle's own predicate.  Every other cycle, and a window whose seam
-    fails, goes through lift_cycle, which raises on a bad arc.  The covers
-    hold t.cycle_covers()'s own tuples: building new ones from generators
-    filled the tuple free lists, raising peak RSS 15% on randomDegenerate
-    n=64.
+    cycles at n = 64.  The call asks for vertex 0, which H grows through,
+    so its scan of the table stops at the first cycle of each cover.
+    Every arc of every cover cycle is checked against (m, f) before the
+    covers are returned, each distinct arc once rather than once per cycle
+    holding it.  H, covers[n]'s one cycle, goes through lift_cycle, which
+    checks all n of its arcs.  A cover cycle that equals the run of H from
+    its first vertex on (cycles._Windows.start) is a window: its inner arcs
+    are arcs of H, so only its seam arc, from its last vertex back to its
+    first, is tested, with lift_cycle's own predicate.  Every other cycle,
+    and a window whose seam fails, goes through lift_cycle, which raises on
+    a bad arc.  The covers hold t.cycle_covers()'s own tuples: building new
+    ones from generators filled the tuple free lists, raising peak RSS 15%
+    on randomDegenerate n=64.
     """
     f = cert.f
     t = reduce_degenerate(g, f)
-    mpt_cycles_through(t, g.n - 1)
+    mpt_cycles_through(t, 0)
     covers = t.cycle_covers()
     ham = lift_cycle(g, f, covers[g.n][0])
-    twice = ham + ham  # a window is a slice, also across the end of H
-    pos = {w: i for i, w in enumerate(ham)}
+    start = _Windows(ham).start
     m = g._m
     pal = g._palette
     for cover in covers.values():
         for dc in cover:
             u, v = dc[-1], dc[0]
-            p = pos.get(v)
-            window = p is not None and dc == twice[p : p + len(dc)]
-            if not (window and pal[m[u][v]] == f[u] != f[v]):
+            if not (start(dc) >= 0 and pal[m[u][v]] == f[u] != f[v]):
                 lift_cycle(g, f, dc)
     return covers
 
@@ -247,7 +247,8 @@ def _pancyclic_by_growth(g: ColoredCompleteGraph, stats_out: Optional[dict]) -> 
     Its chain at vertex 0 grows H, a PC Hamilton cycle, and
     cycles._window_covers cuts the covers from H, with build for the
     fallbacks.  A run of H is PC inside, so it closes into a PC cycle when
-    its seam a -> b differs in color from H's edges into a and out of b.
+    its seam a -> b differs in color from H's edges into a and out of b
+    (cycles._pc_seam).
     stats_out gains, under growth_quadrangles, growth_inserted,
     growth_swapped (R1), growth_restarted (R5) and growth_oracle_uses (the
     search), how many cycles each rule built, H's chain included, and under
@@ -280,12 +281,7 @@ def _pancyclic_by_growth(g: ColoredCompleteGraph, stats_out: Optional[dict]) -> 
     ham = None  # grows from a quadrangle through 0 into H
     for ln in range(4, n + 1):
         ham = build(ham, 0, ln)
-    m = g._m
-    into = [0] * n  # into[v]: color of H's edge into v; out_of[v]: of H's edge out of v
-    out_of = [0] * n
-    for a, b in zip(ham, ham[1:] + ham[:1]):
-        out_of[a] = into[b] = m[a][b]
-    covers = _window_covers(ham, lambda a, b: into[a] != m[a][b] != out_of[b], build)
+    covers = _window_covers(ham, _pc_seam(g._m, ham), build)
     if stats_out is not None:
         counts["growth_reused"] = n * (n - 3) - sum(counts.values())
         for key, count in counts.items():
@@ -362,14 +358,33 @@ def validate_result(g: ColoredCompleteGraph, result: TrichotomyResult) -> bool:
 
     Pancyclic covers need exactly the keys 4..n, and each length L a cover:
     an iterable of properly colored L-cycles, each checked once, whose
-    vertex sets cover V.  A cycle must hold L entries, L distinct ones,
-    all ints, and pass the PC color test, which indexes the color matrix
-    with every entry; no range is tested per entry.  An unhashable entry
-    fails the distinctness test, and any other that is no int (1.0, "a",
-    None, True) the int test, one type lookup per entry in C.  An int of n
-    or more fails an index with IndexError.  A negative int indexes from
-    the end of a row and passes, but it lands in its cover's union, which
-    must equal V = {0..n-1}.  So every entry is a vertex of g, and every
+    vertex sets cover V.  covers[n] is read once, and its first cycle H
+    gets the full test: n entries, all ints, whose set is V = {0..n-1},
+    and the PC color test over every edge.  So H is a PC Hamilton cycle.
+
+    Every cycle must then hold L entries, all ints.  The int test is one
+    type lookup per entry in C, and the only one that fails 0.0 or True,
+    which tuple equality takes for 0 and 1.  A cycle that equals the run
+    of L vertices of H from its first entry (cycles._Windows.start) is a
+    window, and only its seam a -> b, from its last entry back to its
+    first, is tested (cycles._pc_seam): m[a][b] must differ in color from
+    H's edge into a and from H's edge out of b.  That is the whole PC
+    test: the run is a path of H, so its inner edges are H's, and each
+    inner vertex sees two consecutive edges of the PC cycle H; only the two
+    vertices at the seam see the seam edge.  Since L <= n, the run holds L
+    distinct positions of H, hence L distinct vertices.
+
+    Every other cycle gets the full test: L distinct entries, and the PC
+    color test, which indexes the color matrix with every entry.  An int
+    of n or more fails an index with IndexError.  A negative int indexes
+    from the end of a row and so passes the color test, but it fails the
+    lookup in H's position map below with KeyError.
+
+    Coverage is counted by positions on H: a window from position p sets
+    bits p..p+L-1, wrapped around H's end, and any other cycle the bit of
+    each entry's position.  H visits each vertex of V once, so the
+    position map is a bijection from V onto 0..n-1, and the positions a
+    cover sets are all n exactly when its vertex sets cover V.  So every
     vertex lies on a PC cycle of every length from 4 to n.
 
     A degenerate set must pass DegeneracyCertificate.check and leave a
@@ -387,19 +402,37 @@ def validate_result(g: ColoredCompleteGraph, result: TrichotomyResult) -> bool:
         if not isinstance(covers, dict) or covers.keys() != set(range(4, n + 1)):
             return False
         m = g._m
-        everyone = set(range(n))
+        full = (1 << n) - 1
         try:
+            top = tuple(covers[n])  # read once: covers[n] may be a one-shot iterator
+            ham = tuple(top[0])
+            if len(ham) != n or set(ham) != set(range(n)) or not _all_ints(ham):
+                return False
+            if not _pc_closed(m, ham):
+                return False
+            runs = _Windows(ham)
+            start, pos = runs.start, runs.pos
+            closes = _pc_seam(m, ham)
             for ln, cover in covers.items():
-                covered = set()
-                for vs in map(tuple, cover):
-                    if len(vs) != ln or len(set(vs)) != ln or not _all_ints(vs):
+                run = (1 << ln) - 1
+                done = 0  # bit i: position i of H lies on a cycle of the cover
+                for vs in map(tuple, top if ln == n else cover):
+                    if len(vs) != ln or not _all_ints(vs):
                         return False
-                    if not _pc_closed(m, vs):
+                    p = start(vs)
+                    if p >= 0:
+                        if not closes(vs[-1], vs[0]):
+                            return False
+                        bits = run << p
+                        done |= bits | bits >> n
+                    elif len(set(vs)) != ln or not _pc_closed(m, vs):
                         return False
-                    covered.update(vs)
-                if covered != everyone:
+                    else:
+                        for w in vs:
+                            done |= 1 << pos[w]
+                if done & full != full:  # wrapped bits >= n are set too
                     return False
-        except (TypeError, ValueError, IndexError):
+        except (TypeError, ValueError, LookupError):
             return False
         return True
     if result.tag is TrichotomyTag.PROPER_DEGENERATE:

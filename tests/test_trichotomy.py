@@ -527,7 +527,10 @@ def test_orientation_route_fills_the_table_with_one_call(monkeypatch):
         calls.clear()
         result = classify(g)
         assert result.tag is TrichotomyTag.PANCYCLIC and validate_result(g, result)
-        assert calls == [n - 1]
+        # the call asks for vertex 0, which H grows through: its scan stops
+        # at the first cycle of every cover
+        assert calls == [0]
+        assert all(0 in cover[0] for cover in result.cycles.values())
 
 
 def _recovered(result, changes):
@@ -704,6 +707,211 @@ def test_validate_result_checks_shared_tuples():
         assert not validate_result(g, _recovered(res, {ln + 1: longer}))
         bad = type(cover[0])(_non_pc_reordering(g, cover[0]))
         assert not validate_result(g, _recovered(res, {ln: (bad,) + cover[1:]}))
+
+
+def _seam_results():
+    """Tag-(a) results of both routes, at n = 12 and n = 64."""
+    graphs = [_full_only(12, 1), random_no_mono_triangle(12, 5, 0), _full_only(64, 0)]
+    graphs.append(next(generate(GenSpec("gallai", n=64, seed=0))))
+    results = [classify(g) for g in graphs]
+    assert all(r.tag is TrichotomyTag.PANCYCLIC for r in results)
+    return results
+
+
+def _checked(g, forged):
+    """validate_result's answer, asserted equal to the per-vertex reference's."""
+    got = validate_result(g, forged)
+    assert got == _per_vertex_validate(g, forged), forged.cycles
+    return got
+
+
+def _runs(ham, ln):
+    """(p, the run of ln vertices of ham from position p) for each position p."""
+    twice = ham + ham
+    return [(p, twice[p : p + ln]) for p in range(len(ham))]
+
+
+def test_validate_result_tests_a_window_by_its_seam():
+    # a run of H is a PC path; put into a cover, it passes exactly when its
+    # seam closes it into a PC cycle
+    failing = closing = 0
+    for result in _seam_results():
+        g = result.graph
+        n = g.n
+        ham = result.cycles[n][0]
+        for ln in (4, 5, n // 2, n - 1):
+            cover = result.cycles[ln]
+            for p, run in _runs(ham, ln)[:16]:
+                assert is_window(ham, run)
+                closes = is_pc_cycle(g, run)
+                for table in ({ln: cover + (run,)}, {ln: (run,) + cover}):
+                    assert _checked(g, _recovered(result, table)) is closes, (n, ln, p)
+                failing += not closes
+                closing += closes
+    assert failing > 20 and closing > 20
+
+
+def test_validate_result_rejects_a_window_holding_a_float_or_bool():
+    # 0.0 == 0 and True == 1, so the forged cycle still equals its run of
+    # H; only the int test, kept on every cycle, rejects it
+    forged = 0
+    for result in _seam_results():
+        g = result.graph
+        n = g.n
+        ham = result.cycles[n][0]
+        for ln, cover in result.cycles.items():
+            for cyc in cover:
+                if not is_window(ham, cyc):
+                    continue
+                for v, fake in ((0, 0.0), (1, True)):
+                    if v in cyc:
+                        bad = _with_vertex(cyc, cyc.index(v), fake)
+                        assert bad == cyc and is_window(ham, bad)
+                        table = {ln: (bad,) + cover} if ln < n else {n: (bad,)}
+                        assert not _checked(g, _recovered(result, table)), (n, ln, bad)
+                        forged += 1
+                break
+    assert forged > 100
+
+
+def _window_cover_missing(g, ham, ln, q):
+    """Closing runs of ln that avoid position q of ham, if they cover every other position."""
+    n = len(ham)
+    runs = [
+        (p, run)
+        for p, run in _runs(ham, ln)
+        if (q - p) % n >= ln and is_pc_cycle(g, run)
+    ]
+    held = {(p + i) % n for p, _run in runs for i in range(ln)}
+    return tuple(run for _p, run in runs) if held == set(range(n)) - {q} else None
+
+
+def test_validate_result_counts_wrapped_windows_and_one_uncovered_position():
+    # covers made of windows alone: those that avoid position q of H leave
+    # exactly q uncovered and fail; one more closing window through q, one
+    # that wraps across H's end when q is 0 or n - 1, makes them pass
+    tested = wrapped = 0
+    for result in _seam_results():
+        g = result.graph
+        n = g.n
+        ham = result.cycles[n][0]
+        for ln in range(4, n):
+            for q in (0, n // 2, n - 1):
+                rest = _window_cover_missing(g, ham, ln, q)
+                if rest is None:
+                    continue
+                assert not _checked(g, _recovered(result, {ln: rest})), (n, ln, q)
+                through = [
+                    (p, run)
+                    for p, run in _runs(ham, ln)
+                    if (q - p) % n < ln and is_pc_cycle(g, run)
+                ]
+                if not through:
+                    continue
+                p, run = through[-1]
+                for table in ({ln: rest + (run,)}, {ln: (run,) + rest}):
+                    assert _checked(g, _recovered(result, table)), (n, ln, q, p)
+                tested += 1
+                wrapped += p + ln > n
+    assert tested > 20 and wrapped > 10
+
+
+def test_validate_result_reads_a_one_shot_cover_of_length_n_once():
+    # covers[n] may be a generator: H is taken from it without losing it,
+    # and an empty one answers False instead of raising StopIteration
+    for result in _seam_results():
+        g = result.graph
+        n = g.n
+        ham = result.cycles[n][0]
+        broken = _with_vertex(ham, 0, ham[1])
+        for cycles_n, want in (
+            ((ham,), True),
+            ((ham, ham[::-1]), True),
+            ((ham[::-1],), True),
+            ((), False),
+            ((broken,), False),
+            ((ham, broken), False),
+        ):
+            for make in (lambda: (c for c in cycles_n), lambda: iter(cycles_n)):
+                assert validate_result(g, _recovered(result, {n: make()})) is want
+                assert _per_vertex_validate(g, _recovered(result, {n: make()})) is want
+
+
+def test_validate_result_tests_the_first_cycle_of_length_n_in_full():
+    # the first cycle of covers[n] is H, and a forged one fails even when a
+    # valid H follows it; a reversed H is a PC Hamilton cycle of its own,
+    # and against it no window of the forward H is a window
+    for result in _seam_results():
+        g = result.graph
+        n = g.n
+        ham = result.cycles[n][0]
+        for bad in (
+            tuple(_non_pc_reordering(g, ham)),
+            _with_vertex(ham, 0, float(ham[0])),
+            _with_vertex(ham, 0, ham[1]),
+            ham[:-1],
+            ham + (ham[0],),
+            tuple(-1 if v == n - 1 else v for v in ham),
+        ):
+            assert not _checked(g, _recovered(result, {n: (bad, ham)})), bad
+        assert _checked(g, _recovered(result, {n: (ham[::-1], ham)}))
+        assert _checked(g, _recovered(result, {n: (ham[1:] + ham[:1],)}))
+        # -1 for n - 1 in every cycle: m[-1] reads row n - 1, so each cycle
+        # passes its color test, and the windows of the forged H are the
+        # forged windows; only H's set test rejects the certificate
+        swapped = {
+            ln: tuple(tuple(-1 if v == n - 1 else v for v in cyc) for cyc in cover)
+            for ln, cover in result.cycles.items()
+        }
+        assert not _checked(g, dataclasses.replace(result, cycles=swapped))
+
+
+def test_seam_validate_agrees_with_the_per_vertex_check_at_n64():
+    # random forgeries of n = 64 certificates of both routes, H included
+    # (L = n); runs of H, rotations and reversals exercise the seam test
+    # and the full test on valid cycles as well as forged ones
+    rng = random.Random(64)
+    results = [classify(_full_only(64, s)) for s in range(2)]
+    results += [classify(g) for g in generate(GenSpec("gallai", n=64, seed=2, count=2))]
+    assert all(r.tag is TrichotomyTag.PANCYCLIC for r in results)
+    strange = (-1, 64, 2**70, 1.0, "a", None, True, 0.0, -65)
+    outcomes = collections.Counter()
+    forged_h = 0
+    for trial in range(300):
+        result = rng.choice(results)
+        g = result.graph
+        n = g.n
+        ln = n if rng.randrange(4) == 0 else rng.randint(4, n - 1)
+        ham = result.cycles[n][0]
+        cover = list(result.cycles[ln])
+        i = rng.randrange(len(cover))
+        cyc = list(cover[i])
+        move = rng.randrange(8)
+        if move == 0:
+            cyc[rng.randrange(ln)] = rng.choice(strange)
+        elif move == 1:
+            cyc[rng.randrange(ln)] = rng.randrange(n)
+        elif move == 2:
+            a, b = rng.sample(range(ln), 2)
+            cyc[a], cyc[b] = cyc[b], cyc[a]
+        elif move == 3:
+            cyc.insert(rng.randrange(ln + 1), rng.choice(strange + (rng.randrange(n),)))
+        elif move == 4:
+            del cover[i]
+            cyc = None
+        elif move == 5:
+            cyc = list(_runs(ham, ln)[rng.randrange(n)][1])
+        elif move == 6:
+            k = rng.randrange(1, ln)
+            cyc = cyc[k:] + cyc[:k]
+        else:
+            cyc.reverse()
+        if cyc is not None:
+            cover[i] = tuple(cyc)
+        forged_h += ln == n and i == 0
+        outcomes[_checked(g, _recovered(result, {ln: tuple(cover)}))] += 1
+    assert forged_h > 50
+    assert outcomes[True] > 80 and outcomes[False] > 80
 
 
 def _first_through(cover, v):
