@@ -11,8 +11,9 @@ enumerate_pc_cycles lists all of them, once up to rotation and reflection,
 and is how the tests check the walk against the permutation oracle.
 pc_quadrangle_search is the same walk at length 4.  _window_covers, which
 both tag-(a) routes call, cuts per length a cover of V from a Hamilton cycle.
-_Windows recognizes a window of that cycle, and _pc_seam tests the seam of
-a window of a PC one; the routes and trichotomy.validate_result share them.
+_Windows recognizes a window of that cycle, for _window_covers and
+trichotomy.validate_result, and _pc_seam tests the seam of a window of a PC
+one, for the growth route and validate_result.
 """
 
 from __future__ import annotations

