@@ -13,7 +13,6 @@ from .core import (
 from .cycles import (
     AttachmentClass,
     AttachmentKind,
-    Cycle,
     classify_attachment,
     enumerate_pc_cycles,
     find_pc_quadrangle,
@@ -56,7 +55,6 @@ __all__ = [
     "AttachmentKind",
     "ColorStats",
     "ColoredCompleteGraph",
-    "Cycle",
     "DegeneracyCertificate",
     "DegeneracyStatus",
     "DegeneracyTag",

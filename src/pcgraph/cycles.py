@@ -1,19 +1,21 @@
 """Properly colored paths and cycles: predicates, searches, constructors.
 
 "Properly colored" (PC) means consecutive edges carry distinct colors,
-including the wrap-around pair of a cycle.  Every PC-cycle search is one
-depth-first walk, _pc_cycle_search, pruning only on the previous edge color.
-has_pc_cycle returns its first cycle; it is the engine of
-oracles.is_pancyclic_from, and trichotomy.classify's growth route runs it
-as a counted last resort.  classify_attachment decides extendability by
-insertion, then by classify on the induced subgraph, with no search.
-enumerate_pc_cycles lists all of them, once up to rotation and reflection,
-and is how the tests check the walk against the permutation oracle.
-pc_quadrangle_search is the same walk at length 4.  _window_covers, which
-both tag-(a) routes call, cuts per length a cover of V from a Hamilton cycle.
-_Windows recognizes a window of that cycle, for _window_covers and
-trichotomy.validate_result, and _pc_seam tests the seam of a window of a PC
-one, for the growth route and validate_result.
+including the wrap-around pair of a cycle.  A cycle, taken or returned, is a
+tuple of its vertices in cycle order; certificate covers hold the same
+tuples.  Every PC-cycle search is one depth-first walk, _pc_cycle_search,
+pruning only on the previous edge color.  has_pc_cycle returns its first
+cycle; it is the engine of oracles.is_pancyclic_from, and
+trichotomy.classify's growth route runs it as a counted last resort.
+classify_attachment decides extendability by insertion, then by classify on
+the induced subgraph, with no search.  enumerate_pc_cycles lists all of
+them, once up to rotation and reflection (_canonical), and is how the tests
+check the walk against the permutation oracle.  pc_quadrangle_search is the
+same walk at length 4.  _window_covers, which both tag-(a) routes call, cuts
+per length a cover of V from a Hamilton cycle.  _Windows recognizes a window
+of that cycle, for _window_covers and trichotomy.validate_result, and
+_pc_seam tests the seam of a window of a PC one, for the growth route and
+validate_result.
 """
 
 from __future__ import annotations
@@ -29,74 +31,9 @@ from .errors import (
     InternalError,
     MonochromaticTrianglePresent,
     PreconditionViolated,
-    RepeatedVertex,
     TooSmall,
     VertexOnCycle,
 )
-
-
-class Cycle:
-    """Oriented cycle as a tuple of distinct vertices with navigation helpers.
-
-    The vertex set, kept beside the tuple, checks distinctness by its size
-    and answers ``in``.  succ and pred, which classify_attachment asks, find
-    positions with ``vertices.index``.  Certificate covers hold plain vertex
-    tuples, not Cycles.
-    """
-
-    __slots__ = ("vertices", "_members")
-
-    def __init__(self, vertices: Sequence[int]):
-        try:
-            vs = self.vertices = tuple(vertices)
-            self._members = frozenset(vs)
-        except TypeError:
-            raise PreconditionViolated("vertices", f"not a vertex sequence: {vertices!r}") from None
-        if len(vs) < 3:
-            raise BadLength(f"cycles need >= 3 vertices, got {len(vs)}")
-        if len(self._members) != len(vs):
-            raise RepeatedVertex(f"repeated vertex in {list(vs)}")
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def __iter__(self):
-        return iter(self.vertices)
-
-    def __contains__(self, v) -> bool:
-        return v in self._members
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Cycle) and self.vertices == other.vertices
-
-    def __hash__(self) -> int:
-        return hash(self.vertices)
-
-    def __repr__(self) -> str:
-        return f"Cycle{self.vertices}"
-
-    def _index(self, v: int) -> int:
-        """Position of v on the cycle; PreconditionViolated unless v is an int on it."""
-        if not (_is_int(v) and v in self._members):
-            raise PreconditionViolated(
-                "vertex", f"{v!r} is not on the cycle {list(self.vertices)}"
-            )
-        return self.vertices.index(v)
-
-    def succ(self, v: int) -> int:
-        return self.vertices[(self._index(v) + 1) % len(self.vertices)]
-
-    def pred(self, v: int) -> int:
-        return self.vertices[self._index(v) - 1]
-
-    def canonical(self) -> "Cycle":
-        """Rotate the smallest vertex first and orient toward its smaller neighbor."""
-        vs = self.vertices
-        i = vs.index(min(vs))
-        rot = vs[i:] + vs[:i]
-        if rot[1] > rot[-1]:
-            rot = (rot[0],) + tuple(reversed(rot[1:]))
-        return Cycle(rot)
 
 
 def is_pc_cycle(g: ColoredCompleteGraph, seq) -> bool:
@@ -150,9 +87,9 @@ def _pc_cycle_search(
     Paths grow from v in vertex order, skipping a vertex whose edge repeats
     the previous color, and close when the closing edge differs from both
     edges it meets.  The start color -1 sits only on the diagonal.  A
-    closed walk's value is Cycle(walk), or visit(walk) with a visit
-    callback, which gets each closed walk as a tuple (each cycle once per
-    direction).  The walk returns the first value that is not None, or None.
+    closed walk's value is the walk, a tuple, or visit(walk) with a visit
+    callback, which gets each cycle once per direction.  The walk returns
+    the first value that is not None, or None.
     """
     _check_vertex(g.n, v)
     if not (_is_int(length) and 3 <= length <= g.n):
@@ -167,7 +104,7 @@ def _pc_cycle_search(
         if len(path) == length:
             closing = m[path[-1]][v]
             if closing != prev_color and closing != m[v][path[1]]:
-                return Cycle(path) if visit is None else visit(tuple(path))
+                return tuple(path) if visit is None else visit(tuple(path))
             return None
         row = m[path[-1]]
         for w in range(n):
@@ -187,7 +124,14 @@ def _pc_cycle_search(
         del dfs  # dfs holds itself through its closure cell; leave no cycle for gc
 
 
-def enumerate_pc_cycles(g: ColoredCompleteGraph, v: int, length: int) -> List[Cycle]:
+def _canonical(vs: tuple) -> tuple:
+    """vs rotated to its smallest vertex, oriented toward that vertex's smaller neighbor."""
+    i = vs.index(min(vs))
+    rot = vs[i:] + vs[:i]
+    return rot[:1] + rot[:0:-1] if rot[1] > rot[-1] else rot
+
+
+def enumerate_pc_cycles(g: ColoredCompleteGraph, v: int, length: int) -> List[tuple]:
     """All PC cycles of the given length through v, canonical and sorted.
 
     Rotations and reflections are identified: the walk fixes v first, and of
@@ -196,12 +140,10 @@ def enumerate_pc_cycles(g: ColoredCompleteGraph, v: int, length: int) -> List[Cy
     """
     walks: list = []
     _pc_cycle_search(g, v, length, walks.append)
-    return sorted(
-        (Cycle(w).canonical() for w in walks if w[1] < w[-1]), key=lambda c: c.vertices
-    )
+    return sorted(_canonical(w) for w in walks if w[1] < w[-1])
 
 
-def has_pc_cycle(g: ColoredCompleteGraph, v: int, length: int) -> Optional[Cycle]:
+def has_pc_cycle(g: ColoredCompleteGraph, v: int, length: int) -> Optional[tuple]:
     """First PC cycle of the given length through v, or None (early exit)."""
     return _pc_cycle_search(g, v, length)
 
@@ -373,14 +315,13 @@ class AttachmentKind(Enum):
 @dataclass(frozen=True)
 class AttachmentClass:
     kind: AttachmentKind
-    cycle: Optional[Cycle] = None
+    cycle: Optional[tuple] = None
     color: Optional[int] = None
 
 
-def insert_into_pc_cycle(g: ColoredCompleteGraph, cycle: Cycle, v: int) -> Optional[Cycle]:
-    """PC cycle on V(cycle)+{v} obtained by inserting v between neighbors, or None."""
+def insert_into_pc_cycle(g: ColoredCompleteGraph, vs: tuple, v: int) -> Optional[tuple]:
+    """PC cycle on V(vs)+{v} obtained by inserting v between neighbors of vs, or None."""
     m = g._m
-    vs = cycle.vertices
     ln = len(vs)
     rowv = m[v]
     for i in range(ln):
@@ -393,7 +334,7 @@ def insert_into_pc_cycle(g: ColoredCompleteGraph, cycle: Cycle, v: int) -> Optio
             continue
         if cb == m[b][vs[(i + 2) % ln]]:
             continue
-        return Cycle(vs[: i + 1] + (v,) + vs[i + 1 :])
+        return vs[: i + 1] + (v,) + vs[i + 1 :]
     return None
 
 
@@ -421,47 +362,53 @@ def classify_attachment(g: ColoredCompleteGraph, cycle: Sequence[int], v: int) -
     first of its length-|H| cover.  Tags (b) and (c) rule one out, as the
     boundary edges of a proper degenerate set lie on no PC cycle and the
     double pentagon has no PC pentagon.  A cycle vertex or v outside g
-    raises UnknownVertex, and a monochromatic triangle inside H, when no
-    insertion fits, raises MonochromaticTrianglePresent.
+    raises UnknownVertex, a cycle of fewer than 3 vertices BadLength, a
+    cycle that is not PC PreconditionViolated, and a monochromatic triangle
+    inside H, when no insertion fits, MonochromaticTrianglePresent.
     """
     from .trichotomy import TrichotomyTag, classify  # trichotomy imports this module
 
-    cycle = Cycle(_check_vertices(g.n, cycle))
+    vs = _check_vertices(g.n, cycle)
+    if len(vs) < 3:
+        raise BadLength(f"cycles need >= 3 vertices, got {len(vs)}")
     _check_vertex(g.n, v)
-    if v in cycle:
+    if v in vs:
         raise VertexOnCycle(f"{v} lies on the cycle")
-    witness = insert_into_pc_cycle(g, cycle, v)
+    m = g._m
+    if not _pc_closed(m, vs):
+        raise PreconditionViolated("properly-colored", f"{list(vs)} is not a PC cycle")
+    witness = insert_into_pc_cycle(g, vs, v)
     if witness is None:
-        vs = cycle.vertices + (v,)
-        res = classify(_induced(g, vs))
+        hv = vs + (v,)
+        res = classify(_induced(g, hv))
         if res.tag is TrichotomyTag.PANCYCLIC:
-            witness = Cycle([vs[i] for i in res.cycles[len(vs)][0]])
+            witness = tuple(hv[i] for i in res.cycles[len(hv)][0])
     if witness is not None:
         return AttachmentClass(AttachmentKind.EXTENDABLE, cycle=witness)
-    m = g._m
     rowv = m[v]
-    colors = {rowv[u] for u in cycle.vertices}
+    colors = {rowv[u] for u in vs}
     if len(colors) == 1:
         return AttachmentClass(
             AttachmentKind.SINGLE_COLOR, color=g._palette[colors.pop()]
         )
-    if all(rowv[u] == m[u][cycle.pred(u)] for u in cycle.vertices):
+    k = len(vs)
+    if all(rowv[u] == m[u][vs[i - 1]] for i, u in enumerate(vs)):
         return AttachmentClass(AttachmentKind.ALL_PREDECESSOR)
-    if all(rowv[u] == m[u][cycle.succ(u)] for u in cycle.vertices):
+    if all(rowv[u] == m[u][vs[(i + 1) % k]] for i, u in enumerate(vs)):
         return AttachmentClass(AttachmentKind.ALL_SUCCESSOR)
     raise InternalError(
         "attachment fits no case of the non-extendable classification",
         instance=g,
-        context={"cycle": list(cycle.vertices), "vertex": v},
+        context={"cycle": list(vs), "vertex": v},
     )
 
 
-def pc_quadrangle_search(g: ColoredCompleteGraph, v: int) -> Optional[Cycle]:
+def pc_quadrangle_search(g: ColoredCompleteGraph, v: int) -> Optional[tuple]:
     """First PC quadrangle through v in walk order: has_pc_cycle(g, v, 4)."""
     return _pc_cycle_search(g, v, 4)
 
 
-def find_pc_quadrangle(g: ColoredCompleteGraph, v: int) -> Cycle:
+def find_pc_quadrangle(g: ColoredCompleteGraph, v: int) -> tuple:
     """PC quadrangle through v; guaranteed on non-degenerate mono-triangle-free input."""
     if g.n < 4:
         raise PreconditionViolated("size", f"need n >= 4, got {g.n}")

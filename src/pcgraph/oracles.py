@@ -15,7 +15,7 @@ import itertools
 from typing import Iterator, List, Optional, Set, Tuple
 
 from .core import ColoredCompleteGraph
-from .cycles import Cycle, is_pc_cycle
+from .cycles import _canonical, is_pc_cycle
 from .detect import DegeneracyTag
 from .tournaments import MultipartiteTournament
 
@@ -105,7 +105,7 @@ def pc_cycles_by_permutation(g: ColoredCompleteGraph, v: int, length: int) -> Se
     for perm in itertools.permutations(others, length - 1):
         seq = (v,) + perm
         if is_pc_cycle(g, seq):
-            out.add(Cycle(seq).canonical().vertices)
+            out.add(_canonical(seq))
     return out
 
 

@@ -534,8 +534,8 @@ def lift_cycle(g: ColoredCompleteGraph, f, cycle: Sequence[int]) -> tuple:
     """Read a directed cycle of the f-orientation as a properly colored cycle.
 
     Consecutive arcs u -> v -> w carry colors f(u) != f(v), so the vertex
-    sequence is properly colored as-is; it is returned as the checked tuple,
-    and no Cycle is built.  Raises CycleNotInDigraph when the cycle is no
+    sequence is properly colored as-is; it is returned as the checked tuple.
+    Raises CycleNotInDigraph when the cycle is no
     sequence, is shorter than 3 or repeats a vertex, when any consecutive
     pair is not an arc of the orientation, and when a vertex is not an int
     in 0..n-1; IncompatibleFunction when f has no value for a vertex of g

@@ -26,7 +26,6 @@ from typing import Dict, Optional
 
 from .core import ColoredCompleteGraph, _all_ints, stats
 from .cycles import (
-    Cycle,
     _pc_closed,
     _pc_cycle_search,
     _pc_seam,
@@ -165,13 +164,13 @@ def _pancyclic_via_orientation(g: ColoredCompleteGraph, cert: DegeneracyCertific
     return covers
 
 
-def _grow_step(g: ColoredCompleteGraph, cur: Cycle, v: int):
+def _grow_step(g: ColoredCompleteGraph, cur: tuple, v: int):
     """(PC cycle one vertex longer than cur through v, its rule key) or (None, None).
 
     Single-vertex insertion in vertex order, then R1 (_swap_in_pair), both
     over one list of the vertices off cur.
     """
-    on = cur._members
+    on = set(cur)
     outside = [w for w in range(g.n) if w not in on]
     for w in outside:
         grown = insert_into_pc_cycle(g, cur, w)
@@ -183,7 +182,7 @@ def _grow_step(g: ColoredCompleteGraph, cur: Cycle, v: int):
     return None, None
 
 
-def _swap_in_pair(g: ColoredCompleteGraph, cycle: Cycle, v: int, outside: list) -> Optional[Cycle]:
+def _swap_in_pair(g: ColoredCompleteGraph, cycle: tuple, v: int, outside: list) -> Optional[tuple]:
     """R1: replace one cycle vertex other than v by a PC 2-path x, y.
 
     With the cycle written c_0..c_(k-1) from v = c_0, vertex c_i (i >= 1)
@@ -193,8 +192,8 @@ def _swap_in_pair(g: ColoredCompleteGraph, cycle: Cycle, v: int, outside: list) 
     cycle; needs at least two of them, since x != y.
     """
     m = g._m
-    i = cycle.vertices.index(v)
-    vs = cycle.vertices[i:] + cycle.vertices[:i]
+    i = cycle.index(v)
+    vs = cycle[i:] + cycle[:i]
     k = len(vs)
     for i in range(1, k):
         p, q = vs[i - 1], vs[(i + 1) % k]
@@ -212,11 +211,11 @@ def _swap_in_pair(g: ColoredCompleteGraph, cycle: Cycle, v: int, outside: list) 
                 cxy = rowx[y]
                 cy = rowq[y]
                 if cxy != cx and cy != cxy and cy != from_q:
-                    return Cycle(vs[:i] + (x, y) + vs[i + 1 :])
+                    return vs[:i] + (x, y) + vs[i + 1 :]
     return None
 
 
-def _regrow_quadrangle(g: ColoredCompleteGraph, v: int, length: int) -> Optional[Cycle]:
+def _regrow_quadrangle(g: ColoredCompleteGraph, v: int, length: int) -> Optional[tuple]:
     """R5: the first PC quadrangle through v that _grow_step lengthens to length.
 
     The quadrangles are the length-4 walks of _pc_cycle_search in walk
@@ -226,8 +225,7 @@ def _regrow_quadrangle(g: ColoredCompleteGraph, v: int, length: int) -> Optional
     reaches it.
     """
 
-    def regrow(walk: tuple) -> Optional[Cycle]:
-        cyc: Optional[Cycle] = Cycle(walk)
+    def regrow(cyc: tuple) -> Optional[tuple]:
         while cyc is not None and len(cyc) < length:
             cyc = _grow_step(g, cyc, v)[0]
         return cyc
@@ -260,7 +258,7 @@ def _pancyclic_by_growth(g: ColoredCompleteGraph, stats_out: Optional[dict]) -> 
         if cur is None:
             cyc, rule = pc_quadrangle_search(g, v), "growth_quadrangles"
         else:
-            cyc, rule = _grow_step(g, Cycle(cur), v)
+            cyc, rule = _grow_step(g, cur, v)
             if cyc is None:
                 cyc = _regrow_quadrangle(g, v, ln)
                 rule = "growth_restarted"
@@ -273,7 +271,7 @@ def _pancyclic_by_growth(g: ColoredCompleteGraph, stats_out: Optional[dict]) -> 
                 context={"vertex": v, "length": ln},
             )
         counts[rule] = counts.get(rule, 0) + 1
-        return cyc.vertices
+        return cyc
 
     n = g.n
     ham = None  # grows from a quadrangle through 0 into H

@@ -22,7 +22,6 @@ import pcgraph
 from pcgraph import (
     AttachmentClass,
     AttachmentKind,
-    Cycle,
     DegeneracyCertificate,
     DegeneracyTag,
     MultipartiteTournament,
@@ -132,7 +131,7 @@ def pool():
 
 
 def _pc():
-    return has_pc_cycle(pool()["growth"], 0, 5).vertices
+    return has_pc_cycle(pool()["growth"], 0, 5)
 
 
 def _directed():
@@ -181,8 +180,9 @@ CASES = [
     ("enumerate_pc_cycles", lambda b: enumerate_pc_cycles(P()["growth"], b, 4)),
     ("enumerate_pc_cycles", lambda b: enumerate_pc_cycles(P()["growth"], 0, b)),
     ("find_pc_quadrangle", lambda b: find_pc_quadrangle(P()["growth"], b)),
-    ("Cycle", lambda b: Cycle(b)),
-    ("Cycle", lambda b: Cycle((0, 1, b))),
+    # a malformed vertex in a triangle, and in too short a cycle, where it is reported first
+    ("classify_attachment", lambda b: classify_attachment(P()["growth"], (0, 1, b), 7)),
+    ("classify_attachment", lambda b: classify_attachment(P()["growth"], (0, b), 7)),
     ("classify_attachment", lambda b: classify_attachment(P()["growth"], b, 7)),
     ("classify_attachment", lambda b: classify_attachment(P()["growth"], _at(_pc(), 2, b), 7)),
     ("classify_attachment", lambda b: classify_attachment(P()["growth"], _pc(), b)),
@@ -226,9 +226,6 @@ CASES = [
     ("families", lambda b: GenSpec("randomNoMono", n=8, k=4, seed=0, count=b)),
     ("families", lambda b: GenSpec("randomNoMono", n=b, k=4)),
     ("sweep", lambda b: run_sweep(SweepConfig(family="exhaustive", n=4, workers=b))),
-    # appended, not inserted, so that the numbered case ids above stay put
-    ("Cycle", lambda b: Cycle((0, 1, 2)).succ(b)),
-    ("Cycle", lambda b: Cycle((0, 1, 2)).pred(b)),
 ]
 
 # names whose every argument is a graph or digraph: driven with valid input only
@@ -288,11 +285,6 @@ def test_quoted_probes():
     assert validate_result(g, None) is False
     with pytest.raises(ResultMismatch):
         side_conditions(g, None)
-    for off in (5, [5]):
-        for step in (Cycle((0, 1, 2)).succ, Cycle((0, 1, 2)).pred):
-            with pytest.raises(PreconditionViolated) as err:
-                step(off)
-            assert err.value.which == "vertex"
 
 
 def test_one_vertex_check_serves_graphs_and_digraphs():

@@ -1,6 +1,5 @@
 import gc
 import itertools
-import pickle
 import random
 
 import pytest
@@ -13,7 +12,7 @@ from pcgraph import build
 from pcgraph.core import ColoredCompleteGraph
 from pcgraph.cycles import (
     AttachmentKind,
-    Cycle,
+    _canonical,
     _induced,
     _try_lengthen,
     _window_covers,
@@ -43,37 +42,38 @@ from pcgraph.trichotomy import classify
 from pcgraph.oracles import pc_cycles_by_permutation
 
 
-def test_cycle_navigation():
-    c = Cycle((3, 1, 4, 0))
-    assert c.succ(3) == 1 and c.pred(3) == 0
-    assert c.canonical().vertices == (0, 3, 1, 4)
+def test_cycle_navigation(double_pentagon):
+    # a cycle is its vertex tuple: _canonical rotates the smallest vertex
+    # first and turns toward its smaller neighbor, and classify_attachment
+    # reads each vertex's predecessor and successor by index, around the end
+    assert _canonical((3, 1, 4, 0)) == (0, 3, 1, 4)
+    for vs in ((0, 1, 4, 3), (1, 4, 3, 0), (3, 0, 1, 4)):
+        pred = classify_attachment(double_pentagon, vs, 2)
+        succ = classify_attachment(double_pentagon, vs[::-1], 2)
+        assert pred.kind is AttachmentKind.ALL_PREDECESSOR
+        assert succ.kind is AttachmentKind.ALL_SUCCESSOR
 
 
 def test_cycle_checks_membership_and_navigation():
+    # classify_attachment checks the cycle it is given: its vertices and
+    # their repeats, its length, then whether the outside vertex lies on it
+    g = random_no_mono_triangle(8, 4, 0)
     with pytest.raises(BadLength, match=r"^cycles need >= 3 vertices, got 2$"):
-        Cycle((0, 1))
+        classify_attachment(g, (0, 1), 4)
     with pytest.raises(RepeatedVertex, match=r"^repeated vertex in \[2, 5, 2\]$"):
-        Cycle([2, 5, 2])
+        classify_attachment(g, [2, 5, 2], 4)
     # an iterator is consumed once, so the message names the stored tuple
     with pytest.raises(RepeatedVertex, match=r"^repeated vertex in \[1, 2, 1\]$"):
-        Cycle(v for v in (1, 2, 1))
-    c = Cycle([3, 1, 4, 0, 6])
-    assert len(c) == 5 and list(c) == [3, 1, 4, 0, 6]
-    assert all(v in c for v in (3, 1, 4, 0, 6, 4.0))
-    assert not any(v in c for v in (2, 5, -1, "3", None))
-    with pytest.raises(TypeError):
-        [3] in c
-    assert [c.succ(v) for v in c] == [1, 4, 0, 6, 3]
-    assert [c.pred(v) for v in c] == [6, 3, 1, 4, 0]
-    assert c.canonical() == Cycle((0, 4, 1, 3, 6))
-    for off in (2, -1, 5, True, 4.0, [3], None):
-        for step in (c.succ, c.pred):
-            with pytest.raises(PreconditionViolated, match="is not on the cycle") as err:
-                step(off)
-            assert err.value.which == "vertex"
-    again = pickle.loads(pickle.dumps(c))
-    assert again == c and hash(again) == hash(c) and again.vertices == c.vertices
-    assert 4 in again and 2 not in again and again.succ(6) == 3 and again.pred(3) == 6
+        classify_attachment(g, (v for v in (1, 2, 1)), 4)
+    c = (3, 1, 4, 0, 6)
+    for v in c:
+        with pytest.raises(VertexOnCycle, match=f"^{v} lies on the cycle$"):
+            classify_attachment(g, c, v)
+    for off in (True, 4.0, [3], None):
+        with pytest.raises(UnknownVertex):
+            classify_attachment(g, c, off)
+    turns = [c[i:] + c[:i] for i in range(5)]
+    assert {_canonical(vs) for vs in turns + [vs[::-1] for vs in turns]} == {(0, 4, 1, 3, 6)}
 
 
 def test_is_pc_cycle_examples(double_pentagon, rainbow_k4):
@@ -129,7 +129,7 @@ def test_enumerate_counts_rainbow(rainbow_k4):
 def test_enumerate_double_pentagon(double_pentagon):
     assert enumerate_pc_cycles(double_pentagon, 0, 5) == []
     quads = enumerate_pc_cycles(double_pentagon, 0, 4)
-    assert Cycle((0, 1, 4, 3)).canonical() in quads
+    assert _canonical((0, 1, 4, 3)) in quads
     for bad in (6, 4.5, 4.0, "4"):
         with pytest.raises(BadLength):
             enumerate_pc_cycles(double_pentagon, 0, bad)
@@ -148,7 +148,7 @@ def test_enumerate_matches_naive_oracle():
         )
         v = rng.randrange(n)
         for ln in range(3, n + 1):
-            mine = {c.vertices for c in enumerate_pc_cycles(g, v, ln)}
+            mine = set(enumerate_pc_cycles(g, v, ln))
             naive = pc_cycles_by_permutation(g, v, ln)
             assert mine == naive, (trial, n, ln)
 
@@ -166,7 +166,7 @@ def test_has_pc_cycle_agrees_with_enumeration(double_pentagon):
                     misses += 1
                 else:
                     assert v in found and len(found) == ln and is_pc_cycle(g, found)
-                    assert found.canonical() in listed
+                    assert _canonical(found) in listed
                     hits += 1
     assert hits > 0 and misses > 0
 
@@ -243,10 +243,9 @@ def test_pc_path_absorbs_every_vertex():
 
 
 def test_insert_into_pc_cycle(rainbow_k4):
-    c = Cycle((0, 1, 2))
-    grown = insert_into_pc_cycle(rainbow_k4, c, 3)
+    grown = insert_into_pc_cycle(rainbow_k4, (0, 1, 2), 3)
     assert grown is not None and is_pc_cycle(rainbow_k4, grown)
-    assert set(grown.vertices) == {0, 1, 2, 3}
+    assert set(grown) == {0, 1, 2, 3}
 
 
 def test_classify_attachment_single_color():
@@ -257,7 +256,7 @@ def test_classify_attachment_single_color():
         (0, 4, 5), (1, 4, 5), (2, 4, 5), (3, 4, 5),
     ]
     g = build(5, edges)
-    res = classify_attachment(g, Cycle((0, 1, 2, 3)), 4)
+    res = classify_attachment(g, (0, 1, 2, 3), 4)
     assert res.kind is AttachmentKind.SINGLE_COLOR and res.color == 5
 
 
@@ -271,46 +270,46 @@ def test_classify_attachment_extendable_beyond_insertion():
         (0, 4, 1), (1, 4, 2), (2, 4, 1), (3, 4, 2),
     ]
     g = build(5, edges)
-    cyc = Cycle((0, 1, 2, 3))
+    cyc = (0, 1, 2, 3)
     assert insert_into_pc_cycle(g, cyc, 4) is None
     res = classify_attachment(g, cyc, 4)
     assert res.kind is AttachmentKind.EXTENDABLE
-    assert set(res.cycle.vertices) == {0, 1, 2, 3, 4}
+    assert set(res.cycle) == {0, 1, 2, 3, 4}
     assert is_pc_cycle(g, res.cycle)
 
 
 def test_classify_attachment_rejects_cycle_vertices_outside_graph():
     g = random_no_mono_triangle(6, 3, 0)
-    for cycle in (Cycle((0, 1, 2, 9)), Cycle((0, 1, 2, -1))):
+    for cycle in ((0, 1, 2, 9), (0, 1, 2, -1)):
         with pytest.raises(UnknownVertex):
             classify_attachment(g, cycle, 4)
     # the vertex is checked before membership, so an unhashable one is named
     for v in (6, -1, 1.5, "4", None, [1]):
         with pytest.raises(UnknownVertex):
-            classify_attachment(g, Cycle((0, 1, 2, 3)), v)
+            classify_attachment(g, (0, 1, 2, 3), v)
 
 
 def test_classify_attachment_double_pentagon(double_pentagon):
-    res = classify_attachment(double_pentagon, Cycle((0, 1, 4, 3)), 2)
+    res = classify_attachment(double_pentagon, (0, 1, 4, 3), 2)
     assert res.kind is AttachmentKind.ALL_PREDECESSOR
-    rev = classify_attachment(double_pentagon, Cycle((0, 3, 4, 1)), 2)
+    rev = classify_attachment(double_pentagon, (0, 3, 4, 1), 2)
     assert rev.kind is AttachmentKind.ALL_SUCCESSOR
     with pytest.raises(VertexOnCycle):
-        classify_attachment(double_pentagon, Cycle((0, 1, 4, 3)), 0)
+        classify_attachment(double_pentagon, (0, 1, 4, 3), 0)
 
 
 def test_classify_attachment_takes_any_vertex_sequence(double_pentagon):
-    # a tuple, a list and a Cycle of the same vertices give equal results,
+    # a tuple, a list and an iterator of the same vertices give equal results,
     # and a sequence that is no cycle still raises the package's error
     g = random_no_mono_triangle(8, 4, 0)
     cases = [(double_pentagon, (0, 1, 4, 3), 2), (double_pentagon, (0, 3, 4, 1), 2)]
     for ln in (4, 5, 7):
         cyc = enumerate_pc_cycles(g, 0, ln)[0]
-        cases += [(g, cyc.vertices, w) for w in range(g.n) if w not in cyc]
+        cases += [(g, cyc, w) for w in range(g.n) if w not in cyc]
     kinds = set()
     for h, vs, w in cases:
-        res = classify_attachment(h, Cycle(vs), w)
-        assert classify_attachment(h, vs, w) == res == classify_attachment(h, list(vs), w)
+        res = classify_attachment(h, vs, w)
+        assert res == classify_attachment(h, list(vs), w) == classify_attachment(h, iter(vs), w)
         kinds.add(res.kind)
     assert len(kinds) > 1
     for bad in ((0, 1), [0], (), (0, 1, 0, 3)):
@@ -318,9 +317,50 @@ def test_classify_attachment_takes_any_vertex_sequence(double_pentagon):
             classify_attachment(g, bad, 4)
 
 
+def test_classify_attachment_rejects_a_cycle_that_is_not_pc():
+    # without the check, the first gave EXTENDABLE with the non-PC witness
+    # (0, 5, 6, 4, 3), and the second raised the InternalError alarm
+    for g, cycle, v in (
+        (random_no_mono_triangle(7, 3, 1), (0, 5, 4, 3), 6),
+        (gallai_coloring(8, 39)[0], (5, 4, 3), 0),
+    ):
+        assert not is_pc_cycle(g, cycle)
+        with pytest.raises(PreconditionViolated, match=r"is not a PC cycle$") as err:
+            classify_attachment(g, cycle, v)
+        assert err.value.which == "properly-colored"
+
+
+def test_classify_attachment_on_random_cycles():
+    # random vertex sequences, most not PC, and PC cycles from the walk:
+    # a non-PC one is rejected, and every EXTENDABLE witness is a PC cycle
+    # on the cycle's vertices and the outside one
+    rng = random.Random(8)
+    graphs = [random_no_mono_triangle(8, 3 + i % 3, i) for i in range(10)]
+    graphs += [gallai_coloring(8, i)[0] for i in range(10)]
+    rejected = witnesses = 0
+    for g in graphs:
+        for _ in range(30):
+            ln = rng.randrange(3, g.n)
+            cycle = tuple(rng.sample(range(g.n), ln))
+            if rng.random() < 0.5:
+                cycle = rng.choice(enumerate_pc_cycles(g, cycle[0], ln) or [cycle])
+            v = rng.choice([w for w in range(g.n) if w not in cycle])
+            if not is_pc_cycle(g, cycle):
+                with pytest.raises(PreconditionViolated):
+                    classify_attachment(g, cycle, v)
+                rejected += 1
+                continue
+            res = classify_attachment(g, cycle, v)
+            if res.kind is AttachmentKind.EXTENDABLE:
+                assert sorted(res.cycle) == sorted(cycle + (v,))
+                assert is_pc_cycle(g, res.cycle)
+                witnesses += 1
+    assert rejected > 100 and witnesses > 100
+
+
 def _extendable_by_search(g, cycle, w):
     """Reference decider: DFS for a PC Hamilton cycle of G[V(cycle)+w]."""
-    vs = cycle.vertices + (w,)
+    vs = cycle + (w,)
     return has_pc_cycle(_induced(g, vs), 0, len(vs)) is not None
 
 
@@ -375,19 +415,19 @@ def test_classify_attachment_trichotomy_random():
                 res = classify_attachment(g, cyc, w)
                 checked += 1
                 if res.kind is AttachmentKind.EXTENDABLE:
-                    assert set(res.cycle.vertices) == set(cyc.vertices) | {w}
+                    assert set(res.cycle) == set(cyc) | {w}
                     assert is_pc_cycle(g, res.cycle)
                     continue
                 # the three non-extendable patterns are mutually exclusive
                 single = len({g.color(w, u) for u in cyc}) == 1
-                pred = all(g.color(w, u) == g.color(u, cyc.pred(u)) for u in cyc)
-                succ = all(g.color(w, u) == g.color(u, cyc.succ(u)) for u in cyc)
+                pred = all(g.color(w, u) == g.color(u, cyc[i - 1]) for i, u in enumerate(cyc))
+                succ = all(g.color(w, u) == g.color(u, cyc[(i + 1) % ln]) for i, u in enumerate(cyc))
                 assert single + pred + succ == 1
-                target = tuple(sorted(set(cyc.vertices) | {w}))
+                target = tuple(sorted(set(cyc) | {w}))
                 covering = [
                     c
                     for c in enumerate_pc_cycles(g, w, ln + 1)
-                    if tuple(sorted(c.vertices)) == target
+                    if tuple(sorted(c)) == target
                 ]
                 assert covering == []
     assert checked > 300

@@ -7,17 +7,15 @@ import pytest
 from helpers import is_window, random_multipartite_tournament, random_tournament
 
 import pcgraph.tournaments as tournaments_mod
-from pcgraph.cycles import Cycle, is_pc_cycle
+from pcgraph.cycles import is_pc_cycle
 from pcgraph.detect import DegeneracyTag, degeneracy_status
 from pcgraph.errors import (
-    BadLength,
     CycleNotInDigraph,
     FiberTooLarge,
     IncompatibleFunction,
     NotATournament,
     NotStronglyConnected,
     PreconditionViolated,
-    RepeatedVertex,
 )
 from pcgraph.families import (
     GenSpec,
@@ -795,22 +793,21 @@ def _reference_lift(g, f, cycle):
     seq = tuple(cycle)
     m = g._m
     pal = g._palette
+    if len(seq) < 3 or len(set(seq)) != len(seq):
+        raise CycleNotInDigraph(f"{list(seq)} is not a directed cycle")
     try:
-        cyc = Cycle(seq)
         if min(seq) < 0 or any(type(v) is not int for v in seq):
             raise IndexError
         for u, v in zip(seq, seq[1:] + seq[:1]):
             if not (pal[m[u][v]] == f[u] != f[v]):
                 raise CycleNotInDigraph(f"({u},{v}) is not an arc of the orientation")
-    except (BadLength, RepeatedVertex):
-        raise CycleNotInDigraph(f"{list(seq)} is not a directed cycle") from None
     except (IndexError, TypeError):
         raise CycleNotInDigraph(
             f"{list(seq)} has a vertex outside 0..{g.n - 1}"
         ) from None
     except KeyError as err:
         raise IncompatibleFunction(f"f is missing vertex {err.args[0]}") from None
-    return cyc
+    return seq
 
 
 def _lift_outcome(lift, g, f, seq):

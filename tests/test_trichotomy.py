@@ -11,7 +11,6 @@ from helpers import is_window, random_instance_pool
 
 from pcgraph import build, loads_instance
 from pcgraph.cycles import (
-    Cycle,
     _pc_closed,
     _pc_cycle_search,
     enumerate_pc_cycles,
@@ -145,7 +144,7 @@ def test_pc_cycle_walk_order_is_pinned():
         for v in range(g.n):
             for ln in range(3, g.n + 1):
                 cyc = has_pc_cycle(g, v, ln)
-                found = "none" if cyc is None else " ".join(map(str, cyc.vertices))
+                found = "none" if cyc is None else " ".join(map(str, cyc))
                 digest.update(f"{v} {ln} {found}\n".encode())
     want = "83e1a1af830dd74362dfb7e3b237f34939baf6b2f0f44fc9fcee7f950a4f1b36"
     assert digest.hexdigest() == want
@@ -164,7 +163,7 @@ def _random_pc_cycles(count, seed, span=lambda n: (4, n - 1)):
             listed = enumerate_pc_cycles(g, rng.randrange(g.n), ln)
             if listed:
                 cyc = rng.choice(listed)
-                out.append((g, cyc, rng.choice(cyc.vertices)))
+                out.append((g, cyc, rng.choice(cyc)))
     return out
 
 
@@ -174,8 +173,8 @@ def _off(g, cyc):
 
 def _swaps(g, cyc, v):
     """Every R1 candidate in the rule's order: c_i gives way to x, y."""
-    i = cyc.vertices.index(v)
-    vs = cyc.vertices[i:] + cyc.vertices[:i]
+    i = cyc.index(v)
+    vs = cyc[i:] + cyc[:i]
     outside = _off(g, cyc)
     for i in range(1, len(vs)):
         for x in outside:
@@ -195,7 +194,7 @@ def test_growth_rule_returns_its_first_pc_candidate():
             assert first is None
             misses += 1
         else:
-            assert grown.vertices == first and len(grown) == len(cyc) + 1
+            assert grown == first and len(grown) == len(cyc) + 1
             assert v in grown and is_pc_cycle(g, grown)
             hits += 1
     assert hits > 20 and misses > 0
@@ -221,8 +220,7 @@ def test_regrow_quadrangle_walks_the_quadrangles_through_v():
         return _swap_in_pair(g, c, v, outside)
 
     def reference(g, v, ln):
-        def visit(walk):
-            cyc = Cycle(walk)
+        def visit(cyc):
             while cyc is not None and len(cyc) < ln:
                 cyc = grow(cyc, g, v)
             return cyc
@@ -303,10 +301,9 @@ def test_growth_never_searches_on_gallai_n64():
 def _growth_fallback(g, covers, ln, u):
     """The cycle the growth ladder gives u at length ln when no window holds it."""
     if ln == 4:
-        return pc_quadrangle_search(g, u).vertices
-    cur = Cycle(next(cyc for cyc in covers[ln - 1] if u in cyc))
-    grown = _grow_step(g, cur, u)[0] or _regrow_quadrangle(g, u, ln) or has_pc_cycle(g, u, ln)
-    return grown.vertices
+        return pc_quadrangle_search(g, u)
+    cur = next(cyc for cyc in covers[ln - 1] if u in cyc)
+    return _grow_step(g, cur, u)[0] or _regrow_quadrangle(g, u, ln) or has_pc_cycle(g, u, ln)
 
 
 def _no_window_holds(g, ham, ln, u):
@@ -525,7 +522,7 @@ def test_validate_result_rejects_a_forged_orientation_window_or_cycle(monkeypatc
     window = _seam_reversed_window(reduce_degenerate(g, degeneracy_status(g).certificate.f), ham)
     five = result.cycles[5][0]
     backwards = five[::-1]
-    shuffled = _non_pc_reordering(g, five).vertices
+    shuffled = _non_pc_reordering(g, five)
     assert is_window(ham, window)
     assert not is_window(ham, backwards) and not is_window(ham, shuffled)
     # the seam edge of the window has the color of H's arc out of its
@@ -578,7 +575,7 @@ def _non_pc_reordering(g, cyc):
         order = list(cyc)
         rng.shuffle(order)
         if not is_pc_cycle(g, order):
-            return Cycle(order)
+            return tuple(order)
 
 
 def test_validate_result_checks_every_entry_of_a_shared_cycle():
@@ -611,12 +608,12 @@ def test_validate_result_rejects_malformed_tables():
     assert not validate_result(g, dataclasses.replace(result, cycles=None))
     assert not validate_result(g, dataclasses.replace(result, cycles=[]))
     cover = result.cycles[4]
-    for bad in (7, None, "0123", Cycle((0, 1, 2, 9)), (0, 1, 1, 2)):
+    for bad in (7, None, "0123", (0, 1, 2, 9), (0, 1, 1, 2)):
         # a malformed cycle in the cover, and a malformed cover
         assert not validate_result(g, _recovered(result, {4: (bad,) + cover})), bad
         assert not validate_result(g, _recovered(result, {4: bad})), bad
     # one key swapped for one of another shape, the key count kept
-    for key, cyc_cover in [(3, (Cycle((0, 1, 2)),)), ((4,), cover), ("4", cover)]:
+    for key, cyc_cover in [(3, ((0, 1, 2),)), ((4,), cover), ("4", cover)]:
         covers = dict(result.cycles)
         del covers[4]
         covers[key] = cyc_cover
@@ -638,7 +635,7 @@ def _per_vertex_validate(g, result):
         for ln, cover in covers.items():
             covered = set()
             for cyc in cover:
-                vs = cyc.vertices if isinstance(cyc, Cycle) else tuple(cyc)
+                vs = tuple(cyc)
                 if len(vs) != ln or not is_pc_cycle(g, vs):
                     return False
                 covered.update(vs)
@@ -727,11 +724,11 @@ def test_set_equality_validate_agrees_with_the_per_vertex_check():
 
 def test_validate_result_checks_shared_tuples():
     # classify's covers hold plain vertex tuples; the same covers given as
-    # Cycles still validate, and forgeries of either are rejected alike
+    # lists still validate, and forgeries of either are rejected alike
     g = _full_only(12, 1)
     result = classify(g)
-    as_cycles = {ln: tuple([Cycle(c) for c in cover]) for ln, cover in result.cycles.items()}
-    for res in (result, dataclasses.replace(result, cycles=as_cycles)):
+    as_lists = {ln: tuple([list(c) for c in cover]) for ln, cover in result.cycles.items()}
+    for res in (result, dataclasses.replace(result, cycles=as_lists)):
         covers = res.cycles
         assert validate_result(g, res)
         ln = 6
@@ -994,7 +991,7 @@ def test_validate_result_rejects_covers_of_the_wrong_lengths_or_reach():
         covers = dict(result.cycles)
         del covers[ln]
         assert not validate_result(g, dataclasses.replace(result, cycles=covers)), ln
-    triangle = (Cycle((0, 1, 2)),)
+    triangle = ((0, 1, 2),)
     assert not validate_result(g, _recovered(result, {3: triangle}))
     assert not validate_result(g, _recovered(result, {n + 1: result.cycles[n]}))
     # keys of mixed type answer False rather than raise
