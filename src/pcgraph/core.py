@@ -107,13 +107,16 @@ def _neighbor_table(matrix: tuple, k: int) -> list:
 
     Entry [u][c] has bit v set when edge uv has dense color c.  Each vertex
     has k + 1 slots for k colors: the diagonal's -1 indexes the spare last
-    slot, so slot k holds bit u alone and lands in no color's mask.
+    slot, so slot k holds bit u alone and lands in no color's mask.  The
+    bit of v is carried along the row by one shift per entry.
     """
     table = []
     for row in matrix:
         masks = [0] * (k + 1)
-        for v, c in enumerate(row):
-            masks[c] |= 1 << v
+        bit = 1
+        for c in row:
+            masks[c] |= bit
+            bit <<= 1
         table.append(masks)
     return table
 

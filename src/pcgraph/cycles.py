@@ -320,7 +320,13 @@ class AttachmentClass:
 
 
 def insert_into_pc_cycle(g: ColoredCompleteGraph, vs: tuple, v: int) -> Optional[tuple]:
-    """PC cycle on V(vs)+{v} obtained by inserting v between neighbors of vs, or None."""
+    """PC cycle on V(vs)+{v} obtained by inserting v between neighbors of vs, or None.
+
+    Precondition, not checked: vs is a PC cycle of distinct vertices of g,
+    and v is a vertex of g off it.  Its callers pass cycles they have
+    checked.  Outside that the result is unchecked: it need not be a PC
+    cycle, and a vertex >= g.n raises IndexError.
+    """
     m = g._m
     ln = len(vs)
     rowv = m[v]

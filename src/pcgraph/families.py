@@ -169,7 +169,7 @@ def _check_fibers(n: int, fibers: Sequence[Sequence[int]]) -> List[tuple]:
 
 
 # Orientations of the cross edges between two fibers a and b, indexed as
-# random_degenerate permutes them: entry i of a combo is 1 when the i-th pair
+# random_degenerate's draws shuffle them: entry i of a combo is 1 when the i-th pair
 # (u, v) of `for u in a for v in b` is the arc u -> v.
 _ORIENTATIONS = {size: tuple(itertools.product((0, 1), repeat=size)) for size in (1, 2, 4)}
 
@@ -214,6 +214,33 @@ _PLANS = {(la, lb): _write_plans(la, lb) for la in (1, 2) for lb in (1, 2)}
 _DRAWS = {m: tuple((i, (i + 1).bit_length()) for i in range(m - 1, 0, -1)) for m in (4, 16)}
 
 
+def _kept_plans(la: int, lb: int) -> tuple:
+    """Per draw sequence of the _DRAWS[4] steps, the plan that its shuffle keeps.
+
+    For an la-fiber against an lb-fiber with m = 4 orientations: entry
+    6 * r3 + 2 * r2 + r1 (the draws in itertools.product order) is the
+    plan of the first fitting orientation once list(range(4)) has had its
+    items t and r swapped for each step (t, r).
+    """
+    plans = _PLANS[la, lb]
+    steps = _DRAWS[len(plans)]
+    kept = []
+    for draws in itertools.product(*(range(t + 1) for t, _bits in steps)):
+        order = list(range(len(plans)))
+        for (t, _bits), r in zip(steps, draws):
+            order[t], order[r] = order[r], order[t]
+        kept.append(next(plans[k] for k in order if plans[k] is not None))
+    return tuple(kept)
+
+
+_KEPT = {shape: _kept_plans(*shape) for shape in ((1, 2), (2, 1))}
+
+# The two orientations of two 2-fibers that fit, the rings; random_degenerate
+# keeps whichever its shuffle leaves first.  Unpacking raises unless there
+# are exactly two.
+_RING_A, _RING_B = (k for k, plan in enumerate(_PLANS[2, 2]) if plan is not None)
+
+
 def random_degenerate(
     n: int, fibers: Sequence[Sequence[int]], seed: int
 ) -> Tuple[ColoredCompleteGraph, Dict[int, int]]:
@@ -235,23 +262,36 @@ def random_degenerate(
     2-fiber {x, y}; and the ring x -> z -> y -> w -> x does for two
     2-fibers {x, y} and {z, w}.  The closing triangle scan is an alarm.
 
-    The only random draws permute range(m) once per fiber pair, in
-    itertools.combinations order, with m = 2 ** (|a| * |b|) the number of
-    orientations.  They are written inline on rng.getrandbits, and they are
-    the draws rng.shuffle(list(range(m))) makes through _randbelow: for
+    The only random draws are the ones rng.shuffle(list(range(m))) makes
+    through _randbelow, once per fiber pair in itertools.combinations
+    order, with m = 2 ** (|a| * |b|) the number of orientations: for
     i = m-1 .. 1, draw getrandbits(k) with k = (i + 1).bit_length() until
     the result r is at most i, then swap items i and r (_DRAWS[m] lists
-    the (i, k) steps).  So the seed consumes the same Mersenne Twister
-    words and fixes the same permutation and the same chosen index k as
-    shuffling the orientations themselves would.  Everything around the
-    draws is a table lookup: _PLANS[|a|, |b|][k] is orientation k's list
-    of writes, or None when it does not fit.  Between two singletons,
-    where every orientation fits, the one draw r picks k = 1 (the arc
-    a -> b) when r is 0 and k = 0 otherwise.  The values are written
-    straight into the color matrix and marked as they land; the palette is
-    the values that land on some edge (a singleton that is the head of all
-    its cross edges has none), renumbered densely in order, which is what
-    build() makes of the same edge list.
+    the (i, k) steps).  They are written inline on rng.getrandbits, so the
+    seed consumes the same Mersenne Twister words and keeps the same
+    orientation as shuffling the orientations themselves would.  No list
+    is shuffled: the kept orientation is decided from the draws.
+
+    - Two singletons (m = 2): every orientation fits, and the one draw r
+      keeps orientation 1 (the arc a -> b) when r is 0 and 0 otherwise.
+    - A singleton and a 2-fiber (m = 4): the three in-range draws
+      (r3, r2, r1) index _KEPT[|a|, |b|], built at import by replaying the
+      swaps on list(range(4)) for each of the 24 triples and taking the
+      first fitting orientation.
+    - Two 2-fibers (m = 16): only the two rings fit.  Fisher-Yates step t
+      moves the item at position r to position t, and no later step
+      touches position t again, so an item moved at step t ends at
+      position t and the one moved later ends nearer the front; an item
+      never moved ends at position 0, after every step.  So the kept ring
+      is the one moved later.  The loop tracks the two rings' positions
+      until one of them is moved, keeps the other, and then makes the
+      remaining draws of the 15 steps.
+
+    The kept orientation is a plan of writes (_PLANS[|a|, |b|][k]); the
+    values are written straight into the color matrix and marked as they
+    land.  The palette is the values that land on some edge (a singleton
+    that is the head of all its cross edges has none), renumbered densely
+    in order, which is what build() makes of the same edge list.
     """
     _check_order(n, 1)
     parts = _check_fibers(n, fibers)
@@ -259,6 +299,7 @@ def random_degenerate(
     f = {v: idx for idx, p in enumerate(parts) for v in p}
     rows = [[-1] * n for _ in range(n)]
     landed = bytearray(len(parts))
+    ring_a, ring_b = _PLANS[2, 2][_RING_A], _PLANS[2, 2][_RING_B]
     for idx, p in enumerate(parts):
         if len(p) == 2:
             x, y = p
@@ -269,7 +310,8 @@ def random_degenerate(
         row_a = [rows[u] for u in a]
         for j in range(i + 1, len(parts)):
             b = parts[j]
-            if la == 1 and len(b) == 1:
+            lb = len(b)
+            if la == 1 and lb == 1:
                 # both orientations fit, and orientation k is the arc a -> b
                 # iff k; shuffling [0, 1] leaves k = 1 first iff its draw is 0
                 r = getrandbits(2)
@@ -280,18 +322,40 @@ def random_degenerate(
                 row_a[0][v] = rows[v][a[0]] = c
                 landed[c] = 1
                 continue
-            plans = _PLANS[la, len(b)]
-            m = len(plans)
-            order = list(range(m))
-            for t, bits in _DRAWS[m]:
-                r = getrandbits(bits)
-                while r > t:
+            if la == 2 and lb == 2:
+                # the positions of the two rings until one is moved; the
+                # other, moved later, ends first and is kept (see above)
+                pa, pb = _RING_A, _RING_B
+                steps = iter(_DRAWS[16])
+                for t, bits in steps:
                     r = getrandbits(bits)
-                order[t], order[r] = order[r], order[t]
-            for k in order:  # one always fits; see above
-                plan = plans[k]
-                if plan is not None:
-                    break
+                    while r > t:
+                        r = getrandbits(bits)
+                    if r == pa:
+                        plan = ring_b
+                        break
+                    if r == pb:
+                        plan = ring_a
+                        break
+                    if t == pa:
+                        pa = r
+                    elif t == pb:
+                        pb = r
+                for t, bits in steps:  # the rest of the shuffle's draws
+                    r = getrandbits(bits)
+                    while r > t:
+                        r = getrandbits(bits)
+            else:
+                r3 = getrandbits(3)
+                while r3 > 3:
+                    r3 = getrandbits(3)
+                r2 = getrandbits(2)
+                while r2 > 2:
+                    r2 = getrandbits(2)
+                r1 = getrandbits(2)
+                while r1 > 1:
+                    r1 = getrandbits(2)
+                plan = _KEPT[la, lb][6 * r3 + 2 * r2 + r1]
             for ia, ib, forward in plan:
                 c = i if forward else j
                 v = b[ib]

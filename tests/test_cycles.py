@@ -248,6 +248,28 @@ def test_insert_into_pc_cycle(rainbow_k4):
     assert set(grown) == {0, 1, 2, 3}
 
 
+def test_insert_into_pc_cycle_on_every_pc_cycle():
+    # on every PC cycle of random mono-free K7 and K8 colorings, each outside
+    # vertex gives None or the cycle with that vertex inserted, which is PC
+    grown = missed = 0
+    for n, k, seed in ((7, 3, 0), (7, 4, 1), (7, 5, 2), (8, 3, 3), (8, 4, 4), (8, 5, 5)):
+        g = random_no_mono_triangle(n, k, seed)
+        for length in range(3, n):
+            for v in range(n):
+                for cyc in enumerate_pc_cycles(g, v, length):
+                    if cyc[0] != v:
+                        continue  # listed once, from its smallest vertex
+                    for w in set(range(n)).difference(cyc):
+                        got = insert_into_pc_cycle(g, cyc, w)
+                        if got is None:
+                            missed += 1
+                            continue
+                        assert is_pc_cycle(g, got), (n, seed, cyc, w)
+                        assert tuple(u for u in got if u != w) == cyc
+                        grown += 1
+    assert grown > 0 and missed > 0, (grown, missed)
+
+
 def test_classify_attachment_single_color():
     # quadrangle colored 1,2,1,2; the outside vertex sees color 5 everywhere
     edges = [

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import pcgraph.families as families_mod
-from pcgraph.core import ColoredCompleteGraph, build, dumps_instance
+from pcgraph.core import ColoredCompleteGraph, _neighbor_table, build, dumps_instance
 from pcgraph.detect import (
     DegeneracyTag,
     degeneracy_status,
@@ -191,8 +191,8 @@ def test_random_degenerate_draws_the_reference_stream(monkeypatch):
 
 
 def _replayed_permutation(rng, m):
-    # the draws random_degenerate makes in place of rng.shuffle(list(range(m))):
-    # one draw between two singletons, the _DRAWS[m] steps otherwise
+    # the draws random_degenerate makes, applied as rng.shuffle(list(range(m)))
+    # applies them: one draw between two singletons, the _DRAWS[m] steps otherwise
     getrandbits = rng.getrandbits
     if m == 2:
         r = getrandbits(2)
@@ -225,6 +225,76 @@ def test_inline_draws_permute_as_shuffle_does(monkeypatch):
         for seed in range(1000):
             want, got = _both_bodies(seeded, n, fibers, seed)
             assert got == want, (fibers, seed)
+
+
+class _ScriptedDraws:
+    # a stand-in generator whose getrandbits returns the given draws in order
+    def __init__(self, draws):
+        self._draws = iter(draws)
+
+    def getrandbits(self, _bits):
+        return next(self._draws)
+
+
+def _first_fitting(plans, order):
+    return next(k for k in order if plans[k] is not None)
+
+
+def test_random_degenerate_kept_plan_table_is_the_replayed_shuffle():
+    # for each of the 24 in-range draw triples (r3, r2, r1) of a 1-2 or 2-1
+    # pair, the table entry random_degenerate reads is the plan of the first
+    # fitting orientation in the permutation that shuffle makes of them
+    for shape in ((1, 2), (2, 1)):
+        plans = families_mod._PLANS[shape]
+        kept = families_mod._KEPT[shape]
+        assert len(kept) == 24
+        seen = set()
+        for r3, r2, r1 in itertools.product(range(4), range(3), range(2)):
+            order = _replayed_permutation(_ScriptedDraws((r3, r2, r1)), 4)
+            k = _first_fitting(plans, order)
+            assert kept[6 * r3 + 2 * r2 + r1] is plans[k], (shape, r3, r2, r1)
+            seen.add(k)
+        assert seen == {k for k, plan in enumerate(plans) if plan is not None}
+
+
+def test_random_degenerate_ring_tracking_keeps_the_shuffles_first_ring():
+    # 32 2-fibers give 496 2-2 pairs per instance, so 202 seeds check the
+    # position tracking on 100,192 draw sequences against the permutation
+    # that shuffle makes from the same draws; both rings must be kept
+    plans = families_mod._PLANS[2, 2]
+    fibers = [(2 * i, 2 * i + 1) for i in range(32)]
+    wins = {families_mod._RING_A: 0, families_mod._RING_B: 0}
+    for seed in range(202):
+        g, _f = random_degenerate(64, fibers, seed)
+        rng = random.Random(seed)
+        for (i, a), (j, b) in itertools.combinations(enumerate(fibers), 2):
+            k = _first_fitting(plans, _replayed_permutation(rng, 16))
+            for ia, ib, forward in plans[k]:
+                assert g._m[a[ia]][b[ib]] == (i if forward else j), (seed, i, j)
+            wins[k] += 1
+    assert sum(wins.values()) >= 100_000
+    assert min(wins.values()) > 0, wins
+
+
+def test_neighbor_table_matches_reference():
+    # the running-bit table against the enumerate / 1 << v one on random
+    # symmetric dense matrices; the diagonal's spare slot k holds only {u}
+    rng = random.Random(5)
+    for n in range(1, 71):
+        k = rng.randint(1, 12)
+        rows = [[-1] * n for _ in range(n)]
+        for u, v in itertools.combinations(range(n), 2):
+            rows[u][v] = rows[v][u] = rng.randrange(k)
+        matrix = tuple(map(tuple, rows))
+        want = []
+        for row in matrix:
+            masks = [0] * (k + 1)
+            for v, c in enumerate(row):
+                masks[c] |= 1 << v
+            want.append(masks)
+        table = _neighbor_table(matrix, k)
+        assert table == want, n
+        assert all(masks[k] == 1 << u for u, masks in enumerate(table)), n
 
 
 def test_generator_inputs_raise_pcgraph_errors():
