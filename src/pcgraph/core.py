@@ -9,15 +9,17 @@ Instances are immutable after construction and safe to share between
 worker processes.  Two derived facts ride along, outside equality and
 hashing.  The neighbor table N_c(u) (_neighbor_table) is built with the
 matrix and rebuilt on unpickling, not on first use; stats, the
-monochromatic-triangle scan, the double-pentagon check and
-tournaments.reduce_degenerate read it.  It is left out of pickles, which
-it would almost triple at n = 64.  The answer of
-detect.find_monochromatic_triangle is remembered, so the generator, the
-sweep, classify and pc_hamilton_path share one scan; it is pickled.
+monochromatic-triangle scan, the degeneracy closure, the PC-cycle walk,
+the double-pentagon check and tournaments.reduce_degenerate read it.  It
+is left out of pickles, which it would almost triple at n = 64.  The
+answer of detect.find_monochromatic_triangle is remembered, so the
+generator, the sweep, classify and pc_hamilton_path share one scan; it is
+pickled.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -232,13 +234,13 @@ def stats(g: ColoredCompleteGraph) -> ColorStats:
     most bits in any mask.  The spare slot k holds only {u}: it is never
     zero, so the zeros counted are colors missing at u, and for n >= 2
     some color mask of u has a bit, so slot k's one bit never raises the
-    max.
+    max.  The max is taken in one pass over the masks of every vertex.
     """
     if g.n < 2:
         raise TooSmall(f"stats need n >= 2, got {g.n}")
     k = g.num_colors
     degrees = tuple(k - row.count(0) for row in g._nbr)
-    max_mono = max(max(map(int.bit_count, row)) for row in g._nbr)
+    max_mono = max(map(int.bit_count, itertools.chain.from_iterable(g._nbr)))
     return ColorStats(degrees, min(degrees), max_mono)
 
 

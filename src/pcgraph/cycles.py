@@ -4,7 +4,9 @@
 including the wrap-around pair of a cycle.  A cycle, taken or returned, is a
 tuple of its vertices in cycle order; certificate covers hold the same
 tuples.  Every PC-cycle search is one depth-first walk, _pc_cycle_search,
-pruning only on the previous edge color.  has_pc_cycle returns its first
+pruning only on the previous edge color; it reads the graph's neighbor
+table, stepping to the vertices off the path that the last vertex meets
+in another color, one mask per step.  has_pc_cycle returns its first
 cycle; it is the engine of oracles.is_pancyclic_from, and
 trichotomy.classify's growth route runs it as a counted last resort.
 classify_attachment decides extendability by insertion, then by classify on
@@ -86,40 +88,43 @@ def _pc_cycle_search(
 
     Paths grow from v in vertex order, skipping a vertex whose edge repeats
     the previous color, and close when the closing edge differs from both
-    edges it meets.  The start color -1 sits only on the diagonal.  A
-    closed walk's value is the walk, a tuple, or visit(walk) with a visit
-    callback, which gets each cycle once per direction.  The walk returns
-    the first value that is not None, or None.
+    edges it meets.  The steps from the last vertex are the set bits of
+    free & ~N_prev(last), taken in ascending order, with free the mask of
+    the vertices off the path and N the graph's neighbor table.  The start
+    color -1 reads the spare slot, which holds v alone, so the first step
+    may go to any other vertex.  A closed walk's value is the walk, a
+    tuple, or visit(walk) with a visit callback, which gets each cycle
+    once per direction.  The walk returns the first value that is not
+    None, or None.
     """
     _check_vertex(g.n, v)
     if not (_is_int(length) and 3 <= length <= g.n):
         raise BadLength(f"length must be an int in [3, {g.n}], got {length!r}")
     m = g._m
-    n = g.n
+    nbr = g._nbr
     path = [v]
-    used = [False] * n
-    used[v] = True
 
-    def dfs(prev_color: int):
+    def dfs(last: int, prev_color: int, free: int):
         if len(path) == length:
-            closing = m[path[-1]][v]
+            closing = m[last][v]
             if closing != prev_color and closing != m[v][path[1]]:
                 return tuple(path) if visit is None else visit(tuple(path))
             return None
-        row = m[path[-1]]
-        for w in range(n):
-            if not used[w] and row[w] != prev_color:
-                used[w] = True
-                path.append(w)
-                got = dfs(row[w])
-                path.pop()
-                used[w] = False
-                if got is not None:
-                    return got
+        row = m[last]
+        steps = free & ~nbr[last][prev_color]
+        while steps:
+            b = steps & -steps
+            w = b.bit_length() - 1
+            path.append(w)
+            got = dfs(w, row[w], free ^ b)
+            path.pop()
+            if got is not None:
+                return got
+            steps ^= b
         return None
 
     try:
-        return dfs(-1)
+        return dfs(v, -1, ((1 << g.n) - 1) ^ (1 << v))
     finally:
         del dfs  # dfs holds itself through its closure cell; leave no cycle for gc
 

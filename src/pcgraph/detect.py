@@ -23,6 +23,18 @@ such a u, and none at any other u >= 1.  At vertex 0 it closes only the
 seeds (0, c) for which every other color class at 0 is a clique of its
 own color, since any other seed of 0 conflicts.
 
+Every closure, public or in the seed loop, is one mask propagation over
+the graph's neighbor table N_c(u) (_closure_dense): popping w pulls in at
+once every vertex that w meets in a color other than f(w), and no value
+is tested against another while the set grows.  One count then decides
+whether the map is compatible: the ordered pairs (w, x) of the set with
+color(w, x) = f(w) number C(s, 2) plus C(s_d, 2) per f-class d exactly
+when every edge inside the set takes an endpoint's value, the test
+tournaments.reduce_degenerate applies to a full map, here for classes of
+any size.  An absent seed color reads the table's spare slot, whose one
+bit is taken off the count.  So a closure costs O(s) mask operations, not
+a read of every matrix entry of its s rows.
+
 The monochromatic-triangle scan runs over the graph's per-vertex, per-color
 neighbor bitmask table, which the graph builds with its matrix and rebuilds
 on unpickling, not on first use.  The graph remembers the scan's answer, so
@@ -147,37 +159,67 @@ class DegeneracyStatus:
     certificate: Optional[DegeneracyCertificate]
 
 
-def _closure_dense(m: tuple, n: int, u: int, c: int, low: int = 0):
+def _closure_dense(m: tuple, nbr: list, n: int, u: int, c: int, low: int = 0):
     """Minimal compatible set containing u with value c, or None on conflict.
 
     Forcing rule: any edge wx with x outside the set and color != f(w)
-    pulls x in with f(x) = color(w, x); an already-fixed conflicting value
-    kills the closure.  Colors are dense indices here.  With low > 0 (and
-    u >= low) the closure is also abandoned, returning None, as soon as it
-    would pull in a vertex below low.
+    pulls x in with f(x) = color(w, x).  Colors are dense indices here, and
+    nbr is the graph's neighbor table.  With low > 0 (and u >= low) the
+    closure is also abandoned, returning None, as soon as it would pull in
+    a vertex below low.
+
+    The set S grows by masks: popping w pulls in every vertex off S that
+    is not in N_f(w)(w), in ascending order, so f gets its values in the
+    order of a loop over the matrix row.  No value, once set, changes, and
+    nothing is tested for a conflict while S grows.  One count at the end
+    decides whether (S, f) is compatible: the ordered pairs (w, x) of S
+    with color(w, x) = f(w), the bits of N_f(w)(w) & S summed over w.  An
+    edge between two f-classes counts at most once, and exactly once when
+    its color is f(w) or f(x); an edge inside one class counts twice when
+    its color is the class value and not at all otherwise.  So the count
+    reaches C(s, 2) + the sum of C(s_d, 2) over the f-classes d, with s =
+    |S| and s_d the class sizes, exactly when every edge inside S is
+    compatible.  Edges leaving S carry f(w), or w would have pulled the far
+    end in.  A conflict of the forcing rule (popping w finds x in S with
+    f(x) != color(w, x) != f(w)) is such an incompatible edge of the final
+    f, so the count fails exactly when the rule would conflict.
+
+    The count needs no final pass over S: every vertex off N_f(w)(w) + w
+    ends in S, so N_f(w)(w) & S has |N_f(w)(w)| - (n - s) bits, and the
+    popcount is taken as w is popped; the class sizes are tallied as the
+    values land.  An absent seed color, dense -1, reads the spare slot k,
+    which holds u alone: that one bit is no edge and is taken off.
     """
     f = {u: c}
+    size = [0] * len(nbr[u])  # vertices per f-value; -1 indexes the spare slot
+    size[c] = 1
     stack = [u]
+    inset = 1 << u
+    full = (1 << n) - 1
+    below = (1 << low) - 1
+    count = -(c < 0)
+    same = 0
     while stack:
         w = stack.pop()
-        fw = f[w]
-        row = m[w]
-        # vertices below low never join f, so any other color towards them
-        # would pull one in
-        if low and row[:low].count(fw) != low:
-            return None
-        for x in range(low, n):
-            if x == w:
-                continue
-            col = row[x]
-            if col == fw:
-                continue
-            fx = f.get(x)
-            if fx is None:
-                f[x] = col
-                stack.append(x)
-            elif fx != col:
+        kept = nbr[w][f[w]]
+        count += kept.bit_count()
+        pulled = full ^ (kept | inset)
+        if pulled:
+            if pulled & below:
                 return None
+            inset |= pulled
+            row = m[w]
+            while pulled:
+                b = pulled & -pulled
+                x = b.bit_length() - 1
+                f[x] = d = row[x]
+                same += size[d]
+                size[d] += 1
+                stack.append(x)
+                pulled ^= b
+    s = len(f)
+    if count - s * (n - s) != s * (s - 1) // 2 + same:
+        return None
     return f
 
 
@@ -195,7 +237,7 @@ def closure_from_seed(g: ColoredCompleteGraph, u: int, c: int) -> Optional[Degen
     _check_int(c, "color")
     pal = g._palette
     dense = pal.index(c) if c in pal else -1
-    f = _closure_dense(g._m, g.n, u, dense)
+    f = _closure_dense(g._m, g._nbr, g.n, u, dense)
     if f is None:
         return None
     return DegeneracyCertificate(
@@ -283,11 +325,26 @@ def degeneracy_status(g: ColoredCompleteGraph) -> DegeneracyStatus:
     or full closure are unchanged.  Without a monochromatic triangle a
     class of two or more vertices is never such a clique, but the test
     reads the edges, so the answer holds on any coloring.
+
+    Each seed that is closed goes through _closure_dense, the mask closure
+    closure_from_seed also uses.  It propagates without a conflict test and
+    counts once at the end: the ordered pairs (w, x) of the set S with
+    color(w, x) = f(w) reach C(|S|, 2) plus C(s_d, 2) for each f-class d of
+    s_d vertices exactly when every edge inside S is compatible, since a
+    cross-class edge counts at most once and once exactly when compatible,
+    and an edge inside a class twice when it has the class value and
+    otherwise not at all.  A value, once set, never changes, so a seed
+    whose matrix loop would conflict leaves an incompatible edge in the
+    final f and fails the count.  The certificates are those of that loop,
+    with f in the same insertion order.  Every seed here is a color at its
+    vertex, so the spare-slot bit that an absent seed color (dense -1, as
+    closure_from_seed may pass) takes off the count never arises.
     """
     n = g.n
     if n < 2:
         raise TooSmall(f"degeneracy needs n >= 2, got {n}")
     m = g._m
+    nbr = g._nbr
     pal = g._palette
     full_dense = None
     for u in range(n):
@@ -300,9 +357,9 @@ def degeneracy_status(g: ColoredCompleteGraph) -> DegeneracyStatus:
                 continue
             seeds = (c,)
         else:
-            seeds = _vertex_zero_seeds(g._nbr)
+            seeds = _vertex_zero_seeds(nbr)
         for c in seeds:
-            f = _closure_dense(m, n, u, c, u)
+            f = _closure_dense(m, nbr, n, u, c, u)
             if f is None:
                 continue
             if len(f) < n:

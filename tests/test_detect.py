@@ -203,9 +203,77 @@ def test_seed_loop_closes_only_one_color_prefix_seeds(monkeypatch):
     assert counts == [3, 2, 3, 3, 3]
 
 
+def _reference_closure(m, n, u, c, low):
+    """The closure as a loop over the color matrix, entry by entry: it tests
+    each pulled value against the one already set, and stops at the first
+    conflict or at the first vertex below low it would pull in."""
+    f = {u: c}
+    stack = [u]
+    while stack:
+        w = stack.pop()
+        fw = f[w]
+        row = m[w]
+        if low and row[:low].count(fw) != low:
+            return None
+        for x in range(low, n):
+            if x == w:
+                continue
+            col = row[x]
+            if col == fw:
+                continue
+            fx = f.get(x)
+            if fx is None:
+                f[x] = col
+                stack.append(x)
+            elif fx != col:
+                return None
+    return f
+
+
+def _assert_closures_match_the_loop(g, lows=lambda u: {0, u}):
+    """Every seed (u, dense color or -1) at each of lows(u): the same f,
+    filled in the same order, or None where the loop gives None.  Returns
+    the count of closures per outcome: none, proper or full."""
+    m, nbr, n = g._m, g._nbr, g.n
+    outcomes = collections.Counter()
+    for u in range(n):
+        for c in range(-1, g.num_colors):
+            for low in lows(u):
+                want = _reference_closure(m, n, u, c, low)
+                got = detect._closure_dense(m, nbr, n, u, c, low)
+                if want is None:
+                    assert got is None, (dumps_instance(g), u, c, low)
+                    outcomes["none"] += 1
+                else:
+                    same = got is not None and list(got.items()) == list(want.items())
+                    assert same, (dumps_instance(g), u, c, low)
+                    outcomes["full" if len(want) == n else "proper"] += 1
+    return outcomes
+
+
+def test_mask_closure_matches_the_dense_loop():
+    # mono colorings included, where a class can be a clique of its own
+    # color, and uniform ones, where a closure conflicts early
+    rng = random.Random(53)
+    uniform = []
+    for i in range(300):
+        n = 6 + i % 5
+        k = 1 + i % 6
+        edges = [(u, v, rng.randrange(k)) for u, v in itertools.combinations(range(n), 2)]
+        uniform.append(build(n, edges))
+    degenerate = [random_degenerate(n, random_fibers(n, n), n)[0] for n in range(5, 65)]
+    outcomes = collections.Counter()
+    k5 = itertools.islice(exhaustive_colorings(5), 0, None, 4)
+    for g in itertools.chain(k5, uniform, degenerate):
+        outcomes += _assert_closures_match_the_loop(g)
+    assert min(outcomes.values()) > 1000, outcomes
+
+
 def _reference_status(g):
     """degeneracy_status as it closed every seed of vertex 0, kept to pin
-    the vertex-0 rule: (tag, S, f) with f in original colors."""
+    the vertex-0 rule: (tag, S, f) with f in original colors.  It closes
+    with the matrix loop, so neither the rule nor the mask closure is
+    checked against itself."""
     n, m, pal = g.n, g._m, g._palette
     full = None
     for u in range(n):
@@ -217,7 +285,7 @@ def _reference_status(g):
         else:
             seeds = sorted(set(row[1:]))
         for c in seeds:
-            f = detect._closure_dense(m, n, u, c, u)
+            f = _reference_closure(m, n, u, c, u)
             if f is None:
                 continue
             if len(f) < n:

@@ -36,6 +36,7 @@ from pcgraph.families import (
     GenSpec,
     double_pentagon_matrix,
     exhaustive_colorings,
+    gallai_coloring,
     generate,
     random_degenerate,
     random_fibers,
@@ -148,6 +149,65 @@ def test_pc_cycle_walk_order_is_pinned():
                 digest.update(f"{v} {ln} {found}\n".encode())
     want = "83e1a1af830dd74362dfb7e3b237f34939baf6b2f0f44fc9fcee7f950a4f1b36"
     assert digest.hexdigest() == want
+
+
+def _used_list_walk(g, v, length, visit):
+    """The PC-cycle walk over the color matrix: a used list, and one color
+    compare per candidate vertex."""
+    m, n = g._m, g.n
+    path = [v]
+    used = [False] * n
+    used[v] = True
+
+    def dfs(prev_color):
+        if len(path) == length:
+            closing = m[path[-1]][v]
+            if closing != prev_color and closing != m[v][path[1]]:
+                return visit(tuple(path))
+            return None
+        row = m[path[-1]]
+        for w in range(n):
+            if not used[w] and row[w] != prev_color:
+                used[w] = True
+                path.append(w)
+                got = dfs(row[w])
+                path.pop()
+                used[w] = False
+                if got is not None:
+                    return got
+        return None
+
+    return dfs(-1)
+
+
+def test_mask_walk_matches_the_used_list_walk():
+    # has_pc_cycle returns the same first cycle for every v and length, and
+    # the walk visits the same cycles in the same order, so
+    # enumerate_pc_cycles lists the same ones; on K5, monochromatic
+    # colorings included, the visit order is compared from vertex 0
+    rng = random.Random(61)
+    graphs = list(itertools.islice(exhaustive_colorings(5), 0, None, 4))
+    graphs += itertools.islice(exhaustive_colorings(6, sample=400, seed=5), 400)
+    graphs.append(gallai_coloring(10, 0)[0])
+    for i in range(16):
+        n = 6 + i % 4
+        k = 2 + i // 4
+        edges = [(u, v, rng.randrange(k)) for u, v in itertools.combinations(range(n), 2)]
+        graphs.append(build(n, edges))
+    walks = 0
+    for g in graphs:
+        for v in range(g.n):
+            for ln in range(3, g.n + 1):
+                first = _used_list_walk(g, v, ln, lambda walk: walk)
+                assert has_pc_cycle(g, v, ln) == first, (g._m, v, ln)
+                if v and g.n == 5:
+                    continue
+                want, got = [], []
+                _used_list_walk(g, v, ln, want.append)
+                _pc_cycle_search(g, v, ln, got.append)
+                assert got == want, (g._m, v, ln)
+                walks += len(want)
+    assert walks > 1000000, walks
 
 
 def _random_pc_cycles(count, seed, span=lambda n: (4, n - 1)):
