@@ -14,19 +14,21 @@ the induced subgraph, with no search.  enumerate_pc_cycles lists all of
 them, once up to rotation and reflection (_canonical), and is how the tests
 check the walk against the permutation oracle.  pc_quadrangle_search is the
 same walk at length 4.  _window_covers, which both tag-(a) routes call, cuts
-per length a cover of V from a Hamilton cycle.  _Windows recognizes a window
-of that cycle, for _window_covers and trichotomy.validate_result, and
-_pc_seam tests the seam of a window of a PC one, for the growth route and
-validate_result.
+per length a cover of V from a Hamilton cycle H, and returns it in window
+form, _WindowCovers: H plus each window's start and each fallback cycle,
+which reads as the dict of cycle tuples it stands for.  _Windows holds H's
+positions and recognizes a window of a cover given as tuples, for
+_WindowCovers.read, and _pc_seam tests the seam of a window of a PC H, for
+the growth route and trichotomy.validate_result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
-from .core import ColoredCompleteGraph, _check_vertex, _check_vertices, _is_int
+from .core import ColoredCompleteGraph, _all_ints, _check_vertex, _check_vertices, _is_int
 from .detect import DegeneracyTag, degeneracy_status, find_monochromatic_triangle
 from .errors import (
     BadLength,
@@ -161,13 +163,14 @@ class _Windows:
     pos maps each vertex to its position on ham, and twice is ham + ham, so
     the run of L from position p, also across ham's end, is
     twice[p : p + L].  A run closed by its seam, the pair from its last
-    vertex back to its first, is a window.  Every tag-(a) window is
-    recognized by start, the one slice compare.
+    vertex back to its first, is a window.  _WindowCovers.read recognizes
+    a window of a cover given as tuples by start, the one slice compare.
     """
 
-    __slots__ = ("pos", "twice")
+    __slots__ = ("ham", "pos", "twice")
 
     def __init__(self, ham: tuple):
+        self.ham = ham
         self.pos = {w: i for i, w in enumerate(ham)}
         self.twice = ham + ham
 
@@ -199,25 +202,203 @@ def _pc_seam(m: tuple, ham: tuple) -> Callable[[int, int], bool]:
     return lambda a, b: into[a] != m[a][b] != out_of[b]
 
 
-def _window_covers(ham: tuple, closes: Callable, build: Callable) -> Dict[int, tuple]:
+def _read_only(self, *args, **kwargs):
+    raise TypeError("tag-(a) covers are read-only")
+
+
+class _WindowCovers(dict):
+    """Tag-(a) covers in window form: a Hamilton cycle H and, per length, its entries.
+
+    runs is H's _Windows, and entries[L - 4], for L in 4..n, lists L's cover
+    in walk order.  An int entry p stands for the window of L from position
+    p of H, runs.twice[p : p + L]; any other entry is a fallback cycle (a
+    tuple in every form built here) and stands for itself.  Both tag-(a)
+    routes fill their certificate in this form (_window_covers); covers[n]
+    is (0,), H itself.  trichotomy.validate_result checks the form as it is,
+    and tournaments.mpt_cycles_through answers from it (through).
+
+    Read as a dict it is what it stands for: each length L maps to the
+    tuple of L's cycles.  A length is built when it is first read, and a
+    window is sliced once, whichever read needs it first, and kept, so
+    every read of it gives the same tuple; the key n gives H itself.  A
+    read of the whole (iteration, views, comparison, copy, repr, pickle)
+    builds every length first, in order 4..n, and from then on the dict
+    storage holds them all.  Copies and pickles are plain dicts.  The
+    covers are read-only: every dict mutator raises TypeError.  The
+    check trusts the form's private parts (runs built from H, and only
+    slices of runs.twice kept), which only this module writes.
+    """
+
+    __slots__ = ("runs", "entries", "_cut")
+
+    def __init__(self, runs: _Windows, entries: list):
+        self.runs = runs
+        self.entries = entries
+        self._cut = {(len(runs.ham), 0): runs.ham}  # (L, p) -> its window, once sliced
+
+    @property
+    def ham(self) -> tuple:
+        return self.runs.ham
+
+    def cycle(self, ln: int, entry) -> tuple:
+        """The cycle an entry of L's cover stands for; a window is sliced once and kept.
+
+        Any entry but a start in 0..n-1 stands for itself: an int outside
+        0..n-1, a bool or a float is no cycle, as validate_result finds.
+        """
+        if type(entry) is not int or not 0 <= entry < len(self.runs.ham):
+            return entry
+        key = (ln, entry)
+        got = self._cut.get(key)
+        if got is None:
+            got = self._cut[key] = self.runs.twice[entry : entry + ln]
+        return got
+
+    def through(self, v: int, lengths) -> dict:
+        """L -> the first cycle of L's cover through vertex v, for each L of lengths.
+
+        A window from position p holds v exactly when (pos[v] - p) % n < L,
+        so no window is scanned, and only the cycle given is sliced, once
+        (as cycle does, inlined: this loop is mpt_cycles_through's).
+        """
+        runs = self.runs
+        twice = runs.twice
+        n = len(runs.ham)
+        q = runs.pos[v]
+        entries = self.entries
+        cut = self._cut
+        out = {}
+        for ln in lengths:
+            for e in entries[ln - 4]:
+                if type(e) is int:
+                    if (q - e) % n < ln:
+                        key = (ln, e)
+                        got = cut.get(key)
+                        if got is None:
+                            got = cut[key] = twice[e : e + ln]
+                        out[ln] = got
+                        break
+                elif v in e:
+                    out[ln] = e
+                    break
+        return out
+
+    def __missing__(self, ln):
+        if ln not in self:
+            raise KeyError(ln)
+        cycle = self.cycle
+        # from a list: tuples built from a generator skip CPython's free
+        # lists but join them when freed, which raised peak RSS 15% once
+        cover = tuple([cycle(ln, e) for e in self.entries[ln - 4]])
+        dict.__setitem__(self, ln, cover)
+        return cover
+
+    def _fill(self) -> None:
+        lengths = list(range(4, len(self.runs.ham) + 1))
+        if list(dict.keys(self)) != lengths:
+            covers = [(ln, self[ln]) for ln in lengths]
+            dict.clear(self)
+            dict.update(self, covers)
+
+    def __len__(self) -> int:
+        return len(self.runs.ham) - 3
+
+    def __contains__(self, ln) -> bool:
+        return type(ln) is int and 4 <= ln <= len(self.runs.ham)
+
+    def get(self, ln, default=None):
+        return self[ln] if ln in self else default
+
+    def __eq__(self, other):
+        self._fill()
+        if isinstance(other, _WindowCovers):
+            other._fill()
+        return dict.__eq__(self, other)
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __reduce__(self):
+        return (dict, (dict(self),))
+
+    @classmethod
+    def read(cls, covers, n: int) -> Optional["_WindowCovers"]:
+        """covers in window form, or None when they are not tag-(a) covers of n vertices.
+
+        A _WindowCovers comes back as it is.  Any other covers need to be a
+        dict with exactly the keys 4..n, read once each, as
+        validate_result reads them: each cover an iterable of cycles, each
+        cycle a sequence of L entries, all ints.  The int test is one type
+        lookup per entry in C, and the only one that fails 0.0 or True,
+        which tuple equality takes for 0 and 1.  H is the first cycle of
+        covers[n], read once, since covers[n] may be a one-shot iterator.
+        A cycle that equals the run of H from its first entry
+        (_Windows.start) becomes that run's start, and any other stays a
+        tuple.  Nothing here tests a color or H itself; validate_result
+        checks the form.
+        """
+        if type(covers) is cls:
+            return covers
+        # set equality, since sorting keys of mixed types would raise
+        if not isinstance(covers, dict) or covers.keys() != set(range(4, n + 1)):
+            return None
+        try:
+            top = tuple(covers[n])  # read once: covers[n] may be a one-shot iterator
+            runs = _Windows(tuple(top[0]))
+            start = runs.start
+            entries: list = [None] * (n - 3)
+            for ln, cover in covers.items():
+                got = []
+                for vs in map(tuple, top if ln == n else cover):
+                    if len(vs) != ln or not _all_ints(vs):
+                        return None
+                    p = start(vs)
+                    got.append(vs if p < 0 else p)
+                entries[ln - 4] = tuple(got)  # a key 4.0 fails this index
+        except (TypeError, ValueError, LookupError):
+            return None
+        return cls(runs, entries)
+
+
+for _name in ("__iter__", "__reversed__", "__repr__", "__or__", "keys", "values", "items", "copy"):
+
+    def _whole(self, *args, _method=getattr(dict, _name)):
+        self._fill()
+        return _method(self, *args)
+
+    _whole.__name__ = _name
+    setattr(_WindowCovers, _name, _whole)
+for _name in (
+    "__setitem__", "__delitem__", "__ior__", "clear", "pop", "popitem", "setdefault", "update"
+):
+    setattr(_WindowCovers, _name, _read_only)
+del _name, _whole
+
+
+def _window_covers(ham: tuple, closes: Callable, build: Callable) -> _WindowCovers:
     """Per length L in 4..n, a cover of V = 0..n-1 by L-cycles, cut from one Hamilton cycle.
 
-    Both tag-(a) routes fill their certificate here.  ham is a Hamilton
-    cycle, and covers[n] is (ham,).  Any L consecutive vertices of ham, in
-    ham's order, form an L-cycle (a window) when closes(last, first)
-    accepts its seam, the pair from the last back to the first.  For each
-    L in 4..n-1 one walk over ham's positions takes, at the first
-    uncovered position p, the window that holds p and starts latest:
-    starts p, p-1, ..., p-L+1, around ham, one closes test each.  The walk
-    goes on after that window.  A position that no window holds gets
+    Both tag-(a) routes fill their certificate here, in window form
+    (_WindowCovers): ham is a Hamilton cycle H, and covers[n] is (ham,).
+    Any L consecutive vertices of ham, in ham's order, form an L-cycle (a
+    window) when closes(last, first) accepts its seam, the pair from the
+    last back to the first.  For each L in 4..n-1 one walk over ham's
+    positions takes, at the first uncovered position p, the window that
+    holds p and starts latest: starts p, p-1, ..., p-L+1, around ham, one
+    closes test each.  The cover records the window's start, and the walk
+    goes on after it.  A position that no window holds gets
     build(cur, u, L), an L-cycle through its vertex u, where cur is the
-    first (L-1)-cycle of the cover through u, or None at L = 4.  So every
-    position is covered, and each cover lists its cycles in walk order.
+    first (L-1)-cycle of the cover through u (through, by positions),
+    or None at L = 4; the cover records that cycle.  So every position is
+    covered, each cover lists its cycles in walk order, and no window is
+    sliced but a cur.
     """
     n = len(ham)
     runs = _Windows(ham)
     twice, pos = runs.twice, runs.pos
-    covers: Dict[int, tuple] = {}
+    entries: list = []
+    covers = _WindowCovers(runs, entries)
     for ln in range(4, n):
         cover = []
         run = (1 << ln) - 1
@@ -230,20 +411,20 @@ def _window_covers(ham: tuple, closes: Callable, build: Callable) -> Dict[int, t
             for i in range(p, p - ln, -1):
                 j = i % n
                 if closes(twice[j + ln - 1], twice[j]):
-                    cover.append(twice[j : j + ln])
+                    cover.append(j)
                     bits = run << j
                     done |= bits | bits >> n  # wrap around ham's end; bits >= n go unread
                     p = i + ln
                     break
             else:
                 u = ham[p]
-                cur = None if ln == 4 else next(c for c in covers[ln - 1] if u in c)
+                cur = None if ln == 4 else covers.through(u, (ln - 1,))[ln - 1]
                 cyc = build(cur, u, ln)
                 cover.append(cyc)
                 for w in cyc:
                     done |= 1 << pos[w]
-        covers[ln] = tuple(cover)
-    covers[n] = (ham,)
+        entries.append(tuple(cover))
+    entries.append((0,))
     return covers
 
 
@@ -370,7 +551,8 @@ def classify_attachment(g: ColoredCompleteGraph, cycle: Sequence[int], v: int) -
     mono-triangle-free input is a falsified guarantee.  When no insertion
     fits, trichotomy.classify on H = G[V(cycle)+{v}] decides extendability,
     in polynomial time: tag (a) hands over a PC Hamilton cycle of H, the
-    first of its length-|H| cover.  Tags (b) and (c) rule one out, as the
+    cycle its covers are cut from (read from the window form, with no
+    cover built).  Tags (b) and (c) rule one out, as the
     boundary edges of a proper degenerate set lie on no PC cycle and the
     double pentagon has no PC pentagon.  A cycle vertex or v outside g
     raises UnknownVertex, a cycle of fewer than 3 vertices BadLength, a
@@ -393,7 +575,7 @@ def classify_attachment(g: ColoredCompleteGraph, cycle: Sequence[int], v: int) -
         hv = vs + (v,)
         res = classify(_induced(g, hv))
         if res.tag is TrichotomyTag.PANCYCLIC:
-            witness = tuple(hv[i] for i in res.cycles[len(hv)][0])
+            witness = tuple(hv[i] for i in res.cycles.ham)
     if witness is not None:
         return AttachmentClass(AttachmentKind.EXTENDABLE, cycle=witness)
     rowv = m[v]

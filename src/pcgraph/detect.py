@@ -308,7 +308,11 @@ def degeneracy_status(g: ColoredCompleteGraph) -> DegeneracyStatus:
     from u to 0..u-1 has color c.  For u >= 1 that leaves only
     c = color(u, 0), and only when color(u, x) = color(u, 0) for every
     x < u; the loop skips every other seed of u, and all of u when those
-    edges show two colors.  Each skipped closure would have been abandoned,
+    edges show two colors.  It tests this as nbr[u][c] & low == low, with
+    low = (1 << u) - 1 the mask of 0..u-1: bit x of N_c(u) is set exactly
+    when color(u, x) = c for x != u, and 0..u-1 never holds the diagonal
+    u, so the mask test reads the same entries as a scan of the row prefix
+    without slicing it.  Each skipped closure would have been abandoned,
     which the loop passes over anyway, so the seed order and the first
     proper or full closure are unchanged.
 
@@ -348,12 +352,12 @@ def degeneracy_status(g: ColoredCompleteGraph) -> DegeneracyStatus:
     pal = g._palette
     full_dense = None
     for u in range(n):
-        row = m[u]
         if u:
             # the closure from (u, c) survives its first check only when
-            # every edge from u to 0..u-1 has color c, so c = row[0]
-            c = row[0]
-            if row[:u].count(c) != u:
+            # every edge from u to 0..u-1 has color c, so c = color(u, 0)
+            c = m[u][0]
+            low = (1 << u) - 1
+            if nbr[u][c] & low != low:
                 continue
             seeds = (c,)
         else:

@@ -13,7 +13,8 @@ mpt_cycles_through fills, per length, a cover of V by few cycles: the rules
 grow one Hamilton cycle H, each cover takes runs of L consecutive vertices
 of H whose seam arc closes them (windows), and the rules build a cycle only
 for a vertex that no window holds (cycles._window_covers, which the colored
-growth route shares).  cycle_covers() hands the covers out.
+growth route shares).  The table keeps the covers in window form, H plus
+each window's start, and cycle_covers() hands it out.
 A strong tournament is the special case without 2-parts:
 cycles_through adds a triangle to lengths 4..n.  Every search over vertices
 (insertion and swap candidates, the triangle and quadrangle closers,
@@ -38,6 +39,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .core import ColoredCompleteGraph, _all_ints, _check_int, _check_vertex, _is_vertex
 from .cycles import _window_covers as _cut_windows
+from .cycles import _WindowCovers
 from .errors import (
     CycleNotInDigraph,
     FiberTooLarge,
@@ -177,14 +179,15 @@ class MultipartiteTournament:
         """The directed cycles mpt_cycles_through built, per length.
 
         Maps each length L to the tuple of L-cycles built, in walk order
-        (see _window_covers).
-        Their vertex sets cover V, and the first of them through v is the
-        one mpt_cycles_through(t, v) gives for L.  Every length maps to ()
+        (see _window_covers): the read-only covers in window form
+        (cycles._WindowCovers) that t keeps, no copy.  Their vertex sets
+        cover V, and the first of them through v is the one
+        mpt_cycles_through(t, v) gives for L.  Every length maps to ()
         before the first mpt_cycles_through call.
         """
         if self._table is None:
             return dict.fromkeys(range(4, self.n + 1), ())
-        return dict(self._table)
+        return self._table
 
     def is_tournament(self) -> bool:
         return all(len(p) == 1 for p in self.parts)
@@ -381,7 +384,7 @@ def _quadrangle_through(t: MultipartiteTournament, v: int) -> tuple:
     )
 
 
-def _window_covers(t: MultipartiteTournament) -> Dict[int, tuple]:
+def _window_covers(t: MultipartiteTournament) -> _WindowCovers:
     """Per length L in 4..n, a cover of V by directed L-cycles, from one Hamilton cycle.
 
     t must meet mpt_cycles_through's preconditions.  H, a Hamilton cycle
@@ -389,9 +392,11 @@ def _window_covers(t: MultipartiteTournament) -> Dict[int, tuple]:
     L consecutive vertices of H are a directed path, so cycles._window_covers
     cuts the covers from H with one bit test per seam: is the pair from the
     last vertex to the first an arc of t?  Its fallbacks come from the
-    proved rules, _quadrangle_through at L = 4 and _extend_cycle above.  On
-    randomDegenerate n = 64 the covers hold about 234 cycles (the floor, the
-    sum of ceil(64 / L), is 219), about 3 of them fallbacks.
+    proved rules, _quadrangle_through at L = 4 and _extend_cycle above.  The
+    covers come back in window form: H, and per length the windows' starts
+    with the fallback tuples.  On randomDegenerate n = 64 they hold about
+    234 cycles (the floor, the sum of ceil(64 / L), is 219), about 3 of them
+    fallbacks.
     """
     outm = t._outmask
     ham = _quadrangle_through(t, 0)
@@ -419,8 +424,13 @@ def mpt_cycles_through(t: MultipartiteTournament, v: int) -> Dict[int, tuple]:
     An L-cycle is a certificate for each of its L vertices, so the cycles
     come from one table that t remembers: per length, a cover of V by
     L-cycles, filled by the first call with _window_covers (windows of one
-    Hamilton cycle, fallbacks from the proved rules).  The cycle given for
-    L is the first cycle of L's cover through v.
+    Hamilton cycle H, fallbacks from the proved rules) and kept in window
+    form, H plus each window's start (cycles._WindowCovers.read takes a
+    table of plain tuples, as a test may substitute, into that form).  The
+    cycle given for L is the first cycle of L's cover through v, found by
+    v's position on H (through): no cycle is scanned but a fallback, and
+    only the cycle given is sliced, once, so every call that gives it
+    gives the same tuple.
     """
     n = t.n
     if n < 4:
@@ -436,14 +446,8 @@ def mpt_cycles_through(t: MultipartiteTournament, v: int) -> Dict[int, tuple]:
             )
     _check_vertex(t.n, v)
     if t._table is None:
-        t._table = _window_covers(t)
-    out = {}
-    for ln, cover in t._table.items():
-        for cyc in cover:  # a plain loop: half the time of next() over a generator
-            if v in cyc:
-                out[ln] = cyc
-                break
-    return out
+        t._table = _WindowCovers.read(_window_covers(t), n)
+    return t._table.through(v, range(4, n + 1))
 
 
 # -- correspondence with edge-colored graphs ---------------------------

@@ -30,7 +30,7 @@ from .cycles import (
     _pc_cycle_search,
     _pc_seam,
     _window_covers,
-    _Windows,
+    _WindowCovers,
     has_pc_cycle,
     insert_into_pc_cycle,
     pc_quadrangle_search,
@@ -67,7 +67,9 @@ class TrichotomyTag(enum.Enum):
 class TrichotomyResult:
     tag: TrichotomyTag
     graph: ColoredCompleteGraph
-    cycles: Optional[Dict] = None  # L -> PC L-cycles covering V, vertex tuples in walk order; tag "a"
+    # tag "a": L -> PC L-cycles covering V, vertex tuples in walk order;
+    # classify's covers are such a dict in window form (cycles._WindowCovers)
+    cycles: Optional[Dict] = None
     certificate: Optional[DegeneracyCertificate] = None  # for tag "b"
     relabel: Optional[Dict] = None  # vertex -> canonical vertex, for tag "c"
 
@@ -134,10 +136,14 @@ def _pancyclic_via_orientation(g: ColoredCompleteGraph, cert: DegeneracyCertific
       is compatible.  So (S, f|S) is a proper degenerate set, and
       degeneracy_status would have returned PROPER_SET, not FULL_ONLY.
 
-    One mpt_cycles_through call fills t's whole table: per length, windows
-    of one Hamilton cycle H of t and a few fallback cycles, about 234
-    cycles at n = 64.  The call asks for vertex 0, which H grows through,
-    so its scan of the table stops at the first cycle of each cover.
+    One mpt_cycles_through call fills t's whole table in window form
+    (cycles._WindowCovers): H, a Hamilton cycle of t, and per length the
+    starts of its windows and a few fallback cycles, about 234 cycles at
+    n = 64 of which about 3 are tuples.  The call asks for vertex 0, which
+    H grows through, and slices the one window per length it returns.
+    The table itself is the certificate: classify returns it as the
+    result's covers, and no other window is sliced until a caller reads
+    them.
 
     Every cover cycle lifts, so no cover cycle is checked here.  H and
     every fallback come from _quadrangle_through and _extend_cycle, which
@@ -152,15 +158,13 @@ def _pancyclic_via_orientation(g: ColoredCompleteGraph, cert: DegeneracyCertific
     lift_cycle call, on H, stays because perfbench's trace wants a
     lift_cycle call per full-only instance.  The InternalError alarms of
     the two rules stay, and validate_result checks the certificate from
-    the matrix alone, on both routes.  The covers hold t.cycle_covers()'s
-    own tuples: building new ones from generators filled the tuple free
-    lists, raising peak RSS 15% on randomDegenerate n=64.
+    the matrix alone, on both routes.
     """
     f = cert.f
     t = reduce_degenerate(g, f)
     mpt_cycles_through(t, 0)
     covers = t.cycle_covers()
-    lift_cycle(g, f, covers[g.n][0])
+    lift_cycle(g, f, covers.ham)
     return covers
 
 
@@ -349,39 +353,82 @@ def side_conditions(g: ColoredCompleteGraph, result: TrichotomyResult) -> SideCo
     return SideConditionReport(meets_half, mono_low, bounds, corollary)
 
 
+def _window_form_holds(g: ColoredCompleteGraph, covers: _WindowCovers) -> bool:
+    """validate_result's check of tag-(a) covers in window form; see there."""
+    n = g.n
+    m = g._m
+    runs = covers.runs
+    ham = runs.ham
+    try:
+        if len(ham) != n or not _all_ints(ham) or set(ham) != set(range(n)):
+            return False
+        if not _pc_closed(m, ham) or len(covers.entries) != n - 3:
+            return False
+        twice, pos = runs.twice, runs.pos
+        closes = _pc_seam(m, ham)
+        full = (1 << n) - 1
+        for ln, cover in enumerate(covers.entries, 4):
+            run = (1 << ln) - 1
+            done = 0  # bit i: position i of H lies on a cycle of the cover
+            for e in cover:
+                if type(e) is int:
+                    if not (0 <= e < n and closes(twice[e + ln - 1], twice[e])):
+                        return False
+                    bits = run << e
+                    done |= bits | bits >> n
+                    continue
+                vs = tuple(e)
+                if len(vs) != ln or not _all_ints(vs) or len(set(vs)) != ln:
+                    return False
+                if not _pc_closed(m, vs):
+                    return False
+                for w in vs:
+                    done |= 1 << pos[w]
+            if done & full != full:  # wrapped bits >= n are set too
+                return False
+    except (TypeError, ValueError, LookupError):
+        return False
+    return True
+
+
 def validate_result(g: ColoredCompleteGraph, result: TrichotomyResult) -> bool:
     """Independently re-check whichever certificate the result carries.
 
-    Pancyclic covers need exactly the keys 4..n, and each length L a cover:
-    an iterable of properly colored L-cycles, each checked once, whose
-    vertex sets cover V.  covers[n] is read once, and its first cycle H
-    gets the full test: n entries, all ints, whose set is V = {0..n-1},
+    Pancyclic covers are checked in window form (cycles._WindowCovers): a
+    cycle H, and for each length L in 4..n a cover, whose entries are
+    window starts p, each standing for the run of L vertices of H from
+    position p, and fallback cycles.  classify's covers are in that form
+    already.  Any other covers are first read into it (_WindowCovers.read):
+    they need exactly the keys 4..n, each cycle L entries, all ints, and a
+    cycle that equals the run of H from its first entry becomes that run's
+    start.  H is then the first cycle of covers[n].  Either way the one
+    check below decides (_window_form_holds), and it slices no window.
+
+    H gets the full test: n entries, all ints, whose set is V = {0..n-1},
     and the PC color test over every edge.  So H is a PC Hamilton cycle.
 
-    Every cycle must then hold L entries, all ints.  The int test is one
-    type lookup per entry in C, and the only one that fails 0.0 or True,
-    which tuple equality takes for 0 and 1.  A cycle that equals the run
-    of L vertices of H from its first entry (cycles._Windows.start) is a
-    window, and only its seam a -> b, from its last entry back to its
-    first, is tested (cycles._pc_seam): m[a][b] must differ in color from
-    H's edge into a and from H's edge out of b.  That is the whole PC
+    A start p must be exactly an int (not a bool or a float) with
+    0 <= p < n, and only its seam a -> b, from the run's last vertex back to
+    its first, is tested (cycles._pc_seam): m[a][b] must differ in color
+    from H's edge into a and from H's edge out of b.  That is the whole PC
     test: the run is a path of H, so its inner edges are H's, and each
     inner vertex sees two consecutive edges of the PC cycle H; only the two
     vertices at the seam see the seam edge.  Since L <= n, the run holds L
     distinct positions of H, hence L distinct vertices.
 
-    Every other cycle gets the full test: L distinct entries, and the PC
-    color test, which indexes the color matrix with every entry.  An int
-    of n or more fails an index with IndexError.  A negative int indexes
-    from the end of a row and so passes the color test, but it fails the
-    lookup in H's position map below with KeyError.
+    Any other entry is a fallback cycle, read with tuple(), and gets the
+    full test: L distinct entries, all ints, and the PC color test, which
+    indexes the color matrix with every entry.  An int of n or more fails
+    an index with IndexError.  A negative int indexes from the end of a
+    row and so passes the color test, but it fails the lookup in H's
+    position map below with KeyError.
 
     Coverage is counted by positions on H: a window from position p sets
-    bits p..p+L-1, wrapped around H's end, and any other cycle the bit of
-    each entry's position.  H visits each vertex of V once, so the
-    position map is a bijection from V onto 0..n-1, and the positions a
-    cover sets are all n exactly when its vertex sets cover V.  So every
-    vertex lies on a PC cycle of every length from 4 to n.
+    bits p..p+L-1, wrapped around H's end, and a fallback the bit of each
+    entry's position.  H visits each vertex of V once, so the position map
+    is a bijection from V onto 0..n-1, and the positions a cover sets are
+    all n exactly when its vertex sets cover V.  So every vertex lies on a
+    PC cycle of every length from 4 to n.
 
     A degenerate set must pass DegeneracyCertificate.check and leave a
     vertex out, and a relabel must be a dict that is a bijection of 0..4.
@@ -392,45 +439,8 @@ def validate_result(g: ColoredCompleteGraph, result: TrichotomyResult) -> bool:
     if not isinstance(result, TrichotomyResult):
         return False
     if result.tag is TrichotomyTag.PANCYCLIC:
-        covers = result.cycles
-        n = g.n
-        # set equality, since sorting keys of mixed types would raise
-        if not isinstance(covers, dict) or covers.keys() != set(range(4, n + 1)):
-            return False
-        m = g._m
-        full = (1 << n) - 1
-        try:
-            top = tuple(covers[n])  # read once: covers[n] may be a one-shot iterator
-            ham = tuple(top[0])
-            if len(ham) != n or set(ham) != set(range(n)) or not _all_ints(ham):
-                return False
-            if not _pc_closed(m, ham):
-                return False
-            runs = _Windows(ham)
-            start, pos = runs.start, runs.pos
-            closes = _pc_seam(m, ham)
-            for ln, cover in covers.items():
-                run = (1 << ln) - 1
-                done = 0  # bit i: position i of H lies on a cycle of the cover
-                for vs in map(tuple, top if ln == n else cover):
-                    if len(vs) != ln or not _all_ints(vs):
-                        return False
-                    p = start(vs)
-                    if p >= 0:
-                        if not closes(vs[-1], vs[0]):
-                            return False
-                        bits = run << p
-                        done |= bits | bits >> n
-                    elif len(set(vs)) != ln or not _pc_closed(m, vs):
-                        return False
-                    else:
-                        for w in vs:
-                            done |= 1 << pos[w]
-                if done & full != full:  # wrapped bits >= n are set too
-                    return False
-        except (TypeError, ValueError, LookupError):
-            return False
-        return True
+        covers = _WindowCovers.read(result.cycles, g.n)
+        return covers is not None and _window_form_holds(g, covers)
     if result.tag is TrichotomyTag.PROPER_DEGENERATE:
         cert = result.certificate
         return (

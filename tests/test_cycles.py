@@ -1,5 +1,7 @@
+import copy
 import gc
 import itertools
+import pickle
 import random
 
 import pytest
@@ -561,6 +563,62 @@ def test_window_covers_cut_windows_and_build_only_where_none_holds():
                 else:
                     assert cur is next(c for c in covers[ln - 1] if u in c)
     assert windows > 0 and builds > 0
+
+
+def test_window_covers_read_as_the_plain_dict_they_stand_for():
+    # the window form reads as L -> tuple of L's cycles: one length at a
+    # time or whole, in order 4..n whatever was read first, equal to and
+    # copied or pickled as a plain dict, and read-only
+    n = 12
+    rng = random.Random(5)
+    ham = tuple(rng.sample(range(n), n))
+    twice = ham + ham
+
+    def build(cur, u, ln):
+        return tuple([u] + [w for w in ham if w != u][: ln - 1])
+
+    for q in (0.0, 0.5, 1.0):
+
+        def closes(a, b, q=q):
+            return (a * 7 + b * 3) % 10 < 10 * q
+
+        covers = _window_covers(ham, closes, build)
+        want = {
+            ln: tuple(
+                [twice[e : e + ln] if type(e) is int else e for e in covers.entries[ln - 4]]
+            )
+            for ln in range(4, n + 1)
+        }
+        assert len(covers) == n - 3 and 4 in covers and n in covers
+        assert 3 not in covers and n + 1 not in covers and "4" not in covers and True not in covers
+        assert covers.get(3) is None and covers.get(n + 1, ()) == ()
+        with pytest.raises(KeyError):
+            covers[n + 1]
+        assert covers[n] == (ham,) and covers[n][0] is ham
+        assert covers[7] == want[7] and covers.get(5) == want[5]
+        assert list(covers) == list(range(4, n + 1))
+        assert covers == want and want == covers and not covers != want
+        assert dict(covers) == want and {**covers} == want and covers.copy() == want
+        assert repr(covers) == repr(want) and list(reversed(covers)) == list(reversed(want))
+        assert (covers | {3: ()}) == {**want, 3: ()}
+        for again in (copy.deepcopy(covers), pickle.loads(pickle.dumps(covers))):
+            assert type(again) is dict and again == want
+        for mutate in (
+            lambda c: c.__setitem__(4, ()),
+            lambda c: c.__delitem__(4),
+            lambda c: c.update({4: ()}),
+            lambda c: c.setdefault(3, ()),
+            lambda c: c.pop(4),
+            lambda c: c.popitem(),
+            lambda c: c.clear(),
+        ):
+            with pytest.raises(TypeError):
+                mutate(covers)
+        assert covers == want and list(covers.items()) == list(want.items())
+        # every length read on its own, last first, still iterates 4..n
+        backwards = _window_covers(ham, closes, build)
+        assert [backwards[ln] for ln in range(n, 3, -1)] == [want[ln] for ln in range(n, 3, -1)]
+        assert list(backwards) == list(range(4, n + 1)) and backwards == want
 
 
 def test_searches_leave_no_cyclic_garbage():

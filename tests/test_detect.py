@@ -203,6 +203,38 @@ def test_seed_loop_closes_only_one_color_prefix_seeds(monkeypatch):
     assert counts == [3, 2, 3, 3, 3]
 
 
+def test_seed_prefix_mask_test_matches_the_row_slice(monkeypatch):
+    # degeneracy_status seeds u >= 1 by nbr[u][c] & low == low; the old
+    # test, kept here, scanned the row prefix.  The loop closes exactly
+    # the seeds the slice test passes, in order, up to its first proper set
+    calls = []
+    closure = detect._closure_dense
+
+    def counting(m, nbr, n, u, c, low):
+        if u:
+            calls.append((u, c))
+        return closure(m, nbr, n, u, c, low)
+
+    monkeypatch.setattr(detect, "_closure_dense", counting)
+    graphs = itertools.chain(
+        exhaustive_colorings(5),
+        (random_degenerate(64, random_fibers(64, s), s)[0] for s in range(40)),
+    )
+    checked = collections.Counter()
+    for g in graphs:
+        m = g._m
+        want = [(u, m[u][0]) for u in range(1, g.n) if m[u][:u].count(m[u][0]) == u]
+        calls.clear()
+        tag = degeneracy_status(g).tag
+        if tag is DegeneracyTag.PROPER_SET:
+            assert calls == want[: len(calls)], dumps_instance(g)
+        else:
+            assert calls == want, dumps_instance(g)
+        checked[g.n] += 1
+        checked["seeds"] += len(calls)
+    assert checked[5] == 115975 and checked[64] == 40 and checked["seeds"] > 100000, checked
+
+
 def _reference_closure(m, n, u, c, low):
     """The closure as a loop over the color matrix, entry by entry: it tests
     each pulled value against the one already set, and stops at the first

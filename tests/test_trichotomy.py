@@ -13,6 +13,8 @@ from pcgraph import build, loads_instance
 from pcgraph.cycles import (
     _pc_closed,
     _pc_cycle_search,
+    _Windows,
+    _WindowCovers,
     enumerate_pc_cycles,
     has_pc_cycle,
     insert_into_pc_cycle,
@@ -1003,6 +1005,130 @@ def test_seam_validate_agrees_with_the_per_vertex_check_at_n64():
         outcomes[_checked(g, _recovered(result, {ln: tuple(cover)}))] += 1
     assert forged_h > 50
     assert outcomes[True] > 80 and outcomes[False] > 80
+
+
+def _with_form(result, ham=None, entries=None):
+    """result with its window form's H or entries replaced; the rest kept."""
+    covers = result.cycles
+    runs = covers.runs if ham is None else _Windows(ham)
+    return dataclasses.replace(
+        result, cycles=_WindowCovers(runs, covers.entries if entries is None else entries)
+    )
+
+
+def _form_checked(g, forged):
+    """validate_result's answer on a window form, asserted equal to its
+    answer on the parsed dict(form) and to the per-vertex reference's."""
+    got = validate_result(g, forged)
+    assert got == validate_result(g, dataclasses.replace(forged, cycles=dict(forged.cycles)))
+    assert got == _per_vertex_validate(g, forged)
+    return got
+
+
+def _form_results():
+    """Tag-(a) results of both routes at n = 64, each with a fallback cycle."""
+    graphs = [_full_only(64, s) for s in range(3)]
+    graphs += list(generate(GenSpec("gallai", n=64, seed=2, count=2)))
+    results = [classify(g) for g in graphs]
+    for r in results:
+        assert type(r.cycles) is _WindowCovers
+        assert any(type(e) is tuple for cover in r.cycles.entries for e in cover)
+    return results
+
+
+def test_validate_result_checks_a_tampered_window_form_as_the_per_vertex_check_does():
+    # the form's own entries and H, tampered with: each answer is the
+    # reference's on the cycles the form stands for, and the parsed
+    # dict(form)'s answer
+    rng = random.Random(36)
+    outcomes = collections.Counter()
+    for result in _form_results():
+        g = result.graph
+        n = g.n
+        entries = result.cycles.entries
+        assert _form_checked(g, result)
+        fallbacks = [
+            (i, j) for i, cover in enumerate(entries) for j, e in enumerate(cover) if type(e) is tuple
+        ]
+        starts = [
+            (i, j) for i, cover in enumerate(entries) for j, e in enumerate(cover) if type(e) is int
+        ]
+
+        def put(i, j, e):
+            cover = entries[i]
+            changed = list(entries)
+            changed[i] = cover[:j] + (e,) + cover[j + 1 :]
+            return _with_form(result, entries=changed)
+
+        for i, j in rng.sample(starts, 12):
+            p = entries[i][j]
+            for shift in (1, -1, rng.randrange(2, n)):
+                outcomes[_form_checked(g, put(i, j, (p + shift) % n))] += 1
+            for bad in (n, -1, True, 1.0, n + p):
+                assert not _form_checked(g, put(i, j, bad)), (i, bad)
+        for i, j in fallbacks:
+            cover = entries[i]
+            dropped = list(entries)
+            dropped[i] = cover[:j] + cover[j + 1 :]
+            outcomes[_form_checked(g, _with_form(result, entries=dropped))] += 1
+            assert not _form_checked(g, put(i, j, _non_pc_reordering(g, cover[j])))
+            assert _form_checked(g, put(i, j, list(cover[j])))  # read with tuple()
+        ham = list(result.cycles.ham)
+        for _ in range(6):
+            a, b = rng.sample(range(n), 2)
+            swapped = ham[:]
+            swapped[a], swapped[b] = swapped[b], swapped[a]
+            outcomes[_form_checked(g, _with_form(result, ham=tuple(swapped)))] += 1
+    assert outcomes[True] > 20 and outcomes[False] > 20, outcomes
+
+
+def test_validate_result_gives_one_verdict_on_the_form_and_on_its_parse():
+    # classify's covers in window form, and the same covers as a plain
+    # dict of tuples, read back into the form; n = 8 and 16 hold the most
+    # fallback cycles
+    checked = fallbacks = 0
+    specs = [("randomDegenerate", 8, 300), ("randomDegenerate", 16, 150)]
+    specs += [("randomDegenerate", 64, 10), ("gallai", 64, 10)]
+    for family, n, count in specs:
+        for g in generate(GenSpec(family, n=n, seed=0, count=count)):
+            result = classify(g)
+            if result.tag is not TrichotomyTag.PANCYCLIC:
+                continue
+            covers = result.cycles
+            parsed = dataclasses.replace(result, cycles=dict(covers))
+            assert validate_result(g, result) and validate_result(g, parsed), (family, n)
+            assert _WindowCovers.read(parsed.cycles, n).entries == covers.entries
+            fallbacks += sum(type(e) is tuple for cover in covers.entries for e in cover)
+            checked += 1
+    assert checked > 400 and fallbacks > 300, (checked, fallbacks)
+
+
+def test_validate_result_after_classify_builds_no_cover_and_slices_no_window():
+    # classify slices only the windows it hands on: on the orientation
+    # route mpt_cycles_through's cycles for vertex 0, and on both routes
+    # the shorter cycles that fallbacks grew from; validate_result checks
+    # the form as it is, so it builds no cover and slices no window
+    for g in (_full_only(64, 0), next(generate(GenSpec("gallai", n=64, seed=2)))):
+        n = g.n
+        result = classify(g)
+        covers = result.cycles
+        entries = covers.entries
+        cut = dict(covers._cut)
+        assert cut[n, 0] is covers.ham and dict.__len__(covers) == 0
+        grown = {ln - 1 for ln, cover in enumerate(entries, 4) if tuple in map(type, cover)}
+        handed = {(n, 0)}
+        if degeneracy_status(g).tag is DegeneracyTag.FULL_ONLY:
+            q = covers.runs.pos[0]
+            for ln, cover in enumerate(entries, 4):
+                e = next(e for e in cover if ((q - e) % n < ln if type(e) is int else 0 in e))
+                handed.add((ln, e))
+        assert grown and all(key in handed or key[0] in grown for key in cut), sorted(cut)
+        assert validate_result(g, result)
+        assert dict(covers._cut) == cut and dict.__len__(covers) == 0
+        # reading the covers builds every length, from the windows already sliced
+        built = dict(covers)
+        assert list(built) == list(range(4, n + 1)) and dict.__len__(covers) == n - 3
+        assert all(built[ln][entries[ln - 4].index(p)] is cyc for (ln, p), cyc in cut.items())
 
 
 def _first_through(cover, v):
