@@ -5,7 +5,6 @@ from .core import (
     ColoredCompleteGraph,
     ColorStats,
     build,
-    colors_between,
     dumps_instance,
     loads_instance,
     stats,
@@ -15,7 +14,6 @@ from .cycles import (
     AttachmentKind,
     classify_attachment,
     enumerate_pc_cycles,
-    find_pc_quadrangle,
     has_pc_cycle,
     is_pc_cycle,
     is_pc_path,
@@ -66,13 +64,11 @@ __all__ = [
     "classify",
     "classify_attachment",
     "closure_from_seed",
-    "colors_between",
     "cycles_through",
     "degeneracy_status",
     "dumps_instance",
     "enumerate_pc_cycles",
     "find_monochromatic_triangle",
-    "find_pc_quadrangle",
     "find_pc_triangle",
     "has_pc_cycle",
     "is_double_pentagon_k5",

@@ -26,10 +26,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     DuplicateEdge,
-    EmptyVertexSet,
     InvalidInstance,
     MissingEdge,
-    OverlappingSets,
     PreconditionViolated,
     RepeatedVertex,
     SelfLoop,
@@ -158,11 +156,13 @@ def _check_vertex(n: int, v) -> None:
         raise UnknownVertex(f"vertex {v!r} not in 0..{n - 1}")
 
 
-def _check_vertices(n: int, seq, distinct: bool = True) -> tuple:
-    """seq as a tuple of vertices of order n, distinct unless distinct is False.
+def _check_vertices(n: int, seq) -> tuple:
+    """seq as a tuple of distinct vertices of order n.
 
-    PreconditionViolated("vertices") when seq is not iterable; an unknown
-    vertex is reported before a repeat, wherever each occurs.
+    PreconditionViolated("vertices") when seq is not iterable,
+    UnknownVertex on an entry that is no vertex and RepeatedVertex on a
+    repeat; an unknown vertex is reported before a repeat, wherever each
+    occurs.
     """
     try:
         out = tuple(seq)
@@ -170,7 +170,7 @@ def _check_vertices(n: int, seq, distinct: bool = True) -> tuple:
         raise PreconditionViolated("vertices", f"not a vertex sequence: {seq!r}") from None
     for v in out:
         _check_vertex(n, v)
-    if distinct and len(set(out)) != len(out):
+    if len(set(out)) != len(out):
         raise RepeatedVertex(f"repeated vertex in {list(out)}")
     return out
 
@@ -242,19 +242,6 @@ def stats(g: ColoredCompleteGraph) -> ColorStats:
     degrees = tuple(k - row.count(0) for row in g._nbr)
     max_mono = max(map(int.bit_count, itertools.chain.from_iterable(g._nbr)))
     return ColorStats(degrees, min(degrees), max_mono)
-
-
-def colors_between(g: ColoredCompleteGraph, a: Iterable[int], b: Iterable[int]) -> set:
-    """Set of original colors on edges with one endpoint in each set."""
-    sa = set(_check_vertices(g.n, a, distinct=False))
-    sb = set(_check_vertices(g.n, b, distinct=False))
-    if not sa or not sb:
-        raise EmptyVertexSet("both sets must be nonempty")
-    if sa & sb:
-        raise OverlappingSets(f"sets share {sorted(sa & sb)}")
-    m = g._m
-    pal = g._palette
-    return {pal[m[u][v]] for u in sa for v in sb}
 
 
 # -- JSON instance format ---------------------------------------------

@@ -15,11 +15,11 @@ them, once up to rotation and reflection (_canonical), and is how the tests
 check the walk against the permutation oracle.  pc_quadrangle_search is the
 same walk at length 4.  _window_covers, which both tag-(a) routes call, cuts
 per length a cover of V from a Hamilton cycle H, and returns it in window
-form, _WindowCovers: H plus each window's start and each fallback cycle,
-which reads as the dict of cycle tuples it stands for.  _Windows holds H's
-positions and recognizes a window of a cover given as tuples, for
-_WindowCovers.read, and _pc_seam tests the seam of a window of a PC H, for
-the growth route and trichotomy.validate_result.
+form, _WindowCovers: H with its position map, plus each window's start and
+each fallback cycle, which reads as the dict of cycle tuples it stands for;
+_WindowCovers.read recognizes the windows of a cover given as tuples.
+_pc_seam tests the seam of a window of a PC H, for the growth route and
+trichotomy.validate_result.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from enum import Enum
 from typing import Callable, List, Optional, Sequence
 
 from .core import ColoredCompleteGraph, _all_ints, _check_vertex, _check_vertices, _is_int
-from .detect import DegeneracyTag, degeneracy_status, find_monochromatic_triangle
+from .detect import find_monochromatic_triangle
 from .errors import (
     BadLength,
     InternalError,
@@ -157,34 +157,6 @@ def has_pc_cycle(g: ColoredCompleteGraph, v: int, length: int) -> Optional[tuple
 
 # -- pancyclic covers -----------------------------------------------------
 
-class _Windows:
-    """The runs of a Hamilton cycle ham: L <= n consecutive vertices in ham's order.
-
-    pos maps each vertex to its position on ham, and twice is ham + ham, so
-    the run of L from position p, also across ham's end, is
-    twice[p : p + L].  A run closed by its seam, the pair from its last
-    vertex back to its first, is a window.  _WindowCovers.read recognizes
-    a window of a cover given as tuples by start, the one slice compare.
-    """
-
-    __slots__ = ("ham", "pos", "twice")
-
-    def __init__(self, ham: tuple):
-        self.ham = ham
-        self.pos = {w: i for i, w in enumerate(ham)}
-        self.twice = ham + ham
-
-    def start(self, vs: tuple) -> int:
-        """p = the position of vs[0] if vs equals the run twice[p : p + len(vs)], else -1.
-
-        KeyError when vs[0] is not on ham, TypeError when it is unhashable,
-        and IndexError when vs is empty.  Tuple equality takes 1.0 and True
-        for 1, so a caller that needs ints tests the types itself.
-        """
-        p = self.pos[vs[0]]
-        return p if vs == self.twice[p : p + len(vs)] else -1
-
-
 def _pc_seam(m: tuple, ham: tuple) -> Callable[[int, int], bool]:
     """The seam test for windows of a PC Hamilton cycle ham of the color matrix m.
 
@@ -209,13 +181,15 @@ def _read_only(self, *args, **kwargs):
 class _WindowCovers(dict):
     """Tag-(a) covers in window form: a Hamilton cycle H and, per length, its entries.
 
-    runs is H's _Windows, and entries[L - 4], for L in 4..n, lists L's cover
-    in walk order.  An int entry p stands for the window of L from position
-    p of H, runs.twice[p : p + L]; any other entry is a fallback cycle (a
-    tuple in every form built here) and stands for itself.  Both tag-(a)
-    routes fill their certificate in this form (_window_covers); covers[n]
-    is (0,), H itself.  trichotomy.validate_result checks the form as it is,
-    and tournaments.mpt_cycles_through answers from it (through).
+    ham is H; pos, each vertex's position on H, and twice, ham + ham, are
+    built from it here.  entries[L - 4], for L in 4..n, lists L's cover in
+    walk order.  An int entry p stands for the window of L from position p
+    of H, also across H's end, twice[p : p + L]; any other entry is a
+    fallback cycle (a tuple in every form built here) and stands for
+    itself.  Both tag-(a) routes fill their certificate in this form
+    (_window_covers); covers[n] is (0,), H itself.
+    trichotomy.validate_result checks the form as it is, and
+    tournaments.mpt_cycles_through answers from it (through).
 
     Read as a dict it is what it stands for: each length L maps to the
     tuple of L's cycles.  A length is built when it is first read, and a
@@ -225,20 +199,19 @@ class _WindowCovers(dict):
     builds every length first, in order 4..n, and from then on the dict
     storage holds them all.  Copies and pickles are plain dicts.  The
     covers are read-only: every dict mutator raises TypeError.  The
-    check trusts the form's private parts (runs built from H, and only
-    slices of runs.twice kept), which only this module writes.
+    check trusts one private part of the form, _cut holding only slices of
+    twice, which only this module writes; pos and twice cannot belong to
+    another cycle than ham.
     """
 
-    __slots__ = ("runs", "entries", "_cut")
+    __slots__ = ("ham", "pos", "twice", "entries", "_cut")
 
-    def __init__(self, runs: _Windows, entries: list):
-        self.runs = runs
+    def __init__(self, ham: tuple, entries: list):
+        self.ham = ham
+        self.pos = {w: i for i, w in enumerate(ham)}
+        self.twice = ham + ham
         self.entries = entries
-        self._cut = {(len(runs.ham), 0): runs.ham}  # (L, p) -> its window, once sliced
-
-    @property
-    def ham(self) -> tuple:
-        return self.runs.ham
+        self._cut = {(len(ham), 0): ham}  # (L, p) -> its window, once sliced
 
     def cycle(self, ln: int, entry) -> tuple:
         """The cycle an entry of L's cover stands for; a window is sliced once and kept.
@@ -246,12 +219,12 @@ class _WindowCovers(dict):
         Any entry but a start in 0..n-1 stands for itself: an int outside
         0..n-1, a bool or a float is no cycle, as validate_result finds.
         """
-        if type(entry) is not int or not 0 <= entry < len(self.runs.ham):
+        if type(entry) is not int or not 0 <= entry < len(self.ham):
             return entry
         key = (ln, entry)
         got = self._cut.get(key)
         if got is None:
-            got = self._cut[key] = self.runs.twice[entry : entry + ln]
+            got = self._cut[key] = self.twice[entry : entry + ln]
         return got
 
     def through(self, v: int, lengths) -> dict:
@@ -261,10 +234,9 @@ class _WindowCovers(dict):
         so no window is scanned, and only the cycle given is sliced, once
         (as cycle does, inlined: this loop is mpt_cycles_through's).
         """
-        runs = self.runs
-        twice = runs.twice
-        n = len(runs.ham)
-        q = runs.pos[v]
+        twice = self.twice
+        n = len(self.ham)
+        q = self.pos[v]
         entries = self.entries
         cut = self._cut
         out = {}
@@ -294,17 +266,17 @@ class _WindowCovers(dict):
         return cover
 
     def _fill(self) -> None:
-        lengths = list(range(4, len(self.runs.ham) + 1))
+        lengths = list(range(4, len(self.ham) + 1))
         if list(dict.keys(self)) != lengths:
             covers = [(ln, self[ln]) for ln in lengths]
             dict.clear(self)
             dict.update(self, covers)
 
     def __len__(self) -> int:
-        return len(self.runs.ham) - 3
+        return len(self.ham) - 3
 
     def __contains__(self, ln) -> bool:
-        return type(ln) is int and 4 <= ln <= len(self.runs.ham)
+        return type(ln) is int and 4 <= ln <= len(self.ham)
 
     def get(self, ln, default=None):
         return self[ln] if ln in self else default
@@ -333,8 +305,8 @@ class _WindowCovers(dict):
         lookup per entry in C, and the only one that fails 0.0 or True,
         which tuple equality takes for 0 and 1.  H is the first cycle of
         covers[n], read once, since covers[n] may be a one-shot iterator.
-        A cycle that equals the run of H from its first entry
-        (_Windows.start) becomes that run's start, and any other stays a
+        A cycle vs that equals the run of H from its first entry, from
+        position p = pos[vs[0]], becomes that start p, and any other stays a
         tuple.  Nothing here tests a color or H itself; validate_result
         checks the form.
         """
@@ -345,20 +317,20 @@ class _WindowCovers(dict):
             return None
         try:
             top = tuple(covers[n])  # read once: covers[n] may be a one-shot iterator
-            runs = _Windows(tuple(top[0]))
-            start = runs.start
             entries: list = [None] * (n - 3)
+            form = cls(tuple(top[0]), entries)
+            pos, twice = form.pos, form.twice
             for ln, cover in covers.items():
                 got = []
                 for vs in map(tuple, top if ln == n else cover):
                     if len(vs) != ln or not _all_ints(vs):
                         return None
-                    p = start(vs)
-                    got.append(vs if p < 0 else p)
+                    p = pos[vs[0]]  # KeyError when vs[0] is not on H
+                    got.append(p if vs == twice[p : p + ln] else vs)
                 entries[ln - 4] = tuple(got)  # a key 4.0 fails this index
         except (TypeError, ValueError, LookupError):
             return None
-        return cls(runs, entries)
+        return form
 
 
 for _name in ("__iter__", "__reversed__", "__repr__", "__or__", "keys", "values", "items", "copy"):
@@ -395,10 +367,9 @@ def _window_covers(ham: tuple, closes: Callable, build: Callable) -> _WindowCove
     sliced but a cur.
     """
     n = len(ham)
-    runs = _Windows(ham)
-    twice, pos = runs.twice, runs.pos
     entries: list = []
-    covers = _WindowCovers(runs, entries)
+    covers = _WindowCovers(ham, entries)
+    twice, pos = covers.twice, covers.pos
     for ln in range(4, n):
         cover = []
         run = (1 << ln) - 1
@@ -599,22 +570,3 @@ def classify_attachment(g: ColoredCompleteGraph, cycle: Sequence[int], v: int) -
 def pc_quadrangle_search(g: ColoredCompleteGraph, v: int) -> Optional[tuple]:
     """First PC quadrangle through v in walk order: has_pc_cycle(g, v, 4)."""
     return _pc_cycle_search(g, v, 4)
-
-
-def find_pc_quadrangle(g: ColoredCompleteGraph, v: int) -> tuple:
-    """PC quadrangle through v; guaranteed on non-degenerate mono-triangle-free input."""
-    if g.n < 4:
-        raise PreconditionViolated("size", f"need n >= 4, got {g.n}")
-    _check_vertex(g.n, v)
-    tri = find_monochromatic_triangle(g)
-    if tri is not None:
-        raise PreconditionViolated("mono-triangle-free", f"triangle {tri}")
-    if degeneracy_status(g).tag is not DegeneracyTag.NON_DEGENERATE:
-        raise PreconditionViolated("non-degenerate", "graph has a degenerate set")
-    got = pc_quadrangle_search(g, v)
-    if got is None:
-        raise InternalError(
-            f"no PC quadrangle through {v} despite non-degeneracy", instance=g
-        )
-    return got
-

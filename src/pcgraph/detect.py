@@ -46,7 +46,6 @@ with the graph and the table is not.
 from __future__ import annotations
 
 import enum
-import json
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -142,9 +141,6 @@ class DegeneracyCertificate:
             "S": sorted(self.S),
             "f": {str(v): self.f[v] for v in sorted(self.S)},
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
 
 class DegeneracyTag(enum.Enum):

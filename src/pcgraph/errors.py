@@ -31,14 +31,6 @@ class TooLarge(PCGraphError):
     pass
 
 
-class OverlappingSets(PCGraphError):
-    pass
-
-
-class EmptyVertexSet(PCGraphError):
-    pass
-
-
 class NotAPartition(PCGraphError):
     pass
 

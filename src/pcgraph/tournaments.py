@@ -206,14 +206,6 @@ class MultipartiteTournament:
     def to_json_dict(self) -> dict:
         return {"parts": [list(p) for p in self.parts], "arcs": [list(a) for a in self.arcs()]}
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "MultipartiteTournament":
-        if not isinstance(data, dict):
-            raise PreconditionViolated(
-                "json", f'expected an object with "parts" and "arcs", got {data!r}'
-            )
-        return cls(data.get("parts", ()), data.get("arcs", ()))
-
     def __repr__(self) -> str:
         return f"MultipartiteTournament(n={self.n}, parts={len(self.parts)})"
 
@@ -425,9 +417,8 @@ def mpt_cycles_through(t: MultipartiteTournament, v: int) -> Dict[int, tuple]:
     come from one table that t remembers: per length, a cover of V by
     L-cycles, filled by the first call with _window_covers (windows of one
     Hamilton cycle H, fallbacks from the proved rules) and kept in window
-    form, H plus each window's start (cycles._WindowCovers.read takes a
-    table of plain tuples, as a test may substitute, into that form).  The
-    cycle given for L is the first cycle of L's cover through v, found by
+    form, H plus each window's start (cycles._WindowCovers).  The cycle
+    given for L is the first cycle of L's cover through v, found by
     v's position on H (through): no cycle is scanned but a fallback, and
     only the cycle given is sliced, once, so every call that gives it
     gives the same tuple.
@@ -446,7 +437,7 @@ def mpt_cycles_through(t: MultipartiteTournament, v: int) -> Dict[int, tuple]:
             )
     _check_vertex(t.n, v)
     if t._table is None:
-        t._table = _WindowCovers.read(_window_covers(t), n)
+        t._table = _window_covers(t)
     return t._table.through(v, range(4, n + 1))
 
 

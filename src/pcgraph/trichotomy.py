@@ -357,14 +357,13 @@ def _window_form_holds(g: ColoredCompleteGraph, covers: _WindowCovers) -> bool:
     """validate_result's check of tag-(a) covers in window form; see there."""
     n = g.n
     m = g._m
-    runs = covers.runs
-    ham = runs.ham
+    ham = covers.ham
     try:
         if len(ham) != n or not _all_ints(ham) or set(ham) != set(range(n)):
             return False
         if not _pc_closed(m, ham) or len(covers.entries) != n - 3:
             return False
-        twice, pos = runs.twice, runs.pos
+        twice, pos = covers.twice, covers.pos
         closes = _pc_seam(m, ham)
         full = (1 << n) - 1
         for ln, cover in enumerate(covers.entries, 4):

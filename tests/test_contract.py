@@ -31,13 +31,11 @@ from pcgraph import (
     classify,
     classify_attachment,
     closure_from_seed,
-    colors_between,
     cycles_through,
     degeneracy_status,
     dumps_instance,
     enumerate_pc_cycles,
     find_monochromatic_triangle,
-    find_pc_quadrangle,
     find_pc_triangle,
     has_pc_cycle,
     is_double_pentagon_k5,
@@ -53,6 +51,7 @@ from pcgraph import (
     stats,
     verify_gallai_partition,
 )
+from pcgraph.cycles import pc_quadrangle_search
 from pcgraph.errors import (
     InvalidInstance,
     PCGraphError,
@@ -168,9 +167,6 @@ CASES = [
     ("loads_instance", lambda b: loads_instance(repr(b))),
     ("ColoredCompleteGraph", lambda b: P()["growth"].color(b, 1)),
     ("ColoredCompleteGraph", lambda b: P()["growth"].color(1, b)),
-    ("colors_between", lambda b: colors_between(P()["growth"], b, [0])),
-    ("colors_between", lambda b: colors_between(P()["growth"], [0], b)),
-    ("colors_between", lambda b: colors_between(P()["growth"], [b, 1], [2])),
     ("is_pc_cycle", lambda b: is_pc_cycle(P()["growth"], b)),
     ("is_pc_cycle", lambda b: is_pc_cycle(P()["growth"], _at(_pc(), 1, b))),
     ("is_pc_path", lambda b: is_pc_path(P()["growth"], b)),
@@ -179,7 +175,6 @@ CASES = [
     ("has_pc_cycle", lambda b: has_pc_cycle(P()["growth"], 0, b)),
     ("enumerate_pc_cycles", lambda b: enumerate_pc_cycles(P()["growth"], b, 4)),
     ("enumerate_pc_cycles", lambda b: enumerate_pc_cycles(P()["growth"], 0, b)),
-    ("find_pc_quadrangle", lambda b: find_pc_quadrangle(P()["growth"], b)),
     # a malformed vertex in a triangle, and in too short a cycle, where it is reported first
     ("classify_attachment", lambda b: classify_attachment(P()["growth"], (0, 1, b), 7)),
     ("classify_attachment", lambda b: classify_attachment(P()["growth"], (0, b), 7)),
@@ -202,7 +197,6 @@ CASES = [
     ("MultipartiteTournament", lambda b: MultipartiteTournament([(0,), (1,)], [(b, 1)])),
     ("MultipartiteTournament", lambda b: MultipartiteTournament([(0,), (b,)], [(0, 1)])),
     ("MultipartiteTournament", lambda b: MultipartiteTournament.tournament(b, [])),
-    ("MultipartiteTournament", lambda b: MultipartiteTournament.from_json_dict(b)),
     ("MultipartiteTournament", lambda b: P()["t"].has_arc(b, 0)),
     ("MultipartiteTournament", lambda b: P()["t"].has_arc(0, b)),
     ("MultipartiteTournament", lambda b: P()["t"].out_neighbors(b)),
@@ -241,13 +235,22 @@ GRAPH_ONLY = {
 }
 
 
+# Case ids number the rows in the order they were added.  The numbers of
+# rows whose public name was deleted are not reused, so that every other id
+# keeps its number: 9-11 (core.colors_between), 20 (find_pc_quadrangle) and
+# 42 (MultipartiteTournament.from_json_dict).
+RETIRED = {9, 10, 11, 20, 42}
+NUMBERS = [i for i in range(len(CASES) + len(RETIRED)) if i not in RETIRED]
+
+
 def test_every_public_name_is_driven():
+    # equality, so that a deleted name leaves no stale CASES or GRAPH_ONLY entry
     driven = {name for name, _ in CASES} | GRAPH_ONLY | RECORDS
-    assert driven >= set(pcgraph.__all__)
+    assert driven - {"families", "sweep"} == set(pcgraph.__all__)
 
 
 @pytest.mark.parametrize(
-    "case", range(len(CASES)), ids=[f"{i}-{name}" for i, (name, _) in enumerate(CASES)]
+    "case", range(len(CASES)), ids=[f"{i}-{name}" for i, (name, _) in zip(NUMBERS, CASES)]
 )
 @SETTINGS
 @given(bad=MALFORMED)
@@ -277,7 +280,6 @@ def test_quoted_probes():
     for call in (
         lambda: is_pc_cycle(g, None),
         lambda: is_pc_path(g, 5),
-        lambda: colors_between(g, None, [0]),
     ):
         with pytest.raises(PreconditionViolated) as err:
             call()
@@ -397,12 +399,12 @@ def test_valid_input_gives_a_validated_answer(name, data):
         assert v in cyc and len(cyc) == length and is_pc_cycle(g, cyc)
     for found in enumerate_pc_cycles(g, v, 4):
         assert v in found and is_pc_cycle(g, found)
-    others = [w for w in range(n) if w != v]
-    assert colors_between(g, [v], others) <= g.palette
-    seed = closure_from_seed(g, v, g.color(v, others[0]))
+    seed = closure_from_seed(g, v, g.color(v, 1 if v == 0 else 0))
     assert seed is None or seed.check(g)
     if status.tag is DegeneracyTag.NON_DEGENERATE:
-        quad = find_pc_quadrangle(g, v)
+        # guaranteed: g is non-degenerate and has no monochromatic triangle
+        quad = pc_quadrangle_search(g, v)
+        assert quad is not None
         assert v in quad and len(quad) == 4 and is_pc_cycle(g, quad)
     if res.tag is TrichotomyTag.PANCYCLIC and n >= 6:
         base = res.cycles[n - 1][0]

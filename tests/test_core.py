@@ -6,14 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcgraph import build, colors_between, loads_instance, stats
+from pcgraph import build, loads_instance, stats
 from pcgraph.core import ColorStats, dumps_instance, from_instance_dict
 from pcgraph.errors import (
     DuplicateEdge,
-    EmptyVertexSet,
     InvalidInstance,
     MissingEdge,
-    OverlappingSets,
     PreconditionViolated,
     SelfLoop,
     TooSmall,
@@ -132,19 +130,6 @@ def test_stats_matches_the_per_pair_reference(double_pentagon, rainbow_k4, mono_
         assert stats(g) == _reference_stats(g)
         checked += 1
     assert checked == 4 + 20 + 115_975
-
-
-def test_colors_between_examples(double_pentagon, directed_example):
-    assert colors_between(directed_example, {0}, {3, 4, 5}) == {1}
-    assert colors_between(double_pentagon, {0}, {1, 2}) == {1, 2}
-    assert colors_between(double_pentagon, {0}, {1}) == {double_pentagon.color(0, 1)}
-
-
-def test_colors_between_errors(double_pentagon):
-    with pytest.raises(OverlappingSets):
-        colors_between(double_pentagon, {0, 1}, {1, 2})
-    with pytest.raises(EmptyVertexSet):
-        colors_between(double_pentagon, set(), {1})
 
 
 @settings(max_examples=60, deadline=None)

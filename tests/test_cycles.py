@@ -20,7 +20,6 @@ from pcgraph.cycles import (
     _window_covers,
     classify_attachment,
     enumerate_pc_cycles,
-    find_pc_quadrangle,
     has_pc_cycle,
     insert_into_pc_cycle,
     is_pc_cycle,
@@ -460,19 +459,12 @@ def test_classify_attachment_trichotomy_random():
 def test_quadrangle_search_examples(rainbow_k4, double_pentagon):
     got = pc_quadrangle_search(rainbow_k4, 0)
     assert got is not None and is_pc_cycle(rainbow_k4, got)
+    # the double pentagon is non-degenerate and has no monochromatic
+    # triangle, so a PC quadrangle runs through every vertex
     for v in range(5):
-        quad = find_pc_quadrangle(double_pentagon, v)
+        quad = pc_quadrangle_search(double_pentagon, v)
+        assert quad is not None
         assert v in quad and len(quad) == 4 and is_pc_cycle(double_pentagon, quad)
-
-
-def test_find_pc_quadrangle_preconditions(directed_example, mono_k3):
-    with pytest.raises(PreconditionViolated, match="non-degenerate"):
-        find_pc_quadrangle(directed_example, 0)
-    mono_k4 = build(4, [(u, v, 1) for u, v in itertools.combinations(range(4), 2)])
-    with pytest.raises(PreconditionViolated, match="mono"):
-        find_pc_quadrangle(mono_k4, 0)
-    with pytest.raises(PreconditionViolated, match="size"):
-        find_pc_quadrangle(mono_k3, 0)
 
 
 @settings(max_examples=40, deadline=None)

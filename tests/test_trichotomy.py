@@ -13,7 +13,6 @@ from pcgraph import build, loads_instance
 from pcgraph.cycles import (
     _pc_closed,
     _pc_cycle_search,
-    _Windows,
     _WindowCovers,
     enumerate_pc_cycles,
     has_pc_cycle,
@@ -595,7 +594,9 @@ def test_validate_result_rejects_a_forged_orientation_window_or_cycle(monkeypatc
 
         def forged(t, bad=bad):
             covers = real(t)
-            return {**covers, len(bad): covers[len(bad)] + (bad,)}
+            entries = list(covers.entries)
+            entries[len(bad) - 4] += (bad,)
+            return _WindowCovers(covers.ham, entries)
 
         monkeypatch.setattr(tournaments_mod, "_window_covers", forged)
         got = classify(g)
@@ -1010,10 +1011,9 @@ def test_seam_validate_agrees_with_the_per_vertex_check_at_n64():
 def _with_form(result, ham=None, entries=None):
     """result with its window form's H or entries replaced; the rest kept."""
     covers = result.cycles
-    runs = covers.runs if ham is None else _Windows(ham)
-    return dataclasses.replace(
-        result, cycles=_WindowCovers(runs, covers.entries if entries is None else entries)
-    )
+    ham = covers.ham if ham is None else ham
+    entries = covers.entries if entries is None else entries
+    return dataclasses.replace(result, cycles=_WindowCovers(ham, entries))
 
 
 def _form_checked(g, forged):
@@ -1118,7 +1118,7 @@ def test_validate_result_after_classify_builds_no_cover_and_slices_no_window():
         grown = {ln - 1 for ln, cover in enumerate(entries, 4) if tuple in map(type, cover)}
         handed = {(n, 0)}
         if degeneracy_status(g).tag is DegeneracyTag.FULL_ONLY:
-            q = covers.runs.pos[0]
+            q = covers.pos[0]
             for ln, cover in enumerate(entries, 4):
                 e = next(e for e in cover if ((q - e) % n < ln if type(e) is int else 0 in e))
                 handed.add((ln, e))
