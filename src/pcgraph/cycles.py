@@ -16,14 +16,16 @@ check the walk against the permutation oracle.  pc_quadrangle_search is the
 same walk at length 4.  _window_covers, which both tag-(a) routes call, cuts
 per length a cover of V from a Hamilton cycle H, and returns it in window
 form, _WindowCovers: H with its position map, plus each window's start and
-each fallback cycle, which reads as the dict of cycle tuples it stands for;
-_WindowCovers.read recognizes the windows of a cover given as tuples.
-_pc_seam tests the seam of a window of a PC H, for the growth route and
-trichotomy.validate_result.
+each fallback cycle, which reads as the read-only mapping of cycle tuples
+it stands for.  _WindowCovers.read recognizes the windows of a cover given
+as tuples, and _WindowCovers.holds checks the form, for
+trichotomy.validate_result.  _pc_seam tests the seam of a window of a PC
+H, for the growth route and that check.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, List, Optional, Sequence
@@ -174,11 +176,7 @@ def _pc_seam(m: tuple, ham: tuple) -> Callable[[int, int], bool]:
     return lambda a, b: into[a] != m[a][b] != out_of[b]
 
 
-def _read_only(self, *args, **kwargs):
-    raise TypeError("tag-(a) covers are read-only")
-
-
-class _WindowCovers(dict):
+class _WindowCovers(Mapping):
     """Tag-(a) covers in window form: a Hamilton cycle H and, per length, its entries.
 
     ham is H; pos, each vertex's position on H, and twice, ham + ham, are
@@ -187,24 +185,22 @@ class _WindowCovers(dict):
     of H, also across H's end, twice[p : p + L]; any other entry is a
     fallback cycle (a tuple in every form built here) and stands for
     itself.  Both tag-(a) routes fill their certificate in this form
-    (_window_covers); covers[n] is (0,), H itself.
-    trichotomy.validate_result checks the form as it is, and
+    (_window_covers); covers[n] is (0,), H itself.  holds checks the form
+    as it is, read brings other covers into it, and
     tournaments.mpt_cycles_through answers from it (through).
 
-    Read as a dict it is what it stands for: each length L maps to the
-    tuple of L's cycles.  A length is built when it is first read, and a
-    window is sliced once, whichever read needs it first, and kept, so
-    every read of it gives the same tuple; the key n gives H itself.  A
-    read of the whole (iteration, views, comparison, copy, repr, pickle)
-    builds every length first, in order 4..n, and from then on the dict
-    storage holds them all.  Copies and pickles are plain dicts.  The
-    covers are read-only: every dict mutator raises TypeError.  The
-    check trusts one private part of the form, _cut holding only slices of
-    twice, which only this module writes; pos and twice cannot belong to
-    another cycle than ham.
+    As a read-only Mapping it is what it stands for: each length L, in
+    order 4..n, maps to the tuple of L's cycles, and it equals the plain
+    dict of them.  A length is built when it is first read and kept in
+    _built, and a window is sliced once, whichever read needs it first,
+    and kept in _cut, so every read of it gives the same tuple; the key n
+    gives H itself.  Nothing can be assigned or deleted, and a copy or a
+    pickle is a form again.  The check trusts one private part of the form,
+    _cut holding only slices of twice, which only this module writes; pos
+    and twice cannot belong to another cycle than ham.
     """
 
-    __slots__ = ("ham", "pos", "twice", "entries", "_cut")
+    __slots__ = ("ham", "pos", "twice", "entries", "_cut", "_built")
 
     def __init__(self, ham: tuple, entries: list):
         self.ham = ham
@@ -212,27 +208,47 @@ class _WindowCovers(dict):
         self.twice = ham + ham
         self.entries = entries
         self._cut = {(len(ham), 0): ham}  # (L, p) -> its window, once sliced
+        self._built: dict = {}  # L -> the tuple of L's cycles, once read
 
-    def cycle(self, ln: int, entry) -> tuple:
-        """The cycle an entry of L's cover stands for; a window is sliced once and kept.
+    def __getitem__(self, ln) -> tuple:
+        if ln not in self:
+            raise KeyError(ln)
+        cover = self._built.get(ln)
+        if cover is None:
+            n = len(self.ham)
+            twice = self.twice
+            cut = self._cut
+            got = []
+            # any entry but a start in 0..n-1 stands for itself: an int
+            # outside 0..n-1, a bool or a float is no cycle, as holds finds
+            for e in self.entries[ln - 4]:
+                if type(e) is int and 0 <= e < n:
+                    cyc = cut.get((ln, e))
+                    if cyc is None:
+                        cyc = cut[ln, e] = twice[e : e + ln]
+                    e = cyc
+                got.append(e)
+            # from a list: tuples built from a generator skip CPython's free
+            # lists but join them when freed, which raised peak RSS 15% once
+            cover = self._built[ln] = tuple(got)
+        return cover
 
-        Any entry but a start in 0..n-1 stands for itself: an int outside
-        0..n-1, a bool or a float is no cycle, as validate_result finds.
-        """
-        if type(entry) is not int or not 0 <= entry < len(self.ham):
-            return entry
-        key = (ln, entry)
-        got = self._cut.get(key)
-        if got is None:
-            got = self._cut[key] = self.twice[entry : entry + ln]
-        return got
+    def __iter__(self):
+        return iter(range(4, len(self.ham) + 1))
+
+    def __len__(self) -> int:
+        return len(self.ham) - 3
+
+    def __contains__(self, ln) -> bool:
+        return type(ln) is int and 4 <= ln <= len(self.ham)
 
     def through(self, v: int, lengths) -> dict:
         """L -> the first cycle of L's cover through vertex v, for each L of lengths.
 
         A window from position p holds v exactly when (pos[v] - p) % n < L,
         so no window is scanned, and only the cycle given is sliced, once
-        (as cycle does, inlined: this loop is mpt_cycles_through's).
+        (as a read of the length does, inlined: this loop is
+        mpt_cycles_through's).
         """
         twice = self.twice
         n = len(self.ham)
@@ -255,45 +271,6 @@ class _WindowCovers(dict):
                     break
         return out
 
-    def __missing__(self, ln):
-        if ln not in self:
-            raise KeyError(ln)
-        cycle = self.cycle
-        # from a list: tuples built from a generator skip CPython's free
-        # lists but join them when freed, which raised peak RSS 15% once
-        cover = tuple([cycle(ln, e) for e in self.entries[ln - 4]])
-        dict.__setitem__(self, ln, cover)
-        return cover
-
-    def _fill(self) -> None:
-        lengths = list(range(4, len(self.ham) + 1))
-        if list(dict.keys(self)) != lengths:
-            covers = [(ln, self[ln]) for ln in lengths]
-            dict.clear(self)
-            dict.update(self, covers)
-
-    def __len__(self) -> int:
-        return len(self.ham) - 3
-
-    def __contains__(self, ln) -> bool:
-        return type(ln) is int and 4 <= ln <= len(self.ham)
-
-    def get(self, ln, default=None):
-        return self[ln] if ln in self else default
-
-    def __eq__(self, other):
-        self._fill()
-        if isinstance(other, _WindowCovers):
-            other._fill()
-        return dict.__eq__(self, other)
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    def __reduce__(self):
-        return (dict, (dict(self),))
-
     @classmethod
     def read(cls, covers, n: int) -> Optional["_WindowCovers"]:
         """covers in window form, or None when they are not tag-(a) covers of n vertices.
@@ -307,8 +284,8 @@ class _WindowCovers(dict):
         covers[n], read once, since covers[n] may be a one-shot iterator.
         A cycle vs that equals the run of H from its first entry, from
         position p = pos[vs[0]], becomes that start p, and any other stays a
-        tuple.  Nothing here tests a color or H itself; validate_result
-        checks the form.
+        tuple.  Nothing here tests a color or H itself; holds checks the
+        form.
         """
         if type(covers) is cls:
             return covers
@@ -332,20 +309,69 @@ class _WindowCovers(dict):
             return None
         return form
 
+    def holds(self, m: tuple) -> bool:
+        """Whether the form is tag-(a) covers of the color matrix m, n = len(m).
 
-for _name in ("__iter__", "__reversed__", "__repr__", "__or__", "keys", "values", "items", "copy"):
+        A form that holds puts every vertex on a PC cycle of every length
+        from 4 to n.  H gets the full test: n entries, all ints, whose set
+        is V = {0..n-1}, and the PC color test over every edge.  So H is a
+        PC Hamilton cycle.
 
-    def _whole(self, *args, _method=getattr(dict, _name)):
-        self._fill()
-        return _method(self, *args)
+        A start p must be exactly an int (not a bool or a float) with
+        0 <= p < n, and only its seam a -> b, from the run's last vertex back
+        to its first, is tested (_pc_seam): m[a][b] must differ in color
+        from H's edge into a and from H's edge out of b.  That is the whole
+        PC test: the run is a path of H, so its inner edges are H's, and
+        each inner vertex sees two consecutive edges of the PC cycle H; only
+        the two vertices at the seam see the seam edge.  Since L <= n, the
+        run holds L distinct positions of H, hence L distinct vertices.
 
-    _whole.__name__ = _name
-    setattr(_WindowCovers, _name, _whole)
-for _name in (
-    "__setitem__", "__delitem__", "__ior__", "clear", "pop", "popitem", "setdefault", "update"
-):
-    setattr(_WindowCovers, _name, _read_only)
-del _name, _whole
+        Any other entry is a fallback cycle, read with tuple(), and gets the
+        full test: L distinct entries, all ints, and the PC color test, which
+        indexes the color matrix with every entry.  An int of n or more
+        fails an index with IndexError.  A negative int indexes from the end
+        of a row and so passes the color test, but it fails the lookup in
+        H's position map below with KeyError.
+
+        Coverage is counted by positions on H: a window from position p sets
+        bits p..p+L-1, wrapped around H's end, and a fallback the bit of each
+        entry's position.  H visits each vertex of V once, so the position
+        map is a bijection from V onto 0..n-1, and the positions a cover sets
+        are all n exactly when its vertex sets cover V.  The check slices no
+        window.
+        """
+        n = len(m)
+        ham = self.ham
+        try:
+            if len(ham) != n or not _all_ints(ham) or set(ham) != set(range(n)):
+                return False
+            if not _pc_closed(m, ham) or len(self.entries) != n - 3:
+                return False
+            twice, pos = self.twice, self.pos
+            closes = _pc_seam(m, ham)
+            full = (1 << n) - 1
+            for ln, cover in enumerate(self.entries, 4):
+                run = (1 << ln) - 1
+                done = 0  # bit i: position i of H lies on a cycle of the cover
+                for e in cover:
+                    if type(e) is int:
+                        if not (0 <= e < n and closes(twice[e + ln - 1], twice[e])):
+                            return False
+                        bits = run << e
+                        done |= bits | bits >> n
+                        continue
+                    vs = tuple(e)
+                    if len(vs) != ln or not _all_ints(vs) or len(set(vs)) != ln:
+                        return False
+                    if not _pc_closed(m, vs):
+                        return False
+                    for w in vs:
+                        done |= 1 << pos[w]
+                if done & full != full:  # wrapped bits >= n are set too
+                    return False
+        except (TypeError, ValueError, LookupError):
+            return False
+        return True
 
 
 def _window_covers(ham: tuple, closes: Callable, build: Callable) -> _WindowCovers:

@@ -38,6 +38,9 @@ from .trichotomy import (
 )
 
 ORACLE_LEVELS = ("off", "partial", "full")
+# the most worker processes a sweep starts; a fixed cap, not the core count,
+# so --workers 2 stays valid on a one-core host
+MAX_WORKERS = 64
 
 
 @dataclass(frozen=True)
@@ -147,13 +150,20 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     """Run a sweep; flagged indices and dump paths land in the report.
 
     An oracle level outside ORACLE_LEVELS, and workers that are no int (a
-    bool is none) or below 1, raise PreconditionViolated naming the field.
+    bool is none), below 1 or above MAX_WORKERS, raise PreconditionViolated
+    naming the field, before any worker starts.  An error while the records
+    are read (an unwritable dump directory, Ctrl-C) terminates the workers
+    at once, rather than after they have examined every instance left.
     """
     if config.oracle not in ORACLE_LEVELS:
         raise PreconditionViolated(
             "oracle", f"must be one of {ORACLE_LEVELS}, got {config.oracle!r}"
         )
     _check_int(config.workers, "workers", 1)
+    if config.workers > MAX_WORKERS:
+        raise PreconditionViolated(
+            "workers", f"must be <= {MAX_WORKERS}, got {config.workers}"
+        )
     report = SweepReport(config=asdict(config))
     instances = generate(config.gen_spec())
     if config.workers > 1:
@@ -206,8 +216,11 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                 if key in rec and not rec[key]:
                     setattr(report, counter, getattr(report, counter) + 1)
                     report.flagged.append({"index": index, "reason": counter})
-    finally:
+    except BaseException:
         if pool is not None:
-            pool.close()
-            pool.join()
+            pool.terminate()
+        raise
+    if pool is not None:
+        pool.close()
+        pool.join()
     return report

@@ -35,7 +35,7 @@ compatible.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .core import ColoredCompleteGraph, _all_ints, _check_int, _check_vertex, _is_vertex
 from .cycles import _window_covers as _cut_windows
@@ -175,15 +175,17 @@ class MultipartiteTournament:
             for v in _members(self._outmask[u]):
                 yield (u, v)
 
-    def cycle_covers(self) -> Dict[int, tuple]:
+    def cycle_covers(self) -> Mapping[int, tuple]:
         """The directed cycles mpt_cycles_through built, per length.
 
-        Maps each length L to the tuple of L-cycles built, in walk order
-        (see _window_covers): the read-only covers in window form
-        (cycles._WindowCovers) that t keeps, no copy.  Their vertex sets
-        cover V, and the first of them through v is the one
-        mpt_cycles_through(t, v) gives for L.  Every length maps to ()
-        before the first mpt_cycles_through call.
+        Maps each length L, in order 4..n, to the tuple of L-cycles built,
+        in walk order (see _window_covers): the covers in window form
+        (cycles._WindowCovers) that t keeps, no copy, a read-only mapping
+        that slices a length's windows when it is first read.  Their vertex
+        sets cover V, and the first of them through v is the one
+        mpt_cycles_through(t, v) gives for L.  Before the first
+        mpt_cycles_through call it is a plain dict that maps every length
+        to ().
         """
         if self._table is None:
             return dict.fromkeys(range(4, self.n + 1), ())
@@ -420,8 +422,9 @@ def mpt_cycles_through(t: MultipartiteTournament, v: int) -> Dict[int, tuple]:
     form, H plus each window's start (cycles._WindowCovers).  The cycle
     given for L is the first cycle of L's cover through v, found by
     v's position on H (through): no cycle is scanned but a fallback, and
-    only the cycle given is sliced, once, so every call that gives it
-    gives the same tuple.
+    only the cycle given is sliced, once, and kept in the form, so every
+    call that gives it, and every read of the covers (cycle_covers), gives
+    the same tuple.
     """
     n = t.n
     if n < 4:

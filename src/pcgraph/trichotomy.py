@@ -22,11 +22,10 @@ import enum
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional
 
 from .core import ColoredCompleteGraph, _all_ints, stats
 from .cycles import (
-    _pc_closed,
     _pc_cycle_search,
     _pc_seam,
     _window_covers,
@@ -68,8 +67,9 @@ class TrichotomyResult:
     tag: TrichotomyTag
     graph: ColoredCompleteGraph
     # tag "a": L -> PC L-cycles covering V, vertex tuples in walk order;
-    # classify's covers are such a dict in window form (cycles._WindowCovers)
-    cycles: Optional[Dict] = None
+    # classify's covers are such a read-only mapping in window form
+    # (cycles._WindowCovers)
+    cycles: Optional[Mapping] = None
     certificate: Optional[DegeneracyCertificate] = None  # for tag "b"
     relabel: Optional[Dict] = None  # vertex -> canonical vertex, for tag "c"
 
@@ -119,7 +119,7 @@ def is_double_pentagon_k5(g: ColoredCompleteGraph) -> Optional[Dict[int, int]]:
     return {v: i for i, v in enumerate(ring)}
 
 
-def _pancyclic_via_orientation(g: ColoredCompleteGraph, cert: DegeneracyCertificate) -> Dict:
+def _pancyclic_via_orientation(g: ColoredCompleteGraph, cert: DegeneracyCertificate) -> Mapping:
     """Pancyclic covers from the orientation of a full compatible map.
 
     The orientation t meets both preconditions of mpt_cycles_through, which
@@ -237,7 +237,7 @@ def _regrow_quadrangle(g: ColoredCompleteGraph, v: int, length: int) -> Optional
     return _pc_cycle_search(g, v, 4, regrow)
 
 
-def _pancyclic_by_growth(g: ColoredCompleteGraph, stats_out: Optional[dict]) -> Dict:
+def _pancyclic_by_growth(g: ColoredCompleteGraph, stats_out: Optional[dict]) -> Mapping:
     """Pancyclic covers cut from one PC Hamilton cycle grown from a quadrangle.
 
     build makes a PC L-cycle through v: pc_quadrangle_search at L = 4, and
@@ -353,93 +353,32 @@ def side_conditions(g: ColoredCompleteGraph, result: TrichotomyResult) -> SideCo
     return SideConditionReport(meets_half, mono_low, bounds, corollary)
 
 
-def _window_form_holds(g: ColoredCompleteGraph, covers: _WindowCovers) -> bool:
-    """validate_result's check of tag-(a) covers in window form; see there."""
-    n = g.n
-    m = g._m
-    ham = covers.ham
-    try:
-        if len(ham) != n or not _all_ints(ham) or set(ham) != set(range(n)):
-            return False
-        if not _pc_closed(m, ham) or len(covers.entries) != n - 3:
-            return False
-        twice, pos = covers.twice, covers.pos
-        closes = _pc_seam(m, ham)
-        full = (1 << n) - 1
-        for ln, cover in enumerate(covers.entries, 4):
-            run = (1 << ln) - 1
-            done = 0  # bit i: position i of H lies on a cycle of the cover
-            for e in cover:
-                if type(e) is int:
-                    if not (0 <= e < n and closes(twice[e + ln - 1], twice[e])):
-                        return False
-                    bits = run << e
-                    done |= bits | bits >> n
-                    continue
-                vs = tuple(e)
-                if len(vs) != ln or not _all_ints(vs) or len(set(vs)) != ln:
-                    return False
-                if not _pc_closed(m, vs):
-                    return False
-                for w in vs:
-                    done |= 1 << pos[w]
-            if done & full != full:  # wrapped bits >= n are set too
-                return False
-    except (TypeError, ValueError, LookupError):
-        return False
-    return True
-
-
 def validate_result(g: ColoredCompleteGraph, result: TrichotomyResult) -> bool:
     """Independently re-check whichever certificate the result carries.
 
     Pancyclic covers are checked in window form (cycles._WindowCovers): a
-    cycle H, and for each length L in 4..n a cover, whose entries are
-    window starts p, each standing for the run of L vertices of H from
-    position p, and fallback cycles.  classify's covers are in that form
-    already.  Any other covers are first read into it (_WindowCovers.read):
-    they need exactly the keys 4..n, each cycle L entries, all ints, and a
-    cycle that equals the run of H from its first entry becomes that run's
-    start.  H is then the first cycle of covers[n].  Either way the one
-    check below decides (_window_form_holds), and it slices no window.
-
-    H gets the full test: n entries, all ints, whose set is V = {0..n-1},
-    and the PC color test over every edge.  So H is a PC Hamilton cycle.
-
-    A start p must be exactly an int (not a bool or a float) with
-    0 <= p < n, and only its seam a -> b, from the run's last vertex back to
-    its first, is tested (cycles._pc_seam): m[a][b] must differ in color
-    from H's edge into a and from H's edge out of b.  That is the whole PC
-    test: the run is a path of H, so its inner edges are H's, and each
-    inner vertex sees two consecutive edges of the PC cycle H; only the two
-    vertices at the seam see the seam edge.  Since L <= n, the run holds L
-    distinct positions of H, hence L distinct vertices.
-
-    Any other entry is a fallback cycle, read with tuple(), and gets the
-    full test: L distinct entries, all ints, and the PC color test, which
-    indexes the color matrix with every entry.  An int of n or more fails
-    an index with IndexError.  A negative int indexes from the end of a
-    row and so passes the color test, but it fails the lookup in H's
-    position map below with KeyError.
-
-    Coverage is counted by positions on H: a window from position p sets
-    bits p..p+L-1, wrapped around H's end, and a fallback the bit of each
-    entry's position.  H visits each vertex of V once, so the position map
-    is a bijection from V onto 0..n-1, and the positions a cover sets are
-    all n exactly when its vertex sets cover V.  So every vertex lies on a
-    PC cycle of every length from 4 to n.
+    Hamilton cycle H, and for each length L in 4..n a cover, whose entries
+    are window starts, each standing for a run of L vertices of H, and
+    fallback cycles.  classify's covers are in that form already.  Any
+    other covers are first read into it (_WindowCovers.read): they need
+    exactly the keys 4..n, each cycle L entries, all ints, and H is the
+    first cycle of covers[n].  Either way one check decides
+    (_WindowCovers.holds, which gives the proof): H is a PC Hamilton cycle,
+    each window closes into a PC cycle at its seam, each fallback is a PC
+    cycle of its length, and each cover covers V.  So every vertex lies on
+    a PC cycle of every length from 4 to n.
 
     A degenerate set must pass DegeneracyCertificate.check and leave a
     vertex out, and a relabel must be a dict that is a bijection of 0..4.
     A certificate of another shape (a result that is no TrichotomyResult,
-    covers that are no dict, a key, cover or cycle of another shape, a
-    malformed set or relabel) fails the check.
+    covers that are neither the window form nor a dict, a key, cover or
+    cycle of another shape, a malformed set or relabel) fails the check.
     """
     if not isinstance(result, TrichotomyResult):
         return False
     if result.tag is TrichotomyTag.PANCYCLIC:
         covers = _WindowCovers.read(result.cycles, g.n)
-        return covers is not None and _window_form_holds(g, covers)
+        return covers is not None and covers.holds(g._m)
     if result.tag is TrichotomyTag.PROPER_DEGENERATE:
         cert = result.certificate
         return (

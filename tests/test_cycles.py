@@ -3,6 +3,7 @@ import gc
 import itertools
 import pickle
 import random
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from pcgraph.cycles import (
     _induced,
     _try_lengthen,
     _window_covers,
+    _WindowCovers,
     classify_attachment,
     enumerate_pc_cycles,
     has_pc_cycle,
@@ -558,9 +560,9 @@ def test_window_covers_cut_windows_and_build_only_where_none_holds():
 
 
 def test_window_covers_read_as_the_plain_dict_they_stand_for():
-    # the window form reads as L -> tuple of L's cycles: one length at a
-    # time or whole, in order 4..n whatever was read first, equal to and
-    # copied or pickled as a plain dict, and read-only
+    # the window form is a read-only Mapping of L -> tuple of L's cycles:
+    # one length at a time or whole, in order 4..n whatever was read first,
+    # equal to the plain dict it stands for, and copied or pickled as a form
     n = 12
     rng = random.Random(5)
     ham = tuple(rng.sample(range(n), n))
@@ -581,31 +583,26 @@ def test_window_covers_read_as_the_plain_dict_they_stand_for():
             )
             for ln in range(4, n + 1)
         }
+        assert isinstance(covers, Mapping) and not isinstance(covers, dict)
         assert len(covers) == n - 3 and 4 in covers and n in covers
         assert 3 not in covers and n + 1 not in covers and "4" not in covers and True not in covers
         assert covers.get(3) is None and covers.get(n + 1, ()) == ()
-        with pytest.raises(KeyError):
-            covers[n + 1]
+        for missing in (n + 1, 4.0, True):
+            with pytest.raises(KeyError):
+                covers[missing]
         assert covers[n] == (ham,) and covers[n][0] is ham
         assert covers[7] == want[7] and covers.get(5) == want[5]
         assert list(covers) == list(range(4, n + 1))
-        assert covers == want and want == covers and not covers != want
-        assert dict(covers) == want and {**covers} == want and covers.copy() == want
-        assert repr(covers) == repr(want) and list(reversed(covers)) == list(reversed(want))
-        assert (covers | {3: ()}) == {**want, 3: ()}
-        for again in (copy.deepcopy(covers), pickle.loads(pickle.dumps(covers))):
-            assert type(again) is dict and again == want
-        for mutate in (
-            lambda c: c.__setitem__(4, ()),
-            lambda c: c.__delitem__(4),
-            lambda c: c.update({4: ()}),
-            lambda c: c.setdefault(3, ()),
-            lambda c: c.pop(4),
-            lambda c: c.popitem(),
-            lambda c: c.clear(),
-        ):
-            with pytest.raises(TypeError):
-                mutate(covers)
+        assert covers == want and want == covers and not covers != want and not want != covers
+        assert dict(covers) == want and {**covers} == want
+        for again in (copy.copy(covers), copy.deepcopy(covers), pickle.loads(pickle.dumps(covers))):
+            assert type(again) is _WindowCovers and again == want and again == covers
+        with pytest.raises(TypeError):
+            covers[4] = ()
+        with pytest.raises(TypeError):
+            del covers[4]
+        for mutator in ("update", "setdefault", "pop", "popitem", "clear"):
+            assert not hasattr(covers, mutator), mutator
         assert covers == want and list(covers.items()) == list(want.items())
         # every length read on its own, last first, still iterates 4..n
         backwards = _window_covers(ham, closes, build)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import stat
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from pcgraph.cli import main
 from pcgraph.core import dumps_instance, loads_instance
 from pcgraph.errors import PreconditionViolated
-from pcgraph.sweep import SweepConfig, run_sweep
+from pcgraph.sweep import MAX_WORKERS, SweepConfig, run_sweep
 
 
 def test_sweep_exhaustive_k4_clean():
@@ -144,6 +145,88 @@ def test_run_sweep_rejects_bool_workers():
         with pytest.raises(PreconditionViolated, match="^workers: must be an int") as err:
             run_sweep(SweepConfig(family="exhaustive", n=4, workers=workers))
         assert err.value.which == "workers"
+
+
+class _FakePool:
+    """A multiprocessing.Pool stand-in that maps in the calling process and
+    records the calls made to it; it starts no process."""
+
+    def __init__(self, processes):
+        self.calls = [("Pool", processes)]
+
+    def imap(self, func, iterable, chunksize=1):
+        self.calls.append("imap")
+        return map(func, iterable)
+
+    def close(self):
+        self.calls.append("close")
+
+    def join(self):
+        self.calls.append("join")
+
+    def terminate(self):
+        self.calls.append("terminate")
+
+
+@pytest.fixture
+def fake_pools(monkeypatch):
+    made = []
+
+    def pool(processes):
+        made.append(_FakePool(processes))
+        return made[-1]
+
+    monkeypatch.setattr(multiprocessing, "Pool", pool)
+    return made
+
+
+def test_run_sweep_closes_and_joins_the_pool_after_its_last_record(fake_pools):
+    config = SweepConfig(family="exhaustive", n=4, oracle="partial", workers=MAX_WORKERS)
+    report = run_sweep(config)
+    assert report.processed == 203 and report.clean
+    assert [pool.calls for pool in fake_pools] == [[("Pool", MAX_WORKERS), "imap", "close", "join"]]
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt, "dump"])
+def test_run_sweep_terminates_the_pool_on_an_error(tmp_path, monkeypatch, fake_pools, error):
+    # an unwritable dump directory or Ctrl-C in the record loop ends the
+    # workers at once; closing and joining the pool would first wait for
+    # them to examine every instance left in the stream
+    import pcgraph.sweep as sweep_mod
+    from pcgraph.errors import InternalError
+
+    def failing(g, counters=None):
+        if error is KeyboardInterrupt:
+            raise KeyboardInterrupt
+        raise InternalError("synthetic failure", instance=g)
+
+    monkeypatch.setattr(sweep_mod, "classify", failing)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    config = SweepConfig(
+        family="randomNoMono", n=6, k=3, count=5, workers=2, dump_dir=str(blocker / "dumps")
+    )
+    with pytest.raises(KeyboardInterrupt if error is KeyboardInterrupt else OSError):
+        run_sweep(config)
+    assert [pool.calls for pool in fake_pools] == [[("Pool", 2), "imap", "terminate"]]
+
+
+def test_run_sweep_caps_workers_before_any_pool(monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was asked for")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    assert MAX_WORKERS == 64
+    for workers in (MAX_WORKERS + 1, 10**6):
+        match = f"^workers: must be <= 64, got {workers}$"
+        with pytest.raises(PreconditionViolated, match=match) as err:
+            run_sweep(SweepConfig(family="exhaustive", n=4, workers=workers))
+        assert err.value.which == "workers"
+    argv = ["sweep", "--family", "exhaustive", "--n", "4", "--workers", str(MAX_WORKERS + 1)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: PreconditionViolated: workers: must be <= 64, got 65\n"
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
 import collections
+import copy
 import dataclasses
 import hashlib
 import itertools
 import os
+import pickle
 import random
 
 import pytest
@@ -692,7 +694,7 @@ def _per_vertex_validate(g, result):
     """
     covers = result.cycles
     n = g.n
-    if not isinstance(covers, dict) or covers.keys() != set(range(4, n + 1)):
+    if not isinstance(covers, (dict, _WindowCovers)) or covers.keys() != set(range(4, n + 1)):
         return False
     try:
         for ln, cover in covers.items():
@@ -1114,7 +1116,7 @@ def test_validate_result_after_classify_builds_no_cover_and_slices_no_window():
         covers = result.cycles
         entries = covers.entries
         cut = dict(covers._cut)
-        assert cut[n, 0] is covers.ham and dict.__len__(covers) == 0
+        assert cut[n, 0] is covers.ham and covers._built == {}
         grown = {ln - 1 for ln, cover in enumerate(entries, 4) if tuple in map(type, cover)}
         handed = {(n, 0)}
         if degeneracy_status(g).tag is DegeneracyTag.FULL_ONLY:
@@ -1124,11 +1126,22 @@ def test_validate_result_after_classify_builds_no_cover_and_slices_no_window():
                 handed.add((ln, e))
         assert grown and all(key in handed or key[0] in grown for key in cut), sorted(cut)
         assert validate_result(g, result)
-        assert dict(covers._cut) == cut and dict.__len__(covers) == 0
+        assert covers._cut == cut and covers._built == {}
         # reading the covers builds every length, from the windows already sliced
         built = dict(covers)
-        assert list(built) == list(range(4, n + 1)) and dict.__len__(covers) == n - 3
+        assert list(built) == list(range(4, n + 1)) and covers._built == built
         assert all(built[ln][entries[ln - 4].index(p)] is cyc for (ln, p), cyc in cut.items())
+
+
+def test_copied_and_pickled_covers_are_forms_that_validate_result_accepts():
+    # both routes: a copy, a deep copy and a pickle round trip of classify's
+    # covers are window forms again, equal to the covers, and they check
+    for g in (_full_only(16, 0), next(generate(GenSpec("gallai", n=16, seed=2)))):
+        result = classify(g)
+        covers = result.cycles
+        for again in (copy.copy(covers), copy.deepcopy(covers), pickle.loads(pickle.dumps(covers))):
+            assert type(again) is _WindowCovers and again == covers
+            assert validate_result(g, dataclasses.replace(result, cycles=again))
 
 
 def _first_through(cover, v):
