@@ -3,7 +3,9 @@
 A graph is a complete graph on vertices 0..n-1 with one color per edge.
 Input colors may be arbitrary integers; internally they are remapped to
 dense indices 0..k-1 (sorted by original id) so hot loops compare small
-ints.  Every public surface speaks original color ids.
+ints.  _from_rows is the one place that does so: build and the random
+generators hand it color rows.  Every public surface speaks original
+color ids.
 
 Instances are immutable after construction and safe to share between
 worker processes.  Two derived facts ride along, outside equality and
@@ -14,7 +16,8 @@ the double-pentagon check and tournaments.reduce_degenerate read it.  It
 is left out of pickles, which it would almost triple at n = 64.  The
 answer of detect.find_monochromatic_triangle is remembered, so the
 generator, the sweep, classify and pc_hamilton_path share one scan; it is
-pickled.
+pickled.  The randomNoMono generator repairs with the same scan, run on its
+own rows and a mask table keyed by the colors drawn.
 """
 
 from __future__ import annotations
@@ -194,9 +197,7 @@ def build(n: int, edges: Iterable[Sequence[int]]) -> ColoredCompleteGraph:
     PreconditionViolated when n is no int.
     """
     _check_order(n, 1)
-    raw = [[-1] * n for _ in range(n)]
-    seen = [[False] * n for _ in range(n)]
-    colors = set()
+    seen = {}
     entry = None
     try:
         for entry in edges:
@@ -207,23 +208,38 @@ def build(n: int, edges: Iterable[Sequence[int]]) -> ColoredCompleteGraph:
                 raise InvalidInstance(f"edge colors must be integers, got {c!r}")
             if u == v:
                 raise SelfLoop(f"({u},{v})")
-            if seen[u][v]:
-                raise DuplicateEdge(f"({min(u, v)},{max(u, v)})")
-            seen[u][v] = seen[v][u] = True
-            raw[u][v] = raw[v][u] = c
-            colors.add(c)
+            pair = (u, v) if u < v else (v, u)
+            if pair in seen:
+                raise DuplicateEdge(f"({pair[0]},{pair[1]})")
+            seen[pair] = c
     except (TypeError, ValueError):
         raise InvalidInstance(f"bad edge entry {entry!r}") from None
-    for u in range(n):
-        for v in range(u + 1, n):
-            if not seen[u][v]:
-                raise MissingEdge(f"({u},{v})")
+    if len(seen) < n * (n - 1) // 2:
+        # the first missing pair, within len(seen) + 1 probes and before any matrix exists
+        u, v = next(p for p in itertools.combinations(range(n), 2) if p not in seen)
+        raise MissingEdge(f"({u},{v})")
+    rows = [[-1] * n for _ in range(n)]
+    for (u, v), c in seen.items():
+        rows[u][v] = rows[v][u] = c
+    return _from_rows(rows, set(seen.values()))
+
+
+def _from_rows(rows: list, colors) -> ColoredCompleteGraph:
+    """The graph whose edge uv has color rows[u][v]; colors is the set of them.
+
+    rows is n x n with int colors off the diagonal and -1 on it; nothing is
+    checked.  The palette is the sorted colors.  Unless they are 0..k-1
+    already, the rows are renumbered to dense indices, and the diagonal is
+    set back to -1 in case -1 is also a color.
+    """
     palette = tuple(sorted(colors))
-    rank = {c: d for d, c in enumerate(palette)}
-    rows = tuple(
-        tuple(-1 if u == v else rank[raw[u][v]] for v in range(n)) for u in range(n)
-    )
-    return ColoredCompleteGraph(n, rows, palette)
+    if palette != tuple(range(len(palette))):
+        rank = {-1: -1}
+        rank.update((c, d) for d, c in enumerate(palette))
+        rows = [[rank[c] for c in row] for row in rows]
+        for u, row in enumerate(rows):
+            row[u] = -1
+    return ColoredCompleteGraph(len(rows), tuple(map(tuple, rows)), palette)
 
 
 def stats(g: ColoredCompleteGraph) -> ColorStats:

@@ -15,8 +15,13 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .core import ColoredCompleteGraph, _all_ints, _check_int, _check_order, build
-from .detect import find_monochromatic_triangle, find_pc_triangle, verify_gallai_partition
+from .core import ColoredCompleteGraph, _all_ints, _check_int, _check_order, _from_rows, build
+from .detect import (
+    _first_monochromatic_triangle,
+    find_monochromatic_triangle,
+    find_pc_triangle,
+    verify_gallai_partition,
+)
 from .errors import (
     BadPartition,
     BudgetExhausted,
@@ -113,41 +118,44 @@ def example_directed(n: int) -> ColoredCompleteGraph:
     return g
 
 
-def _triangles(n: int) -> List[tuple]:
-    return list(itertools.combinations(range(n), 3))
-
-
 _REPAIR_BUDGET = 3000  # recolorings random_no_mono_triangle tries
 
 
 def random_no_mono_triangle(n: int, k: int, seed: int) -> ColoredCompleteGraph:
     """Random k-coloring repaired until no monochromatic triangle remains.
 
-    Raises BudgetExhausted (reporting the seed) when _REPAIR_BUDGET
-    recolorings cannot fix it; with two colors and n >= 6 that is
-    unavoidable.
+    Each repair gives another color to one edge, drawn uniformly, of the
+    lexicographically first monochromatic triangle that detect's scan
+    finds on the rows and a per-vertex color -> mask table, keyed by the
+    colors drawn so that no k sizes it.  Raises BudgetExhausted
+    (reporting the seed) when _REPAIR_BUDGET recolorings cannot fix it;
+    with two colors and n >= 6 that is unavoidable.
     """
     _check_order(n, 3)
     _check_int(k, "colors", 2)
-    rng = _rng(seed)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    index = {p: i for i, p in enumerate(pairs)}
-    tri_edges = [
-        (index[(a, b)], index[(a, c)], index[(b, c)]) for a, b, c in _triangles(n)
-    ]
-    colors = [rng.randrange(k) for _ in pairs]
+    randrange = _rng(seed).randrange
+    rows = [[-1] * n for _ in range(n)]
+    nbr = [{} for _ in range(n)]
+
+    def paint(u: int, v: int, c: int) -> None:
+        rows[u][v] = rows[v][u] = c
+        nbr[u][c] = nbr[u].get(c, 0) | 1 << v
+        nbr[v][c] = nbr[v].get(c, 0) | 1 << u
+
+    for u, v in itertools.combinations(range(n), 2):
+        paint(u, v, randrange(k))
     for _ in range(_REPAIR_BUDGET):
-        bad = None
-        for t in tri_edges:
-            if colors[t[0]] == colors[t[1]] == colors[t[2]]:
-                bad = t
-                break
+        bad = _first_monochromatic_triangle(rows, n, nbr)
         if bad is None:
-            g = build(n, [(u, v, colors[i]) for i, (u, v) in enumerate(pairs)])
+            g = _from_rows(rows, {c for masks in nbr for c, mask in masks.items() if mask})
             _contract(g, find_monochromatic_triangle(g) is None, "no monochromatic triangle")
             return g
-        edge = bad[rng.randrange(3)]
-        colors[edge] = (colors[edge] + 1 + rng.randrange(k - 1)) % k
+        a, b, c = bad
+        u, v = ((a, b), (a, c), (b, c))[randrange(3)]
+        old = rows[u][v]
+        nbr[u][old] ^= 1 << v
+        nbr[v][old] ^= 1 << u
+        paint(u, v, (old + 1 + randrange(k - 1)) % k)
     raise BudgetExhausted(
         f"could not reach a mono-triangle-free {k}-coloring of K{n} "
         f"within {_REPAIR_BUDGET} recolorings (seed={seed})"
@@ -290,8 +298,8 @@ def random_degenerate(
     The kept orientation is a plan of writes (_PLANS[|a|, |b|][k]); the
     values are written straight into the color matrix and marked as they
     land.  The palette is the values that land on some edge (a singleton
-    that is the head of all its cross edges has none), renumbered densely
-    in order, which is what build() makes of the same edge list.
+    that is the head of all its cross edges has none), which
+    core._from_rows renumbers densely in order, as build() does.
     """
     _check_order(n, 1)
     parts = _check_fibers(n, fibers)
@@ -361,12 +369,7 @@ def random_degenerate(
                 v = b[ib]
                 row_a[ia][v] = rows[v][a[ia]] = c
                 landed[c] = 1
-    palette = tuple(c for c, hit in enumerate(landed) if hit)
-    if len(palette) < len(parts):
-        rank = {c: d for d, c in enumerate(palette)}
-        rank[-1] = -1
-        rows = [[rank[c] for c in row] for row in rows]
-    g = ColoredCompleteGraph(n, tuple(map(tuple, rows)), palette)
+    g = _from_rows(rows, {c for c, hit in enumerate(landed) if hit})
     if n >= 3:
         _contract(g, find_monochromatic_triangle(g) is None, "no monochromatic triangle")
     return g, f
@@ -380,13 +383,12 @@ def _mono_free_two_colorings(p: int) -> Tuple[tuple, ...]:
     coloring as one from the (c1, c2) colorings in product order.
     """
     pairs = list(itertools.combinations(range(p), 2))
-    tris = _triangles(p)
     valid = []
     for combo in itertools.product((0, 1), repeat=len(pairs)):
         coloring = dict(zip(pairs, combo))
         if all(
             len({coloring[(a, b)], coloring[(a, c)], coloring[(b, c)]}) > 1
-            for a, b, c in tris
+            for a, b, c in itertools.combinations(range(p), 3)
         ):
             valid.append(combo)
     return tuple(valid)
@@ -412,7 +414,8 @@ def gallai_coloring(
     _check_order(n, 3)
     rng = _rng(seed)
     fresh = itertools.count(1)
-    color: Dict[tuple, int] = {}
+    rows = [[-1] * n for _ in range(n)]
+    colors = set()
 
     def fill(vertices: List[int]) -> List[List[int]]:
         if len(vertices) < 2:
@@ -425,16 +428,17 @@ def gallai_coloring(
         c1, c2 = next(fresh), next(fresh)
         part_colors = _mono_free_two_coloring(p, c1, c2, rng)
         for (i, j), c in part_colors.items():
+            colors.add(c)
             for u in parts[i]:
                 for v in parts[j]:
-                    color[(min(u, v), max(u, v))] = c
+                    rows[u][v] = rows[v][u] = c
         for part in parts:
             fill(part)
         return parts
 
     top = fill(list(range(n)))
     del fill  # fill holds itself through its closure cell; leave no cycle for gc
-    g = build(n, [(u, v, c) for (u, v), c in color.items()])
+    g = _from_rows(rows, colors)
     partition = sorted((sorted(p) for p in top), key=lambda p: p[0])
     _contract(g, find_monochromatic_triangle(g) is None, "no monochromatic triangle")
     _contract(g, find_pc_triangle(g) is None, "no PC triangle")

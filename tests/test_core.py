@@ -1,6 +1,7 @@
 import collections
 import itertools
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +45,26 @@ def test_build_single_edge():
 def test_build_missing_edge():
     with pytest.raises(MissingEdge, match=r"\(0,2\)"):
         build(3, [(0, 1, 1), (1, 2, 1)])
+
+
+def test_build_finds_a_missing_pair_before_making_a_matrix():
+    # the pairs seen are a dict until all C(n, 2) are there: two n x n
+    # matrices at n = 2000 took 61 MB before the first pair was checked
+    tracemalloc.start()
+    try:
+        with pytest.raises(MissingEdge, match=r"^\(0,2\)$"):
+            build(2000, [(0, 1, 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_build_keeps_a_color_of_minus_one_off_the_diagonal():
+    # -1 marks the diagonal of the dense matrix, and is also a valid color
+    g = build(3, [(0, 1, -1), (0, 2, 5), (1, 2, -1)])
+    assert g.palette == {-1, 5} and g.color(1, 0) == g.color(1, 2) == -1
+    assert g._m == ((-1, 0, 1), (0, -1, 0), (1, 0, -1))
 
 
 def test_build_duplicate_and_self_loop():

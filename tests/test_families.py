@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -68,6 +69,51 @@ def test_random_no_mono_budget():
     # a 2-colored K6 always carries a monochromatic triangle
     with pytest.raises(BudgetExhausted, match="seed=77"):
         random_no_mono_triangle(6, 2, seed=77)
+
+
+def test_random_no_mono_stream_is_pinned():
+    # sha256 over dumps_instance of n=16 k=6 seeds 0..39, n=32 k=8 seeds
+    # 0..9 and n=64 k=12 seeds 0..1, one line each: the same draws, the same
+    # lexicographically first triangle per repair, the same palette
+    digest = hashlib.sha256()
+    for n, k, seeds in ((16, 6, range(40)), (32, 8, range(10)), (64, 12, range(2))):
+        for seed in seeds:
+            digest.update(f"{dumps_instance(random_no_mono_triangle(n, k, seed))}\n".encode())
+    want = "2ecba243219b1bf7333ab6ddf4dede64c973cf77364607cd29eda251e7239d6a"
+    assert digest.hexdigest() == want
+
+
+@pytest.mark.parametrize("n, k, seed", [(6, 2, 0), (6, 2, 1), (6, 2, 2), (64, 3, 0)])
+def test_random_no_mono_budget_message_is_pinned(n, k, seed):
+    with pytest.raises(BudgetExhausted) as info:
+        random_no_mono_triangle(n, k, seed)
+    assert str(info.value) == (
+        f"could not reach a mono-triangle-free {k}-coloring of K{n} "
+        f"within 3000 recolorings (seed={seed})"
+    )
+
+
+def test_random_no_mono_with_a_huge_k_sizes_nothing_by_k():
+    # k = 10**12 is valid: the repair's mask table is keyed by the colors
+    # drawn, so it holds at most one entry per edge
+    tracemalloc.start()
+    try:
+        g = random_no_mono_triangle(8, 10**12, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    want = [
+        424533559245, 978212965548, 44756014165, 534771852898, 913899456057,
+        392888992260, 981758150271, 240123516435, 152491468918, 151534339699,
+        106325369465, 878829203004, 588022882666, 777315144757, 664904820126,
+        162788563211, 108706256089, 80444014843, 935868384284, 363714941482,
+        616208160855, 386979565044, 345462137506, 702703408825, 227259652028,
+        609741931457, 487380045830, 574947128222,
+    ]
+    pairs = itertools.combinations(range(8), 2)
+    assert list(g.edges()) == [(u, v, c) for (u, v), c in zip(pairs, want)]
+    assert g._palette == tuple(sorted(want))
 
 
 def test_random_degenerate_contract():
